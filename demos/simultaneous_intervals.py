@@ -20,7 +20,7 @@ from spimax import (
     critical_value_bs,
     critical_value_mc,
     eblup,
-    loading_matrix,
+    model_scales,
     parametric_bootstrap,
 )
 from spimax.simulate import ScenarioConfig, generate_scenario
@@ -40,8 +40,7 @@ cv_be = beran_critical_values(draws, alpha=0.05)
 
 # direct simulation studentizes by the model-implied scales
 joint = build_joint_normal(data, fit.theta)
-L = loading_matrix(joint, spec)
-mc_scales = np.sqrt(np.einsum("di,ij,dj->d", L, joint.covariance, L))
+mc_scales = model_scales(joint, spec)
 cv_mc = critical_value_mc(joint, spec, k_draws=50_000, alpha=0.05,
                           master_seed=7, scales=mc_scales)
 

@@ -46,11 +46,13 @@ from .bootstrap import (
     stepdown_quantile_provider,
 )
 from .mc import (
+    Arrow,
     JointNormalModel,
     assemble_precision,
     build_joint_normal,
     critical_value_mc,
     loading_matrix,
+    model_scales,
 )
 from .analytic import (
     RidgeWeights,

@@ -21,12 +21,10 @@ from .errors import (
     InvalidConstants,
     NonMonotoneBound,
     ShapeMismatch,
-    SingularSystem,
 )
 from .maxstat import CriticalValue
-from .mc import assemble_precision
+from .mc import build_joint_normal, model_scales
 from .model import (
-    FHM,
     NERM,
     BlockLmmData,
     MixedParameterSpec,
@@ -68,21 +66,25 @@ class RidgeWeights:
 
 
 def ridge_weights(data: BlockLmmData, theta: VarianceComponents, c: np.ndarray) -> RidgeWeights:
-    """Solve the mixed-model equations for the weights of c' phi_tilde."""
+    """Solve the mixed-model equations for the weights of c' phi_tilde.
+
+    K z = c is solved by block elimination through the arrow factor F of
+    K^-1 = F F': z = F (F' c), and c' z = ||F' c||^2.
+    """
     c = np.asarray(c, dtype=float)
-    dim = data.p + 1 + data.D
+    q = data.p + 1
+    dim = q + data.D
     if c.shape != (dim,):
         raise ShapeMismatch(f"c must have length {dim}, got {c.shape}")
-    K = assemble_precision(data, theta)
-    try:
-        z = np.linalg.solve(K, c)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("mixed-model equations are singular") from exc
-    q = data.p + 1
-    cz = data.X @ z[:q] + np.repeat(z[q:], data.sizes)
+    F = build_joint_normal(data, theta).cov_factor
+    yq = F.corner.T @ c[:q] + F.border.T @ c[q:]
+    yu = F.diag * c[q:]
+    zq = F.corner @ yq
+    zu = F.border @ yq + F.diag * yu
+    cz = data.X @ zq + np.repeat(zu, data.sizes)
     if data.model_tag == NERM:
         l = cz / theta.sigma2_e
-        norm = math.sqrt(max(float(c @ z), 0.0)) / math.sqrt(theta.sigma2_e)
+        norm = math.sqrt(float(yq @ yq + yu @ yu)) / math.sqrt(theta.sigma2_e)
     else:
         l = cz / np.repeat(data.known_error_vars, data.sizes)
         norm = None
@@ -94,19 +96,13 @@ def ridge_interval_scales(
 ) -> np.ndarray:
     """Per-cluster sigma_e_hat * ||l_M|| for the mixed-parameter targets.
 
-    These are the tube-band scales; squared they equal g1_d + g2_d.
+    These are the tube-band scales; squared they equal g1_d + g2_d, the
+    model-implied variances of the joint normal law.
     """
     check_spec(data, spec)
     if data.model_tag != NERM:
         raise ShapeMismatch("ridge band scales require the unit-level model")
-    K = assemble_precision(data, theta)
-    L = np.hstack([spec.k, np.diag(spec.m)])
-    try:
-        Z = np.linalg.solve(K, L.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("mixed-model equations are singular") from exc
-    quad = np.einsum("di,id->d", L, Z)
-    return np.sqrt(np.maximum(quad, 0.0))
+    return model_scales(build_joint_normal(data, theta), spec)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .estimation import cholesky_residuals, eb_random_effects, eblup
 from .maxstat import SCALE_FLOOR, build_spi, single_step_test, step_down_test
-from .mc import build_joint_normal, critical_value_mc, loading_matrix
+from .mc import build_joint_normal, critical_value_mc, model_scales
 from .model import (
     FHM,
     NERM,
@@ -169,27 +169,24 @@ def export_unit_csv(data: BlockLmmData) -> str:
     """Full-precision unit CSV text that re-ingests to the same dataset."""
     names = [f"x{i + 1}" for i in range(data.p)]
     buf = io.StringIO()
-    buf.write(",".join(["cluster", "y"] + names) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["cluster", "y"] + names)
     for c in data.clusters:
         for j in range(c.n):
             covs = [repr(float(v)) for v in c.X[j, 1:]]
-            buf.write(",".join([str(c.cluster_id), repr(float(c.y[j]))] + covs) + "\n")
+            out.writerow([str(c.cluster_id), repr(float(c.y[j]))] + covs)
     return buf.getvalue()
 
 
 def export_area_csv(data: BlockLmmData) -> str:
     names = [f"x{i + 1}" for i in range(data.p)]
     buf = io.StringIO()
-    buf.write(",".join(["area", "y"] + names + ["error_var"]) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["area", "y"] + names + ["error_var"])
     for c in data.clusters:
         covs = [repr(float(v)) for v in c.X[0, 1:]]
-        buf.write(
-            ",".join(
-                [str(c.cluster_id), repr(float(c.y[0]))]
-                + covs
-                + [repr(float(c.known_error_var))]
-            )
-            + "\n"
+        out.writerow(
+            [str(c.cluster_id), repr(float(c.y[0]))] + covs + [repr(float(c.known_error_var))]
         )
     return buf.getvalue()
 
@@ -366,8 +363,7 @@ def _method_critical(args, data, spec, fit):
         return beran_critical_values(draws, args.alpha), scales, draws
     if method == "mc":
         joint = build_joint_normal(data, fit.theta)
-        L = loading_matrix(joint, spec)
-        mc_scales = np.sqrt(np.einsum("di,ij,dj->d", L, joint.covariance, L))
+        mc_scales = model_scales(joint, spec)
         cv = critical_value_mc(
             joint, spec, args.K, args.alpha, seed,
             scales=mc_scales, threads=args.threads,
@@ -449,8 +445,7 @@ def _test_payload(args) -> str:
             )
         elif args.method == "mc":
             joint = build_joint_normal(data, fit.theta)
-            L = A @ loading_matrix(joint, spec)
-            scales = np.sqrt(np.einsum("di,ij,dj->d", L, joint.covariance, L))
+            scales = model_scales(joint, spec, contrast=A)
             cv = critical_value_mc(
                 joint, spec, args.K, alpha, args.seed,
                 scales=scales, contrast=A, threads=args.threads,
@@ -617,19 +612,17 @@ def _residuals_payload(args) -> str:
     effects = eb_random_effects(data, fit)
     rq = _plot_positions(resid)
     eq = _plot_positions(effects)
-    lines = ["kind,cluster,unit,value,normal_quantile"]
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["kind", "cluster", "unit", "value", "normal_quantile"])
     pos = 0
     for cid, n in zip(data.cluster_ids, data.sizes):
         for j in range(int(n)):
-            lines.append(
-                f"cholesky,{cid},{j},{_csv6(resid[pos])},{_csv6(rq[pos])}"
-            )
+            out.writerow(["cholesky", cid, j, _csv6(resid[pos]), _csv6(rq[pos])])
             pos += 1
     for d, cid in enumerate(data.cluster_ids):
-        lines.append(
-            f"random_effect,{cid},,{_csv6(effects[d])},{_csv6(eq[d])}"
-        )
-    return "\n".join(lines) + "\n"
+        out.writerow(["random_effect", cid, "", _csv6(effects[d]), _csv6(eq[d])])
+    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------

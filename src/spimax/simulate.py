@@ -26,7 +26,7 @@ from .bootstrap import (
 from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
 from .maxstat import SCALE_FLOOR, CriticalValue, build_spi, covers_all, step_down_test
-from .mc import build_joint_normal, critical_value_mc, loading_matrix
+from .mc import build_joint_normal, critical_value_mc, model_scales
 from .model import FHM, NERM, BlockLmmData, ClusterBlock, cluster_mean_spec
 from .util import check_alpha, check_seed, derive_rng, derive_seed
 
@@ -223,8 +223,7 @@ def run_spi_experiment(
                     intervals["BE"] = build_spi(fit, beran_critical_values(draws, config.alpha))
             if "MC" in methods:
                 joint = build_joint_normal(data, fit.theta)
-                L = loading_matrix(joint, spec)
-                mc_scales = np.sqrt(np.einsum("di,ij,dj->d", L, joint.covariance, L))
+                mc_scales = model_scales(joint, spec)
                 cv = critical_value_mc(
                     joint, spec, config.n_mc, config.alpha, mc_seed,
                     scales=mc_scales, threads=threads,
@@ -323,8 +322,7 @@ def run_power_experiment(
                 scales["BS"] = np.maximum(fit.scale, SCALE_FLOOR)
             if "MC" in methods:
                 joint = build_joint_normal(data, fit.theta)
-                L = loading_matrix(joint, spec)
-                mc_scales = np.sqrt(np.einsum("di,ij,dj->d", L, joint.covariance, L))
+                mc_scales = model_scales(joint, spec)
                 crit["MC"] = critical_value_mc(
                     joint, spec, config.n_mc, config.alpha, mc_seed,
                     scales=mc_scales, threads=threads,

@@ -104,3 +104,60 @@ def max_abs_normal_quantile(D, alpha):
 def tube_p1_closed_form(alpha, kappa0, nu, xi0=1.0):
     """Inverse of the leading p=1 tube term when the corrections vanish."""
     return math.sqrt(nu * ((kappa0 / (math.pi * alpha)) ** (2.0 / nu) - 1.0)) / xi0
+
+
+def dense_assemble_precision(data, theta):
+    """Mixed-model precision C' R^-1 C + G+ as a full (q + D)-square matrix."""
+    q = data.p + 1
+    D = data.D
+    K = np.zeros((q + D, q + D))
+    if data.model_tag == "NERM":
+        se = theta.sigma2_e
+        t = np.add.reduceat(data.X, data.offsets, axis=0)
+        K[:q, :q] = data.X.T @ data.X / se
+        K[:q, q:] = t.T / se
+        K[q:, :q] = t / se
+        K[q:, q:] = np.diag(data.sizes / se + 1.0 / theta.sigma2_u)
+    else:
+        s2e = data.known_error_vars
+        K[:q, :q] = np.einsum("d,di,dj->ij", 1.0 / s2e, data.X, data.X)
+        K[:q, q:] = data.X.T / s2e
+        K[q:, :q] = data.X / s2e[:, None]
+        K[q:, q:] = np.diag(1.0 / s2e + 1.0 / theta.sigma2_u)
+    return K
+
+
+def dense_joint_normal(data, theta):
+    """(precision, covariance, lower Cholesky factor) by dense inversion."""
+    K = dense_assemble_precision(data, theta)
+    cov = np.linalg.inv(K)
+    cov = 0.5 * (cov + cov.T)
+    return K, cov, np.linalg.cholesky(cov)
+
+
+def dense_loading_scales(data, theta, spec, contrast=None):
+    """sqrt(diag(L K^-1 L')) with L = (A) [k, diag(m)]."""
+    _, cov, _ = dense_joint_normal(data, theta)
+    L = np.hstack([spec.k, np.diag(spec.m)])
+    if contrast is not None:
+        L = contrast @ L
+    return np.sqrt(np.einsum("di,ij,dj->d", L, cov, L))
+
+
+def dense_ridge_weights(data, theta, c):
+    """(l, c' K^-1 c, l_scale) from a dense solve of the mixed-model equations.
+
+    l = R^-1 C z with K z = c.  l_scale = R^-1 |C| |z| is the size of the
+    terms summed into each weight; a weight far smaller than its terms is
+    cancellation, and rounding error in it scales with l_scale, not with l.
+    """
+    K = dense_assemble_precision(data, theta)
+    z = np.linalg.solve(K, c)
+    q = data.p + 1
+    cz = data.X @ z[:q] + np.repeat(z[q:], data.sizes)
+    cz_abs = np.abs(data.X) @ np.abs(z[:q]) + np.repeat(np.abs(z[q:]), data.sizes)
+    if data.model_tag == "NERM":
+        r = np.full(data.n_total, theta.sigma2_e)
+    else:
+        r = np.repeat(data.known_error_vars, data.sizes)
+    return cz / r, float(c @ z), cz_abs / r

@@ -27,7 +27,7 @@ from spimax.bootstrap import (
 from spimax.cli import replace_response
 from spimax.estimation import eblup, fit_gls_blup, g1, reml_fit, restricted_loglik
 from spimax.maxstat import SCALE_FLOOR, build_spi, single_step_test, step_down_test
-from spimax.mc import JointNormalModel, build_joint_normal, critical_value_mc
+from spimax.mc import Arrow, JointNormalModel, build_joint_normal, critical_value_mc
 from spimax.model import (
     FHM,
     NERM,
@@ -235,8 +235,13 @@ def test_criterion_6_oracle_equivalences():
     # (e) calibrated thresholds against the independent-normal closed form
     D, alpha = 12, 0.05
     c_star = stats.norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / D)))
-    eye = np.eye(1 + D)
-    joint = JointNormalModel(precision=eye, covariance=eye, cov_factor=eye, p=0, D=D)
+    eye = {
+        kind: Arrow(corner=np.eye(1), border=np.zeros((D, 1)), diag=np.ones(D), kind=kind)
+        for kind in ("symmetric", "gram", "lower")
+    }
+    joint = JointNormalModel(
+        precision=eye["symmetric"], covariance=eye["gram"], cov_factor=eye["lower"], p=0, D=D
+    )
     spec = MixedParameterSpec(k=np.zeros((D, 1)), m=np.ones(D))
     c_mc = critical_value_mc(joint, spec, 200_000, alpha, 99).value
     s = rng.standard_normal((20_000, D))

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -367,6 +368,39 @@ def test_residuals_csv_layout(tmp_path, unit_csv):
         quants = np.array([float(r[4]) for r in rows])
         order = np.argsort(vals)
         assert np.all(np.diff(quants[order]) > 0)
+
+
+@pytest.mark.parametrize("model", ["nerm", "fhm"])
+def test_quoted_ids_survive_transform_round_trip(tmp_path, model):
+    # ids with a comma and a quote must be quoted on the way out
+    data = _positive_data() if model == "nerm" else make_fhm(D=6, seed=5)[0]
+    shift = 0.0 if model == "nerm" else 1.0 - float(data.y.min())
+    odd = ('a,"b', 'say "hi"', "plain")
+    ids = {c.cluster_id: odd[i % len(odd)] + str(i) for i, c in enumerate(data.clusters)}
+    blocks = tuple(
+        ClusterBlock(cluster_id=ids[c.cluster_id], y=c.y + shift, X=c.X,
+                     known_error_var=c.known_error_var)
+        for c in data.clusters
+    )
+    renamed = BlockLmmData(model_tag=data.model_tag, clusters=blocks)
+    export = export_unit_csv if model == "nerm" else export_area_csv
+    ingest = ingest_unit_csv if model == "nerm" else ingest_area_csv
+    src = tmp_path / "ids.csv"
+    src.write_text(export(renamed))
+    assert ingest(src).cluster_ids == tuple(ids.values())
+    out, out_data = tmp_path / "t.json", tmp_path / "t.csv"
+    code = run_cli(
+        ["transform", "--model", model, "--data", str(src), "--grid", "4",
+         "--out", str(out), "--out-data", str(out_data)]
+    )
+    assert code == 0
+    assert ingest(out_data).cluster_ids == tuple(ids.values())
+    if model == "nerm":
+        resid = tmp_path / "r.csv"
+        assert run_cli(["residuals", "--model", model, "--data", str(src),
+                        "--out", str(resid)]) == 0
+        rows = list(csv.reader(resid.read_text().splitlines()))
+        assert {row[1] for row in rows[1:]} == set(ids.values())
 
 
 def test_transform_cli_writes_data_only_on_success(tmp_path):

@@ -8,11 +8,14 @@ from oracles import max_abs_normal_quantile
 from spimax.errors import ShapeMismatch
 from spimax.estimation import g1_general, g2, reml_fit
 from spimax.mc import (
+    DRAW_CHUNK,
+    Arrow,
     JointNormalModel,
     assemble_precision,
     build_joint_normal,
     critical_value_mc,
     loading_matrix,
+    model_scales,
 )
 from spimax.model import (
     NERM,
@@ -48,7 +51,7 @@ def tiny_unit_data():
 
 def test_precision_tiny_frozen():
     theta = VarianceComponents(sigma2_u=1.0, sigma2_e=1.0)
-    K = assemble_precision(tiny_unit_data(), theta)
+    K = assemble_precision(tiny_unit_data(), theta).dense()
     assert np.array_equal(K, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
@@ -56,14 +59,14 @@ def test_precision_matches_dense_nerm():
     data, truth = make_nerm(D=7, n_d=4, seed=3, unbalanced=True)
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"], sigma2_e=truth["sigma2_e"])
     K_dense, _, _ = dense_precision(data, theta)
-    np.testing.assert_allclose(assemble_precision(data, theta), K_dense, atol=1e-10)
+    np.testing.assert_allclose(assemble_precision(data, theta).dense(), K_dense, atol=1e-10)
 
 
 def test_precision_matches_dense_fhm():
     data, truth = make_fhm(D=9, seed=4)
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"])
     K_dense, _, _ = dense_precision(data, theta)
-    np.testing.assert_allclose(assemble_precision(data, theta), K_dense, atol=1e-10)
+    np.testing.assert_allclose(assemble_precision(data, theta).dense(), K_dense, atol=1e-10)
 
 
 def test_covariance_matches_empirical_deviations():
@@ -87,7 +90,7 @@ def test_covariance_matches_empirical_deviations():
         [np.broadcast_to(beta, (reps, data.p + 1)), u], axis=1
     )
     emp = np.cov(dev.T)
-    cov = model.covariance
+    cov = model.covariance.dense()
     se = np.sqrt(
         (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / reps
     )
@@ -100,17 +103,28 @@ def test_joint_normal_shapes_and_factor():
     model = build_joint_normal(data, theta)
     assert model.dim == data.p + 1 + data.D
     np.testing.assert_allclose(
-        model.cov_factor @ model.cov_factor.T, model.covariance, atol=1e-12
+        model.cov_factor.dense() @ model.cov_factor.dense().T,
+        model.covariance.dense(),
+        atol=1e-12,
     )
     np.testing.assert_allclose(
-        model.covariance @ model.precision, np.eye(model.dim), atol=1e-9
+        model.covariance.dense() @ model.precision.dense(), np.eye(model.dim), atol=1e-9
     )
+
+
+def identity_arrow(D, kind):
+    return Arrow(corner=np.eye(1), border=np.zeros((D, 1)), diag=np.ones(D), kind=kind)
 
 
 def independent_components_model(D):
     """Synthetic joint law whose mapped components are iid standard normal."""
-    eye = np.eye(1 + D)
-    model = JointNormalModel(precision=eye, covariance=eye, cov_factor=eye, p=0, D=D)
+    model = JointNormalModel(
+        precision=identity_arrow(D, "symmetric"),
+        covariance=identity_arrow(D, "gram"),
+        cov_factor=identity_arrow(D, "lower"),
+        p=0,
+        D=D,
+    )
     spec = MixedParameterSpec(k=np.zeros((D, 1)), m=np.ones(D))
     return model, spec
 
@@ -134,6 +148,20 @@ def test_mc_deterministic_and_thread_invariant():
     assert critical_value_mc(model, spec, k_draws=20_000, alpha=0.1, master_seed=8).value != base
 
 
+def test_mc_thread_and_chunk_invariant():
+    # two chunks, the second partial: worker count must not change a bit
+    data, _ = make_nerm(D=20, seed=12)
+    theta = reml_fit(data)
+    model = build_joint_normal(data, theta)
+    spec = cluster_mean_spec(data)
+    contrast = np.random.default_rng(4).normal(size=(6, data.D))
+    for extra in ({}, {"contrast": contrast}):
+        kwargs = dict(k_draws=DRAW_CHUNK + 17, alpha=0.05, master_seed=31, **extra)
+        c1 = critical_value_mc(model, spec, threads=1, **kwargs).value
+        c3 = critical_value_mc(model, spec, threads=3, **kwargs).value
+        assert c1 == c3
+
+
 def test_mc_alpha_monotone():
     model, spec = independent_components_model(9)
     c_lo = critical_value_mc(model, spec, 30_000, 0.10, master_seed=3).value
@@ -154,10 +182,7 @@ def test_mc_contrast_subset_is_exactly_monotone():
     c_plain = critical_value_mc(model, spec, 10_000, 0.05, 17).value
     c_eye = critical_value_mc(
         model, spec, 10_000, 0.05, 17, contrast=full,
-        scales=np.sqrt(np.einsum("di,ij,dj->d",
-                                 loading_matrix(model, spec),
-                                 model.covariance,
-                                 loading_matrix(model, spec))),
+        scales=model_scales(model, spec),
     ).value
     assert c_eye == c_plain
 
@@ -169,7 +194,7 @@ def test_model_scales_equal_prediction_variance_split():
         spec = cluster_mean_spec(data)
         model = build_joint_normal(data, theta)
         L = loading_matrix(model, spec)
-        scales = np.sqrt(np.einsum("di,ij,dj->d", L, model.covariance, L))
+        scales = np.sqrt(np.einsum("di,ij,dj->d", L, model.covariance.dense(), L))
         expected = np.sqrt(g1_general(data, theta, spec) + g2(data, theta, spec))
         np.testing.assert_allclose(scales, expected, rtol=1e-9)
 
