@@ -12,7 +12,6 @@ import numpy as np
 
 from spimax import (
     build_spi,
-    cluster_mean_spec,
     critical_value_bs,
     eblup,
     parametric_bootstrap,

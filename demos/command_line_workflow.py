@@ -11,7 +11,8 @@ import json
 import pathlib
 import tempfile
 
-from spimax.cli import export_unit_csv, run_cli
+from spimax.cli import run_cli
+from spimax.dataio import export_unit_csv
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 work = pathlib.Path(tempfile.mkdtemp(prefix="spimax-demo-"))

@@ -11,7 +11,6 @@ strata, simultaneously?
 import numpy as np
 
 from spimax import (
-    cluster_mean_spec,
     critical_value_contrast,
     eblup,
     parametric_bootstrap,

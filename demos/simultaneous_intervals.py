@@ -15,7 +15,6 @@ from spimax import (
     bonferroni_cv,
     build_joint_normal,
     build_spi,
-    cluster_mean_spec,
     covers_all,
     critical_value_bs,
     critical_value_mc,

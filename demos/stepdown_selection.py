@@ -11,7 +11,6 @@ quantiles, so it can only reject more than the single-step test.
 import numpy as np
 
 from spimax import (
-    cluster_mean_spec,
     critical_value_bs,
     eblup,
     parametric_bootstrap,

@@ -11,8 +11,13 @@ search that refits the model at every candidate.
 import numpy as np
 from scipy import stats
 
-from spimax import cholesky_residuals, eb_random_effects, eblup
-from spimax.cli import log_shift_transform, replace_response
+from spimax import (
+    cholesky_residuals,
+    eb_random_effects,
+    eblup,
+    log_shift_transform,
+    replace_response,
+)
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 # build a right-skewed positive response from a well-specified latent model

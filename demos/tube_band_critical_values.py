@@ -11,8 +11,6 @@ how the threshold responds to them.
 
 import math
 
-import numpy as np
-
 from spimax import TubeConstants, bonferroni_cv, tube_alpha_bound, tube_cv
 
 # a one-dimensional weight manifold with modest curvature corrections

@@ -11,6 +11,7 @@ from .model import (
     VarianceComponents,
     cluster_mean_spec,
     eval_mixed_parameters,
+    replace_response,
     validate,
 )
 from .estimation import (
@@ -23,6 +24,7 @@ from .estimation import (
     g1,
     g1_general,
     g2,
+    log_shift_transform,
     reml_fit,
     restricted_loglik,
 )
@@ -63,6 +65,13 @@ from .analytic import (
     tube_alpha_bound,
     tube_cv,
 )
+from .calibration import calibrate
+from .dataio import (
+    export_area_csv,
+    export_unit_csv,
+    ingest_area_csv,
+    ingest_unit_csv,
+)
 from .simulate import (
     ExperimentResult,
     ScenarioConfig,
@@ -70,15 +79,6 @@ from .simulate import (
     run_fwer_experiment,
     run_power_experiment,
     run_spi_experiment,
-)
-from .cli import (
-    export_area_csv,
-    export_unit_csv,
-    ingest_area_csv,
-    ingest_unit_csv,
-    log_shift_transform,
-    replace_response,
-    run_cli,
 )
 from . import errors
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptySubset, RefitFailure, ShapeMismatch
 from .estimation import FitResult, batch_eblup
 from .maxstat import CriticalValue
-from .model import FHM, NERM, BlockLmmData, MixedParameterSpec, check_spec
+from .model import NERM, BlockLmmData, MixedParameterSpec, check_spec
 from .util import check_seed, derive_rng, deterministic_map, order_statistic, quantile_index
 
 # replicates are refitted in fixed-size batches; the size is a constant so

@@ -1,0 +1,97 @@
+"""One critical value per calibration method, with its studentizing scales.
+
+This module is the only place that maps a method name to the primitives
+that calibrate it:
+
+* BS, BE: one parametric bootstrap (reused when draws are passed in),
+  then the max-statistic order statistic or the balanced per-cluster
+  thresholds; scales are the leading MSE terms sqrt(g1).
+* MC: direct simulation from the fitted joint normal law, studentized by
+  its model-implied standard deviations.
+* BO: the normal quantile at alpha / (2 D) over the leading-term scales.
+* VT: the volume-of-tube height over the ridge band scales.
+
+With a contrast matrix A (BS, MC and BO) the targets are the rows of
+A mu; the leading-term scales become sqrt(sum_j A_rj^2 g1_j).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .analytic import TubeConstants, bonferroni_cv, ridge_interval_scales, tube_cv
+from .bootstrap import (
+    BootstrapDraws,
+    beran_critical_values,
+    critical_value_bs,
+    critical_value_contrast,
+    parametric_bootstrap,
+)
+from .errors import InvalidConstants, ShapeMismatch
+from .estimation import FitResult
+from .maxstat import METHODS, SCALE_FLOOR, CriticalValue
+from .mc import build_joint_normal, critical_value_mc, model_scales
+from .model import BlockLmmData, MixedParameterSpec
+
+CONTRAST_METHODS = ("BS", "MC", "BO")
+
+
+def calibrate(
+    method: str,
+    data: BlockLmmData,
+    spec: MixedParameterSpec,
+    fit: FitResult,
+    *,
+    alpha: float,
+    seed: int,
+    B: int,
+    K: int,
+    A: np.ndarray | None = None,
+    tube: tuple[int, TubeConstants] | None = None,
+    draws: BootstrapDraws | None = None,
+    threads: int | None = None,
+) -> tuple[CriticalValue, np.ndarray, BootstrapDraws | None]:
+    """(critical value, floored scales, bootstrap draws) for one method.
+
+    seed drives the bootstrap (B replicates) or the direct simulation (K
+    draws); tube = (p, constants) is required for VT.  Draws passed in
+    are reused instead of redrawn and returned as they came, so several
+    bootstrap methods can share one set of refits; methods that do not
+    bootstrap return draws unchanged.
+    """
+    if method not in METHODS:
+        raise ShapeMismatch(f"unknown method {method!r}; choose from {METHODS}")
+    scales = np.maximum(fit.scale, SCALE_FLOOR)
+    if A is not None:
+        if method not in CONTRAST_METHODS:
+            raise ShapeMismatch(f"contrast calibration supports {CONTRAST_METHODS}, got {method!r}")
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] != data.D:
+            raise ShapeMismatch(f"A must have at least one row and {data.D} columns, got {A.shape}")
+        scales = np.sqrt(np.maximum(scales**2 @ (A.T**2), SCALE_FLOOR**2))
+
+    if method in ("BS", "BE"):
+        if draws is None:
+            draws = parametric_bootstrap(data, spec, fit, B, seed, threads=threads)
+        if method == "BE":
+            cv = beran_critical_values(draws, alpha)
+        elif A is None:
+            cv = critical_value_bs(draws, alpha)
+        else:
+            cv = critical_value_contrast(draws, A, alpha)
+    elif method == "MC":
+        joint = build_joint_normal(data, fit.theta)
+        mc_scales = model_scales(joint, spec, contrast=A)
+        cv = critical_value_mc(
+            joint, spec, K, alpha, seed, scales=mc_scales, contrast=A, threads=threads
+        )
+        scales = np.maximum(mc_scales, SCALE_FLOOR)
+    elif method == "BO":
+        cv = bonferroni_cv(data.D if A is None else A.shape[0], alpha)
+    else:
+        if tube is None:
+            raise InvalidConstants("method VT needs tube = (p, TubeConstants)")
+        p, constants = tube
+        cv = tube_cv(p, constants, alpha)
+        scales = np.maximum(ridge_interval_scales(data, fit.theta, spec), SCALE_FLOOR)
+    return cv, scales, draws

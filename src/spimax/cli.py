@@ -15,276 +15,45 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
 import numpy as np
 from scipy import stats
 
-from .analytic import (
-    TubeConstants,
-    bonferroni_cv,
-    ridge_interval_scales,
-    tube_cv,
+from .bootstrap import stepdown_quantile_provider
+from .calibration import CONTRAST_METHODS, calibrate
+from .dataio import (
+    export_area_csv,
+    export_unit_csv,
+    ingest_area_csv,
+    ingest_unit_csv,
+    read_matrix_csv,
+    read_tube_constants,
 )
-from .bootstrap import (
-    beran_critical_values,
-    critical_value_bs,
-    critical_value_contrast,
-    parametric_bootstrap,
-    stepdown_quantile_provider,
-)
-from .errors import (
-    EmptyFile,
-    EmptyGrid,
-    NonPositiveShift,
-    ParseError,
-    ShapeMismatch,
-    SpimaxError,
-)
-from .estimation import cholesky_residuals, eb_random_effects, eblup
-from .maxstat import SCALE_FLOOR, build_spi, single_step_test, step_down_test
-from .mc import build_joint_normal, critical_value_mc, model_scales
-from .model import (
-    FHM,
-    NERM,
-    BlockLmmData,
-    ClusterBlock,
-    cluster_mean_spec,
-    validate,
-)
+from .errors import EmptyGrid, ParseError, ShapeMismatch, SpimaxError
+from .estimation import cholesky_residuals, eb_random_effects, eblup, log_shift_profile
+from .maxstat import build_spi, single_step_test, step_down_test
+from .model import FHM, NERM, BlockLmmData, cluster_mean_spec, replace_response
 from .simulate import (
     ScenarioConfig,
     run_fwer_experiment,
     run_power_experiment,
     run_spi_experiment,
 )
-from .util import derive_seed
 
 MODEL_TAGS = {"nerm": NERM, "fhm": FHM}
-TUBE_KEYS = ("kappa0", "zeta0", "kappa2", "zeta1", "m0", "euler", "xi0", "eta0", "nu")
 SIM_PRESETS = ("table1-row", "table2-row", "power", "fwer")
 
 
 # ----------------------------------------------------------------------
-# file formats
+# input selection
 # ----------------------------------------------------------------------
-
-def _read_rows(path) -> list[list[str]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise EmptyFile(f"{path} has no content")
-    return rows
-
-
-def _float_cell(text: str, row: int, col: str, path) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"{path}: row {row}, column {col!r}: {text!r} is not a number"
-        ) from exc
-
-
-def _check_header(header: list[str], expected: list[str], path) -> None:
-    if [h.strip() for h in header] != expected:
-        raise ParseError(
-            f"{path}: header must be {','.join(expected)!r}, got {','.join(header)!r}"
-        )
-
-
-def _covariate_names(header: list[str], tail: int) -> list[str]:
-    p = len(header) - 2 - tail
-    if p < 1:
-        raise ParseError("need at least one covariate column x1")
-    return [f"x{i + 1}" for i in range(p)]
-
-
-def ingest_unit_csv(path) -> BlockLmmData:
-    """Unit-level CSV (header cluster,y,x1,...,xp), grouped by cluster.
-
-    Clusters keep first-appearance order; an intercept column is
-    prepended to the covariates.
-    """
-    rows = _read_rows(path)
-    names = _covariate_names(rows[0], 0)
-    _check_header(rows[0], ["cluster", "y"] + names, path)
-    if len(rows) == 1:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    groups: dict[str, list[list[float]]] = {}
-    order: list[str] = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(rows[0])}")
-        cid = row[0].strip()
-        rec = [_float_cell(row[1], r, "y", path)] + [
-            _float_cell(cell, r, name, path) for cell, name in zip(row[2:], names)
-        ]
-        if cid not in groups:
-            groups[cid] = []
-            order.append(cid)
-        groups[cid].append(rec)
-    blocks = []
-    for cid in order:
-        arr = np.array(groups[cid])
-        X = np.column_stack([np.ones(arr.shape[0]), arr[:, 1:]])
-        blocks.append(ClusterBlock(cluster_id=cid, y=arr[:, 0], X=X))
-    data = BlockLmmData(model_tag=NERM, clusters=tuple(blocks))
-    validate(data)
-    return data
-
-
-def ingest_area_csv(path) -> BlockLmmData:
-    """Area-level CSV (header area,y,x1,...,xp,error_var), one row per area."""
-    rows = _read_rows(path)
-    names = _covariate_names(rows[0], 1)
-    _check_header(rows[0], ["area", "y"] + names + ["error_var"], path)
-    if len(rows) == 1:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    blocks = []
-    seen = set()
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(rows[0])}")
-        cid = row[0].strip()
-        if cid in seen:
-            raise ParseError(f"{path}: row {r}: duplicate area {cid!r}")
-        seen.add(cid)
-        y = _float_cell(row[1], r, "y", path)
-        covs = [_float_cell(cell, r, nm, path) for cell, nm in zip(row[2:-1], names)]
-        ev = _float_cell(row[-1], r, "error_var", path)
-        X = np.array([[1.0] + covs])
-        blocks.append(ClusterBlock(cluster_id=cid, y=[y], X=X, known_error_var=ev))
-    data = BlockLmmData(model_tag=FHM, clusters=tuple(blocks))
-    validate(data)
-    return data
-
-
-def export_unit_csv(data: BlockLmmData) -> str:
-    """Full-precision unit CSV text that re-ingests to the same dataset."""
-    names = [f"x{i + 1}" for i in range(data.p)]
-    buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(["cluster", "y"] + names)
-    for c in data.clusters:
-        for j in range(c.n):
-            covs = [repr(float(v)) for v in c.X[j, 1:]]
-            out.writerow([str(c.cluster_id), repr(float(c.y[j]))] + covs)
-    return buf.getvalue()
-
-
-def export_area_csv(data: BlockLmmData) -> str:
-    names = [f"x{i + 1}" for i in range(data.p)]
-    buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(["area", "y"] + names + ["error_var"])
-    for c in data.clusters:
-        covs = [repr(float(v)) for v in c.X[0, 1:]]
-        out.writerow(
-            [str(c.cluster_id), repr(float(c.y[0]))] + covs + [repr(float(c.known_error_var))]
-        )
-    return buf.getvalue()
-
 
 def ingest_data(model: str, path) -> BlockLmmData:
     if model not in MODEL_TAGS:
         raise ParseError(f"model must be one of {sorted(MODEL_TAGS)}, got {model!r}")
     return ingest_unit_csv(path) if model == "nerm" else ingest_area_csv(path)
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Headerless numeric CSV as a 2-d array."""
-    rows = _read_rows(path)
-    width = len(rows[0])
-    out = []
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {width}")
-        out.append([_float_cell(cell, r, f"col{i + 1}", path) for i, cell in enumerate(row)])
-    return np.array(out)
-
-
-def read_tube_constants(path) -> TubeConstants:
-    """Flat key=value file with exactly the nine geometric constants."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    values: dict[str, float] = {}
-    for ln, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ParseError(f"{path}: line {ln}: expected key=value, got {text!r}")
-        key, _, val = text.partition("=")
-        key = key.strip()
-        if key not in TUBE_KEYS:
-            raise ParseError(f"{path}: line {ln}: unknown key {key!r}")
-        if key in values:
-            raise ParseError(f"{path}: line {ln}: duplicate key {key!r}")
-        values[key] = _float_cell(val.strip(), ln, key, path)
-    missing = [k for k in TUBE_KEYS if k not in values]
-    if missing:
-        raise ParseError(f"{path}: missing keys: {', '.join(missing)}")
-    return TubeConstants(**values)
-
-
-# ----------------------------------------------------------------------
-# response transformation
-# ----------------------------------------------------------------------
-
-def replace_response(data: BlockLmmData, y: np.ndarray) -> BlockLmmData:
-    """Same design and metadata with a new stacked response vector."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (data.n_total,):
-        raise ShapeMismatch(f"y must have shape {(data.n_total,)}, got {y.shape}")
-    blocks = [
-        ClusterBlock(
-            cluster_id=c.cluster_id,
-            y=y[sl],
-            X=c.X,
-            known_error_var=c.known_error_var,
-        )
-        for c, sl in zip(data.clusters, data.cluster_slices())
-    ]
-    return BlockLmmData(model_tag=data.model_tag, clusters=tuple(blocks))
-
-
-def _skew_profile(data: BlockLmmData, grid: np.ndarray) -> np.ndarray:
-    """Fisher skewness of the decorrelated residuals at each shift."""
-    y = data.y
-    skews = np.empty(grid.size)
-    for i, c in enumerate(grid):
-        shifted = replace_response(data, np.log(y + c))
-        fit = eblup(shifted)
-        skews[i] = float(stats.skew(cholesky_residuals(shifted, fit)))
-    return skews
-
-
-def log_shift_transform(data: BlockLmmData, grid) -> tuple[float, np.ndarray]:
-    """Shift c minimizing |skewness| of residuals under y -> log(y + c).
-
-    The model is refitted at every candidate; ties go to the first grid
-    point attaining the minimum.
-    """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise EmptyGrid("transform grid is empty")
-    if np.any(data.y + grid.min() <= 0):
-        raise NonPositiveShift(
-            f"y + c must stay positive; smallest candidate {grid.min():g} fails"
-        )
-    skews = _skew_profile(data, grid)
-    best = int(np.argmin(np.abs(skews)))
-    c_star = float(grid[best])
-    return c_star, np.log(data.y + c_star)
 
 
 # ----------------------------------------------------------------------
@@ -346,51 +115,28 @@ def _fit_payload(args) -> str:
     return _json_text(out)
 
 
-def _method_critical(args, data, spec, fit):
-    """Critical value plus the band scales the method calibrates against."""
-    method = args.method
-    scales = np.maximum(fit.scale, SCALE_FLOOR)
-    seed = args.seed
-    if method == "bs":
-        draws = parametric_bootstrap(
-            data, spec, fit, args.B, seed, threads=args.threads
-        )
-        return critical_value_bs(draws, args.alpha), scales, draws
-    if method == "be":
-        draws = parametric_bootstrap(
-            data, spec, fit, args.B, seed, threads=args.threads
-        )
-        return beran_critical_values(draws, args.alpha), scales, draws
-    if method == "mc":
-        joint = build_joint_normal(data, fit.theta)
-        mc_scales = model_scales(joint, spec)
-        cv = critical_value_mc(
-            joint, spec, args.K, args.alpha, seed,
-            scales=mc_scales, threads=args.threads,
-        )
-        return cv, np.maximum(mc_scales, SCALE_FLOOR), None
-    if method == "bo":
-        return bonferroni_cv(data.D, args.alpha), scales, None
-    if method == "vt":
-        if args.tube_constants is None:
-            raise ParseError("--method vt requires --tube-constants")
+def _calibrate(args, data, spec, fit, A=None):
+    """calibrate() with the method options of the spi and test subcommands."""
+    tube = None
+    if args.method == "vt":
         constants = read_tube_constants(args.tube_constants)
         p = data.p if args.p is None else args.p
         if p < 1:
             raise ShapeMismatch(
                 "tube bound needs manifold dimension p >= 1; pass --p explicitly"
             )
-        cv = tube_cv(p, constants, args.alpha)
-        vt_scales = ridge_interval_scales(data, fit.theta, spec)
-        return cv, np.maximum(vt_scales, SCALE_FLOOR), None
-    raise ParseError(f"unknown method {method!r}")
+        tube = (p, constants)
+    return calibrate(
+        args.method.upper(), data, spec, fit, alpha=args.alpha, seed=args.seed,
+        B=args.B, K=args.K, A=A, tube=tube, threads=args.threads,
+    )
 
 
 def _spi_payload(args) -> str:
     data = ingest_data(args.model, args.data)
     spec = cluster_mean_spec(data)
     fit = eblup(data, spec)
-    cv, scales, _ = _method_critical(args, data, spec, fit)
+    cv, scales, _ = _calibrate(args, data, spec, fit)
     intervals = build_spi(fit, cv, scales=scales, cluster_ids=data.cluster_ids)
     uses_boot = args.method in ("bs", "be")
     out = {
@@ -435,55 +181,25 @@ def _test_payload(args) -> str:
             h = np.zeros(A.shape[0])
         if h.shape != (A.shape[0],):
             raise ShapeMismatch(f"h must have one value per contrast row ({A.shape[0]})")
-        if args.method == "bs":
-            draws = parametric_bootstrap(
-                data, spec, fit, args.B, args.seed, threads=args.threads
-            )
-            cv = critical_value_contrast(draws, A, alpha)
-            scales = np.sqrt(
-                np.maximum(np.maximum(fit.scale, SCALE_FLOOR) ** 2 @ (A.T**2), SCALE_FLOOR**2)
-            )
-        elif args.method == "mc":
-            joint = build_joint_normal(data, fit.theta)
-            scales = model_scales(joint, spec, contrast=A)
-            cv = critical_value_mc(
-                joint, spec, args.K, alpha, args.seed,
-                scales=scales, contrast=A, threads=args.threads,
-            )
-        elif args.method == "bo":
-            cv = bonferroni_cv(A.shape[0], alpha)
-            scales = np.sqrt(
-                np.maximum(np.maximum(fit.scale, SCALE_FLOOR) ** 2 @ (A.T**2), SCALE_FLOOR**2)
-            )
-        else:
-            raise ParseError("test supports methods bs, mc and bo")
-        test = single_step_test(A @ fit.mu_hat, scales, h, cv, A=A)
-        if args.stepdown:
-            t = np.abs(A @ fit.mu_hat - h) / np.maximum(scales, SCALE_FLOOR)
-            provider = stepdown_quantile_provider(draws, alpha, A=A)
-            rejected = [int(i) for i in step_down_test(t, provider, alpha)]
-        else:
-            rejected = [int(i) for i in np.flatnonzero(test.decisions)]
-        labels = [f"contrast{i}" for i in rejected]
+        mu_hat = A @ fit.mu_hat
     else:
-        if args.h is None:
-            raise ParseError("per-cluster tests require --h")
+        A = None
         h = read_matrix_csv(args.h).ravel()
         if h.shape != (data.D,):
             raise ShapeMismatch(f"h must have {data.D} values, got {h.shape[0]}")
-        cv, scales, draws = _method_critical(args, data, spec, fit)
-        if args.stepdown:
-            if args.method != "bs":
-                raise ParseError("--stepdown requires --method bs")
-            t = np.abs(fit.mu_hat - h) / np.maximum(scales, SCALE_FLOOR)
-            provider = stepdown_quantile_provider(draws, alpha)
-            idx = step_down_test(t, provider, alpha)
-            rejected = [int(i) for i in idx]
-            test = single_step_test(fit.mu_hat, scales, h, cv)
-        else:
-            test = single_step_test(fit.mu_hat, scales, h, cv)
-            rejected = [int(i) for i in np.flatnonzero(test.decisions)]
+        mu_hat = fit.mu_hat
+    cv, scales, draws = _calibrate(args, data, spec, fit, A=A)
+    test = single_step_test(mu_hat, scales, h, cv, A=A)
+    if args.stepdown:
+        t = np.abs(mu_hat - h) / scales
+        provider = stepdown_quantile_provider(draws, alpha, A=A)
+        rejected = [int(i) for i in step_down_test(t, provider, alpha)]
+    else:
+        rejected = [int(i) for i in np.flatnonzero(test.decisions)]
+    if A is None:
         labels = [str(data.cluster_ids[i]) for i in rejected]
+    else:
+        labels = [f"contrast{i}" for i in rejected]
 
     uses_boot = args.method in ("bs", "be")
     out = {
@@ -572,12 +288,7 @@ def _transform_payload(args) -> tuple[str, str | None]:
             if count < 1:
                 raise EmptyGrid("grid needs at least one point")
             grid = np.linspace(y.min(), y.max(), count)
-    if np.any(y + grid.min() <= 0):
-        raise NonPositiveShift(
-            f"y + c must stay positive; smallest candidate {grid.min():g} fails"
-        )
-    skews = _skew_profile(data, grid)
-    best = int(np.argmin(np.abs(skews)))
+    grid, skews, best = log_shift_profile(data, grid)
     c_star = float(grid[best])
     report = _json_text(
         {
@@ -640,7 +351,7 @@ class _UsageError(Exception):
     pass
 
 
-def _add_common(sub, seed_default=1):
+def _add_common(sub):
     sub.add_argument("--model", required=True, choices=sorted(MODEL_TAGS))
     sub.add_argument("--data", required=True)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
@@ -723,7 +434,7 @@ def _validate_flag_combinations(args) -> None:
             raise _UsageError("test needs --h, --contrasts, or both")
         if args.stepdown and args.method != "bs":
             raise _UsageError("--stepdown requires --method bs")
-        if args.contrasts is not None and args.method not in ("bs", "mc", "bo"):
+        if args.contrasts is not None and args.method.upper() not in CONTRAST_METHODS:
             raise _UsageError("contrast tests support methods bs, mc and bo")
 
 

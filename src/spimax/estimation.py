@@ -18,8 +18,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
-from .errors import DegenerateData, NoConvergence, ShapeMismatch, SingularSystem
+from .errors import (
+    DegenerateData,
+    EmptyGrid,
+    NoConvergence,
+    NonPositiveShift,
+    ShapeMismatch,
+    SingularSystem,
+)
 from .model import (
     FHM,
     NERM,
@@ -29,7 +37,7 @@ from .model import (
     VarianceComponents,
     check_spec,
     cluster_mean_spec,
-    eval_mixed_parameters,
+    replace_response,
     validate,
 )
 
@@ -585,6 +593,36 @@ def cholesky_residuals(data: BlockLmmData, fit: FitResult) -> np.ndarray:
             L = np.linalg.cholesky(V)
             out[sl] = np.linalg.solve(L, r)
     return out
+
+
+def log_shift_profile(data: BlockLmmData, grid) -> tuple[np.ndarray, np.ndarray, int]:
+    """Residual skewness under y -> log(y + c) at every shift c of grid.
+
+    Returns the grid as a float vector, the Fisher skewness of the
+    decorrelated residuals at each shift, and the index of the shift
+    minimizing |skewness|.  The model is refitted at every candidate; ties
+    go to the first grid point attaining the minimum.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise EmptyGrid("transform grid is empty")
+    y = data.y
+    if np.any(y + grid.min() <= 0):
+        raise NonPositiveShift(
+            f"y + c must stay positive; smallest candidate {grid.min():g} fails"
+        )
+    skews = np.empty(grid.size)
+    for i, c in enumerate(grid):
+        shifted = replace_response(data, np.log(y + c))
+        skews[i] = float(stats.skew(cholesky_residuals(shifted, eblup(shifted))))
+    return grid, skews, int(np.argmin(np.abs(skews)))
+
+
+def log_shift_transform(data: BlockLmmData, grid) -> tuple[float, np.ndarray]:
+    """Shift c minimizing |skewness| of residuals, and the response log(y + c)."""
+    grid, _, best = log_shift_profile(data, grid)
+    c_star = float(grid[best])
+    return c_star, np.log(data.y + c_star)
 
 
 def eb_random_effects(data: BlockLmmData, fit: FitResult) -> np.ndarray:

@@ -8,17 +8,11 @@ component reaches c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    EmptySubset,
-    MissingPerCluster,
-    ProviderInconsistent,
-    ShapeMismatch,
-)
+from .errors import MissingPerCluster, ProviderInconsistent, ShapeMismatch
 from .estimation import FitResult
 from .util import check_alpha
 

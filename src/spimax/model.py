@@ -14,7 +14,7 @@ of inference are mixed parameters mu_d = k_d' beta + m_d u_d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,6 +113,23 @@ class BlockLmmData:
 
     def cluster_slices(self) -> list[slice]:
         return [slice(int(o), int(o + n)) for o, n in zip(self.offsets, self.sizes)]
+
+
+def replace_response(data: BlockLmmData, y: np.ndarray) -> BlockLmmData:
+    """Same design and metadata with a new stacked response vector."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (data.n_total,):
+        raise ShapeMismatch(f"y must have shape {(data.n_total,)}, got {y.shape}")
+    blocks = [
+        ClusterBlock(
+            cluster_id=c.cluster_id,
+            y=y[sl],
+            X=c.X,
+            known_error_var=c.known_error_var,
+        )
+        for c, sl in zip(data.clusters, data.cluster_slices())
+    ]
+    return BlockLmmData(model_tag=data.model_tag, clusters=tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import bonferroni_cv
-from .bootstrap import (
-    beran_critical_values,
-    critical_value_bs,
-    parametric_bootstrap,
-    stepdown_quantile_provider,
-)
+from .bootstrap import stepdown_quantile_provider
+from .calibration import calibrate
 from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
-from .maxstat import SCALE_FLOOR, CriticalValue, build_spi, covers_all, step_down_test
-from .mc import build_joint_normal, critical_value_mc, model_scales
+from .maxstat import CriticalValue, build_spi, covers_all, step_down_test
 from .model import FHM, NERM, BlockLmmData, ClusterBlock, cluster_mean_spec
 from .util import check_alpha, check_seed, derive_rng, derive_seed
 
@@ -167,11 +161,63 @@ def _binomial_halfwidth(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
 
 
-def _replicate_seeds(config: ScenarioConfig, i: int) -> tuple[int, int]:
-    return (
-        derive_seed(config.master_seed, i, 1),  # bootstrap stream
-        derive_seed(config.master_seed, i, 2),  # direct-simulation stream
+def _run_replicates(kind, config, methods, threads, score, aggregate) -> ExperimentResult:
+    """The one replicate loop: generate, fit, calibrate, score, aggregate.
+
+    Replicate i draws its data from generate_scenario(config, i) and its
+    calibration streams from (master_seed, i, 1) for the bootstrap (shared
+    by BS and BE) and (master_seed, i, 2) for the direct simulation.
+    score(fit, mu_true, calibrated, draws) turns the calibrated {method:
+    (critical value, floored scales)} into one record; a replicate where
+    any step raises SpimaxError is recorded as failed and left out.
+    aggregate(records) returns (criteria, halfwidths, samples) from the
+    records of the surviving replicates, in order.
+    """
+    start_time = time.perf_counter()
+    records: list = []
+    failed: list[int] = []
+    n_fallback = n_boundary = 0
+    for i in range(config.n_sim):
+        data, mu_true, spec = generate_scenario(config, i)
+        draws = None
+        try:
+            fit = eblup(data, spec)
+            calibrated = {}
+            for m in methods:
+                cv, scales, draws = calibrate(
+                    m, data, spec, fit, alpha=config.alpha,
+                    seed=derive_seed(config.master_seed, i, 2 if m == "MC" else 1),
+                    B=config.n_boot, K=config.n_mc, draws=draws, threads=threads,
+                )
+                calibrated[m] = (cv, scales)
+            records.append(score(fit, mu_true, calibrated, draws))
+        except SpimaxError:
+            failed.append(i)
+        if draws is not None:
+            n_fallback += draws.n_fallback
+            n_boundary += draws.n_boundary
+    if not records:
+        raise ShapeMismatch("every simulation replicate failed")
+    criteria, halfwidths, samples = aggregate(records)
+    samples["failed_replicates"] = tuple(failed)
+    return ExperimentResult(
+        kind=kind,
+        config=config,
+        methods=tuple(criteria),
+        criteria=criteria,
+        halfwidths=halfwidths,
+        n_failed=len(failed),
+        n_fallback=n_fallback,
+        n_boundary=n_boundary,
+        runtime_seconds=time.perf_counter() - start_time,
+        samples=samples,
     )
+
+
+def _mean_halfwidth(values: np.ndarray) -> float:
+    """1.96-sigma Monte Carlo half-width of the mean of values."""
+    n = values.shape[0]
+    return 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
 
 
 def run_spi_experiment(
@@ -188,7 +234,6 @@ def run_spi_experiment(
     injects fixed thresholds as additional pseudo-methods (for harness
     checks); they use the leading-term scales.
     """
-    start_time = time.perf_counter()
     methods = tuple(methods)
     for m in methods:
         if m not in SPI_METHODS:
@@ -198,85 +243,31 @@ def run_spi_experiment(
     if len(set(all_methods)) != len(all_methods):
         raise ShapeMismatch("duplicate method names")
 
-    I = config.n_sim
-    covered = {m: np.zeros(I, dtype=bool) for m in all_methods}
-    widths = {m: np.zeros((I, config.D)) for m in all_methods}
-    ok = np.zeros(I, dtype=bool)
-    failed: list[int] = []
-    n_fallback = n_boundary = 0
+    def score(fit, mu_true, calibrated, draws):
+        intervals = {m: build_spi(fit, cv, scales) for m, (cv, scales) in calibrated.items()}
+        intervals.update((name, build_spi(fit, cv)) for name, cv in extra.items())
+        return {m: (covers_all(iv, mu_true), iv.upper - iv.lower) for m, iv in intervals.items()}
 
-    for i in range(I):
-        data, mu_true, spec = generate_scenario(config, i)
-        boot_seed, mc_seed = _replicate_seeds(config, i)
-        try:
-            fit = eblup(data, spec)
-            intervals = {}
-            if "BS" in methods or "BE" in methods:
-                draws = parametric_bootstrap(
-                    data, spec, fit, config.n_boot, boot_seed, threads=threads
-                )
-                n_fallback += draws.n_fallback
-                n_boundary += draws.n_boundary
-                if "BS" in methods:
-                    intervals["BS"] = build_spi(fit, critical_value_bs(draws, config.alpha))
-                if "BE" in methods:
-                    intervals["BE"] = build_spi(fit, beran_critical_values(draws, config.alpha))
-            if "MC" in methods:
-                joint = build_joint_normal(data, fit.theta)
-                mc_scales = model_scales(joint, spec)
-                cv = critical_value_mc(
-                    joint, spec, config.n_mc, config.alpha, mc_seed,
-                    scales=mc_scales, threads=threads,
-                )
-                intervals["MC"] = build_spi(fit, cv, scales=mc_scales)
-            if "BO" in methods:
-                intervals["BO"] = build_spi(fit, bonferroni_cv(config.D, config.alpha))
-            for name, cv in extra.items():
-                intervals[name] = build_spi(fit, cv)
-        except SpimaxError:
-            failed.append(i)
-            continue
-        ok[i] = True
+    def aggregate(records):
+        n_ok = len(records)
+        criteria, halfwidths, samples = {}, {}, {}
         for m in all_methods:
-            iv = intervals[m]
-            covered[m][i] = covers_all(iv, mu_true)
-            widths[m][i] = iv.upper - iv.lower
+            cov = np.array([r[m][0] for r in records])
+            w = np.array([r[m][1] for r in records])
+            per_cluster_var = (
+                w.var(axis=0, ddof=1) if n_ok > 1 else np.zeros(config.D)
+            )
+            ecp = float(cov.mean())
+            criteria[m] = {"ecp": ecp, "ws": float(w.mean()), "vs": float(per_cluster_var.mean())}
+            halfwidths[m] = {
+                "ecp": _binomial_halfwidth(ecp, n_ok),
+                "ws": _mean_halfwidth(w.mean(axis=1)),
+                "vs": 1.96 * float(per_cluster_var.std(ddof=1)) / math.sqrt(config.D),
+            }
+            samples[m] = {"covered": cov, "widths": w}
+        return criteria, halfwidths, samples
 
-    n_ok = int(ok.sum())
-    if n_ok == 0:
-        raise ShapeMismatch("every simulation replicate failed")
-    criteria, halfwidths, samples = {}, {}, {"failed_replicates": tuple(failed)}
-    for m in all_methods:
-        cov = covered[m][ok]
-        w = widths[m][ok]
-        ecp = float(cov.mean())
-        ws = float(w.mean())
-        per_cluster_var = (
-            w.var(axis=0, ddof=1) if n_ok > 1 else np.zeros(config.D)
-        )
-        vs = float(per_cluster_var.mean())
-        criteria[m] = {"ecp": ecp, "ws": ws, "vs": vs}
-        rep_means = w.mean(axis=1)
-        halfwidths[m] = {
-            "ecp": _binomial_halfwidth(ecp, n_ok),
-            "ws": 1.96 * float(rep_means.std(ddof=1)) / math.sqrt(n_ok)
-            if n_ok > 1
-            else 0.0,
-            "vs": 1.96 * float(per_cluster_var.std(ddof=1)) / math.sqrt(config.D),
-        }
-        samples[m] = {"covered": cov, "widths": w}
-    return ExperimentResult(
-        kind="spi",
-        config=config,
-        methods=all_methods,
-        criteria=criteria,
-        halfwidths=halfwidths,
-        n_failed=len(failed),
-        n_fallback=n_fallback,
-        n_boundary=n_boundary,
-        runtime_seconds=time.perf_counter() - start_time,
-        samples=samples,
-    )
+    return _run_replicates("spi", config, methods, threads, score, aggregate)
 
 
 def run_power_experiment(
@@ -291,7 +282,6 @@ def run_power_experiment(
     delta for every delta, reusing one calibrated threshold per method,
     so the delta = 0 column is the empirical size.
     """
-    start_time = time.perf_counter()
     methods = tuple(methods)
     for m in methods:
         if m not in ("BS", "MC"):
@@ -300,71 +290,29 @@ def run_power_experiment(
     if deltas.size < 1:
         raise ShapeMismatch("need at least one shift value")
 
-    I = config.n_sim
-    reject = {m: np.zeros((deltas.size, I), dtype=bool) for m in methods}
-    ok = np.zeros(I, dtype=bool)
-    failed: list[int] = []
-    n_fallback = n_boundary = 0
+    def score(fit, mu_true, calibrated, draws):
+        return {
+            m: np.array(
+                [np.max(np.abs(fit.mu_hat - (mu_true + delta)) / scales) >= cv.value
+                 for delta in deltas]
+            )
+            for m, (cv, scales) in calibrated.items()
+        }
 
-    for i in range(I):
-        data, mu_true, spec = generate_scenario(config, i)
-        boot_seed, mc_seed = _replicate_seeds(config, i)
-        try:
-            fit = eblup(data, spec)
-            crit, scales = {}, {}
-            if "BS" in methods:
-                draws = parametric_bootstrap(
-                    data, spec, fit, config.n_boot, boot_seed, threads=threads
-                )
-                n_fallback += draws.n_fallback
-                n_boundary += draws.n_boundary
-                crit["BS"] = critical_value_bs(draws, config.alpha).value
-                scales["BS"] = np.maximum(fit.scale, SCALE_FLOOR)
-            if "MC" in methods:
-                joint = build_joint_normal(data, fit.theta)
-                mc_scales = model_scales(joint, spec)
-                crit["MC"] = critical_value_mc(
-                    joint, spec, config.n_mc, config.alpha, mc_seed,
-                    scales=mc_scales, threads=threads,
-                ).value
-                scales["MC"] = np.maximum(mc_scales, SCALE_FLOOR)
-        except SpimaxError:
-            failed.append(i)
-            continue
-        ok[i] = True
-        for j, delta in enumerate(deltas):
-            h = mu_true + delta
-            for m in methods:
-                t_max = np.max(np.abs(fit.mu_hat - h) / scales[m])
-                reject[m][j, i] = t_max >= crit[m]
+    def aggregate(records):
+        criteria, halfwidths, samples = {}, {}, {"deltas": deltas}
+        for m in methods:
+            rej = np.column_stack([r[m] for r in records])
+            criteria[m], halfwidths[m] = {}, {}
+            for j, delta in enumerate(deltas):
+                rate = float(rej[j].mean())
+                key = f"power@{delta:g}"
+                criteria[m][key] = rate
+                halfwidths[m][key] = _binomial_halfwidth(rate, len(records))
+            samples[m] = {"reject": rej}
+        return criteria, halfwidths, samples
 
-    n_ok = int(ok.sum())
-    if n_ok == 0:
-        raise ShapeMismatch("every simulation replicate failed")
-    criteria, halfwidths, samples = {}, {}, {"failed_replicates": tuple(failed)}
-    samples["deltas"] = deltas
-    for m in methods:
-        rej = reject[m][:, ok]
-        criteria[m] = {}
-        halfwidths[m] = {}
-        for j, delta in enumerate(deltas):
-            rate = float(rej[j].mean())
-            key = f"power@{delta:g}"
-            criteria[m][key] = rate
-            halfwidths[m][key] = _binomial_halfwidth(rate, n_ok)
-        samples[m] = {"reject": rej}
-    return ExperimentResult(
-        kind="power",
-        config=config,
-        methods=methods,
-        criteria=criteria,
-        halfwidths=halfwidths,
-        n_failed=len(failed),
-        n_fallback=n_fallback,
-        n_boundary=n_boundary,
-        runtime_seconds=time.perf_counter() - start_time,
-        samples=samples,
-    )
+    return _run_replicates("power", config, methods, threads, score, aggregate)
 
 
 def run_fwer_experiment(
@@ -381,7 +329,6 @@ def run_fwer_experiment(
     step-down rule with shared-draw subset quantiles; BO applies the
     normal-quantile threshold in a single step.
     """
-    start_time = time.perf_counter()
     if n_alt is None:
         if config.D % 5 != 0:
             raise ShapeMismatch("D must be divisible by 5 for the default split")
@@ -390,68 +337,36 @@ def run_fwer_experiment(
         raise ShapeMismatch(f"n_alt must lie in [0, {config.D}]")
     if n_alt > 0 and shift <= 0:
         raise NonPositiveShift("alternative shift must be positive")
-
     methods = ("BS", "BO")
-    I = config.n_sim
-    false_rej = {m: np.zeros(I, dtype=bool) for m in methods}
-    alt_rate = {m: np.zeros(I) for m in methods}
-    ok = np.zeros(I, dtype=bool)
-    failed: list[int] = []
-    n_fallback = n_boundary = 0
-    c_bo = bonferroni_cv(config.D, config.alpha).value
 
-    for i in range(I):
-        data, mu_true, spec = generate_scenario(config, i)
-        boot_seed, _ = _replicate_seeds(config, i)
-        try:
-            fit = eblup(data, spec)
-            draws = parametric_bootstrap(
-                data, spec, fit, config.n_boot, boot_seed, threads=threads
-            )
-            n_fallback += draws.n_fallback
-            n_boundary += draws.n_boundary
-            provider = stepdown_quantile_provider(draws, config.alpha)
-        except SpimaxError:
-            failed.append(i)
-            continue
-        ok[i] = True
+    def score(fit, mu_true, calibrated, draws):
         h = mu_true.copy()
         h[:n_alt] -= shift
-        t = np.abs(fit.mu_hat - h) / np.maximum(fit.scale, SCALE_FLOOR)
+        # both methods studentize by the leading-term scales
+        t = np.abs(fit.mu_hat - h) / calibrated["BS"][1]
+        provider = stepdown_quantile_provider(draws, config.alpha)
         rejected = {
             "BS": step_down_test(t, provider, config.alpha),
-            "BO": np.flatnonzero(t >= c_bo),
+            "BO": np.flatnonzero(t >= calibrated["BO"][0].value),
         }
-        for m in methods:
-            rej = rejected[m]
-            false_rej[m][i] = bool(np.any(rej >= n_alt))
-            alt_rate[m][i] = float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0
+        return {
+            m: (bool(np.any(rej >= n_alt)), float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0)
+            for m, rej in rejected.items()
+        }
 
-    n_ok = int(ok.sum())
-    if n_ok == 0:
-        raise ShapeMismatch("every simulation replicate failed")
-    criteria, halfwidths, samples = {}, {}, {"failed_replicates": tuple(failed)}
-    samples["n_alt"] = n_alt
-    for m in methods:
-        fw = float(false_rej[m][ok].mean())
-        ar = float(alt_rate[m][ok].mean())
-        criteria[m] = {"fwer": fw, "alt_rate": ar}
-        halfwidths[m] = {
-            "fwer": _binomial_halfwidth(fw, n_ok),
-            "alt_rate": 1.96 * float(alt_rate[m][ok].std(ddof=1)) / math.sqrt(n_ok)
-            if n_ok > 1
-            else 0.0,
-        }
-        samples[m] = {"false_rejection": false_rej[m][ok], "alt_rate": alt_rate[m][ok]}
-    return ExperimentResult(
-        kind="fwer",
-        config=config,
-        methods=methods,
-        criteria=criteria,
-        halfwidths=halfwidths,
-        n_failed=len(failed),
-        n_fallback=n_fallback,
-        n_boundary=n_boundary,
-        runtime_seconds=time.perf_counter() - start_time,
-        samples=samples,
-    )
+    def aggregate(records):
+        n_ok = len(records)
+        criteria, halfwidths, samples = {}, {}, {"n_alt": n_alt}
+        for m in methods:
+            false_rej = np.array([r[m][0] for r in records])
+            alt_rate = np.array([r[m][1] for r in records])
+            fw = float(false_rej.mean())
+            criteria[m] = {"fwer": fw, "alt_rate": float(alt_rate.mean())}
+            halfwidths[m] = {
+                "fwer": _binomial_halfwidth(fw, n_ok),
+                "alt_rate": _mean_halfwidth(alt_rate),
+            }
+            samples[m] = {"false_rejection": false_rej, "alt_rate": alt_rate}
+        return criteria, halfwidths, samples
+
+    return _run_replicates("fwer", config, methods, threads, score, aggregate)

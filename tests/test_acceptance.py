@@ -13,7 +13,6 @@ from scipy import stats
 
 from spimax.analytic import (
     TubeConstants,
-    bonferroni_cv,
     ridge_weights,
     tube_alpha_bound,
     tube_cv,
@@ -24,7 +23,6 @@ from spimax.bootstrap import (
     parametric_bootstrap,
     stepdown_quantile_provider,
 )
-from spimax.cli import replace_response
 from spimax.estimation import eblup, fit_gls_blup, g1, reml_fit, restricted_loglik
 from spimax.maxstat import SCALE_FLOOR, build_spi, single_step_test, step_down_test
 from spimax.mc import Arrow, JointNormalModel, build_joint_normal, critical_value_mc
@@ -34,6 +32,7 @@ from spimax.model import (
     MixedParameterSpec,
     VarianceComponents,
     cluster_mean_spec,
+    replace_response,
 )
 from spimax.simulate import (
     ScenarioConfig,

@@ -1,0 +1,138 @@
+"""calibrate(): the one method dispatch agrees exactly with the primitives."""
+
+import numpy as np
+import pytest
+
+from spimax import bootstrap as boot
+from spimax import calibration
+from spimax.analytic import TubeConstants, bonferroni_cv, ridge_interval_scales, tube_cv
+from spimax.calibration import calibrate
+from spimax.errors import InvalidConstants, ShapeMismatch, SpimaxError
+from spimax.estimation import eblup
+from spimax.maxstat import SCALE_FLOOR
+from spimax.mc import build_joint_normal, critical_value_mc, model_scales
+from spimax.model import cluster_mean_spec
+
+from conftest import make_fhm, make_nerm
+
+ALPHA, SEED, B, K = 0.1, 11, 80, 3000
+TUBE = (1, TubeConstants(kappa0=2.5, zeta0=3.0, kappa2=0.5, zeta1=0.2, m0=0.3,
+                         euler=0.5, xi0=1.0, eta0=0.3, nu=25.0))
+
+
+def _setup(model):
+    data, _ = make_nerm(D=12, n_d=4, seed=5) if model == "nerm" else make_fhm(D=15, seed=5)
+    spec = cluster_mean_spec(data)
+    return data, spec, eblup(data, spec)
+
+
+def _run(method, data, spec, fit, **kw):
+    kw = {"alpha": ALPHA, "seed": SEED, "B": B, "K": K, "tube": TUBE, **kw}
+    return calibrate(method, data, spec, fit, **kw)
+
+
+def _contrast(D):
+    A = np.zeros((D // 2, D))
+    for r in range(D // 2):
+        A[r, 2 * r], A[r, 2 * r + 1] = 1.0, -1.0
+    return A
+
+
+def _assert_same(got, cv, scales):
+    got_cv, got_scales, _ = got
+    assert (got_cv.value, got_cv.method, got_cv.alpha) == (cv.value, cv.method, cv.alpha)
+    if cv.per_cluster is None:
+        assert got_cv.per_cluster is None
+    else:
+        np.testing.assert_array_equal(got_cv.per_cluster, cv.per_cluster)
+    np.testing.assert_array_equal(got_scales, scales)
+
+
+@pytest.mark.parametrize("model", ["nerm", "fhm"])
+def test_bootstrap_methods_match_primitives(model):
+    data, spec, fit = _setup(model)
+    draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
+    lead = np.maximum(fit.scale, SCALE_FLOOR)
+    cv, scales, got_draws = _run("BS", data, spec, fit)
+    _assert_same((cv, scales, None), boot.critical_value_bs(draws, ALPHA), lead)
+    np.testing.assert_array_equal(got_draws.s_matrix, draws.s_matrix)
+    _assert_same(_run("BE", data, spec, fit), boot.beran_critical_values(draws, ALPHA), lead)
+
+
+@pytest.mark.parametrize("model", ["nerm", "fhm"])
+def test_closed_form_and_mc_methods_match_primitives(model):
+    data, spec, fit = _setup(model)
+    lead = np.maximum(fit.scale, SCALE_FLOOR)
+    _assert_same(_run("BO", data, spec, fit), bonferroni_cv(data.D, ALPHA), lead)
+    joint = build_joint_normal(data, fit.theta)
+    mc_scales = model_scales(joint, spec)
+    cv = critical_value_mc(joint, spec, K, ALPHA, SEED, scales=mc_scales)
+    _assert_same(_run("MC", data, spec, fit), cv, np.maximum(mc_scales, SCALE_FLOOR))
+    if model == "nerm":
+        vt_scales = np.maximum(ridge_interval_scales(data, fit.theta, spec), SCALE_FLOOR)
+        _assert_same(_run("VT", data, spec, fit), tube_cv(*TUBE, ALPHA), vt_scales)
+    else:
+        # the ridge band is defined only for the unit-level model
+        with pytest.raises(ShapeMismatch):
+            _run("VT", data, spec, fit)
+
+
+@pytest.mark.parametrize("model", ["nerm", "fhm"])
+def test_contrast_methods_match_primitives(model):
+    data, spec, fit = _setup(model)
+    A = _contrast(data.D)
+    lead = np.sqrt(
+        np.maximum(np.maximum(fit.scale, SCALE_FLOOR) ** 2 @ (A.T**2), SCALE_FLOOR**2)
+    )
+    draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
+    cv = boot.critical_value_contrast(draws, A, ALPHA)
+    _assert_same(_run("BS", data, spec, fit, A=A), cv, lead)
+    _assert_same(_run("BO", data, spec, fit, A=A), bonferroni_cv(A.shape[0], ALPHA), lead)
+    joint = build_joint_normal(data, fit.theta)
+    mc_scales = model_scales(joint, spec, contrast=A)
+    cv = critical_value_mc(joint, spec, K, ALPHA, SEED, scales=mc_scales, contrast=A)
+    _assert_same(_run("MC", data, spec, fit, A=A), cv, np.maximum(mc_scales, SCALE_FLOOR))
+
+
+def test_passed_draws_are_reused_without_refitting(monkeypatch):
+    data, spec, fit = _setup("nerm")
+    draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
+
+    def no_refit(*args, **kwargs):
+        raise AssertionError("parametric_bootstrap called although draws were passed")
+
+    monkeypatch.setattr(calibration, "parametric_bootstrap", no_refit)
+    for method in ("BS", "BE", "MC", "BO", "VT"):
+        _, _, got = _run(method, data, spec, fit, draws=draws)
+        assert got is draws
+    _, _, got = _run("BS", data, spec, fit, A=_contrast(data.D), draws=draws)
+    assert got is draws
+    # the seed only drives new draws, so it is ignored when draws are given
+    _assert_same(
+        _run("BS", data, spec, fit, seed=SEED + 1, draws=draws),
+        boot.critical_value_bs(draws, ALPHA),
+        np.maximum(fit.scale, SCALE_FLOOR),
+    )
+
+
+def test_non_bootstrap_methods_return_no_draws():
+    data, spec, fit = _setup("nerm")
+    for method in ("MC", "BO", "VT"):
+        assert _run(method, data, spec, fit)[2] is None
+
+
+def test_invalid_requests_raise():
+    data, spec, fit = _setup("nerm")
+    with pytest.raises(SpimaxError):
+        _run("XX", data, spec, fit)
+    with pytest.raises(SpimaxError):
+        _run("bs", data, spec, fit)  # method names are the upper-case METHODS
+    with pytest.raises(InvalidConstants):
+        _run("VT", data, spec, fit, tube=None)
+    for method in ("BE", "VT"):
+        with pytest.raises(ShapeMismatch):
+            _run(method, data, spec, fit, A=_contrast(data.D))
+    for A in (np.ones((2, data.D - 1)), np.ones((0, data.D)), np.ones(data.D)):
+        for method in ("BS", "MC", "BO"):
+            with pytest.raises(ShapeMismatch):
+                _run(method, data, spec, fit, A=A)

@@ -2,24 +2,27 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spimax
 from spimax.bootstrap import (
     critical_value_contrast,
     parametric_bootstrap,
     stepdown_quantile_provider,
 )
-from spimax.cli import (
+from spimax.cli import run_cli
+from spimax.dataio import (
     export_area_csv,
     export_unit_csv,
     ingest_area_csv,
     ingest_unit_csv,
-    log_shift_transform,
     read_tube_constants,
-    replace_response,
-    run_cli,
 )
 from spimax.errors import (
     EmptyFile,
@@ -28,9 +31,9 @@ from spimax.errors import (
     ParseError,
     ShapeMismatch,
 )
-from spimax.estimation import eblup
+from spimax.estimation import eblup, log_shift_transform
 from spimax.maxstat import SCALE_FLOOR, single_step_test, step_down_test
-from spimax.model import FHM, NERM, BlockLmmData, ClusterBlock, cluster_mean_spec
+from spimax.model import FHM, BlockLmmData, ClusterBlock, cluster_mean_spec, replace_response
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 from conftest import make_fhm, make_nerm
@@ -458,6 +461,10 @@ def test_exit_codes_and_error_json(tmp_path, unit_csv, tube_file):
          "--h", "x.csv", "--stepdown"]
     ) == 1
     assert run_cli(
+        ["test", "--model", "nerm", "--data", str(unit_csv), "--method", "be",
+         "--contrasts", "A.csv"]
+    ) == 1
+    assert run_cli(
         ["fit", "--model", "nerm", "--data", str(unit_csv),
          "--out", str(tmp_path / "no_such_dir" / "x.json")]
     ) == 1
@@ -484,3 +491,10 @@ def test_generated_scenario_survives_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.X, data.X)
     # identifiers come back as text; re-export is the fixed point
     assert export_unit_csv(back) == path.read_text()
+
+
+def test_importing_the_package_does_not_load_the_cli():
+    # a fresh interpreter, importing the same spimax this suite imports
+    src = str(Path(spimax.__file__).parents[1])
+    code = "import sys, spimax; assert 'spimax.cli' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

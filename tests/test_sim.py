@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spimax.errors import NonPositiveShift, ShapeMismatch
+from spimax import simulate
+from spimax.errors import NonPositiveShift, ShapeMismatch, SingularSystem
 from spimax.maxstat import CriticalValue
 from spimax.model import FHM, NERM
 from spimax.simulate import (
@@ -208,3 +209,69 @@ def test_fwer_validation():
         run_fwer_experiment(small_config(D=12, n_sim=2), shift=1.0)  # 5 does not divide 12
     with pytest.raises(ShapeMismatch):
         run_fwer_experiment(small_config(), n_alt=99)
+
+
+# ----------------------------------------------------- failed replicates
+
+
+def _fail_fits_on(monkeypatch, replicates):
+    """Make the replicate fit raise SingularSystem on the given replicates."""
+    calls = iter(range(10**6))
+    real_eblup = simulate.eblup
+
+    def eblup(data, spec=None):
+        if next(calls) in replicates:
+            raise SingularSystem("injected failure")
+        return real_eblup(data, spec)
+
+    monkeypatch.setattr(simulate, "eblup", eblup)
+
+
+EXPERIMENTS = {
+    "spi": lambda config: run_spi_experiment(config, methods=("BS", "MC", "BO", "BE")),
+    "power": lambda config: run_power_experiment(config, delta_grid=(0.0, 1.0)),
+    "fwer": lambda config: run_fwer_experiment(config, shift=1.0, n_alt=2),
+}
+
+
+def _recomputed(result):
+    """Criteria recomputed from the per-replicate samples."""
+    out = {}
+    for m in result.methods:
+        s = result.samples[m]
+        if result.kind == "spi":
+            w = s["widths"]
+            out[m] = {"ecp": s["covered"].mean(), "ws": w.mean(),
+                      "vs": w.var(axis=0, ddof=1).mean()}
+        elif result.kind == "power":
+            out[m] = {f"power@{d:g}": s["reject"][j].mean()
+                      for j, d in enumerate(result.samples["deltas"])}
+        else:
+            out[m] = {"fwer": s["false_rejection"].mean(), "alt_rate": s["alt_rate"].mean()}
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_failed_replicates_are_left_out(monkeypatch, kind):
+    config = small_config(n_sim=6, n_boot=40, n_mc=200)
+    full = EXPERIMENTS[kind](config)
+    failing = (1, 4)
+    _fail_fits_on(monkeypatch, failing)
+    result = EXPERIMENTS[kind](config)
+    assert result.n_failed == 2
+    assert result.samples["failed_replicates"] == failing
+    assert result.methods == full.methods
+    assert result.criteria == _recomputed(result)
+    keep = [i for i in range(config.n_sim) if i not in failing]
+    for m in result.methods:
+        for name, values in result.samples[m].items():
+            axis = 1 if name == "reject" else 0
+            np.testing.assert_array_equal(values, np.take(full.samples[m][name], keep, axis=axis))
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_every_replicate_failing_raises(monkeypatch, kind):
+    config = small_config(n_sim=3, n_boot=40, n_mc=200)
+    _fail_fits_on(monkeypatch, range(config.n_sim))
+    with pytest.raises(ShapeMismatch):
+        EXPERIMENTS[kind](config)
