@@ -269,11 +269,23 @@ def _simulate_payload(args) -> str:
     return sim_csv_text(result.rows())
 
 
+def _default_grid(y: np.ndarray, count: int) -> np.ndarray:
+    """count shifts from min(y) to max(y) for a positive response.
+
+    Otherwise the same span is moved to (-min(y), max(y) - 2 min(y)], so
+    that y + c stays positive at every candidate.
+    """
+    lo, hi = y.min(), y.max()
+    if lo > 0:
+        return np.linspace(lo, hi, count)
+    return np.linspace(0.0, hi - lo, count + 1)[1:] - lo
+
+
 def _transform_payload(args) -> tuple[str, str | None]:
     data = ingest_data(args.model, args.data)
     y = data.y
     if args.grid is None:
-        grid = np.linspace(y.min(), y.max(), 25)
+        grid = _default_grid(y, 25)
     else:
         try:
             count = int(args.grid)
@@ -287,7 +299,7 @@ def _transform_payload(args) -> tuple[str, str | None]:
         else:
             if count < 1:
                 raise EmptyGrid("grid needs at least one point")
-            grid = np.linspace(y.min(), y.max(), count)
+            grid = _default_grid(y, count)
     grid, skews, best = log_shift_profile(data, grid)
     c_star = float(grid[best])
     report = _json_text(

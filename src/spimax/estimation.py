@@ -9,7 +9,10 @@ run the same estimator.
 
 Optimisation is Fisher scoring with step halving; replicates where scoring
 stalls fall back to a profiled grid-plus-golden-section search, which
-cannot diverge.
+cannot diverge.  Fits run on the response divided by a power of two near
+its standard deviation and are mapped back, so the tolerances, floors and
+fallback grid act in units of the data and a fit does not depend on the
+units the response was recorded in.
 """
 
 from __future__ import annotations
@@ -241,11 +244,11 @@ class _FhmCore:
 
     k_par = 1
 
-    def __init__(self, data: BlockLmmData):
+    def __init__(self, data: BlockLmmData, error_vars: np.ndarray):
         self.X = data.X
         self.D = data.D
         self.q = data.p + 1
-        self.s2e = data.known_error_vars
+        self.s2e = error_vars
         self.xx = np.einsum("di,dj->dij", data.X, data.X)
         self.dof = self.D - self.q - 1
 
@@ -347,8 +350,36 @@ def _golden_section(f, lo, hi, iters: int = 60):
     return a, b
 
 
-def _core_for(data: BlockLmmData):
-    return _NermCore(data) if data.model_tag == NERM else _FhmCore(data)
+def _core_for(data: BlockLmmData, s: float = 1.0):
+    """Likelihood core for the response in units of s (known variances / s^2)."""
+    if data.model_tag == NERM:
+        return _NermCore(data)
+    return _FhmCore(data, data.known_error_vars / s**2)
+
+
+def _response_scale(y: np.ndarray) -> float:
+    """The power of two nearest sd(y) on the log scale; 1 for a constant y.
+
+    Dividing by a power of two is exact, so data with 2^-0.5 <= sd < 2^0.5
+    is fitted exactly as given, and y * 2^k is the same standardized
+    problem as y, bit for bit.
+    """
+    sd = float(np.std(y))
+    if not (sd > 0.0 and math.isfinite(sd)):
+        return 1.0
+    frac, exp = math.frexp(sd)  # sd = frac * 2^exp with 0.5 <= frac < 1
+    return math.ldexp(1.0, exp if frac >= math.sqrt(0.5) else exp - 1)
+
+
+def _standardize(data: BlockLmmData, Y: np.ndarray):
+    """Core and sufficient statistics of Y / s, where s is data's response scale.
+
+    s comes from the dataset's own response, never from the rows of Y, so
+    every batch of bootstrap replicates is solved in the same units.
+    """
+    s = _response_scale(data.y)
+    core = _core_for(data, s)
+    return core, core.stats(Y / s), s
 
 
 # ======================================================================
@@ -415,8 +446,14 @@ def _fisher_scoring(core, st, theta0):
     return theta, ll, needs_fallback
 
 
-def _batch_reml(core, st):
-    theta0, rtr = core.start(st)
+def _batch_reml(core, st, s: float, spec: MixedParameterSpec | None = None) -> dict:
+    """REML per row of a standardized problem, with results in the units of Y.
+
+    Maps theta and g1 back by s^2, beta, u and mu by s, and the restricted
+    loglik by -(n - q) log s; the boundary flag is read in standardized
+    units.  Predictions are included when spec is given.
+    """
+    theta0, _ = core.start(st)
     theta, ll, fall = _fisher_scoring(core, st, theta0)
     if fall.any():
         theta_fb, ll_fb = core.fallback(st, fall)
@@ -428,7 +465,16 @@ def _batch_reml(core, st):
         theta[idx] = theta_fb[better]
         ll[idx] = ll_fb[better]
     theta = np.maximum(theta, VAR_FLOOR)
-    return theta, ll, fall
+    out = {
+        "theta": theta * s**2,
+        "loglik": ll - (core.dof + 1) * math.log(s),  # core.dof + 1 = n - q
+        "fallback": fall,
+        "boundary": (theta <= VAR_FLOOR).any(axis=1),
+    }
+    if spec is not None:
+        beta, u, mu, g1 = core.predictions(st, theta, spec)
+        out.update(beta=beta * s, u=u * s, mu=mu * s, g1=g1 * s**2)
+    return out
 
 
 def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y: np.ndarray) -> dict:
@@ -443,20 +489,7 @@ def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y: np.ndarray) -> 
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != data.n_total:
         raise ShapeMismatch(f"Y must be (m, {data.n_total}), got {Y.shape}")
-    core = _core_for(data)
-    st = core.stats(Y)
-    theta, ll, fall = _batch_reml(core, st)
-    beta, u, mu, g1 = core.predictions(st, theta, spec)
-    return {
-        "theta": theta,
-        "beta": beta,
-        "u": u,
-        "mu": mu,
-        "g1": g1,
-        "loglik": ll,
-        "fallback": fall,
-        "boundary": (theta <= VAR_FLOOR).any(axis=1),
-    }
+    return _batch_reml(*_standardize(data, Y), spec)
 
 
 # ======================================================================
@@ -492,15 +525,14 @@ def reml_fit(data: BlockLmmData) -> VarianceComponents:
         raise ShapeMismatch(
             f"need more than p + 2 = {data.p + 2} observations, have {data.n_total}"
         )
-    core = _core_for(data)
-    st = core.stats(data.y[None, :])
+    core, st, s = _standardize(data, data.y[None, :])
     _, rtr = core.start(st)
-    if rtr[0] <= 1e-12 * (1.0 + float(np.mean(data.y**2))):
+    if rtr[0] <= 1e-12 * (1.0 + float(np.mean(data.y**2)) / s**2):
         raise DegenerateData("response has no residual variation around the fixed part")
-    theta, ll, _ = _batch_reml(core, st)
-    if not np.isfinite(ll[0]):
+    fit = _batch_reml(core, st, s)
+    if not np.isfinite(fit["loglik"][0]):
         raise NoConvergence("restricted likelihood is not finite at any candidate")
-    return _theta_components(data, theta[0])
+    return _theta_components(data, fit["theta"][0])
 
 
 def fit_gls_blup(

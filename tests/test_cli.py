@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spimax
 from spimax.bootstrap import (
@@ -86,6 +88,44 @@ def test_area_csv_round_trip(area_csv):
     assert export_area_csv(data) == area_csv.read_text()
     assert data.model_tag == FHM
     assert np.all(data.known_error_vars > 0)
+
+
+# ids with commas, quotes and spaces; the readers trim surrounding whitespace,
+# so an id starts and ends with a visible character
+cluster_ids = st.text(alphabet='ab1,"\' ', min_size=1, max_size=8).filter(
+    lambda text: text == text.strip()
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ids=st.lists(cluster_ids, min_size=3, max_size=8, unique=True),
+    area=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_arbitrary_ids_survive_csv_round_trip(tmp_path_factory, ids, area, seed):
+    if area:
+        data, _ = make_fhm(D=len(ids), p=1, seed=seed)
+    else:
+        data, _ = make_nerm(D=len(ids), n_d=2, p=2, seed=seed, unbalanced=True)
+    named = BlockLmmData(
+        model_tag=data.model_tag,
+        clusters=tuple(
+            ClusterBlock(cluster_id=cid, y=c.y, X=c.X, known_error_var=c.known_error_var)
+            for cid, c in zip(ids, data.clusters)
+        ),
+    )
+    export, ingest = (
+        (export_area_csv, ingest_area_csv) if area else (export_unit_csv, ingest_unit_csv)
+    )
+    path = tmp_path_factory.mktemp("ids") / "data.csv"
+    path.write_text(export(named), encoding="utf-8")
+    back = ingest(path)
+    assert back.cluster_ids == tuple(ids)
+    np.testing.assert_array_equal(back.y, named.y)
+    np.testing.assert_array_equal(back.X, named.X)
+    if area:
+        np.testing.assert_array_equal(back.known_error_vars, named.known_error_vars)
 
 
 def test_ingest_groups_by_first_appearance(tmp_path):
@@ -433,6 +473,21 @@ def test_transform_cli_writes_data_only_on_success(tmp_path):
     )
     assert code == 2
     assert not bad_out.exists() and not bad_data.exists()
+
+
+@pytest.mark.parametrize("grid", [None, "7"])
+def test_transform_default_grid_accepts_nonpositive_response(tmp_path, grid):
+    data, _ = make_nerm(D=6, n_d=5, seed=5)
+    data = replace_response(data, data.y - data.y.mean())
+    src = tmp_path / "centered.csv"
+    src.write_text(export_unit_csv(data))
+    out = tmp_path / "t.json"
+    argv = ["transform", "--model", "nerm", "--data", str(src), "--out", str(out)]
+    assert run_cli(argv + ([] if grid is None else ["--grid", grid])) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["grid"]) == (25 if grid is None else 7)
+    assert min(payload["grid"]) > -data.y.min()
+    assert payload["c_star"] in payload["grid"]
 
 
 def test_fit_payload_fields(tmp_path, area_csv):
