@@ -13,6 +13,7 @@ is chunked or scheduled across workers.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,10 @@ class BootstrapDraws:
         return self.s_matrix.shape[1]
 
     def save_csv(self, path) -> None:
-        """Rows are replicates, columns clusters."""
-        header = ",".join(str(c) for c in self.cluster_ids)
-        np.savetxt(path, self.s_matrix, delimiter=",", header=header, comments="")
+        """Rows are replicates, columns clusters, under a header row of cluster ids."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow([str(c) for c in self.cluster_ids])
+            np.savetxt(fh, self.s_matrix, delimiter=",")
 
 
 def parametric_bootstrap(

@@ -49,8 +49,8 @@ def _check_header(header: list[str], expected: list[str], path) -> None:
 
 def _covariate_names(header: list[str], tail: int) -> list[str]:
     p = len(header) - 2 - tail
-    if p < 1:
-        raise ParseError("need at least one covariate column x1")
+    if p < 0:
+        raise ParseError(f"header has {len(header)} columns, need at least {2 + tail}")
     return [f"x{i + 1}" for i in range(p)]
 
 

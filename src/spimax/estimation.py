@@ -9,10 +9,12 @@ run the same estimator.
 
 Optimisation is Fisher scoring with step halving; replicates where scoring
 stalls fall back to a profiled grid-plus-golden-section search, which
-cannot diverge.  Fits run on the response divided by a power of two near
-its standard deviation and are mapped back, so the tolerances, floors and
-fallback grid act in units of the data and a fit does not depend on the
-units the response was recorded in.
+cannot diverge.  Fits run on the response divided by s, a power of two
+near its standard deviation, and are mapped back, so the tolerances, the
+variance floor and the fallback grid act in standardized units and a fit
+does not depend on the units the response was recorded in.  Floors left in
+data units: VarianceComponents (so FitResult.theta), bootstrap.G1_FLOOR
+and maxstat.SCALE_FLOOR.
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ class _NermCore:
     theta rows are (sigma2_e, sigma2_u).
     """
 
-    k_par = 2
-
     def __init__(self, data: BlockLmmData):
         self.X = data.X
         self.n = data.n_total
@@ -115,6 +115,16 @@ class _NermCore:
         b = (st["xty"] - (w * st["s"]) @ self.t) / se[:, None]
         return se, su, den, w, kappa, A, b
 
+    def _residual_sums(self, st, beta):
+        # per-cluster sums of y - X beta, and its squared norm
+        rsum = st["s"] - beta @ self.t.T
+        rtr = (
+            st["yty"]
+            - 2.0 * np.einsum("mi,mi->m", st["xty"], beta)
+            + np.einsum("mi,ij,mj->m", beta, self.xtx, beta)
+        )
+        return rsum, rtr
+
     def loglik(self, st, theta):
         se, su, den, w, kappa, A, b = self._common(st, theta)
         beta = _solve_batched(A, b)
@@ -133,12 +143,7 @@ class _NermCore:
         nf = self.sizes[None, :]
         t = self.t
 
-        rsum = st["s"] - beta @ t.T
-        rtr = (
-            st["yty"]
-            - 2.0 * np.einsum("mi,mi->m", st["xty"], beta)
-            + np.einsum("mi,ij,mj->m", beta, self.xtx, beta)
-        )
+        rsum, rtr = self._residual_sums(st, beta)
 
         # coefficient of t t' in X' V^-k X, from powers of (I - w J)
         c2 = w * (2.0 - w * nf)
@@ -180,12 +185,7 @@ class _NermCore:
         beta0 = np.linalg.solve(
             np.broadcast_to(self.xtx, (m, self.q, self.q)), st["xty"][..., None]
         )[..., 0]
-        rsum = st["s"] - beta0 @ self.t.T
-        rtr = (
-            st["yty"]
-            - 2.0 * np.einsum("mi,mi->m", st["xty"], beta0)
-            + np.einsum("mi,ij,mj->m", beta0, self.xtx, beta0)
-        )
+        rsum, rtr = self._residual_sums(st, beta0)
         ss_between = (rsum**2 / self.sizes[None, :]).sum(axis=1)
         ss_within = np.maximum(rtr - ss_between, 0.0)
         msw = ss_within / max(self.n - self.D, 1)
@@ -196,8 +196,8 @@ class _NermCore:
         su0 = np.maximum((msb - se0) / n_eff, 0.05 * se0)
         return np.stack([se0, su0], axis=1), rtr
 
-    def profile_loglik(self, st, psi):
-        """Profiled objective over the ratio psi = sigma2_u / sigma2_e."""
+    def profile(self, st, psi):
+        """Loglik and theta rows at psi = sigma2_u / sigma2_e, sigma2_e profiled out."""
         m = psi.shape[0]
         unit = np.stack([np.ones(m), psi], axis=1)
         se, su, den, w, kappa, A, b = self._common(st, unit)
@@ -205,24 +205,11 @@ class _NermCore:
         quad = st["yty"] - np.einsum("md,md->m", w, st["s"] ** 2)
         ypy = quad - np.einsum("mi,mi->m", b, beta)
         se_hat = np.maximum(ypy / self.dof, VAR_FLOOR)
-        theta = np.stack([se_hat, psi * se_hat], axis=1)
-        ll, _ = self.loglik(st, np.maximum(theta, VAR_FLOOR))
-        return ll, np.maximum(theta, VAR_FLOOR)
+        theta = np.maximum(np.stack([se_hat, psi * se_hat], axis=1), VAR_FLOOR)
+        return self.loglik(st, theta)[0], theta
 
-    def fallback(self, st, rows):
-        """Grid + golden-section search on the variance ratio."""
-        m = rows.sum() if rows.dtype == bool else len(rows)
-        sub = {k: v[rows] for k, v in st.items()}
-        grid = np.concatenate([[0.0], np.logspace(-10, 8, 73)])
-        lls = np.stack([self.profile_loglik(sub, np.full(m, g))[0] for g in grid], axis=1)
-        lls = np.where(np.isfinite(lls), lls, -np.inf)
-        best = np.argmax(lls, axis=1)
-        lo = grid[np.maximum(best - 1, 0)]
-        hi = grid[np.minimum(best + 1, grid.size - 1)]
-        lo, hi = _golden_section(lambda ps: self.profile_loglik(sub, ps)[0], lo, hi)
-        psi = 0.5 * (lo + hi)
-        ll, theta = self.profile_loglik(sub, psi)
-        return theta, ll
+    def profile_grid(self, st):
+        return np.concatenate([[0.0], np.logspace(-10, 8, 73)])
 
     def predictions(self, st, theta, spec: MixedParameterSpec):
         se, su, den, w, kappa, A, b = self._common(st, theta)
@@ -241,8 +228,6 @@ class _NermCore:
 
 class _FhmCore:
     """Likelihood pieces for the area-level model; theta rows are (sigma2_u,)."""
-
-    k_par = 1
 
     def __init__(self, data: BlockLmmData, error_vars: np.ndarray):
         self.X = data.X
@@ -299,22 +284,14 @@ class _FhmCore:
         su0 = np.maximum(msr - self.s2e.mean(), 0.05 * msr)
         return np.maximum(su0, VAR_FLOOR)[:, None], rtr
 
-    def fallback(self, st, rows):
-        sub = {k: v[rows] for k, v in st.items()}
-        m = sub["y"].shape[0]
-        hi = 10.0 * (sub["y"].var(axis=1).max() + self.s2e.max()) + 1.0
-        grid = np.concatenate([[VAR_FLOOR], np.logspace(-9, np.log10(hi), 73)])
-        lls = np.stack(
-            [self.loglik(sub, np.full((m, 1), g))[0] for g in grid], axis=1
-        )
-        lls = np.where(np.isfinite(lls), lls, -np.inf)
-        best = np.argmax(lls, axis=1)
-        lo = grid[np.maximum(best - 1, 0)]
-        hi_ = grid[np.minimum(best + 1, grid.size - 1)]
-        lo, hi_ = _golden_section(lambda g: self.loglik(sub, g[:, None])[0], lo, hi_)
-        theta = (0.5 * (lo + hi_))[:, None]
-        ll, _ = self.loglik(sub, theta)
-        return theta, ll
+    def profile(self, st, su):
+        """Loglik and theta rows at sigma2_u, the one parameter."""
+        theta = su[:, None]
+        return self.loglik(st, theta)[0], theta
+
+    def profile_grid(self, st):
+        hi = 10.0 * (st["y"].var(axis=1).max() + self.s2e.max()) + 1.0
+        return np.concatenate([[VAR_FLOOR], np.logspace(-9, np.log10(hi), 73)])
 
     def predictions(self, st, theta, spec: MixedParameterSpec):
         v, A, b = self._common(st, theta)
@@ -348,6 +325,21 @@ def _golden_section(f, lo, hi, iters: int = 60):
         fc, fd = np.where(pick_c, fresh, fd), np.where(pick_c, fc, fresh)
         c, d = c_next, d_next
     return a, b
+
+
+def _fallback(core, st, rows):
+    """Grid + golden-section search over the core's one-parameter profile."""
+    sub = {k: v[rows] for k, v in st.items()}
+    m = int(np.count_nonzero(rows))
+    grid = core.profile_grid(sub)
+    lls = np.stack([core.profile(sub, np.full(m, g))[0] for g in grid], axis=1)
+    lls = np.where(np.isfinite(lls), lls, -np.inf)
+    best = np.argmax(lls, axis=1)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, grid.size - 1)]
+    lo, hi = _golden_section(lambda x: core.profile(sub, x)[0], lo, hi)
+    ll, theta = core.profile(sub, 0.5 * (lo + hi))
+    return theta, ll
 
 
 def _core_for(data: BlockLmmData, s: float = 1.0):
@@ -386,6 +378,13 @@ def _standardize(data: BlockLmmData, Y: np.ndarray):
 # batched REML driver
 # ======================================================================
 
+def _det(M: np.ndarray) -> np.ndarray:
+    """Closed-form determinant of a batch of 1x1 or 2x2 matrices."""
+    if M.shape[-1] == 1:
+        return M[:, 0, 0]
+    return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+
+
 def _fisher_scoring(core, st, theta0):
     """Fisher scoring with step halving; returns theta, ll, fallback mask."""
     m, k = theta0.shape
@@ -398,23 +397,12 @@ def _fisher_scoring(core, st, theta0):
         if not active.any():
             break
         score, info = core.score_info(st, theta)
-        # closed-form solves for the 1x1 / 2x2 information
-        if k == 1:
-            det = info[:, 0, 0]
-            step = np.where(np.abs(det) > 1e-300, score[:, 0] / np.where(det == 0, 1.0, det), 0.0)[:, None]
-            bad_info = np.abs(det) <= 1e-300
-        else:
-            det = info[:, 0, 0] * info[:, 1, 1] - info[:, 0, 1] ** 2
-            safe = np.where(np.abs(det) > 1e-300, det, 1.0)
-            step = np.stack(
-                [
-                    (info[:, 1, 1] * score[:, 0] - info[:, 0, 1] * score[:, 1]) / safe,
-                    (info[:, 0, 0] * score[:, 1] - info[:, 0, 1] * score[:, 0]) / safe,
-                ],
-                axis=1,
-            )
-            bad_info = np.abs(det) <= 1e-300
-        bad_info |= ~np.isfinite(step).all(axis=1)
+        # Cramer's rule: step j = det(info, column j replaced by the score) / det(info)
+        det = _det(info)
+        ok = np.abs(det) > 1e-300
+        numer = [_det(np.where(np.arange(k) == j, score[:, :, None], info)) for j in range(k)]
+        step = np.stack(numer, axis=1) / np.where(ok, det, 1.0)[:, None]
+        bad_info = ~ok | ~np.isfinite(step).all(axis=1)
         step = np.where((active & ~bad_info)[:, None], step, 0.0)
         needs_fallback |= active & bad_info
         active &= ~bad_info
@@ -456,9 +444,7 @@ def _batch_reml(core, st, s: float, spec: MixedParameterSpec | None = None) -> d
     theta0, _ = core.start(st)
     theta, ll, fall = _fisher_scoring(core, st, theta0)
     if fall.any():
-        theta_fb, ll_fb = core.fallback(st, fall)
-        theta = theta.copy()
-        ll = ll.copy()
+        theta_fb, ll_fb = _fallback(core, st, fall)
         # keep whichever of the two candidates scores higher
         better = ~np.isfinite(ll[fall]) | (ll_fb > ll[fall])
         idx = np.flatnonzero(fall)[better]
@@ -518,8 +504,8 @@ def restricted_loglik(data: BlockLmmData, theta: VarianceComponents) -> float:
     return float(ll[0])
 
 
-def reml_fit(data: BlockLmmData) -> VarianceComponents:
-    """REML variance components via Fisher scoring with a profiled fallback."""
+def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> dict:
+    """The dataset's own response as a batch of one, after the single-fit checks."""
     validate(data)
     if data.n_total <= data.p + 2:
         raise ShapeMismatch(
@@ -529,10 +515,26 @@ def reml_fit(data: BlockLmmData) -> VarianceComponents:
     _, rtr = core.start(st)
     if rtr[0] <= 1e-12 * (1.0 + float(np.mean(data.y**2)) / s**2):
         raise DegenerateData("response has no residual variation around the fixed part")
-    fit = _batch_reml(core, st, s)
+    fit = _batch_reml(core, st, s, spec)
     if not np.isfinite(fit["loglik"][0]):
         raise NoConvergence("restricted likelihood is not finite at any candidate")
-    return _theta_components(data, fit["theta"][0])
+    return fit
+
+
+def reml_fit(data: BlockLmmData) -> VarianceComponents:
+    """REML variance components via Fisher scoring with a profiled fallback."""
+    return _theta_components(data, _fit_single(data)["theta"][0])
+
+
+def _row0_result(fit: dict, theta: VarianceComponents) -> FitResult:
+    return FitResult(
+        beta_hat=fit["beta"][0],
+        u_hat=fit["u"][0],
+        mu_hat=fit["mu"][0],
+        theta=theta,
+        scale=np.sqrt(np.maximum(fit["g1"][0], 0.0)),
+        loglik_restricted=float(fit["loglik"][0]),
+    )
 
 
 def fit_gls_blup(
@@ -545,22 +547,16 @@ def fit_gls_blup(
     tarr = _theta_array(data, theta)
     beta, u, mu, g1 = core.predictions(st, tarr, spec)
     ll, _ = core.loglik(st, tarr)
-    return FitResult(
-        beta_hat=beta[0],
-        u_hat=u[0],
-        mu_hat=mu[0],
-        theta=theta,
-        scale=np.sqrt(np.maximum(g1[0], 0.0)),
-        loglik_restricted=float(ll[0]),
-    )
+    return _row0_result(dict(beta=beta, u=u, mu=mu, g1=g1, loglik=ll), theta)
 
 
 def eblup(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> FitResult:
-    """REML fit followed by GLS/BLUP prediction (the empirical BLUP)."""
+    """REML + BLUP: row 0 of the batch fit of data.y[None, :], theta floored in data units."""
     if spec is None:
         spec = cluster_mean_spec(data)
-    theta = reml_fit(data)
-    return fit_gls_blup(data, spec, theta)
+    check_spec(data, spec)
+    fit = _fit_single(data, spec)
+    return _row0_result(fit, _theta_components(data, fit["theta"][0]))
 
 
 # ======================================================================

@@ -1,3 +1,4 @@
+import csv
 import time
 
 import numpy as np
@@ -208,6 +209,24 @@ def test_save_csv_roundtrip(tmp_path, nerm_setup):
     draws.save_csv(path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert_allclose(back, draws.s_matrix, rtol=1e-6)
+
+
+def test_save_csv_header_holds_the_cluster_ids(tmp_path):
+    S = np.array([[0.5, -1.25], [2.0, 0.125]])
+    draws = _draws_from_matrix(S)
+    quoted = boot.BootstrapDraws(**{**vars(draws), "cluster_ids": ("a,b", 'c"d')})
+    path = tmp_path / "quoted.csv"
+    quoted.save_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a,b", 'c"d']
+    assert [[float(v) for v in row] for row in rows[1:]] == S.tolist()
+
+    # plain ids: the same bytes as a header joined with commas
+    plain, legacy = tmp_path / "plain.csv", tmp_path / "legacy.csv"
+    draws.save_csv(plain)
+    np.savetxt(legacy, S, delimiter=",", header="0,1", comments="")
+    assert plain.read_bytes() == legacy.read_bytes()
 
 
 def test_bootstrap_speed(nerm_setup):

@@ -101,13 +101,16 @@ cluster_ids = st.text(alphabet='ab1,"\' ', min_size=1, max_size=8).filter(
 @given(
     ids=st.lists(cluster_ids, min_size=3, max_size=8, unique=True),
     area=st.booleans(),
+    intercept_only=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_arbitrary_ids_survive_csv_round_trip(tmp_path_factory, ids, area, seed):
+def test_arbitrary_ids_survive_csv_round_trip(tmp_path_factory, ids, area, intercept_only, seed):
     if area:
-        data, _ = make_fhm(D=len(ids), p=1, seed=seed)
+        data, _ = make_fhm(D=len(ids), p=0 if intercept_only else 1, seed=seed)
     else:
-        data, _ = make_nerm(D=len(ids), n_d=2, p=2, seed=seed, unbalanced=True)
+        data, _ = make_nerm(
+            D=len(ids), n_d=2, p=0 if intercept_only else 2, seed=seed, unbalanced=True
+        )
     named = BlockLmmData(
         model_tag=data.model_tag,
         clusters=tuple(
@@ -168,6 +171,13 @@ def test_ingest_diagnostics(tmp_path):
     dup.write_text("area,y,x1,error_var\na,1.0,0.5,0.4\na,2.0,0.6,0.3\n")
     with pytest.raises(ParseError, match="duplicate area"):
         ingest_area_csv(dup)
+
+    # intercept-only files are valid; a header shorter than that is not
+    for ingest, text in [(ingest_unit_csv, "cluster\na\n"), (ingest_area_csv, "area,y\na,1.0\n")]:
+        short = tmp_path / "s.csv"
+        short.write_text(text)
+        with pytest.raises(ParseError, match="need at least"):
+            ingest(short)
 
 
 def test_tube_constants_file(tmp_path, tube_file):
@@ -276,6 +286,22 @@ def test_spi_all_methods_run(tmp_path, unit_csv, area_csv, tube_file):
         assert payload["critical_value"] > 0
         if method == "be":
             assert len(payload["per_cluster_critical"]) == len(payload["intervals"])
+
+
+def test_intercept_only_files_run(tmp_path, tube_file):
+    unit = tmp_path / "unit.csv"
+    unit.write_text(export_unit_csv(make_nerm(D=8, n_d=4, p=0, seed=2)[0]))
+    area = tmp_path / "area.csv"
+    area.write_text(export_area_csv(make_fhm(D=10, p=0, seed=2)[0]))
+    for model, path in [("nerm", unit), ("fhm", area)]:
+        common = ["--model", model, "--data", str(path), "--out", str(tmp_path / "out.json")]
+        assert run_cli(["fit"] + common) == 0
+        assert run_cli(["spi"] + common + ["--method", "bs", "--B", "120"]) == 0
+    # the tube bound takes its dimension from p, so p = 0 needs an explicit --p
+    assert run_cli(
+        ["spi", "--model", "nerm", "--data", str(unit), "--method", "vt",
+         "--tube-constants", str(tube_file)]
+    ) == 2
 
 
 def test_vt_rejected_for_area_model(tmp_path, area_csv, tube_file):

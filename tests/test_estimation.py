@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 
 from spimax import estimation as est
 from spimax.errors import DegenerateData, ShapeMismatch
-from spimax.model import BlockLmmData, ClusterBlock, VarianceComponents, cluster_mean_spec
+from spimax.model import (
+    VAR_FLOOR,
+    BlockLmmData,
+    ClusterBlock,
+    VarianceComponents,
+    cluster_mean_spec,
+)
 
 from conftest import make_fhm, make_nerm
 from oracles import (
@@ -294,3 +300,65 @@ def test_batch_matches_single_fits():
         assert_allclose(out["theta"][i, 1], fit.theta.sigma2_u, rtol=1e-8, atol=1e-10)
         assert_allclose(out["beta"][i], fit.beta_hat, atol=1e-8)
         assert_allclose(out["mu"][i], fit.mu_hat, atol=1e-8)
+
+
+def _responses(data, seed, m=40):
+    """m responses from the model, random-effect variance cycling 0, 0.05, 0.5, 2."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(m):
+        u = rng.normal(0.0, np.sqrt([0.0, 0.05, 0.5, 2.0][i % 4]), data.D)
+        if data.model_tag == "NERM":
+            e = rng.normal(0.0, 0.7, data.n_total)
+            rows.append(data.X.sum(axis=1) + np.repeat(u, data.sizes) + e)
+        else:
+            rows.append(data.X.sum(axis=1) + u + rng.normal(0.0, np.sqrt(data.known_error_vars)))
+    return np.array(rows)
+
+
+# Forced fallback against the scoring fit, as measured on these batches:
+# largest interior theta gap 2.9e-6 relative (FHM) and 2.8e-2 (NERM); mu
+# 2.4e-8 (FHM) and 2.4e-3 (NERM) relative to the largest |mu| of the row.
+# The NERM gap is the fallback's own: its profile takes sigma2_e =
+# y'Py / (n - q - 1), where the REML maximizer is y'Py / (n - q), so rows
+# land 1/(n - q - 1) too high or keep their starting values.  Golden
+# section returns the centre of its last bracket, so a row whose optimum is
+# the floor lands up to 2.4e-5 above it.  The frozen values pin both paths
+# bit for bit.
+FALLBACK_CASES = [
+    (make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0], 5e-2, 5e-3,
+     [[0.3396580921616235, 0.05687367186815154], [0.4364234434597445, 4.000094001870271e-10]],
+     [-66.20498681866945, -70.90722013230123]),
+    (make_fhm(D=30, seed=3)[0], 1e-5, 1e-7,
+     [[0.017567640398191045], [1.0000095196371862e-10]],
+     [-29.457808120354294, -27.623913058514777]),
+]
+
+
+@pytest.mark.parametrize(
+    "data, theta_rtol, mu_rtol, frozen_theta, frozen_loglik", FALLBACK_CASES, ids=["nerm", "fhm"]
+)
+def test_fallback_search_agrees_with_scoring(
+    monkeypatch, data, theta_rtol, mu_rtol, frozen_theta, frozen_loglik
+):
+    spec = cluster_mean_spec(data)
+    Y = _responses(data, seed=7)
+    scoring = est.batch_eblup(data, spec, Y)
+    monkeypatch.setattr(est, "MAX_ITER", 0)  # no scoring step: every row falls back
+    grid = est.batch_eblup(data, spec, Y)
+    assert grid["fallback"].all() and not scoring["fallback"].any()
+
+    floor = VAR_FLOOR * est._response_scale(data.y) ** 2
+    on_floor = scoring["boundary"]
+    assert on_floor.any() and (~on_floor).any()
+    assert np.all(grid["boundary"] <= on_floor)
+    assert np.all(scoring["theta"][on_floor, -1] == floor)
+    assert np.all(grid["theta"][on_floor, -1] >= floor)
+    assert np.all(grid["theta"][on_floor, -1] <= floor * (1 + 1e-4))
+    assert_allclose(grid["theta"][~on_floor], scoring["theta"][~on_floor], rtol=theta_rtol)
+    size = np.abs(scoring["mu"]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(grid["mu"] - scoring["mu"]) <= mu_rtol * size)
+
+    rows = [np.flatnonzero(~on_floor)[0], np.flatnonzero(on_floor)[0]]
+    assert grid["theta"][rows].tolist() == frozen_theta
+    assert grid["loglik"][rows].tolist() == frozen_loglik

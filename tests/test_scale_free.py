@@ -18,7 +18,7 @@ from spimax.bootstrap import parametric_bootstrap
 from spimax.calibration import calibrate
 from spimax.estimation import batch_eblup, eblup
 from spimax.maxstat import build_spi
-from spimax.model import NERM, BlockLmmData, ClusterBlock, cluster_mean_spec
+from spimax.model import NERM, BlockLmmData, ClusterBlock, VarianceComponents, cluster_mean_spec
 
 # Scoring stops once a step is below PAR_TOL = 1e-8 in standardized units.
 # Fisher scoring converges linearly, so a fit is itself accurate only to
@@ -92,6 +92,38 @@ def test_power_of_two_units_give_exact_multiples(data, k):
         assert_array_equal(scaled[key], c**power * unit[key])
     assert_array_equal(scaled["fallback"], unit["fallback"])
     assert_array_equal(scaled["boundary"], unit["boundary"])
+    # the single-dataset fit; its theta is floored in the units of the data
+    unit, scaled = eblup(data), eblup(rescaled(data, c))
+    for field in ("beta_hat", "u_hat", "mu_hat", "scale"):
+        assert_array_equal(getattr(scaled, field), c * getattr(unit, field))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        make_nerm()[0],
+        make_fhm()[0],
+        rescaled(make_nerm(D=30, seed=1)[0], 2.0**-20),
+        # boundary fits with s = 1/8 and s = 1/16
+        rescaled(make_nerm(D=12, seed=29, unbalanced=True)[0], 0.1),
+        rescaled(make_fhm(D=15, sigma2_u=0.05, seed=0)[0], 0.1),
+    ],
+    ids=["nerm", "fhm", "nerm-2^-20", "nerm-boundary", "fhm-boundary"],
+)
+def test_eblup_is_row_zero_of_batch_eblup(data):
+    spec = cluster_mean_spec(data)
+    fit = eblup(data, spec)
+    row = {key: value[0] for key, value in batch_eblup(data, spec, data.y[None]).items()}
+    assert_array_equal(fit.beta_hat, row["beta"])
+    assert_array_equal(fit.u_hat, row["u"])
+    assert_array_equal(fit.mu_hat, row["mu"])
+    assert_array_equal(fit.scale, np.sqrt(row["g1"]))
+    assert fit.loglik_restricted == row["loglik"]
+    theta = row["theta"]
+    if data.model_tag == NERM:
+        assert fit.theta == VarianceComponents(sigma2_u=theta[1], sigma2_e=theta[0])
+    else:
+        assert fit.theta == VarianceComponents(sigma2_u=theta[0])
 
 
 def test_bootstrap_refits_at_large_units_take_no_fallback():
