@@ -6,6 +6,10 @@ geometric constants (tube volume kappa0, boundary measures, curvature
 corrections, the scale bounds xi0/eta0 and the error-dof nu) describe the
 regression manifold; they are inputs supplied by the caller, never
 estimated from data.
+
+scipy.special is imported inside the functions that call it, so that
+``import spimax`` loads numpy only and jobs that never use a closed-form
+calibration never pay for scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import (
     BoundUnattainable,
@@ -41,10 +44,12 @@ BISECT_MAX_ITER = 200
 
 def bonferroni_cv(D: int, alpha: float) -> CriticalValue:
     """z quantile at level alpha / (2 D)."""
+    from scipy import special
+
     check_alpha(alpha)
     if D < 1:
         raise ShapeMismatch("need at least one cluster")
-    value = float(stats.norm.ppf(1.0 - alpha / (2.0 * D)))
+    value = float(special.ndtri(1.0 - alpha / (2.0 * D)))
     return CriticalValue(value=value, method="BO", alpha=alpha)
 
 
@@ -158,6 +163,8 @@ class TubeConstants:
 
 
 def _gamma_ratio(a: float, b: float) -> float:
+    from scipy import special
+
     return math.exp(special.gammaln(a) - special.gammaln(b))
 
 
@@ -180,6 +187,8 @@ def tube_alpha_bound(p: int, c: float, k: TubeConstants) -> float:
     Branches on the manifold dimension p; the p = 1 and p = 2 branches use
     the closed chi-integral terms, the p >= 3 branch F tail probabilities.
     """
+    from scipy import special
+
     if p < 1:
         raise ShapeMismatch("manifold dimension p must be at least 1")
     c = float(c)
@@ -187,7 +196,7 @@ def tube_alpha_bound(p: int, c: float, k: TubeConstants) -> float:
         raise ShapeMismatch("height c must be nonnegative")
     nu = k.nu
     x = c * k.xi0
-    t_tail = 2.0 * stats.t.sf(x, nu)
+    t_tail = 2.0 * special.stdtr(nu, -x)
     if p == 1:
         a1, a2, _ = _a_terms(c, k)
         return (k.kappa0 / math.pi) * (a1 + k.eta0 * a2) + k.euler * t_tail
@@ -204,19 +213,19 @@ def tube_alpha_bound(p: int, c: float, k: TubeConstants) -> float:
         k.kappa0
         * math.gamma((p + 1) / 2)
         / math.pi ** ((p + 1) / 2)
-        * stats.f.sf(shifted / (p + 1), p + 1, nu)
+        * special.fdtrc(p + 1, nu, shifted / (p + 1))
     )
     out += (
         (k.zeta0 / 2.0)
         * math.gamma(p / 2)
         / math.pi ** (p / 2)
-        * stats.f.sf(shifted / p, p, nu)
+        * special.fdtrc(p, nu, shifted / p)
     )
     out += (
         ((k.kappa2 + k.zeta1 + k.m0) / (2.0 * math.pi))
         * math.gamma((p - 1) / 2)
         / math.pi ** ((p - 1) / 2)
-        * stats.f.sf(shifted / (p - 1), p - 1, nu)
+        * special.fdtrc(p - 1, nu, shifted / (p - 1))
     )
     return out
 

@@ -19,7 +19,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats
 
 from .bootstrap import stepdown_quantile_provider
 from .calibration import CONTRAST_METHODS, calibrate
@@ -322,10 +321,12 @@ def _transform_payload(args) -> tuple[str, str | None]:
 
 def _plot_positions(values: np.ndarray) -> np.ndarray:
     """Normal quantiles at the (rank - 0.5)/N plotting positions."""
+    from scipy import special
+
     n = values.shape[0]
     ranks = np.empty(n, dtype=float)
     ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
-    return stats.norm.ppf((ranks - 0.5) / n)
+    return special.ndtri((ranks - 0.5) / n)
 
 
 def _residuals_payload(args) -> str:
@@ -439,6 +440,8 @@ def _validate_flag_combinations(args) -> None:
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
                 raise _UsageError(f"output directory does not exist: {parent}")
+    if args.threads is not None and args.threads < 1:
+        raise _UsageError(f"--threads must be at least 1, got {args.threads}")
     if getattr(args, "method", None) == "vt" and args.tube_constants is None:
         raise _UsageError("--method vt requires --tube-constants")
     if args.command == "test":

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DegenerateData,
@@ -197,14 +196,18 @@ class _NermCore:
         return np.stack([se0, su0], axis=1), rtr
 
     def profile(self, st, psi):
-        """Loglik and theta rows at psi = sigma2_u / sigma2_e, sigma2_e profiled out."""
+        """Loglik and theta rows at psi = sigma2_u / sigma2_e.
+
+        sigma2_e is profiled out at its REML maximizer y'P y / (n - q), with
+        P the projection at unit sigma2_e.
+        """
         m = psi.shape[0]
         unit = np.stack([np.ones(m), psi], axis=1)
         se, su, den, w, kappa, A, b = self._common(st, unit)
         beta = _solve_batched(A, b)
         quad = st["yty"] - np.einsum("md,md->m", w, st["s"] ** 2)
         ypy = quad - np.einsum("mi,mi->m", b, beta)
-        se_hat = np.maximum(ypy / self.dof, VAR_FLOOR)
+        se_hat = np.maximum(ypy / (self.n - self.q), VAR_FLOOR)
         theta = np.maximum(np.stack([se_hat, psi * se_hat], axis=1), VAR_FLOOR)
         return self.loglik(st, theta)[0], theta
 
@@ -639,6 +642,8 @@ def log_shift_profile(data: BlockLmmData, grid) -> tuple[np.ndarray, np.ndarray,
         raise NonPositiveShift(
             f"y + c must stay positive; smallest candidate {grid.min():g} fails"
         )
+    from scipy import stats  # only transform needs it; keeps scipy out of `import spimax`
+
     skews = np.empty(grid.size)
     for i, c in enumerate(grid):
         shifted = replace_response(data, np.log(y + c))

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile, tube_p1_closed_form
@@ -43,6 +45,42 @@ def test_bonferroni_frozen_value():
     assert cv.method == "BO"
     assert abs(cv.value - 3.143980287069073) < 1e-12
     assert abs(bonferroni_cv(1, 0.05).value - stats.norm.ppf(0.975)) < 1e-12
+
+
+# analytic.py and the residual plot positions call the scipy.special forms
+# so that only scipy.special is imported; these pin them to the scipy.stats
+# calls they replaced, bit for bit, over the ranges spimax evaluates.
+special_settings = settings(max_examples=300, deadline=None)
+
+
+@special_settings
+@given(
+    alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    D=st.integers(min_value=1, max_value=100_000),
+    position=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_ndtri_is_bit_identical_to_norm_ppf(alpha, D, position):
+    for q in (1.0 - alpha / (2.0 * D), position):
+        assert special.ndtri(q) == stats.norm.ppf(q)
+
+
+@special_settings
+@given(
+    x=st.floats(min_value=0.0, max_value=1e3),
+    nu=st.floats(min_value=1.0, max_value=1e6),
+)
+def test_stdtr_is_bit_identical_to_t_sf(x, nu):
+    assert special.stdtr(nu, -x) == stats.t.sf(x, nu)
+
+
+@special_settings
+@given(
+    x=st.floats(min_value=0.0, max_value=1e4),
+    d1=st.integers(min_value=1, max_value=8),
+    nu=st.floats(min_value=1.0, max_value=1e6),
+)
+def test_fdtrc_is_bit_identical_to_f_sf(x, d1, nu):
+    assert special.fdtrc(d1, nu, x) == stats.f.sf(x, d1, nu)
 
 
 def test_bonferroni_dominates_independent_exact():

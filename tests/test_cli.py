@@ -549,6 +549,12 @@ def test_exit_codes_and_error_json(tmp_path, unit_csv, tube_file):
         ["fit", "--model", "nerm", "--data", str(unit_csv),
          "--out", str(tmp_path / "no_such_dir" / "x.json")]
     ) == 1
+    for threads in ("0", "-1"):
+        assert run_cli(
+            ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "bs",
+             "--threads", threads]
+        ) == 1
+        assert run_cli(["simulate", "--preset", "fwer", "--threads", threads]) == 1
 
     # computation: missing file, with machine-readable report
     err_path = tmp_path / "err.json"
@@ -574,8 +580,35 @@ def test_generated_scenario_survives_csv_round_trip(tmp_path):
     assert export_unit_csv(back) == path.read_text()
 
 
-def test_importing_the_package_does_not_load_the_cli():
-    # a fresh interpreter, importing the same spimax this suite imports
+def _fresh_interpreter(code: str) -> None:
+    """Run code in a new interpreter that imports the same spimax this suite imports."""
     src = str(Path(spimax.__file__).parents[1])
-    code = "import sys, spimax; assert 'spimax.cli' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_importing_the_package_does_not_load_the_cli():
+    _fresh_interpreter(
+        "import sys, spimax; assert 'spimax.cli' not in sys.modules, sorted(sys.modules)"
+    )
+
+
+NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], sorted(sys.modules)"
+
+
+def test_importing_the_package_and_cli_does_not_load_scipy():
+    _fresh_interpreter("import sys, spimax, spimax.cli\n" + NO_SCIPY)
+
+
+def test_bootstrap_jobs_do_not_load_scipy(tmp_path, unit_csv):
+    h_path = tmp_path / "h.csv"
+    h_path.write_text("\n".join(["0.0"] * 8) + "\n")
+    spi = ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "bs", "--B", "20",
+           "--out", str(tmp_path / "spi.json")]
+    test = ["test", "--model", "nerm", "--data", str(unit_csv), "--h", str(h_path),
+            "--method", "bs", "--B", "20", "--stepdown", "--out", str(tmp_path / "test.json")]
+    _fresh_interpreter(
+        "import sys\n"
+        "from spimax.cli import run_cli\n"
+        f"assert run_cli({spi!r}) == 0 and run_cli({test!r}) == 0\n" + NO_SCIPY
+    )
+    assert json.loads((tmp_path / "test.json").read_text())["stepdown"] is True

@@ -317,18 +317,17 @@ def _responses(data, seed, m=40):
 
 
 # Forced fallback against the scoring fit, as measured on these batches:
-# largest interior theta gap 2.9e-6 relative (FHM) and 2.8e-2 (NERM); mu
-# 2.4e-8 (FHM) and 2.4e-3 (NERM) relative to the largest |mu| of the row.
-# The NERM gap is the fallback's own: its profile takes sigma2_e =
-# y'Py / (n - q - 1), where the REML maximizer is y'Py / (n - q), so rows
-# land 1/(n - q - 1) too high or keep their starting values.  Golden
-# section returns the centre of its last bracket, so a row whose optimum is
-# the floor lands up to 2.4e-5 above it.  The frozen values pin both paths
-# bit for bit.
+# largest interior theta gap 2.9e-6 relative (FHM) and 5.3e-7 (NERM); mu
+# 2.4e-8 (FHM) and 3.4e-8 (NERM) relative to the largest |mu| of the row.
+# The NERM profile takes the REML maximizer sigma2_e = y'Py / (n - q) at
+# each ratio, and its floor rows land exactly on the floor.  Golden section
+# returns the centre of its last bracket, so an FHM row whose optimum is the
+# floor lands up to 9.5e-6 above it.  The frozen values pin both paths bit
+# for bit.
 FALLBACK_CASES = [
-    (make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0], 5e-2, 5e-3,
-     [[0.3396580921616235, 0.05687367186815154], [0.4364234434597445, 4.000094001870271e-10]],
-     [-66.20498681866945, -70.90722013230123]),
+    (make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0], 1e-6, 1e-7,
+     [[0.33473550168364774, 0.05604943252482445], [0.4300984662421096, 4e-10]],
+     [-66.20132823863972, -70.90356155227838]),
     (make_fhm(D=30, seed=3)[0], 1e-5, 1e-7,
      [[0.017567640398191045], [1.0000095196371862e-10]],
      [-29.457808120354294, -27.623913058514777]),
