@@ -6,9 +6,11 @@ response, and records the studentized deviation of the refitted mixed
 parameter from its replicate truth.  Critical values are order statistics
 of row maxima of that matrix.
 
-Replicate b uses the generator derived from (master_seed, b), so any row
-can be reproduced in isolation and results do not depend on how the batch
-is chunked or scheduled across workers.
+Replicate b uses the generator derived from (master_seed, b), and its
+refit depends only on its own response: refitted alone it agrees with the
+batch result to rounding (matrix products round differently for other
+batch sizes).  Refits run in batches of the fixed size CHUNK, so results
+are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -19,15 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, RefitFailure, ShapeMismatch
-from .estimation import FitResult, batch_eblup
+from .estimation import FitResult, batch_eblup, response_scale
 from .maxstat import CriticalValue
 from .model import NERM, BlockLmmData, MixedParameterSpec, check_spec
-from .util import check_seed, derive_rng, deterministic_map, order_statistic, quantile_index
+from .util import (
+    check_seed,
+    check_threads,
+    derive_rng,
+    deterministic_map,
+    order_statistic,
+    quantile_index,
+)
 
 # replicates are refitted in fixed-size batches; the size is a constant so
 # that results are bit-identical for every worker count
 CHUNK = 128
 
+# replicate g1 values are floored at G1_FLOOR s^2, s the response scale of
+# the data (estimation.response_scale), so the floor acts in standardized units
 G1_FLOOR = 1e-12
 
 
@@ -37,8 +48,8 @@ class BootstrapDraws:
 
     s_matrix[b, d] = (mu_hat*_bd - mu*_bd) / sqrt(g1_bd(theta*_b));
     delta holds the unstudentized numerators and g1_star the replicate
-    MSE leading terms, so contrast and per-cluster calibrations can reuse
-    the same draws without refitting.
+    MSE leading terms (floored), so contrast and per-cluster calibrations
+    can reuse the same draws without refitting.
     """
 
     s_matrix: np.ndarray
@@ -85,6 +96,7 @@ def parametric_bootstrap(
     """
     check_spec(data, spec)
     check_seed(master_seed)
+    check_threads(threads)
     if b_reps < 1:
         raise ShapeMismatch("need at least one bootstrap replicate")
     D, n = data.D, data.n_total
@@ -122,12 +134,13 @@ def parametric_bootstrap(
         raise RefitFailure(f"bootstrap refit failed: {exc}") from exc
 
     mu_hat_star = np.vstack([c["mu"] for c in chunks])
-    g1_star = np.vstack([c["g1"] for c in chunks])
+    g1_floor = G1_FLOOR * response_scale(data.y) ** 2
+    g1_star = np.maximum(np.vstack([c["g1"] for c in chunks]), g1_floor)
     n_fallback = int(sum(c["fallback"].sum() for c in chunks))
     n_boundary = int(sum(c["boundary"].sum() for c in chunks))
 
     delta = mu_hat_star - mu_star
-    s_matrix = delta / np.sqrt(np.maximum(g1_star, G1_FLOOR))
+    s_matrix = delta / np.sqrt(g1_star)
     return BootstrapDraws(
         s_matrix=s_matrix,
         delta=delta,
@@ -155,8 +168,9 @@ def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
     if A.shape[0] < 1:
         raise ShapeMismatch("A needs at least one row")
     numer = draws.delta @ A.T
-    scale = np.sqrt(np.maximum(draws.g1_star, G1_FLOOR) @ (A.T**2))
-    return np.abs(numer / np.maximum(scale, G1_FLOOR))
+    scale = np.sqrt(draws.g1_star @ (A.T**2))
+    # an all-zero contrast row has a zero numerator; keep its statistic at 0
+    return np.abs(numer) / np.where(scale > 0.0, scale, 1.0)
 
 
 def critical_value_contrast(

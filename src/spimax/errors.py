@@ -70,6 +70,10 @@ class SeedOverflow(SpimaxError, ValueError):
     """Master seed outside the supported integer range."""
 
 
+class ThreadsOutOfRange(SpimaxError, ValueError):
+    """Worker count below 1 (None runs inline)."""
+
+
 # ---- analytic critical values ----
 
 class InvalidConstants(SpimaxError, ValueError):

@@ -7,14 +7,18 @@ work is written against a batch axis: a bootstrap refit of B responses is
 one vectorized call, and a single dataset is a batch of one, so both paths
 run the same estimator.
 
-Optimisation is Fisher scoring with step halving; replicates where scoring
-stalls fall back to a profiled grid-plus-golden-section search, which
-cannot diverge.  Fits run on the response divided by s, a power of two
-near its standard deviation, and are mapped back, so the tolerances, the
-variance floor and the fallback grid act in standardized units and a fit
-does not depend on the units the response was recorded in.  Floors left in
-data units: VarianceComponents (so FitResult.theta), bootstrap.G1_FLOOR
-and maxstat.SCALE_FLOOR.
+REML has one free parameter once the residual variance is profiled out:
+the ratio psi = sigma2_u / sigma2_e for the unit-level model (sigma2_e =
+y'P y / (n - q) in closed form) and sigma2_u for the area-level model.  Each
+core returns the profile's slope and curvature for a batch of rows in one
+call, with every weighted sum sum_d w_d t_d t_d' formed as a single matrix
+product against the outer products t_d t_d' built once per core.  A
+safeguarded Newton iteration over the rows still moving maximizes it (see
+_newton_profile); a row whose slope at the floor VAR_FLOOR is <= 0 sits
+exactly on the floor.  Fits run on the response divided by s, a power of
+two near its standard deviation, and are mapped back, so the tolerances
+and the floor act in standardized units and a fit does not depend on the
+units the response was recorded in.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ from .model import (
 )
 
 MAX_ITER = 200
-LL_TOL = 1e-10
-PAR_TOL = 1e-8
+# a row has converged once its Newton step, or its bracket, is this small
+# relative to the parameter
+STEP_TOL = 1e-12
 _LOG2PI = math.log(2.0 * math.pi)
 
 
@@ -74,15 +79,65 @@ def _solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystem("normal equations are singular") from exc
 
 
-def _tr_pair(Ainv: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # trace(Ainv @ M) per batch row
-    return np.einsum("mij,mji->m", Ainv, M)
+def _outer_rows(t: np.ndarray) -> np.ndarray:
+    """t_d t_d' flattened to one row per cluster, (D, q * q)."""
+    return (t[:, :, None] * t[:, None, :]).reshape(t.shape[0], -1)
+
+
+def _weighted_outer(core, w: np.ndarray) -> np.ndarray:
+    """sum_d w_md t_d t_d' for every row of w, as one matrix product."""
+    return (w.reshape(-1, w.shape[-1]) @ core.tt).reshape(w.shape[:-1] + (core.q, core.q))
+
+
+def _residual_sums(core, st, beta):
+    """Cluster sums rho_d = s_d - t_d' beta of y - X beta, and |y - X beta|^2.
+
+    The squared norm is the unweighted part of y'V^-1 y, zero for the
+    area-level model.
+    """
+    rtr = (
+        st["yty"]
+        - 2.0 * np.einsum("mi,mi->m", st["xty"], beta)
+        + np.einsum("mi,ij,mj->m", beta, core.xtx, beta)
+    )
+    return st["s"] - beta @ core.t.T, rtr
+
+
+def _profile_forms(core, st, a: np.ndarray):
+    """y'P y with its first two derivatives, and the log|A| derivative traces.
+
+    a stacks the cluster weights of V^-1 and their first two derivatives in
+    the solver's parameter, shape (3, m, D): A = X'X + sum_d a_d t_d t_d'
+    and y'V^-1 y = y'y + sum_d a_d s_d^2 at unit residual variance (X'X and
+    y'y are zero for the area-level model).  With rho_d = s_d - t_d' beta,
+    r = y'P y = |y - X beta|^2 + sum_d a_d rho_d^2, r' = sum_d a'_d rho_d^2
+    and r'' = sum_d a''_d rho_d^2 - 2 beta'A beta', where A beta' =
+    sum_d a'_d rho_d t_d.  The traces are tr(A^-1 A') and tr(A^-1 A'') -
+    tr((A^-1 A')^2).
+    """
+    A, A1, A2 = _weighted_outer(core, a)
+    try:
+        inv = np.linalg.inv(core.xtx + A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("normal equations are singular") from exc
+    beta = np.einsum("mij,mj->mi", inv, st["xty"] + (a[0] * st["s"]) @ core.t)
+    rho, rtr = _residual_sums(core, st, beta)
+    r = rtr + (a[0] * rho**2).sum(axis=1)
+    r1, r2 = (a[1:] * rho**2).sum(axis=2)
+    g = (a[1] * rho) @ core.t
+    r2 = r2 - 2.0 * np.einsum("mi,mij,mj->m", g, inv, g)
+    M1 = inv @ A1
+    tr1 = np.einsum("mii->m", M1)
+    tr2 = np.einsum("mij,mji->m", inv, A2) - np.einsum("mij,mji->m", M1, M1)
+    return r, r1, r2, tr1, tr2
 
 
 class _NermCore:
     """Closed-form likelihood pieces for the unit-level model.
 
-    theta rows are (sigma2_e, sigma2_u).
+    theta rows are (sigma2_e, sigma2_u).  The solver's parameter is the
+    ratio psi = sigma2_u / sigma2_e, with sigma2_e profiled out at its REML
+    maximizer y'P y / (n - q), P the projection at unit sigma2_e.
     """
 
     def __init__(self, data: BlockLmmData):
@@ -95,6 +150,7 @@ class _NermCore:
         self.xtx = data.X.T @ data.X
         # t_d = X_d' 1, one row per cluster
         self.t = np.add.reduceat(data.X, data.offsets, axis=0)
+        self.tt = _outer_rows(self.t)
         self.dof = self.n - self.q - 1
 
     def stats(self, Y: np.ndarray) -> dict:
@@ -109,23 +165,12 @@ class _NermCore:
         su = theta[:, 1]
         den = se[:, None] + self.sizes[None, :] * su[:, None]
         w = su[:, None] / den
-        kappa = 1.0 / den
-        A = (self.xtx[None] - np.einsum("md,di,dj->mij", w, self.t, self.t)) / se[:, None, None]
+        A = (self.xtx[None] - _weighted_outer(self, w)) / se[:, None, None]
         b = (st["xty"] - (w * st["s"]) @ self.t) / se[:, None]
-        return se, su, den, w, kappa, A, b
-
-    def _residual_sums(self, st, beta):
-        # per-cluster sums of y - X beta, and its squared norm
-        rsum = st["s"] - beta @ self.t.T
-        rtr = (
-            st["yty"]
-            - 2.0 * np.einsum("mi,mi->m", st["xty"], beta)
-            + np.einsum("mi,ij,mj->m", beta, self.xtx, beta)
-        )
-        return rsum, rtr
+        return se, den, w, A, b
 
     def loglik(self, st, theta):
-        se, su, den, w, kappa, A, b = self._common(st, theta)
+        se, den, w, A, b = self._common(st, theta)
         beta = _solve_batched(A, b)
         quad = (st["yty"] - np.einsum("md,md->m", w, st["s"] ** 2)) / se
         ypy = quad - np.einsum("mi,mi->m", b, beta)
@@ -135,56 +180,28 @@ class _NermCore:
         ll = np.where(sign > 0, ll, -np.inf)
         return ll, beta
 
-    def score_info(self, st, theta):
-        se, su, den, w, kappa, A, b = self._common(st, theta)
-        beta = _solve_batched(A, b)
-        Ainv = np.linalg.inv(A)
-        nf = self.sizes[None, :]
-        t = self.t
+    def slope(self, st, psi):
+        """Profile loglik slope and curvature in psi, and y'P y at unit sigma2_e."""
+        nk = self.sizes / (1.0 + self.sizes * psi[:, None])  # n_d kappa_d
+        kappa = nk / self.sizes
+        a = np.stack([-psi[:, None] * kappa, -(kappa**2), 2.0 * nk * kappa**2])
+        r, r1, r2, tr1, tr2 = _profile_forms(self, st, a)
+        dof = self.n - self.q
+        l1 = -0.5 * (dof * r1 / r + nk.sum(axis=1) + tr1)
+        l2 = -0.5 * (dof * (r2 / r - (r1 / r) ** 2) - (nk**2).sum(axis=1) + tr2)
+        return l1, l2, r
 
-        rsum, rtr = self._residual_sums(st, beta)
-
-        # coefficient of t t' in X' V^-k X, from powers of (I - w J)
-        c2 = w * (2.0 - w * nf)
-        c3 = w * (3.0 - 3.0 * w * nf + (w * nf) ** 2)
-
-        B_e = (self.xtx[None] - np.einsum("md,di,dj->mij", c2, t, t)) / se[:, None, None] ** 2
-        B_u = np.einsum("md,di,dj->mij", kappa**2, t, t)
-
-        tr_p_e = (self.n - (w * nf).sum(axis=1)) / se - _tr_pair(Ainv, B_e)
-        tr_p_u = (nf * kappa).sum(axis=1) - _tr_pair(Ainv, B_u)
-
-        r_v2_r = (rtr - (c2 * rsum**2).sum(axis=1)) / se**2
-        r_zz_r = (kappa**2 * rsum**2).sum(axis=1)
-
-        score = np.stack(
-            [-0.5 * (tr_p_e - r_v2_r), -0.5 * (tr_p_u - r_zz_r)], axis=1
-        )
-
-        Q_ee = (self.xtx[None] - np.einsum("md,di,dj->mij", c3, t, t)) / se[:, None, None] ** 3
-        Q_eu = np.einsum("md,di,dj->mij", kappa**3, t, t)
-        Q_uu = np.einsum("md,di,dj->mij", nf * kappa**3, t, t)
-
-        T1_ee = (self.n - (c2 * nf).sum(axis=1)) / se**2
-        T1_eu = (nf * kappa**2).sum(axis=1)
-        T1_uu = ((nf * kappa) ** 2).sum(axis=1)
-
-        AB_e = Ainv @ B_e
-        AB_u = Ainv @ B_u
-        info = np.empty((theta.shape[0], 2, 2))
-        info[:, 0, 0] = 0.5 * (T1_ee - 2.0 * _tr_pair(Ainv, Q_ee) + np.einsum("mij,mji->m", AB_e, AB_e))
-        info[:, 0, 1] = 0.5 * (T1_eu - 2.0 * _tr_pair(Ainv, Q_eu) + np.einsum("mij,mji->m", AB_e, AB_u))
-        info[:, 1, 0] = info[:, 0, 1]
-        info[:, 1, 1] = 0.5 * (T1_uu - 2.0 * _tr_pair(Ainv, Q_uu) + np.einsum("mij,mji->m", AB_u, AB_u))
-        return score, info
+    def theta(self, psi, r):
+        se = r / (self.n - self.q)
+        return np.stack([se, psi * se], axis=1)
 
     def start(self, st):
-        # method-of-moments on OLS residuals, floored away from zero
+        # method-of-moments ratio on OLS residuals, kept away from zero
         m = st["xty"].shape[0]
         beta0 = np.linalg.solve(
             np.broadcast_to(self.xtx, (m, self.q, self.q)), st["xty"][..., None]
         )[..., 0]
-        rsum, rtr = self._residual_sums(st, beta0)
+        rsum, rtr = _residual_sums(self, st, beta0)
         ss_between = (rsum**2 / self.sizes[None, :]).sum(axis=1)
         ss_within = np.maximum(rtr - ss_between, 0.0)
         msw = ss_within / max(self.n - self.D, 1)
@@ -192,33 +209,12 @@ class _NermCore:
         n_eff = max((self.n - (nf**2).sum() / self.n) / max(self.D - 1, 1), 1.0)
         msb = ss_between / max(self.D - 1, 1)
         se0 = np.maximum(msw, 1e-8)
-        su0 = np.maximum((msb - se0) / n_eff, 0.05 * se0)
-        return np.stack([se0, su0], axis=1), rtr
-
-    def profile(self, st, psi):
-        """Loglik and theta rows at psi = sigma2_u / sigma2_e.
-
-        sigma2_e is profiled out at its REML maximizer y'P y / (n - q), with
-        P the projection at unit sigma2_e.
-        """
-        m = psi.shape[0]
-        unit = np.stack([np.ones(m), psi], axis=1)
-        se, su, den, w, kappa, A, b = self._common(st, unit)
-        beta = _solve_batched(A, b)
-        quad = st["yty"] - np.einsum("md,md->m", w, st["s"] ** 2)
-        ypy = quad - np.einsum("mi,mi->m", b, beta)
-        se_hat = np.maximum(ypy / (self.n - self.q), VAR_FLOOR)
-        theta = np.maximum(np.stack([se_hat, psi * se_hat], axis=1), VAR_FLOOR)
-        return self.loglik(st, theta)[0], theta
-
-    def profile_grid(self, st):
-        return np.concatenate([[0.0], np.logspace(-10, 8, 73)])
+        return np.maximum((msb - se0) / (n_eff * se0), 0.05), rtr
 
     def predictions(self, st, theta, spec: MixedParameterSpec):
-        se, su, den, w, kappa, A, b = self._common(st, theta)
+        se, den, w, A, b = self._common(st, theta)
         beta = _solve_batched(A, b)
-        rsum = st["s"] - beta @ self.t.T
-        u = su[:, None] * kappa * rsum
+        u = w * _residual_sums(self, st, beta)[0]
         g1 = self.g1(theta) * spec.m[None, :] ** 2
         mu = beta @ spec.k.T + spec.m[None, :] * u
         return beta, u, mu, g1
@@ -230,76 +226,70 @@ class _NermCore:
 
 
 class _FhmCore:
-    """Likelihood pieces for the area-level model; theta rows are (sigma2_u,)."""
+    """Likelihood pieces for the area-level model; theta rows are (sigma2_u,).
+
+    The solver's parameter is sigma2_u itself.
+    """
 
     def __init__(self, data: BlockLmmData, error_vars: np.ndarray):
         self.X = data.X
         self.D = data.D
         self.q = data.p + 1
         self.s2e = error_vars
-        self.xx = np.einsum("di,dj->dij", data.X, data.X)
+        # one observation per cluster: t_d = x_d, and no unweighted X'X part
+        self.t = data.X
+        self.tt = _outer_rows(data.X)
+        self.xtx = np.zeros((self.q, self.q))
         self.dof = self.D - self.q - 1
 
     def stats(self, Y: np.ndarray) -> dict:
-        # one observation per cluster, so the stacked response is already per-cluster
-        return {"y": Y}
+        # the stacked response is already per-cluster
+        m = Y.shape[0]
+        return {"s": Y, "xty": np.zeros((m, self.q)), "yty": np.zeros(m)}
 
     def _common(self, st, theta):
         v = self.s2e[None, :] + theta[:, 0][:, None]
-        A = np.einsum("md,dij->mij", 1.0 / v, self.xx)
-        b = (st["y"] / v) @ self.X
+        A = _weighted_outer(self, 1.0 / v)
+        b = (st["s"] / v) @ self.X
         return v, A, b
 
     def loglik(self, st, theta):
         v, A, b = self._common(st, theta)
         beta = _solve_batched(A, b)
-        r = st["y"] - beta @ self.X.T
+        r = st["s"] - beta @ self.X.T
         ypy = (r**2 / v).sum(axis=1)
         sign, logdet_a = np.linalg.slogdet(A)
         ll = -0.5 * (np.log(v).sum(axis=1) + logdet_a + ypy + self.dof * _LOG2PI)
         ll = np.where(sign > 0, ll, -np.inf)
         return ll, beta
 
-    def score_info(self, st, theta):
-        v, A, b = self._common(st, theta)
-        beta = _solve_batched(A, b)
-        Ainv = np.linalg.inv(A)
-        r = st["y"] - beta @ self.X.T
+    def slope(self, st, su):
+        """Restricted loglik slope and curvature in sigma2_u, and y'P y."""
+        inv = 1.0 / (self.s2e[None, :] + su[:, None])
+        a = np.stack([inv, -(inv**2), 2.0 * inv**3])
+        r, r1, r2, tr1, tr2 = _profile_forms(self, st, a)
+        l1 = -0.5 * (r1 + inv.sum(axis=1) + tr1)
+        l2 = -0.5 * (r2 - (inv**2).sum(axis=1) + tr2)
+        return l1, l2, r
 
-        B = np.einsum("md,dij->mij", 1.0 / v**2, self.xx)
-        Q = np.einsum("md,dij->mij", 1.0 / v**3, self.xx)
-        tr_p = (1.0 / v).sum(axis=1) - _tr_pair(Ainv, B)
-        score = -0.5 * (tr_p - (r**2 / v**2).sum(axis=1))
-
-        AB = Ainv @ B
-        info = 0.5 * (
-            (1.0 / v**2).sum(axis=1) - 2.0 * _tr_pair(Ainv, Q) + np.einsum("mij,mji->m", AB, AB)
-        )
-        return score[:, None], info[:, None, None]
+    def theta(self, su, r):
+        return su[:, None]
 
     def start(self, st):
-        m = st["y"].shape[0]
-        xtx = self.xx.sum(axis=0)
-        beta0 = np.linalg.solve(np.broadcast_to(xtx, (m, self.q, self.q)), (st["y"] @ self.X)[..., None])[..., 0]
-        r = st["y"] - beta0 @ self.X.T
+        m = st["s"].shape[0]
+        xtx = self.X.T @ self.X
+        beta0 = np.linalg.solve(
+            np.broadcast_to(xtx, (m, self.q, self.q)), (st["s"] @ self.X)[..., None]
+        )[..., 0]
+        r = st["s"] - beta0 @ self.X.T
         rtr = (r**2).sum(axis=1)
         msr = rtr / max(self.D - self.q, 1)
-        su0 = np.maximum(msr - self.s2e.mean(), 0.05 * msr)
-        return np.maximum(su0, VAR_FLOOR)[:, None], rtr
-
-    def profile(self, st, su):
-        """Loglik and theta rows at sigma2_u, the one parameter."""
-        theta = su[:, None]
-        return self.loglik(st, theta)[0], theta
-
-    def profile_grid(self, st):
-        hi = 10.0 * (st["y"].var(axis=1).max() + self.s2e.max()) + 1.0
-        return np.concatenate([[VAR_FLOOR], np.logspace(-9, np.log10(hi), 73)])
+        return np.maximum(msr - self.s2e.mean(), 0.05 * msr), rtr
 
     def predictions(self, st, theta, spec: MixedParameterSpec):
         v, A, b = self._common(st, theta)
         beta = _solve_batched(A, b)
-        r = st["y"] - beta @ self.X.T
+        r = st["s"] - beta @ self.X.T
         u = (theta[:, 0][:, None] / v) * r
         g1 = self.g1(theta) * spec.m[None, :] ** 2
         mu = beta @ spec.k.T + spec.m[None, :] * u
@@ -310,41 +300,6 @@ class _FhmCore:
         return su * self.s2e[None, :] / (su + self.s2e[None, :])
 
 
-def _golden_section(f, lo, hi, iters: int = 60):
-    """Vectorized golden-section maximisation of f on [lo, hi] per row."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.astype(float).copy(), hi.astype(float).copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        pick_c = fc >= fd
-        # keep [a, d] when the left probe wins, [c, b] otherwise
-        b = np.where(pick_c, d, b)
-        a = np.where(pick_c, a, c)
-        c_next = np.where(pick_c, b - invphi * (b - a), d)
-        d_next = np.where(pick_c, c, a + invphi * (b - a))
-        fresh = f(np.where(pick_c, c_next, d_next))
-        fc, fd = np.where(pick_c, fresh, fd), np.where(pick_c, fc, fresh)
-        c, d = c_next, d_next
-    return a, b
-
-
-def _fallback(core, st, rows):
-    """Grid + golden-section search over the core's one-parameter profile."""
-    sub = {k: v[rows] for k, v in st.items()}
-    m = int(np.count_nonzero(rows))
-    grid = core.profile_grid(sub)
-    lls = np.stack([core.profile(sub, np.full(m, g))[0] for g in grid], axis=1)
-    lls = np.where(np.isfinite(lls), lls, -np.inf)
-    best = np.argmax(lls, axis=1)
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, grid.size - 1)]
-    lo, hi = _golden_section(lambda x: core.profile(sub, x)[0], lo, hi)
-    ll, theta = core.profile(sub, 0.5 * (lo + hi))
-    return theta, ll
-
-
 def _core_for(data: BlockLmmData, s: float = 1.0):
     """Likelihood core for the response in units of s (known variances / s^2)."""
     if data.model_tag == NERM:
@@ -352,7 +307,7 @@ def _core_for(data: BlockLmmData, s: float = 1.0):
     return _FhmCore(data, data.known_error_vars / s**2)
 
 
-def _response_scale(y: np.ndarray) -> float:
+def response_scale(y: np.ndarray) -> float:
     """The power of two nearest sd(y) on the log scale; 1 for a constant y.
 
     Dividing by a power of two is exact, so data with 2^-0.5 <= sd < 2^0.5
@@ -372,7 +327,7 @@ def _standardize(data: BlockLmmData, Y: np.ndarray):
     s comes from the dataset's own response, never from the rows of Y, so
     every batch of bootstrap replicates is solved in the same units.
     """
-    s = _response_scale(data.y)
+    s = response_scale(data.y)
     core = _core_for(data, s)
     return core, core.stats(Y / s), s
 
@@ -381,84 +336,66 @@ def _standardize(data: BlockLmmData, Y: np.ndarray):
 # batched REML driver
 # ======================================================================
 
-def _det(M: np.ndarray) -> np.ndarray:
-    """Closed-form determinant of a batch of 1x1 or 2x2 matrices."""
-    if M.shape[-1] == 1:
-        return M[:, 0, 0]
-    return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+def _newton_profile(core, st, x0):
+    """Maximize each row's one-parameter REML profile from the start x0.
 
+    A row whose slope at the floor VAR_FLOOR is <= 0 stays exactly there.
+    Every other row keeps a bracket lo <= x < hi with a positive slope at lo
+    and a non-positive one at hi, takes the Newton step when the curvature
+    is negative and the step stays inside the bracket, and otherwise
+    bisects the bracket geometrically, or expands it while hi is unbounded.
+    Only rows still moving are evaluated, and every decision reads the sign
+    and size of the slope, never a difference of loglik values, so a row
+    follows the same path whatever batch it sits in.
 
-def _fisher_scoring(core, st, theta0):
-    """Fisher scoring with step halving; returns theta, ll, fallback mask."""
-    m, k = theta0.shape
-    theta = np.maximum(theta0, VAR_FLOOR)
-    ll, _ = core.loglik(st, theta)
-    active = np.isfinite(ll)
-    needs_fallback = ~np.isfinite(ll)
-
+    Returns the last evaluated parameter, y'P y there, and the boundary
+    and not-converged masks.
+    """
+    m = x0.shape[0]
+    x = np.full(m, VAR_FLOOR)
+    slope, _, r = core.slope(st, x)
+    boundary = slope <= 0.0
+    converged = boundary.copy()
+    lo, hi = x.copy(), np.full(m, np.inf)
+    rows = np.flatnonzero(slope > 0.0)
+    nxt = np.maximum(x0, VAR_FLOOR)
     for _ in range(MAX_ITER):
-        if not active.any():
+        if rows.size == 0:
             break
-        score, info = core.score_info(st, theta)
-        # Cramer's rule: step j = det(info, column j replaced by the score) / det(info)
-        det = _det(info)
-        ok = np.abs(det) > 1e-300
-        numer = [_det(np.where(np.arange(k) == j, score[:, :, None], info)) for j in range(k)]
-        step = np.stack(numer, axis=1) / np.where(ok, det, 1.0)[:, None]
-        bad_info = ~ok | ~np.isfinite(step).all(axis=1)
-        step = np.where((active & ~bad_info)[:, None], step, 0.0)
-        needs_fallback |= active & bad_info
-        active &= ~bad_info
-
-        factor = np.ones(m)
-        cand = theta
-        ll_new = ll
-        still_bad = active.copy()
-        for _h in range(40):
-            trial = np.maximum(theta + factor[:, None] * step, VAR_FLOOR)
-            cand = np.where(still_bad[:, None], trial, cand)
-            ll_try, _ = core.loglik(st, cand)
-            ll_new = np.where(still_bad, ll_try, ll_new)
-            still_bad = active & ~(ll_new >= ll - 1e-12)
-            if not still_bad.any():
-                break
-            factor = np.where(still_bad, factor * 0.5, factor)
-        needs_fallback |= still_bad
-        active &= ~still_bad
-
-        moved = np.abs(cand - theta).max(axis=1)
-        gained = np.abs(ll_new - ll)
-        done = active & (gained < LL_TOL) & (moved < PAR_TOL)
-        theta = np.where(active[:, None], cand, theta)
-        ll = np.where(active, ll_new, ll)
-        active &= ~done
-
-    needs_fallback |= active  # ran out of iterations
-    return theta, ll, needs_fallback
+        x[rows] = xi = nxt[rows]
+        slope, curv, r[rows] = core.slope({k: v[rows] for k, v in st.items()}, xi)
+        up = slope > 0.0
+        lo[rows] = lo_i = np.where(up, xi, lo[rows])
+        hi[rows] = hi_i = np.where(up, hi[rows], xi)
+        newton = curv < 0.0
+        step = -slope / np.where(newton, curv, -1.0)
+        done = (newton & (np.abs(step) <= STEP_TOL * xi)) | (hi_i <= lo_i * (1.0 + STEP_TOL))
+        trial = xi + step
+        inside = newton & (trial > lo_i) & (trial < hi_i)
+        safe = np.where(np.isinf(hi_i), 4.0 * xi, np.sqrt(lo_i * hi_i))
+        nxt[rows] = np.where(inside, trial, safe)
+        converged[rows[done]] = True
+        rows = rows[~done]
+    return x, r, boundary, ~converged
 
 
 def _batch_reml(core, st, s: float, spec: MixedParameterSpec | None = None) -> dict:
     """REML per row of a standardized problem, with results in the units of Y.
 
     Maps theta and g1 back by s^2, beta, u and mu by s, and the restricted
-    loglik by -(n - q) log s; the boundary flag is read in standardized
-    units.  Predictions are included when spec is given.
+    loglik by -(n - q) log s.  `boundary` marks rows at the floor of the
+    solver's parameter and `fallback` rows not converged within MAX_ITER.
+    Predictions are included when spec is given.
     """
-    theta0, _ = core.start(st)
-    theta, ll, fall = _fisher_scoring(core, st, theta0)
-    if fall.any():
-        theta_fb, ll_fb = _fallback(core, st, fall)
-        # keep whichever of the two candidates scores higher
-        better = ~np.isfinite(ll[fall]) | (ll_fb > ll[fall])
-        idx = np.flatnonzero(fall)[better]
-        theta[idx] = theta_fb[better]
-        ll[idx] = ll_fb[better]
-    theta = np.maximum(theta, VAR_FLOOR)
+    x0, _ = core.start(st)
+    x, r, boundary, unconverged = _newton_profile(core, st, x0)
+    theta = core.theta(x, r)
+    ll, _ = core.loglik(st, theta)
     out = {
         "theta": theta * s**2,
         "loglik": ll - (core.dof + 1) * math.log(s),  # core.dof + 1 = n - q
-        "fallback": fall,
-        "boundary": (theta <= VAR_FLOOR).any(axis=1),
+        "fallback": unconverged,
+        "boundary": boundary,
     }
     if spec is not None:
         beta, u, mu, g1 = core.predictions(st, theta, spec)
@@ -471,8 +408,11 @@ def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y: np.ndarray) -> 
 
     Returns arrays keyed by name: theta (m, k), beta (m, p+1), u (m, D),
     mu (m, D), g1 (m, D), loglik (m,), plus bookkeeping masks `fallback`
-    and `boundary`.  Row i depends only on Y[i], never on the rest of the
-    batch, so results are identical however the batch is split.
+    (not converged within MAX_ITER) and `boundary` (at the floor).  Row i
+    depends only on Y[i]: the solver evaluates each row on its own path,
+    so a row fitted alone and inside a batch agree to rounding (matrix
+    products round differently for different batch sizes), and a fixed
+    split of the rows gives bit-identical results.
     """
     check_spec(data, spec)
     Y = np.asarray(Y, dtype=float)
@@ -525,7 +465,7 @@ def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> d
 
 
 def reml_fit(data: BlockLmmData) -> VarianceComponents:
-    """REML variance components via Fisher scoring with a profiled fallback."""
+    """REML variance components of the dataset's own response."""
     return _theta_components(data, _fit_single(data)["theta"][0])
 
 
@@ -554,7 +494,7 @@ def fit_gls_blup(
 
 
 def eblup(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> FitResult:
-    """REML + BLUP: row 0 of the batch fit of data.y[None, :], theta floored in data units."""
+    """REML + BLUP: row 0 of the batch fit of data.y[None, :]."""
     if spec is None:
         spec = cluster_mean_spec(data)
     check_spec(data, spec)

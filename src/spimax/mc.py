@@ -33,7 +33,14 @@ from .model import (
     MixedParameterSpec,
     VarianceComponents,
 )
-from .util import check_seed, derive_rng, deterministic_map, order_statistic, quantile_index
+from .util import (
+    check_seed,
+    check_threads,
+    derive_rng,
+    deterministic_map,
+    order_statistic,
+    quantile_index,
+)
 
 # draws are generated in fixed-size chunks with per-chunk derived streams,
 # so the merged result is invariant to the worker count
@@ -214,6 +221,7 @@ def critical_value_mc(
     calibrate linear combinations A mu.
     """
     check_seed(master_seed)
+    check_threads(threads)
     if k_draws < 1:
         raise ShapeMismatch("need at least one draw")
     mq, mw = _mapped_factor(model, spec, contrast)

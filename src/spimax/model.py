@@ -24,8 +24,10 @@ from .errors import MissingErrorVariance, RankDeficient, ShapeMismatch
 NERM = "NERM"
 FHM = "FHM"
 
-# Variance components are floored here rather than allowed to reach zero,
-# so downstream ratios stay finite.
+# The REML estimator floors its parameter (psi = sigma2_u / sigma2_e, or
+# sigma2_u in units of the standardized response) at VAR_FLOOR.  A supplied
+# variance component that is zero or negative is raised to VAR_FLOOR, in the
+# units of the data, so downstream ratios stay finite.
 VAR_FLOOR = 1e-10
 
 
@@ -134,21 +136,24 @@ def replace_response(data: BlockLmmData, y: np.ndarray) -> BlockLmmData:
 
 @dataclass(frozen=True)
 class VarianceComponents:
-    """Variance components; sigma2_e is None for the area-level model."""
+    """Variance components; sigma2_e is None for the area-level model.
+
+    A component <= 0 becomes VAR_FLOOR; positive values are kept however
+    small, so estimates at any scale of the response pass through unchanged.
+    """
 
     sigma2_u: float
     sigma2_e: float | None = None
 
     def __post_init__(self):
-        su = float(self.sigma2_u)
-        if not np.isfinite(su):
-            raise ShapeMismatch("sigma2_u must be finite")
-        object.__setattr__(self, "sigma2_u", max(su, VAR_FLOOR))
-        if self.sigma2_e is not None:
-            se = float(self.sigma2_e)
-            if not np.isfinite(se):
-                raise ShapeMismatch("sigma2_e must be finite")
-            object.__setattr__(self, "sigma2_e", max(se, VAR_FLOOR))
+        for name in ("sigma2_u", "sigma2_e"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            value = float(value)
+            if not np.isfinite(value):
+                raise ShapeMismatch(f"{name} must be finite")
+            object.__setattr__(self, name, value if value > 0.0 else VAR_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
 from .maxstat import CriticalValue, build_spi, covers_all, step_down_test
 from .model import FHM, NERM, BlockLmmData, ClusterBlock, cluster_mean_spec
-from .util import check_alpha, check_seed, derive_rng, derive_seed
+from .util import check_alpha, check_seed, check_threads, derive_rng, derive_seed
 
 SPI_METHODS = ("BS", "MC", "BO", "BE")
 
@@ -173,6 +173,7 @@ def _run_replicates(kind, config, methods, threads, score, aggregate) -> Experim
     aggregate(records) returns (criteria, halfwidths, samples) from the
     records of the surviving replicates, in order.
     """
+    check_threads(threads)  # before the loop, which records a SpimaxError as a failed replicate
     start_time = time.perf_counter()
     records: list = []
     failed: list[int] = []

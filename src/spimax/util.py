@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, SeedOverflow
+from .errors import AlphaOutOfRange, SeedOverflow, ThreadsOutOfRange
 
 # Seeds are kept inside the uint64 range so they survive a round trip
 # through SeedSequence.generate_state.
@@ -62,12 +62,19 @@ def order_statistic(values: np.ndarray, k: int) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
+def check_threads(threads: int | None) -> None:
+    """threads must be None (run inline) or a worker count of at least 1."""
+    if threads is not None and threads < 1:
+        raise ThreadsOutOfRange(f"threads must be at least 1, got {threads}")
+
+
 def deterministic_map(func, items, threads: int | None):
     """Apply func over items, optionally on a thread pool.
 
     Results come back in input order regardless of scheduling; func must
     not mutate shared state.  threads=None or 1 runs inline.
     """
+    check_threads(threads)
     items = list(items)
     if threads is None or threads <= 1 or len(items) <= 1:
         return [func(it) for it in items]

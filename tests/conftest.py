@@ -51,3 +51,17 @@ def make_fhm(D=15, p=1, sigma2_u=0.5, error_vars=None, beta=None, seed=0):
         )
     data = BlockLmmData(model_tag="FHM", clusters=tuple(blocks))
     return data, {"beta": beta, "u": u, "sigma2_u": sigma2_u, "error_vars": error_vars}
+
+
+def rescaled(data, c):
+    """y * c; known error variances * c^2 for the area-level model."""
+    blocks = tuple(
+        ClusterBlock(
+            cluster_id=b.cluster_id,
+            y=b.y * c,
+            X=b.X,
+            known_error_var=None if b.known_error_var is None else b.known_error_var * c**2,
+        )
+        for b in data.clusters
+    )
+    return BlockLmmData(model_tag=data.model_tag, clusters=blocks)

@@ -161,3 +161,67 @@ def dense_ridge_weights(data, theta, c):
     else:
         r = np.repeat(data.known_error_vars, data.sizes)
     return cz / r, float(c @ z), cz_abs / r
+
+
+def dense_reml_score_u(data, sigma2_u, sigma2_e=None):
+    """d/d sigma2_u of the restricted loglik: -(tr(P ZZ') - y'P ZZ' P y) / 2."""
+    V = dense_V(data, sigma2_u, sigma2_e)
+    Vinv = np.linalg.inv(V)
+    X, y = data.X, data.y
+    VX = Vinv @ X
+    P = Vinv - VX @ np.linalg.solve(X.T @ VX, VX.T)
+    ZZ = np.zeros_like(V)
+    for sl in data.cluster_slices():
+        ZZ[sl, sl] = 1.0
+    Py = P @ y
+    return -0.5 * (np.sum(P * ZZ) - Py @ ZZ @ Py)
+
+
+def _profile_point(data, x):
+    """(sigma2_u, sigma2_e) at the profile parameter x.
+
+    Unit-level: x = sigma2_u / sigma2_e with sigma2_e = y'P y / (n - q) at
+    unit sigma2_e.  Area-level: x = sigma2_u.
+    """
+    if data.model_tag == "FHM":
+        return x, None
+    V = dense_V(data, x, 1.0)
+    Vinv = np.linalg.inv(V)
+    X, y = data.X, data.y
+    VX = Vinv @ X
+    Py = Vinv @ y - VX @ np.linalg.solve(X.T @ VX, VX.T @ y)
+    se = (y @ Py) / (data.n_total - X.shape[1])
+    return x * se, se
+
+
+def reference_reml(data, floor, hi, points=241):
+    """REML by a fine log-grid search over the profile, polished by bisection.
+
+    The profile parameter x (see _profile_point) runs over [floor, hi].
+    The grid maximizer of dense_restricted_loglik brackets the optimum;
+    bisection on the sign of the dense score in sigma2_u (whose sign is the
+    sign of the profile slope) then narrows the bracket to rounding.  A fit
+    whose score at the floor is <= 0 is the floor point.  Returns
+    (sigma2_u, sigma2_e), sigma2_e None for the area-level model.
+    """
+
+    def slope(x):
+        return dense_reml_score_u(data, *_profile_point(data, x))
+
+    if slope(floor) <= 0.0:
+        return _profile_point(data, floor)
+    grid = np.concatenate([[floor], np.logspace(math.log10(floor), math.log10(hi), points)[1:]])
+    lls = [dense_restricted_loglik(data, *_profile_point(data, x)) for x in grid]
+    j = int(np.argmax(lls))
+    assert j < grid.size - 1, "grid maximum at the upper end"
+    lo, up = grid[max(j - 1, 0)], grid[j + 1]
+    assert slope(lo) > 0.0 >= slope(up)
+    while up - lo > 1e-15 * up:
+        mid = math.sqrt(lo * up)
+        if mid <= lo or mid >= up:
+            break
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            up = mid
+    return _profile_point(data, math.sqrt(lo * up))

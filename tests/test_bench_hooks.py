@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 import spimax.cli  # noqa: F401  (loads every module the tracer wraps)
-from spimax.estimation import eblup
+from spimax.bootstrap import parametric_bootstrap
+from spimax.estimation import batch_eblup, eblup
 from spimax.mc import build_joint_normal
 from spimax.model import cluster_mean_spec
 
-from conftest import make_nerm
+from conftest import make_fhm, make_nerm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPAN_NAME = re.compile(r"^(?:calls:)?([a-z]+)\.([a-z_0-9]+)(?:#\w+)?$")
@@ -89,3 +90,17 @@ def test_joint_normal_exposes_the_counted_arrays():
     model = build_joint_normal(data, eblup(data, spec).theta)
     for attr in ("precision", "covariance", "cov_factor"):
         assert isinstance(getattr(model, attr).nbytes, (int, np.integer)), attr
+
+
+def test_refits_expose_the_counted_masks_and_counts():
+    # trace_child.py sums result["fallback"] and result["boundary"] of every
+    # batch_eblup call, and reads the draws' n_fallback / n_boundary
+    for data in (make_nerm(D=6, seed=1)[0], make_fhm(D=12, seed=1)[0]):
+        spec = cluster_mean_spec(data)
+        Y = data.y[None, :] + np.random.default_rng(2).normal(0.0, 0.5, (5, data.n_total))
+        result = batch_eblup(data, spec, Y)
+        for key in ("fallback", "boundary"):
+            assert result[key].dtype == bool and result[key].shape == (5,), key
+        draws = parametric_bootstrap(data, spec, eblup(data, spec), b_reps=20, master_seed=3)
+        for attr in ("n_fallback", "n_boundary"):
+            assert type(getattr(draws, attr)) is int, attr

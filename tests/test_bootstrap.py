@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 
 from spimax import bootstrap as boot
 from spimax import estimation as est
-from spimax.errors import EmptySubset, SeedOverflow, ShapeMismatch
+from spimax.errors import EmptySubset, SeedOverflow, ShapeMismatch, ThreadsOutOfRange
+from spimax.mc import build_joint_normal, critical_value_mc
 from spimax.model import cluster_mean_spec
+from spimax.simulate import ScenarioConfig, run_spi_experiment
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
@@ -77,6 +79,19 @@ def test_bootstrap_seed_validation(nerm_setup):
         boot.parametric_bootstrap(data, spec, fit, 10, master_seed=2**63)
     with pytest.raises(ShapeMismatch):
         boot.parametric_bootstrap(data, spec, fit, 0, master_seed=1)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_rejected(nerm_setup, threads):
+    data, spec, fit = nerm_setup
+    with pytest.raises(ThreadsOutOfRange):
+        boot.parametric_bootstrap(data, spec, fit, 10, master_seed=1, threads=threads)
+    model = build_joint_normal(data, fit.theta)
+    with pytest.raises(ThreadsOutOfRange):
+        critical_value_mc(model, spec, k_draws=10, alpha=0.1, master_seed=1, threads=threads)
+    config = ScenarioConfig(D=6, n_d=3, n_sim=2, n_boot=10, n_mc=10, master_seed=1)
+    with pytest.raises(ThreadsOutOfRange):
+        run_spi_experiment(config, methods=("BO",), threads=threads)
 
 
 def test_critical_value_bs_matches_independent_normal_oracle():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spimax import estimation as est
@@ -10,14 +12,18 @@ from spimax.model import (
     ClusterBlock,
     VarianceComponents,
     cluster_mean_spec,
+    replace_response,
 )
 
-from conftest import make_fhm, make_nerm
+from conftest import make_fhm, make_nerm, rescaled
 from oracles import (
+    _profile_point,
     dense_g1_g2,
+    dense_reml_score_u,
     dense_gls_blup,
     dense_restricted_loglik,
     grid_reml,
+    reference_reml,
 )
 
 
@@ -296,8 +302,8 @@ def test_batch_matches_single_fits():
             ),
         )
         fit = est.eblup(single, spec)
-        assert_allclose(out["theta"][i, 0], fit.theta.sigma2_e, rtol=1e-8, atol=1e-10)
-        assert_allclose(out["theta"][i, 1], fit.theta.sigma2_u, rtol=1e-8, atol=1e-10)
+        assert_allclose(out["theta"][i, 0], fit.theta.sigma2_e, rtol=1e-10, atol=1e-10)
+        assert_allclose(out["theta"][i, 1], fit.theta.sigma2_u, rtol=1e-10, atol=1e-10)
         assert_allclose(out["beta"][i], fit.beta_hat, atol=1e-8)
         assert_allclose(out["mu"][i], fit.mu_hat, atol=1e-8)
 
@@ -316,48 +322,93 @@ def _responses(data, seed, m=40):
     return np.array(rows)
 
 
-# Forced fallback against the scoring fit, as measured on these batches:
-# largest interior theta gap 2.9e-6 relative (FHM) and 5.3e-7 (NERM); mu
-# 2.4e-8 (FHM) and 3.4e-8 (NERM) relative to the largest |mu| of the row.
-# The NERM profile takes the REML maximizer sigma2_e = y'Py / (n - q) at
-# each ratio, and its floor rows land exactly on the floor.  Golden section
-# returns the centre of its last bracket, so an FHM row whose optimum is the
-# floor lands up to 9.5e-6 above it.  The frozen values pin both paths bit
-# for bit.
-FALLBACK_CASES = [
-    (make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0], 1e-6, 1e-7,
-     [[0.33473550168364774, 0.05604943252482445], [0.4300984662421096, 4e-10]],
-     [-66.20132823863972, -70.90356155227838]),
-    (make_fhm(D=30, seed=3)[0], 1e-5, 1e-7,
-     [[0.017567640398191045], [1.0000095196371862e-10]],
-     [-29.457808120354294, -27.623913058514777]),
-]
+@st.composite
+def reml_problems(draw):
+    """Small unit- or area-level data; a zero random-effect variance often fits on the floor."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    p = draw(st.integers(min_value=0, max_value=2))
+    sigma2_u = draw(st.sampled_from([0.0, 0.02, 0.3, 2.0]))
+    if draw(st.sampled_from(["NERM", "FHM"])) == "NERM":
+        data = make_nerm(D=draw(st.integers(min_value=4, max_value=12)), n_d=4, p=p,
+                         sigma2_u=sigma2_u, seed=seed, unbalanced=True)[0]
+    else:
+        data = make_fhm(D=draw(st.integers(min_value=8, max_value=25)), p=p,
+                        sigma2_u=sigma2_u, seed=seed)[0]
+    assume(data.n_total > data.p + 2 and np.linalg.matrix_rank(data.X) == p + 1)
+    return rescaled(data, 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)))
+
+
+def _floor(data, s):
+    """The library's floor on the profile parameter, for a response fitted in units of s."""
+    return VAR_FLOOR if data.model_tag == "NERM" else VAR_FLOOR * s**2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=reml_problems())
+def test_reml_agrees_with_the_reference_maximizer(data):
+    fit = est.batch_eblup(data, cluster_mean_spec(data), data.y[None, :])
+    assert not fit["fallback"][0]
+    hi = 1e6 if data.model_tag == "NERM" else 1e3 * (data.y.var() + data.known_error_vars.max())
+    su, se = reference_reml(data, _floor(data, est.response_scale(data.y)), hi)
+    want = [su] if se is None else [se, su]
+    assert_allclose(fit["theta"][0], want, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize(
-    "data, theta_rtol, mu_rtol, frozen_theta, frozen_loglik", FALLBACK_CASES, ids=["nerm", "fhm"]
+    "data",
+    [make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0], make_fhm(D=30, seed=3)[0]],
+    ids=["nerm", "fhm"],
 )
-def test_fallback_search_agrees_with_scoring(
-    monkeypatch, data, theta_rtol, mu_rtol, frozen_theta, frozen_loglik
-):
+def test_floor_rows_sit_on_the_floor_at_the_profiled_optimum(data):
+    Y = _responses(data, seed=7)
+    out = est.batch_eblup(data, cluster_mean_spec(data), Y)
+    assert not out["fallback"].any()
+    on_floor = out["boundary"]
+    assert on_floor.any() and (~on_floor).any()
+    theta = out["theta"]
+    floor = _floor(data, est.response_scale(data.y))
+    if data.model_tag == "NERM":
+        # psi = sigma2_u / sigma2_e exactly at the floor ...
+        assert np.all(theta[on_floor, 1] == floor * theta[on_floor, 0])
+        assert np.all(theta[~on_floor, 1] > floor * theta[~on_floor, 0])
+    else:
+        assert np.all(theta[on_floor, 0] == floor)
+        assert np.all(theta[~on_floor, 0] > floor)
+    for i in range(Y.shape[0]):
+        row = replace_response(data, Y[i])
+        su, se = _profile_point(row, floor)
+        # a row is on the floor exactly when the dense REML slope there is <= 0 ...
+        assert on_floor[i] == (dense_reml_score_u(row, su, se) <= 0.0)
+        if on_floor[i] and se is not None:
+            # ... and then sigma2_e is its REML optimum given psi (dense y'P y / (n - q))
+            assert_allclose(theta[i, 0], se, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "data", [make_nerm(D=300, n_d=5, p=2, seed=5)[0], make_fhm(D=300, seed=5)[0]], ids=["nerm", "fhm"]
+)
+def test_a_row_fitted_alone_matches_the_row_in_a_batch(data):
+    spec = cluster_mean_spec(data)
+    Y = _responses(data, seed=11, m=128)
+    batch = est.batch_eblup(data, spec, Y)
+    assert batch["boundary"].any() and (~batch["boundary"]).any()
+    for i in range(0, 128, 3):
+        alone = est.batch_eblup(data, spec, Y[i : i + 1])
+        assert alone["boundary"][0] == batch["boundary"][i]
+        assert_allclose(alone["theta"][0], batch["theta"][i], rtol=1e-10, atol=0)
+        size = np.abs(batch["mu"][i]).max()
+        assert_allclose(alone["mu"][0], batch["mu"][i], rtol=0, atol=1e-10 * size)
+
+
+def test_rows_not_converged_within_max_iter_are_flagged(monkeypatch):
+    data = make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0]
     spec = cluster_mean_spec(data)
     Y = _responses(data, seed=7)
-    scoring = est.batch_eblup(data, spec, Y)
-    monkeypatch.setattr(est, "MAX_ITER", 0)  # no scoring step: every row falls back
-    grid = est.batch_eblup(data, spec, Y)
-    assert grid["fallback"].all() and not scoring["fallback"].any()
-
-    floor = VAR_FLOOR * est._response_scale(data.y) ** 2
-    on_floor = scoring["boundary"]
-    assert on_floor.any() and (~on_floor).any()
-    assert np.all(grid["boundary"] <= on_floor)
-    assert np.all(scoring["theta"][on_floor, -1] == floor)
-    assert np.all(grid["theta"][on_floor, -1] >= floor)
-    assert np.all(grid["theta"][on_floor, -1] <= floor * (1 + 1e-4))
-    assert_allclose(grid["theta"][~on_floor], scoring["theta"][~on_floor], rtol=theta_rtol)
-    size = np.abs(scoring["mu"]).max(axis=1, keepdims=True)
-    assert np.all(np.abs(grid["mu"] - scoring["mu"]) <= mu_rtol * size)
-
-    rows = [np.flatnonzero(~on_floor)[0], np.flatnonzero(on_floor)[0]]
-    assert grid["theta"][rows].tolist() == frozen_theta
-    assert grid["loglik"][rows].tolist() == frozen_loglik
+    full = est.batch_eblup(data, spec, Y)
+    monkeypatch.setattr(est, "MAX_ITER", 1)
+    cut = est.batch_eblup(data, spec, Y)
+    # floor rows are settled before the first iteration; the others need more than one
+    assert np.array_equal(cut["boundary"], full["boundary"])
+    assert np.array_equal(cut["fallback"], ~full["boundary"])
+    assert np.array_equal(cut["theta"][full["boundary"]], full["theta"][full["boundary"]])
+    assert np.all(np.isfinite(cut["theta"])) and np.all(np.isfinite(cut["loglik"]))

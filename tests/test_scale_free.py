@@ -13,33 +13,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import make_fhm, make_nerm
+from conftest import make_fhm, make_nerm, rescaled
 from spimax.bootstrap import parametric_bootstrap
 from spimax.calibration import calibrate
-from spimax.estimation import batch_eblup, eblup
+from spimax.estimation import batch_eblup, eblup, response_scale
 from spimax.maxstat import build_spi
-from spimax.model import NERM, BlockLmmData, ClusterBlock, VarianceComponents, cluster_mean_spec
+from spimax.model import (
+    NERM,
+    VAR_FLOOR,
+    BlockLmmData,
+    VarianceComponents,
+    cluster_mean_spec,
+)
 
-# Scoring stops once a step is below PAR_TOL = 1e-8 in standardized units.
-# Fisher scoring converges linearly, so a fit is itself accurate only to
-# about 1e-7 relative: against fits run to a 1e-15 tolerance the error was
-# at most 9e-8 on 400 random datasets, and fits of the same data in two
-# units differed by at most 8e-8 in theta and 9e-9 in mu on 3000.
-RTOL = 1e-6
+from oracles import reference_reml
 
-
-def rescaled(data: BlockLmmData, c: float) -> BlockLmmData:
-    """y * c; known error variances * c^2 for the area-level model."""
-    blocks = tuple(
-        ClusterBlock(
-            cluster_id=b.cluster_id,
-            y=b.y * c,
-            X=b.X,
-            known_error_var=None if b.known_error_var is None else b.known_error_var * c**2,
-        )
-        for b in data.clusters
-    )
-    return BlockLmmData(model_tag=data.model_tag, clusters=blocks)
+# The profile Newton solver stops once its step is below STEP_TOL = 1e-12
+# relative to the parameter, so theta agrees with the dense reference
+# maximizer to about 1e-11 (test_reml_agrees_with_the_reference_maximizer
+# asks for 1e-10), and a fit in other units to the same order.
+RTOL = 1e-10
 
 
 def fit_of(data: BlockLmmData) -> dict:
@@ -92,10 +85,13 @@ def test_power_of_two_units_give_exact_multiples(data, k):
         assert_array_equal(scaled[key], c**power * unit[key])
     assert_array_equal(scaled["fallback"], unit["fallback"])
     assert_array_equal(scaled["boundary"], unit["boundary"])
-    # the single-dataset fit; its theta is floored in the units of the data
+    # the single-dataset fit, theta included
     unit, scaled = eblup(data), eblup(rescaled(data, c))
     for field in ("beta_hat", "u_hat", "mu_hat", "scale"):
         assert_array_equal(getattr(scaled, field), c * getattr(unit, field))
+    assert scaled.theta.sigma2_u == c**2 * unit.theta.sigma2_u
+    if data.model_tag == NERM:
+        assert scaled.theta.sigma2_e == c**2 * unit.theta.sigma2_e
 
 
 @pytest.mark.parametrize(
@@ -135,41 +131,50 @@ def test_bootstrap_refits_at_large_units_take_no_fallback():
 
 
 @pytest.mark.parametrize("make", [make_nerm, make_fhm])
-@pytest.mark.parametrize("c", [2.0**-12, 2.0**15, 1e4])
+@pytest.mark.parametrize("c", [2.0**-12, 2.0**15, 1e4, 2.0**-20])
 def test_bootstrap_intervals_scale_with_the_data(make, c):
-    # an interior fit: at the variance floor, which acts in standardized
-    # units, only power-of-two units give exact multiples
+    # BS, MC and BO on an interior fit: at the variance floor, which acts in standardized
+    # units, only power-of-two units give exact multiples.  At c = 2^-20
+    # theta and g1 lie below 1e-10 and 1e-12 in the units of the data.
     base = make(D=20, sigma2_u=2.0, seed=4)[0]
     assert not fit_of(base)["boundary"][0]
-    results = []
-    for data in (base, rescaled(base, c)):
-        spec = cluster_mean_spec(data)
-        fit = eblup(data, spec)
-        cv, scales, _ = calibrate("BS", data, spec, fit, alpha=0.1, seed=7, B=200, K=1)
-        results.append((cv.value, build_spi(fit, cv, scales)))
-    (cv_unit, unit), (cv_scaled, scaled) = results
-    if c == 2.0 ** round(np.log2(c)):
-        assert cv_scaled == cv_unit
-        assert_array_equal(scaled.lower, c * unit.lower)
-        assert_array_equal(scaled.upper, c * unit.upper)
-    else:
-        assert_allclose(cv_scaled, cv_unit, rtol=RTOL)
-        size = c * np.abs(unit.upper).max()
-        assert_allclose(scaled.lower, c * unit.lower, rtol=RTOL, atol=RTOL * size)
-        assert_allclose(scaled.upper, c * unit.upper, rtol=RTOL, atol=RTOL * size)
+    for method in ("BS", "MC", "BO"):
+        results = []
+        for data in (base, rescaled(base, c)):
+            spec = cluster_mean_spec(data)
+            fit = eblup(data, spec)
+            cv, scales, _ = calibrate(method, data, spec, fit, alpha=0.1, seed=7, B=200, K=2000)
+            results.append((cv.value, build_spi(fit, cv, scales)))
+        (cv_unit, unit), (cv_scaled, scaled) = results
+        if c == 2.0 ** round(np.log2(c)):
+            assert cv_scaled == cv_unit, method
+            assert_array_equal(scaled.lower, c * unit.lower)
+            assert_array_equal(scaled.upper, c * unit.upper)
+        else:
+            assert_allclose(cv_scaled, cv_unit, rtol=RTOL)
+            size = c * np.abs(unit.upper).max()
+            assert_allclose(scaled.lower, c * unit.lower, rtol=RTOL, atol=RTOL * size)
+            assert_allclose(scaled.upper, c * unit.upper, rtol=RTOL, atol=RTOL * size)
 
 
 def test_unit_scale_fixture_fits_are_unchanged():
-    # values of the fixture fits before the response was standardized
-    fit = eblup(make_nerm()[0])
-    assert fit.theta.sigma2_e == 0.4924136105003077
-    assert fit.theta.sigma2_u == 0.8014197614892129
-    assert fit.beta_hat.tolist() == [1.2950584930988467, 0.7829932817577595]
-    assert fit.mu_hat[[0, -1]].tolist() == [1.603056474542978, 0.2350830776573103]
-    assert fit.loglik_restricted == -62.73718439961656
+    # frozen fits of the fixtures; theta is the dense reference maximizer's
+    # to 3e-15, so the frozen values pin the solver, not its error
+    data = make_nerm()[0]
+    fit = eblup(data)
+    assert fit.theta.sigma2_e == 0.49241361050317733
+    assert fit.theta.sigma2_u == 0.8014197614658315
+    assert fit.beta_hat.tolist() == [1.2950584930987474, 0.7829932817579471]
+    assert fit.mu_hat[[0, -1]].tolist() == [1.6030564745432605, 0.23508307766299286]
+    assert fit.loglik_restricted == -62.73718439961658
+    su, se = reference_reml(data, VAR_FLOOR, 1e6)
+    assert_allclose([fit.theta.sigma2_u, fit.theta.sigma2_e], [su, se], rtol=1e-14)
 
-    fit = eblup(make_fhm()[0])
-    assert fit.theta.sigma2_u == 0.2983740169703887
-    assert fit.beta_hat.tolist() == [1.4521731976843155, 0.6257223609099161]
-    assert fit.mu_hat[[0, -1]].tolist() == [1.5875083578157612, 1.3610867810718006]
-    assert fit.loglik_restricted == -18.526482096915764
+    data = make_fhm()[0]
+    fit = eblup(data)
+    assert fit.theta.sigma2_u == 0.29837401232166544
+    assert fit.beta_hat.tolist() == [1.45217319754805, 0.6257223602620653]
+    assert fit.mu_hat[[0, -1]].tolist() == [1.5875083604740867, 1.361086783375865]
+    assert fit.loglik_restricted == -18.52648209691577
+    su, _ = reference_reml(data, VAR_FLOOR * response_scale(data.y) ** 2, 1e3)
+    assert_allclose(fit.theta.sigma2_u, su, rtol=1e-14)
