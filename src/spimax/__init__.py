@@ -6,7 +6,6 @@ from .model import (
     NERM,
     VAR_FLOOR,
     BlockLmmData,
-    ClusterBlock,
     MixedParameterSpec,
     VarianceComponents,
     cluster_mean_spec,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import TubeConstants
 from .errors import EmptyFile, ParseError
-from .model import FHM, NERM, BlockLmmData, ClusterBlock, validate
+from .model import FHM, NERM, BlockLmmData, validate
 
 TUBE_KEYS = ("kappa0", "zeta0", "kappa2", "zeta1", "m0", "euler", "xi0", "eta0", "nu")
 
@@ -54,90 +54,77 @@ def _covariate_names(header: list[str], tail: int) -> list[str]:
     return [f"x{i + 1}" for i in range(p)]
 
 
-def ingest_unit_csv(path) -> BlockLmmData:
-    """Unit-level CSV (header cluster,y,x1,...,xp), grouped by cluster.
+def _read_table(path, id_col: str, tail: list[str]):
+    """Parse a data CSV (header id_col,y,x1,...,xp,*tail) row by row.
 
-    Clusters keep first-appearance order; an intercept column is
-    prepended to the covariates.
+    Returns the distinct ids in first-appearance order, each row's index
+    into them, and the numeric cells as a matrix.  An area file may not
+    repeat an id.
     """
     rows = _read_rows(path)
-    names = _covariate_names(rows[0], 0)
-    _check_header(rows[0], ["cluster", "y"] + names, path)
+    cols = ["y"] + _covariate_names(rows[0], len(tail)) + tail
+    _check_header(rows[0], [id_col] + cols, path)
     if len(rows) == 1:
         raise EmptyFile(f"{path} has a header but no data rows")
-    groups: dict[str, list[list[float]]] = {}
-    order: list[str] = []
+    codes: dict[str, int] = {}
+    row_codes, recs = [], []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(rows[0])}")
         cid = row[0].strip()
-        rec = [_float_cell(row[1], r, "y", path)] + [
-            _float_cell(cell, r, name, path) for cell, name in zip(row[2:], names)
-        ]
-        if cid not in groups:
-            groups[cid] = []
-            order.append(cid)
-        groups[cid].append(rec)
-    blocks = []
-    for cid in order:
-        arr = np.array(groups[cid])
-        X = np.column_stack([np.ones(arr.shape[0]), arr[:, 1:]])
-        blocks.append(ClusterBlock(cluster_id=cid, y=arr[:, 0], X=X))
-    data = BlockLmmData(model_tag=NERM, clusters=tuple(blocks))
+        if id_col == "area" and cid in codes:
+            raise ParseError(f"{path}: row {r}: duplicate area {cid!r}")
+        row_codes.append(codes.setdefault(cid, len(codes)))
+        recs.append([_float_cell(cell, r, col, path) for cell, col in zip(row[1:], cols)])
+    return tuple(codes), np.array(row_codes), np.array(recs)
+
+
+def _with_intercept(covs: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.ones(covs.shape[0]), covs])
+
+
+def ingest_unit_csv(path) -> BlockLmmData:
+    """Unit-level CSV (header cluster,y,x1,...,xp), grouped by cluster.
+
+    Clusters keep first-appearance order, and rows keep file order within
+    a cluster; an intercept column is prepended to the covariates.
+    """
+    ids, codes, recs = _read_table(path, "cluster", [])
+    recs = recs[np.argsort(codes, kind="stable")]
+    data = BlockLmmData(NERM, ids, np.bincount(codes), recs[:, 0], _with_intercept(recs[:, 1:]))
     validate(data)
     return data
 
 
 def ingest_area_csv(path) -> BlockLmmData:
     """Area-level CSV (header area,y,x1,...,xp,error_var), one row per area."""
-    rows = _read_rows(path)
-    names = _covariate_names(rows[0], 1)
-    _check_header(rows[0], ["area", "y"] + names + ["error_var"], path)
-    if len(rows) == 1:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    blocks = []
-    seen = set()
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(rows[0])}")
-        cid = row[0].strip()
-        if cid in seen:
-            raise ParseError(f"{path}: row {r}: duplicate area {cid!r}")
-        seen.add(cid)
-        y = _float_cell(row[1], r, "y", path)
-        covs = [_float_cell(cell, r, nm, path) for cell, nm in zip(row[2:-1], names)]
-        ev = _float_cell(row[-1], r, "error_var", path)
-        X = np.array([[1.0] + covs])
-        blocks.append(ClusterBlock(cluster_id=cid, y=[y], X=X, known_error_var=ev))
-    data = BlockLmmData(model_tag=FHM, clusters=tuple(blocks))
+    ids, _, recs = _read_table(path, "area", ["error_var"])
+    data = BlockLmmData(
+        FHM, ids, np.ones(len(ids)), recs[:, 0], _with_intercept(recs[:, 1:-1]), recs[:, -1]
+    )
     validate(data)
     return data
 
 
-def export_unit_csv(data: BlockLmmData) -> str:
-    """Full-precision unit CSV text that re-ingests to the same dataset."""
-    names = [f"x{i + 1}" for i in range(data.p)]
+def _export_csv(data: BlockLmmData, id_col: str, extra: dict) -> str:
+    """Full-precision CSV text, one line per unit; extra maps trailing column names to values."""
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
-    out.writerow(["cluster", "y"] + names)
-    for c in data.clusters:
-        for j in range(c.n):
-            covs = [repr(float(v)) for v in c.X[j, 1:]]
-            out.writerow([str(c.cluster_id), repr(float(c.y[j]))] + covs)
+    out.writerow([id_col, "y"] + [f"x{i + 1}" for i in range(data.p)] + list(extra))
+    ids = [str(cid) for cid in data.cluster_ids]
+    table = np.column_stack([data.y, data.X[:, 1:]] + list(extra.values())).tolist()
+    units = np.repeat(np.arange(data.D), data.sizes).tolist()
+    out.writerows([ids[d]] + [repr(v) for v in row] for d, row in zip(units, table))
     return buf.getvalue()
+
+
+def export_unit_csv(data: BlockLmmData) -> str:
+    """Full-precision unit CSV text that re-ingests to the same dataset."""
+    return _export_csv(data, "cluster", {})
 
 
 def export_area_csv(data: BlockLmmData) -> str:
-    names = [f"x{i + 1}" for i in range(data.p)]
-    buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(["area", "y"] + names + ["error_var"])
-    for c in data.clusters:
-        covs = [repr(float(v)) for v in c.X[0, 1:]]
-        out.writerow(
-            [str(c.cluster_id), repr(float(c.y[0]))] + covs + [repr(float(c.known_error_var))]
-        )
-    return buf.getvalue()
+    return _export_csv(data, "area", {"error_var": data.known_error_vars})
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -555,12 +555,12 @@ def cholesky_residuals(data: BlockLmmData, fit: FitResult) -> np.ndarray:
     """
     theta = fit.theta
     out = np.empty(data.n_total)
-    for blk, sl in zip(data.clusters, data.cluster_slices()):
-        r = blk.y - blk.X @ fit.beta_hat
+    for d, sl in enumerate(data.cluster_slices()):
+        r = data.y[sl] - data.X[sl] @ fit.beta_hat
         if data.model_tag == FHM:
-            out[sl] = r / math.sqrt(theta.sigma2_u + blk.known_error_var)
+            out[sl] = r / math.sqrt(theta.sigma2_u + data.known_error_vars[d])
         else:
-            V = theta.sigma2_e * np.eye(blk.n) + theta.sigma2_u
+            V = theta.sigma2_e * np.eye(r.shape[0]) + theta.sigma2_u
             L = np.linalg.cholesky(V)
             out[sl] = np.linalg.solve(L, r)
     return out
@@ -602,10 +602,11 @@ def eb_random_effects(data: BlockLmmData, fit: FitResult) -> np.ndarray:
     """Predicted effects standardized by sqrt(sigma2_u - g1_d).
 
     The variance of the BLUP of u_d is sigma2_u - g1_d; clusters where that
-    is numerically zero get a zero score.
+    is numerically zero, below 1e-12 in the squared units of the
+    standardized response, get a zero score.
     """
     var = fit.theta.sigma2_u - g1(data, fit.theta)
     out = np.zeros(data.D)
-    ok = var > 1e-12
+    ok = var > 1e-12 * response_scale(data.y) ** 2
     out[ok] = fit.u_hat[ok] / np.sqrt(var[ok])
     return out

@@ -14,6 +14,7 @@ of inference are mixed parameters mu_d = k_d' beta + m_d u_d.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,59 +32,64 @@ FHM = "FHM"
 VAR_FLOOR = 1e-10
 
 
-def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
+def _as_float_array(a, name: str, ndim: int, finite: bool = True) -> np.ndarray:
     arr = np.ascontiguousarray(np.asarray(a, dtype=float))
     if arr.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return arr
 
 
-@dataclass(frozen=True)
-class ClusterBlock:
-    """One cluster: response vector, design rows, optional known error variance."""
-
-    cluster_id: object
-    y: np.ndarray
-    X: np.ndarray
-    known_error_var: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _as_float_array(self.y, "y", 1))
-        object.__setattr__(self, "X", _as_float_array(self.X, "X", 2))
-        if self.known_error_var is not None:
-            object.__setattr__(self, "known_error_var", float(self.known_error_var))
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
+def _check_finite(y: np.ndarray, X: np.ndarray, sizes: np.ndarray) -> None:
+    """Raise for the first cluster holding a non-finite entry, naming y before X."""
+    ends = np.cumsum(sizes)
+    first = {}
+    for name, ok in (("y", np.isfinite(y)), ("X", np.isfinite(X).all(axis=1))):
+        if not ok.all():
+            first[name] = np.searchsorted(ends, np.argmin(ok), side="right")
+    if first:
+        raise ShapeMismatch(f"{min(first, key=first.get)} contains non-finite entries")
 
 
 @dataclass(frozen=True)
 class BlockLmmData:
-    """Immutable collection of cluster blocks plus the model family tag."""
+    """Clusters stored as stacked arrays plus the model family tag.
+
+    Cluster d owns sizes[d] consecutive rows of y and X; known_error_vars
+    holds one known error variance per cluster (FHM) and is None for NERM.
+    """
 
     model_tag: str
-    clusters: tuple[ClusterBlock, ...]
+    cluster_ids: tuple
+    sizes: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
+    known_error_vars: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(self.clusters))
+        sizes = np.asarray(self.sizes, dtype=np.int64)
+        y = _as_float_array(self.y, "y", 1, finite=False)
+        X = _as_float_array(self.X, "X", 2, finite=False)
+        _check_finite(y, X, sizes)
+        object.__setattr__(self, "cluster_ids", tuple(self.cluster_ids))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X)
+        if self.known_error_vars is not None:
+            ev = np.asarray(self.known_error_vars, dtype=float)
+            object.__setattr__(self, "known_error_vars", ev)
 
     # ---- derived layout ----
 
     @property
     def D(self) -> int:
-        return len(self.clusters)
+        return self.sizes.shape[0]
 
     @property
     def p(self) -> int:
         # number of slope covariates; design has p + 1 columns with intercept first
-        return self.clusters[0].X.shape[1] - 1
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.array([c.n for c in self.clusters], dtype=np.int64)
+        return self.X.shape[1] - 1
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -92,26 +98,7 @@ class BlockLmmData:
 
     @property
     def n_total(self) -> int:
-        return int(self.sizes.sum())
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        return np.vstack([c.X for c in self.clusters])
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.concatenate([c.y for c in self.clusters])
-
-    @cached_property
-    def known_error_vars(self) -> np.ndarray | None:
-        """Per-cluster known error variances (FHM), else None."""
-        if self.model_tag != FHM:
-            return None
-        return np.array([c.known_error_var for c in self.clusters], dtype=float)
-
-    @cached_property
-    def cluster_ids(self) -> tuple:
-        return tuple(c.cluster_id for c in self.clusters)
+        return self.y.shape[0]
 
     def cluster_slices(self) -> list[slice]:
         return [slice(int(o), int(o + n)) for o, n in zip(self.offsets, self.sizes)]
@@ -122,16 +109,7 @@ def replace_response(data: BlockLmmData, y: np.ndarray) -> BlockLmmData:
     y = np.asarray(y, dtype=float)
     if y.shape != (data.n_total,):
         raise ShapeMismatch(f"y must have shape {(data.n_total,)}, got {y.shape}")
-    blocks = [
-        ClusterBlock(
-            cluster_id=c.cluster_id,
-            y=y[sl],
-            X=c.X,
-            known_error_var=c.known_error_var,
-        )
-        for c, sl in zip(data.clusters, data.cluster_slices())
-    ]
-    return BlockLmmData(model_tag=data.model_tag, clusters=tuple(blocks))
+    return dataclasses.replace(data, y=y)
 
 
 @dataclass(frozen=True)
@@ -173,47 +151,52 @@ class MixedParameterSpec:
 
 
 def validate(data: BlockLmmData) -> None:
-    """Check structural invariants; raises on the first violation."""
-    if data.D < 1:
+    """Check structural invariants; raises on the first violation.
+
+    A check that holds per cluster names the first cluster failing it.
+    """
+    D, sizes, ids, X = data.D, data.sizes, data.cluster_ids, data.X
+    if D < 1:
         raise ShapeMismatch("need at least one cluster")
     if data.model_tag not in (NERM, FHM):
         raise ShapeMismatch(f"unknown model tag {data.model_tag!r}")
-    ncols = data.clusters[0].X.shape[1]
-    if ncols < 1:
+    if X.shape[1] < 1:
         raise ShapeMismatch("design matrix needs at least the intercept column")
-    for c in data.clusters:
-        if c.n < 1:
-            raise ShapeMismatch(f"cluster {c.cluster_id!r} is empty")
-        if c.X.shape[0] != c.n:
+    if len(ids) != D:
+        raise ShapeMismatch(f"{len(ids)} cluster ids for {D} clusters")
+    if X.shape[0] != data.n_total:
+        raise ShapeMismatch(f"X has {X.shape[0]} rows for {data.n_total} responses")
+
+    def first(bad: np.ndarray) -> int | None:
+        return int(np.argmax(bad)) if bad.any() else None
+
+    if (d := first(sizes < 1)) is not None:
+        raise ShapeMismatch(f"cluster {ids[d]!r} is empty")
+    if sizes.sum() != data.n_total:
+        raise ShapeMismatch(f"cluster sizes sum to {sizes.sum()} for {data.n_total} responses")
+    if (row := first(X[:, 0] != 1.0)) is not None:
+        cid = ids[int(np.searchsorted(np.cumsum(sizes), row, side="right"))]
+        raise ShapeMismatch(f"cluster {cid!r}: first design column must be all ones")
+    ev = data.known_error_vars
+    if data.model_tag == FHM:
+        if (d := first(sizes != 1)) is not None:
             raise ShapeMismatch(
-                f"cluster {c.cluster_id!r}: X has {c.X.shape[0]} rows for {c.n} responses"
+                f"area-level model requires one observation per cluster, "
+                f"cluster {ids[d]!r} has {sizes[d]}"
             )
-        if c.X.shape[1] != ncols:
-            raise ShapeMismatch(
-                f"cluster {c.cluster_id!r}: X has {c.X.shape[1]} columns, expected {ncols}"
+        if ev is None:
+            raise MissingErrorVariance(f"cluster {ids[0]!r} lacks known_error_var")
+        if ev.shape != (D,):
+            raise ShapeMismatch(f"known_error_vars has shape {ev.shape}, expected {(D,)}")
+        if (d := first(~(np.isfinite(ev) & (ev > 0)))) is not None:
+            raise MissingErrorVariance(
+                f"cluster {ids[d]!r}: known_error_var must be positive, got {float(ev[d])}"
             )
-        if not np.all(c.X[:, 0] == 1.0):
-            raise ShapeMismatch(f"cluster {c.cluster_id!r}: first design column must be all ones")
-        if data.model_tag == FHM:
-            if c.n != 1:
-                raise ShapeMismatch(
-                    f"area-level model requires one observation per cluster, "
-                    f"cluster {c.cluster_id!r} has {c.n}"
-                )
-            if c.known_error_var is None:
-                raise MissingErrorVariance(f"cluster {c.cluster_id!r} lacks known_error_var")
-            if not (np.isfinite(c.known_error_var) and c.known_error_var > 0):
-                raise MissingErrorVariance(
-                    f"cluster {c.cluster_id!r}: known_error_var must be positive, "
-                    f"got {c.known_error_var}"
-                )
-        else:
-            if c.known_error_var is not None:
-                raise ShapeMismatch(
-                    f"cluster {c.cluster_id!r}: known_error_var is only valid "
-                    f"for the area-level model"
-                )
-    if np.linalg.matrix_rank(data.X) < ncols:
+    elif ev is not None:
+        raise ShapeMismatch(
+            f"cluster {ids[0]!r}: known_error_var is only valid for the area-level model"
+        )
+    if np.linalg.matrix_rank(X) < X.shape[1]:
         raise RankDeficient("stacked design matrix is rank deficient")
 
 
@@ -242,7 +225,13 @@ def cluster_mean_spec(data: BlockLmmData) -> MixedParameterSpec:
     """Target the cluster mean of the fixed part plus the full random effect.
 
     k_d is the within-cluster average design row and m_d = 1, so
-    mu_d = xbar_d' beta + u_d.
+    mu_d = xbar_d' beta + u_d.  Row j of every cluster longer than j is
+    added in turn, the order X[sl].mean(axis=0) sums in, so k is bit for
+    bit that mean.
     """
-    k = np.vstack([c.X.mean(axis=0) for c in data.clusters])
-    return MixedParameterSpec(k=k, m=np.ones(data.D))
+    sizes, offsets = data.sizes, data.offsets
+    k = data.X[offsets]
+    for j in range(1, int(sizes.max())):
+        longer = sizes > j
+        k[longer] += data.X[offsets[longer] + j]
+    return MixedParameterSpec(k=k / sizes[:, None], m=np.ones(data.D))

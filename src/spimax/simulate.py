@@ -21,7 +21,7 @@ from .calibration import calibrate
 from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
 from .maxstat import CriticalValue, build_spi, covers_all, step_down_test
-from .model import FHM, NERM, BlockLmmData, ClusterBlock, cluster_mean_spec
+from .model import FHM, NERM, BlockLmmData, cluster_mean_spec
 from .util import check_alpha, check_seed, check_threads, derive_rng, derive_seed
 
 SPI_METHODS = ("BS", "MC", "BO", "BE")
@@ -92,35 +92,19 @@ def generate_scenario(config: ScenarioConfig, replicate: int):
     beta = np.asarray(config.beta, dtype=float)
     p = beta.size - 1
     D = config.D
-    blocks = []
-    if config.model_tag == NERM:
-        n_d = config.n_d
-        covs = rng.uniform(0.0, 1.0, size=(D * n_d, p))
-        u = math.sqrt(config.sigma2_u) * rng.standard_normal(D)
-        e = math.sqrt(config.sigma2_e) * rng.standard_normal(D * n_d)
-        for d in range(D):
-            sl = slice(d * n_d, (d + 1) * n_d)
-            X = np.column_stack([np.ones(n_d), covs[sl]])
-            blocks.append(
-                ClusterBlock(cluster_id=d, y=X @ beta + u[d] + e[sl], X=X)
-            )
-        data = BlockLmmData(model_tag=NERM, clusters=tuple(blocks))
-    else:
-        ev = config.error_vars
-        covs = rng.uniform(0.0, 1.0, size=(D, p))
-        u = math.sqrt(config.sigma2_u) * rng.standard_normal(D)
-        e = np.sqrt(ev) * rng.standard_normal(D)
-        for d in range(D):
-            X = np.concatenate([[1.0], covs[d]])[None, :]
-            blocks.append(
-                ClusterBlock(
-                    cluster_id=d,
-                    y=[float(X[0] @ beta + u[d] + e[d])],
-                    X=X,
-                    known_error_var=ev[d],
-                )
-            )
-        data = BlockLmmData(model_tag=FHM, clusters=tuple(blocks))
+    fhm = config.model_tag == FHM
+    sizes = np.full(D, 1 if fhm else config.n_d)
+    n = int(sizes.sum())
+    covs = rng.uniform(0.0, 1.0, size=(n, p))
+    u = math.sqrt(config.sigma2_u) * rng.standard_normal(D)
+    ev = config.error_vars if fhm else None
+    e = (np.sqrt(ev) if fhm else math.sqrt(config.sigma2_e)) * rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), covs])
+    # an area's fixed part is a 1-d dot of its lone row, whose rounding
+    # differs from the matrix-vector product of the stacked rows
+    xb = (X[:, None, :] @ beta)[:, 0] if fhm else X @ beta
+    y = xb + np.repeat(u, sizes) + e
+    data = BlockLmmData(config.model_tag, tuple(range(D)), sizes, y, X, ev)
     spec = cluster_mean_spec(data)
     mu = spec.k @ beta + spec.m * u
     return data, mu, spec

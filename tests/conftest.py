@@ -1,9 +1,10 @@
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from spimax.model import BlockLmmData, ClusterBlock
+from spimax.model import BlockLmmData
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -21,15 +22,16 @@ def make_nerm(
     """Random unit-level dataset; returns (data, truth dict)."""
     rng = np.random.default_rng(seed)
     beta = np.ones(p + 1) if beta is None else np.asarray(beta, dtype=float)
-    blocks = []
+    sizes, Xs, ys = [], [], []
     u = rng.normal(0.0, np.sqrt(sigma2_u), size=D)
     for d in range(D):
         n = int(rng.integers(2, 2 * n_d)) if unbalanced else n_d
         X = np.column_stack([np.ones(n)] + [rng.uniform(0, 1, n) for _ in range(p)])
         e = rng.normal(0.0, np.sqrt(sigma2_e), size=n)
-        y = X @ beta + u[d] + e
-        blocks.append(ClusterBlock(cluster_id=d, y=y, X=X))
-    data = BlockLmmData(model_tag="NERM", clusters=tuple(blocks))
+        sizes.append(n)
+        Xs.append(X)
+        ys.append(X @ beta + u[d] + e)
+    data = BlockLmmData("NERM", tuple(range(D)), sizes, np.concatenate(ys), np.vstack(Xs))
     return data, {"beta": beta, "u": u, "sigma2_e": sigma2_e, "sigma2_u": sigma2_u}
 
 
@@ -42,26 +44,16 @@ def make_fhm(D=15, p=1, sigma2_u=0.5, error_vars=None, beta=None, seed=0):
     else:
         error_vars = np.asarray(error_vars, dtype=float)
     u = rng.normal(0.0, np.sqrt(sigma2_u), size=D)
-    blocks = []
+    X, y = np.empty((D, p + 1)), np.empty(D)
     for d in range(D):
-        X = np.column_stack([[1.0]] + [[rng.uniform(0, 1)] for _ in range(p)])
-        y = X[0] @ beta + u[d] + rng.normal(0.0, np.sqrt(error_vars[d]))
-        blocks.append(
-            ClusterBlock(cluster_id=d, y=[y], X=X, known_error_var=error_vars[d])
-        )
-    data = BlockLmmData(model_tag="FHM", clusters=tuple(blocks))
+        X[d] = [1.0] + [rng.uniform(0, 1) for _ in range(p)]
+        y[d] = X[d] @ beta + u[d] + rng.normal(0.0, np.sqrt(error_vars[d]))
+    data = BlockLmmData("FHM", tuple(range(D)), np.ones(D), y, X, error_vars)
     return data, {"beta": beta, "u": u, "sigma2_u": sigma2_u, "error_vars": error_vars}
 
 
 def rescaled(data, c):
     """y * c; known error variances * c^2 for the area-level model."""
-    blocks = tuple(
-        ClusterBlock(
-            cluster_id=b.cluster_id,
-            y=b.y * c,
-            X=b.X,
-            known_error_var=None if b.known_error_var is None else b.known_error_var * c**2,
-        )
-        for b in data.clusters
-    )
-    return BlockLmmData(model_tag=data.model_tag, clusters=blocks)
+    ev = data.known_error_vars
+    ev = None if ev is None else ev * c**2
+    return dataclasses.replace(data, y=data.y * c, known_error_vars=ev)

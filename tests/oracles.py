@@ -14,12 +14,9 @@ from scipy import stats
 def dense_V(data, sigma2_u, sigma2_e=None):
     n = data.n_total
     V = np.zeros((n, n))
-    for blk, sl in zip(data.clusters, data.cluster_slices()):
-        J = np.ones((blk.n, blk.n))
-        if data.model_tag == "FHM":
-            V[sl, sl] = blk.known_error_var * np.eye(blk.n) + sigma2_u * J
-        else:
-            V[sl, sl] = sigma2_e * np.eye(blk.n) + sigma2_u * J
+    for d, (sl, n) in enumerate(zip(data.cluster_slices(), data.sizes)):
+        se = data.known_error_vars[d] if data.model_tag == "FHM" else sigma2_e
+        V[sl, sl] = se * np.eye(n) + sigma2_u * np.ones((n, n))
     return V
 
 
@@ -32,9 +29,9 @@ def dense_gls_blup(data, sigma2_u, sigma2_e=None):
     beta = np.linalg.solve(A, X.T @ Vinv @ y)
     resid = y - X @ beta
     u = np.empty(data.D)
-    for d, (blk, sl) in enumerate(zip(data.clusters, data.cluster_slices())):
+    for d, sl in enumerate(data.cluster_slices()):
         Vd_inv = np.linalg.inv(V[sl, sl])
-        u[d] = sigma2_u * np.ones(blk.n) @ Vd_inv @ resid[sl]
+        u[d] = sigma2_u * np.ones(data.sizes[d]) @ Vd_inv @ resid[sl]
     return beta, u
 
 
@@ -61,13 +58,13 @@ def dense_g1_g2(data, spec, sigma2_u, sigma2_e=None):
     Ainv = np.linalg.inv(A)
     g1 = np.empty(data.D)
     g2 = np.empty(data.D)
-    for d, (blk, sl) in enumerate(zip(data.clusters, data.cluster_slices())):
+    for d, sl in enumerate(data.cluster_slices()):
         Vd_inv = np.linalg.inv(V[sl, sl])
-        one = np.ones(blk.n)
+        one = np.ones(data.sizes[d])
         m = spec.m[d]
         g1[d] = m * (sigma2_u - sigma2_u * one @ Vd_inv @ one * sigma2_u) * m
         a = m * sigma2_u * one @ Vd_inv  # 1 x n_d
-        b = spec.k[d] - blk.X.T @ a
+        b = spec.k[d] - X[sl].T @ a
         g2[d] = b @ Ainv @ b
     return g1, g2
 
@@ -225,3 +222,40 @@ def reference_reml(data, floor, hi, points=241):
         else:
             up = mid
     return _profile_point(data, math.sqrt(lo * up))
+
+
+def reference_scenario(config, replicate):
+    """generate_scenario built cluster by cluster, as it once was.
+
+    Returns (y, X, known error variances or None, mu, k): each cluster's
+    rows are formed on their own and stacked, and k_d is X_d.mean(axis=0).
+    """
+    from spimax.util import derive_rng
+
+    rng = derive_rng(config.master_seed, replicate, 0)
+    beta = np.asarray(config.beta, dtype=float)
+    p = beta.size - 1
+    D = config.D
+    ys, Xs, ev = [], [], None
+    if config.model_tag == "NERM":
+        n_d = config.n_d
+        covs = rng.uniform(0.0, 1.0, size=(D * n_d, p))
+        u = math.sqrt(config.sigma2_u) * rng.standard_normal(D)
+        e = math.sqrt(config.sigma2_e) * rng.standard_normal(D * n_d)
+        for d in range(D):
+            sl = slice(d * n_d, (d + 1) * n_d)
+            X = np.column_stack([np.ones(n_d), covs[sl]])
+            Xs.append(X)
+            ys.append(X @ beta + u[d] + e[sl])
+    else:
+        ev = config.error_vars
+        covs = rng.uniform(0.0, 1.0, size=(D, p))
+        u = math.sqrt(config.sigma2_u) * rng.standard_normal(D)
+        e = np.sqrt(ev) * rng.standard_normal(D)
+        for d in range(D):
+            X = np.concatenate([[1.0], covs[d]])[None, :]
+            Xs.append(X)
+            ys.append([float(X[0] @ beta + u[d] + e[d])])
+    k = np.vstack([X.mean(axis=0) for X in Xs])
+    mu = k @ beta + np.ones(D) * u
+    return np.concatenate(ys), np.vstack(Xs), ev, mu, k

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -35,7 +36,7 @@ from spimax.errors import (
 )
 from spimax.estimation import eblup, log_shift_transform
 from spimax.maxstat import SCALE_FLOOR, single_step_test, step_down_test
-from spimax.model import FHM, BlockLmmData, ClusterBlock, cluster_mean_spec, replace_response
+from spimax.model import FHM, cluster_mean_spec, replace_response
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 from conftest import make_fhm, make_nerm
@@ -111,13 +112,7 @@ def test_arbitrary_ids_survive_csv_round_trip(tmp_path_factory, ids, area, inter
         data, _ = make_nerm(
             D=len(ids), n_d=2, p=0 if intercept_only else 2, seed=seed, unbalanced=True
         )
-    named = BlockLmmData(
-        model_tag=data.model_tag,
-        clusters=tuple(
-            ClusterBlock(cluster_id=cid, y=c.y, X=c.X, known_error_var=c.known_error_var)
-            for cid, c in zip(ids, data.clusters)
-        ),
-    )
+    named = dataclasses.replace(data, cluster_ids=tuple(ids))
     export, ingest = (
         (export_area_csv, ingest_area_csv) if area else (export_unit_csv, ingest_unit_csv)
     )
@@ -445,13 +440,8 @@ def test_quoted_ids_survive_transform_round_trip(tmp_path, model):
     data = _positive_data() if model == "nerm" else make_fhm(D=6, seed=5)[0]
     shift = 0.0 if model == "nerm" else 1.0 - float(data.y.min())
     odd = ('a,"b', 'say "hi"', "plain")
-    ids = {c.cluster_id: odd[i % len(odd)] + str(i) for i, c in enumerate(data.clusters)}
-    blocks = tuple(
-        ClusterBlock(cluster_id=ids[c.cluster_id], y=c.y + shift, X=c.X,
-                     known_error_var=c.known_error_var)
-        for c in data.clusters
-    )
-    renamed = BlockLmmData(model_tag=data.model_tag, clusters=blocks)
+    ids = {cid: odd[i % len(odd)] + str(i) for i, cid in enumerate(data.cluster_ids)}
+    renamed = dataclasses.replace(data, cluster_ids=tuple(ids.values()), y=data.y + shift)
     export = export_unit_csv if model == "nerm" else export_area_csv
     ingest = ingest_unit_csv if model == "nerm" else ingest_area_csv
     src = tmp_path / "ids.csv"
@@ -566,6 +556,30 @@ def test_exit_codes_and_error_json(tmp_path, unit_csv, tube_file):
     report = json.loads(err_path.read_text())
     assert report["error"] == "ParseError"
     assert "absent.csv" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "model, text, message",
+    [
+        ("nerm", "cluster,y,x1\na,1.0,0.1\na,nan,0.2\nb,2.0,0.3\nb,1.5,0.5\n",
+         "y contains non-finite entries"),
+        ("nerm", "cluster,y,x1\na,1.0,0.1\na,1.2,inf\nb,2.0,0.3\nb,1.5,0.5\n",
+         "X contains non-finite entries"),
+        ("fhm", "area,y,x1,error_var\na,1.0,0.1,nan\nb,2.0,0.3,0.5\nc,1.5,0.5,0.5\n",
+         "cluster 'a': known_error_var must be positive, got nan"),
+    ],
+    ids=["nan-y", "inf-x", "nan-error-var"],
+)
+def test_non_finite_cells_are_data_errors(tmp_path, capsys, model, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    err_path = tmp_path / "err.json"
+    code = run_cli(
+        ["fit", "--model", model, "--data", str(path), "--error-json", str(err_path)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(err_path.read_text())["message"] == message
 
 
 def test_generated_scenario_survives_csv_round_trip(tmp_path):

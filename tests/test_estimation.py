@@ -9,7 +9,6 @@ from spimax.errors import DegenerateData, ShapeMismatch
 from spimax.model import (
     VAR_FLOOR,
     BlockLmmData,
-    ClusterBlock,
     VarianceComponents,
     cluster_mean_spec,
     replace_response,
@@ -60,8 +59,8 @@ def test_nerm_blup_is_shrunken_cluster_mean():
     theta = VarianceComponents(sigma2_u=1.0, sigma2_e=0.5)
     fit = est.fit_gls_blup(data, cluster_mean_spec(data), theta)
     gamma = 1.0 / (1.0 + 0.5 / 5.0)
-    for d, blk in enumerate(data.clusters):
-        resid_mean = blk.y.mean() - blk.X.mean(axis=0) @ fit.beta_hat
+    for d, sl in enumerate(data.cluster_slices()):
+        resid_mean = data.y[sl].mean() - data.X[sl].mean(axis=0) @ fit.beta_hat
         assert_allclose(fit.u_hat[d], gamma * resid_mean, atol=1e-12)
 
 
@@ -125,12 +124,14 @@ def test_reml_score_vanishes_at_optimum():
 def test_reml_boundary_derivative_points_inward():
     # no between-cluster variation: sigma2_u should pin at the floor
     rng = np.random.default_rng(41)
-    blocks = []
+    Xs, ys = [], []
     for d in range(12):
         X = np.column_stack([np.ones(5), rng.uniform(0, 1, 5)])
-        y = X @ np.array([1.0, 1.0]) + rng.normal(0, 0.5, 5)
-        blocks.append(ClusterBlock(cluster_id=d, y=y, X=X))
-    data = BlockLmmData(model_tag="NERM", clusters=tuple(blocks))
+        Xs.append(X)
+        ys.append(X @ np.array([1.0, 1.0]) + rng.normal(0, 0.5, 5))
+    data = BlockLmmData(
+        "NERM", tuple(range(12)), np.full(12, 5), np.concatenate(ys), np.vstack(Xs)
+    )
     theta = est.reml_fit(data)
     if theta.sigma2_u <= 1e-8:
         h = 1e-6
@@ -146,13 +147,7 @@ def test_reml_translation_invariance():
     rng = np.random.default_rng(52)
     for _ in range(3):
         r = rng.normal(size=data.p + 1)
-        shifted = BlockLmmData(
-            model_tag="NERM",
-            clusters=tuple(
-                ClusterBlock(cluster_id=c.cluster_id, y=c.y + c.X @ r, X=c.X)
-                for c in data.clusters
-            ),
-        )
+        shifted = replace_response(data, data.y + data.X @ r)
         theta1 = est.reml_fit(shifted)
         assert_allclose(theta1.sigma2_e, theta0.sigma2_e, rtol=1e-6)
         assert_allclose(theta1.sigma2_u, theta0.sigma2_u, rtol=1e-6)
@@ -180,20 +175,11 @@ def test_reml_recovers_truth_on_average_fhm():
 
 def test_reml_errors():
     data, _ = make_nerm(D=6, n_d=4, seed=61)
-    exact = BlockLmmData(
-        model_tag="NERM",
-        clusters=tuple(
-            ClusterBlock(cluster_id=c.cluster_id, y=c.X @ np.array([1.0, 2.0]), X=c.X)
-            for c in data.clusters
-        ),
-    )
+    exact = replace_response(data, data.X @ np.array([1.0, 2.0]))
     with pytest.raises(DegenerateData):
         est.reml_fit(exact)
     X3 = np.column_stack([np.ones(3), [0.1, 0.5, 0.9]])
-    tiny = BlockLmmData(
-        model_tag="NERM",
-        clusters=(ClusterBlock(cluster_id=0, y=[1.0, 2.0, 1.5], X=X3),),
-    )
+    tiny = BlockLmmData("NERM", (0,), [3], [1.0, 2.0, 1.5], X3)
     with pytest.raises(ShapeMismatch):
         est.reml_fit(tiny)
 
@@ -256,11 +242,10 @@ def test_cholesky_residuals_match_dense_and_whiten():
     res = est.cholesky_residuals(data, fit)
     assert res.shape == (data.n_total,)
     # dense recomputation of one block
-    blk = data.clusters[3]
-    V = fit.theta.sigma2_e * np.eye(blk.n) + fit.theta.sigma2_u
-    L = np.linalg.cholesky(V)
-    want = np.linalg.solve(L, blk.y - blk.X @ fit.beta_hat)
     sl = data.cluster_slices()[3]
+    V = fit.theta.sigma2_e * np.eye(data.sizes[3]) + fit.theta.sigma2_u
+    L = np.linalg.cholesky(V)
+    want = np.linalg.solve(L, data.y[sl] - data.X[sl] @ fit.beta_hat)
     assert_allclose(res[sl], want, atol=1e-10)
     assert 0.85 < res.var() < 1.15
     assert abs(res.mean()) < 0.1
@@ -294,13 +279,7 @@ def test_batch_matches_single_fits():
     Y = data.y[None, :] + rng.normal(0, 0.3, size=(5, data.n_total))
     out = est.batch_eblup(data, spec, Y)
     for i in range(Y.shape[0]):
-        single = BlockLmmData(
-            model_tag="NERM",
-            clusters=tuple(
-                ClusterBlock(cluster_id=c.cluster_id, y=Y[i, sl], X=c.X)
-                for c, sl in zip(data.clusters, data.cluster_slices())
-            ),
-        )
+        single = replace_response(data, Y[i])
         fit = est.eblup(single, spec)
         assert_allclose(out["theta"][i, 0], fit.theta.sigma2_e, rtol=1e-10, atol=1e-10)
         assert_allclose(out["theta"][i, 1], fit.theta.sigma2_u, rtol=1e-10, atol=1e-10)

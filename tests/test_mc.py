@@ -20,7 +20,6 @@ from spimax.mc import (
 from spimax.model import (
     NERM,
     BlockLmmData,
-    ClusterBlock,
     MixedParameterSpec,
     VarianceComponents,
     cluster_mean_spec,
@@ -45,8 +44,7 @@ def dense_precision(data, theta):
 
 
 def tiny_unit_data():
-    block = ClusterBlock(cluster_id="a", y=np.array([0.3]), X=np.array([[1.0]]))
-    return BlockLmmData(model_tag=NERM, clusters=(block,))
+    return BlockLmmData(NERM, ("a",), [1], [0.3], [[1.0]])
 
 
 def test_precision_tiny_frozen():

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import make_fhm, make_nerm, rescaled
 from spimax.bootstrap import parametric_bootstrap
 from spimax.calibration import calibrate
-from spimax.estimation import batch_eblup, eblup, response_scale
+from spimax.estimation import batch_eblup, eb_random_effects, eblup, response_scale
 from spimax.maxstat import build_spi
 from spimax.model import (
     NERM,
@@ -120,6 +120,18 @@ def test_eblup_is_row_zero_of_batch_eblup(data):
         assert fit.theta == VarianceComponents(sigma2_u=theta[1], sigma2_e=theta[0])
     else:
         assert fit.theta == VarianceComponents(sigma2_u=theta[0])
+
+
+@pytest.mark.parametrize("make", [make_nerm, make_fhm])
+@pytest.mark.parametrize("k", [-20, -8, 8, 20])
+def test_eb_random_effects_are_free_of_units(make, k):
+    # the zero-variance guard acts in standardized units, so a tiny response
+    # keeps its standardized effects instead of zeros
+    data = make(D=30, seed=1)[0]
+    unit = eb_random_effects(data, eblup(data))
+    assert np.all(unit != 0.0)
+    scaled = rescaled(data, 2.0**k)
+    assert_array_equal(eb_random_effects(scaled, eblup(scaled)), unit)
 
 
 def test_bootstrap_refits_at_large_units_take_no_fallback():

@@ -15,6 +15,8 @@ from spimax.simulate import (
     run_spi_experiment,
 )
 
+from oracles import reference_scenario
+
 
 def small_config(**kw):
     base = dict(D=10, n_d=4, n_sim=12, n_boot=60, n_mc=300, master_seed=414)
@@ -61,6 +63,28 @@ def test_generate_is_deterministic_per_replicate():
     c_data, c_mu, _ = generate_scenario(config, 5)
     assert not np.array_equal(a_data.y, c_data.y)
     assert not np.array_equal(a_mu, c_mu)
+
+
+@pytest.mark.parametrize("model", [NERM, FHM])
+@pytest.mark.parametrize(
+    "beta", [(1.0,), (1.0, 1.0), (0.3, -2.0, 7.5, 1e3)], ids=["p0", "p1", "p3"]
+)
+def test_generated_data_matches_cluster_by_cluster_construction(model, beta):
+    config = ScenarioConfig(
+        model_tag=model, D=300 if model == FHM else 60, n_d=7, beta=beta, master_seed=31
+    )
+    for replicate in range(4):
+        data, mu, spec = generate_scenario(config, replicate)
+        y, X, ev, mu_ref, k = reference_scenario(config, replicate)
+        np.testing.assert_array_equal(data.y, y)
+        np.testing.assert_array_equal(data.X, X)
+        if ev is None:
+            assert data.known_error_vars is None
+        else:
+            np.testing.assert_array_equal(data.known_error_vars, ev)
+        np.testing.assert_array_equal(mu, mu_ref)
+        np.testing.assert_array_equal(spec.k, k)
+        assert data.cluster_ids == tuple(range(config.D))
 
 
 def test_random_effect_variance_matches_config():
