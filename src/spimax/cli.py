@@ -131,20 +131,29 @@ def _calibrate(args, data, spec, fit, A=None):
     )
 
 
-def _spi_payload(args) -> str:
-    data = ingest_data(args.model, args.data)
-    spec = cluster_mean_spec(data)
-    fit = eblup(data, spec)
-    cv, scales, _ = _calibrate(args, data, spec, fit)
-    intervals = build_spi(fit, cv, scales=scales, cluster_ids=data.cluster_ids)
-    uses_boot = args.method in ("bs", "be")
+def _method_header(args, cv) -> dict:
+    """Keys the spi and test payloads share: model, method and calibration settings."""
     out = {
         "model": args.model,
         "method": args.method,
         "alpha": args.alpha,
         "critical_value": float(cv.value),
         "seed": args.seed if args.method in ("bs", "be", "mc") else None,
-        "B": args.B if uses_boot else None,
+        "B": args.B if args.method in ("bs", "be") else None,
+    }
+    if args.method == "mc":
+        out["K"] = args.K
+    return out
+
+
+def _spi_payload(args) -> str:
+    data = ingest_data(args.model, args.data)
+    spec = cluster_mean_spec(data)
+    fit = eblup(data, spec)
+    cv, scales, _ = _calibrate(args, data, spec, fit)
+    intervals = build_spi(fit, cv, scales=scales, cluster_ids=data.cluster_ids)
+    out = {
+        **_method_header(args, cv),
         "intervals": [
             {
                 "cluster": str(cid),
@@ -157,8 +166,6 @@ def _spi_payload(args) -> str:
             )
         ],
     }
-    if args.method == "mc":
-        out["K"] = args.K
     if cv.per_cluster is not None:
         out["per_cluster_critical"] = [float(v) for v in cv.per_cluster]
     return _json_text(out)
@@ -200,22 +207,14 @@ def _test_payload(args) -> str:
     else:
         labels = [f"contrast{i}" for i in rejected]
 
-    uses_boot = args.method in ("bs", "be")
     out = {
-        "model": args.model,
-        "method": args.method,
-        "alpha": alpha,
+        **_method_header(args, cv),
         "stepdown": bool(args.stepdown),
         "statistic": float(test.statistic),
-        "critical_value": float(cv.value),
-        "seed": args.seed if args.method in ("bs", "be", "mc") else None,
-        "B": args.B if uses_boot else None,
         "n_rejected": len(rejected),
         "rejected_indices": rejected,
         "rejected": labels,
     }
-    if args.method == "mc":
-        out["K"] = args.K
     return _json_text(out)
 
 

@@ -1,9 +1,9 @@
 """File formats: data CSVs, headerless matrices and tube-constant files.
 
 Readers validate as they parse and raise ParseError/EmptyFile with the
-offending row; exporters write full-precision CSV text through
-csv.writer, so every dataset re-ingests to the same values and ids with
-commas or quotes survive.
+file line of the offending row; exporters write full-precision CSV text
+through csv.writer, so every dataset re-ingests to the same values and ids
+with commas or quotes survive.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from .model import FHM, NERM, BlockLmmData, validate
 TUBE_KEYS = ("kappa0", "zeta0", "kappa2", "zeta1", "m0", "euler", "xi0", "eta0", "nu")
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_rows(path) -> list[tuple[int, list[str]]]:
+    """Non-blank CSV records, each with the file line it ends on."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -61,16 +63,16 @@ def _read_table(path, id_col: str, tail: list[str]):
     into them, and the numeric cells as a matrix.  An area file may not
     repeat an id.
     """
-    rows = _read_rows(path)
-    cols = ["y"] + _covariate_names(rows[0], len(tail)) + tail
-    _check_header(rows[0], [id_col] + cols, path)
-    if len(rows) == 1:
+    (_, header), *rows = _read_rows(path)
+    cols = ["y"] + _covariate_names(header, len(tail)) + tail
+    _check_header(header, [id_col] + cols, path)
+    if not rows:
         raise EmptyFile(f"{path} has a header but no data rows")
     codes: dict[str, int] = {}
     row_codes, recs = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(rows[0])}")
+    for r, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
         cid = row[0].strip()
         if id_col == "area" and cid in codes:
             raise ParseError(f"{path}: row {r}: duplicate area {cid!r}")
@@ -130,9 +132,9 @@ def export_area_csv(data: BlockLmmData) -> str:
 def read_matrix_csv(path) -> np.ndarray:
     """Headerless numeric CSV as a 2-d array."""
     rows = _read_rows(path)
-    width = len(rows[0])
+    width = len(rows[0][1])
     out = []
-    for r, row in enumerate(rows, start=1):
+    for r, row in rows:
         if len(row) != width:
             raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {width}")
         out.append([_float_cell(cell, r, f"col{i + 1}", path) for i, cell in enumerate(row)])

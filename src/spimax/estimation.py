@@ -15,10 +15,13 @@ call, with every weighted sum sum_d w_d t_d t_d' formed as a single matrix
 product against the outer products t_d t_d' built once per core.  A
 safeguarded Newton iteration over the rows still moving maximizes it (see
 _newton_profile); a row whose slope at the floor VAR_FLOOR is <= 0 sits
-exactly on the floor.  Fits run on the response divided by s, a power of
-two near its standard deviation, and are mapped back, so the tolerances
-and the floor act in standardized units and a fit does not depend on the
-units the response was recorded in.
+exactly on the floor.  One GLS evaluation (_gls) serves the solver and the
+fit: the Newton profile reads y'P y from it, and _evaluate reads the
+restricted loglik, beta and the BLUPs from the same forms at the fitted
+theta; g2 is built from the same cluster weights.  Fits run on the
+response divided by s, a power of two near its standard deviation, and are
+mapped back, so the tolerances and the floor act in standardized units and
+a fit does not depend on the units the response was recorded in.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ class FitResult:
 # batched likelihood cores
 # ======================================================================
 
-def _solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("normal equations are singular") from exc
-
-
 def _outer_rows(t: np.ndarray) -> np.ndarray:
     """t_d t_d' flattened to one row per cluster, (D, q * q)."""
     return (t[:, :, None] * t[:, None, :]).reshape(t.shape[0], -1)
@@ -103,26 +99,35 @@ def _residual_sums(core, st, beta):
     return st["s"] - beta @ core.t.T, rtr
 
 
-def _profile_forms(core, st, a: np.ndarray):
-    """y'P y with its first two derivatives, and the log|A| derivative traces.
+def _gls(core, st, a0: np.ndarray, A: np.ndarray):
+    """GLS fit at unit residual variance from the cluster weights a0 of V^-1.
 
-    a stacks the cluster weights of V^-1 and their first two derivatives in
-    the solver's parameter, shape (3, m, D): A = X'X + sum_d a_d t_d t_d'
-    and y'V^-1 y = y'y + sum_d a_d s_d^2 at unit residual variance (X'X and
-    y'y are zero for the area-level model).  With rho_d = s_d - t_d' beta,
-    r = y'P y = |y - X beta|^2 + sum_d a_d rho_d^2, r' = sum_d a'_d rho_d^2
-    and r'' = sum_d a''_d rho_d^2 - 2 beta'A beta', where A beta' =
-    sum_d a'_d rho_d t_d.  The traces are tr(A^-1 A') and tr(A^-1 A'') -
-    tr((A^-1 A')^2).
+    V^-1 = I + a_d J on cluster d, so X'V^-1 X = X'X + A with A =
+    sum_d a_d t_d t_d', and y'V^-1 y = y'y + sum_d a_d s_d^2 (X'X and y'y
+    are zero for the area-level model).  Returns (X'V^-1 X)^-1, beta, the
+    cluster residual sums rho_d = s_d - t_d' beta and r = y'P y =
+    |y - X beta|^2 + sum_d a_d rho_d^2.
     """
-    A, A1, A2 = _weighted_outer(core, a)
     try:
         inv = np.linalg.inv(core.xtx + A)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("normal equations are singular") from exc
-    beta = np.einsum("mij,mj->mi", inv, st["xty"] + (a[0] * st["s"]) @ core.t)
+    beta = np.einsum("mij,mj->mi", inv, st["xty"] + (a0 * st["s"]) @ core.t)
     rho, rtr = _residual_sums(core, st, beta)
-    r = rtr + (a[0] * rho**2).sum(axis=1)
+    return inv, beta, rho, rtr + (a0 * rho**2).sum(axis=1)
+
+
+def _profile_forms(core, st, a: np.ndarray):
+    """y'P y with its first two derivatives, and the log|A| derivative traces.
+
+    a stacks the cluster weights of V^-1 and their first two derivatives in
+    the solver's parameter, shape (3, m, D), at unit residual variance (see
+    _gls).  r' = sum_d a'_d rho_d^2 and r'' = sum_d a''_d rho_d^2 -
+    2 beta'A beta', where A beta' = sum_d a'_d rho_d t_d.  The traces are
+    tr(A^-1 A') and tr(A^-1 A'') - tr((A^-1 A')^2).
+    """
+    A, A1, A2 = _weighted_outer(core, a)
+    inv, beta, rho, r = _gls(core, st, a[0], A)
     r1, r2 = (a[1:] * rho**2).sum(axis=2)
     g = (a[1] * rho) @ core.t
     r2 = r2 - 2.0 * np.einsum("mi,mij,mj->m", g, inv, g)
@@ -130,6 +135,35 @@ def _profile_forms(core, st, a: np.ndarray):
     tr1 = np.einsum("mii->m", M1)
     tr2 = np.einsum("mij,mji->m", inv, A2) - np.einsum("mij,mji->m", M1, M1)
     return r, r1, r2, tr1, tr2
+
+
+def _evaluate(core, st, theta, spec: MixedParameterSpec | None = None) -> dict:
+    """Restricted loglik at theta per row; beta, u, mu and g1 too given spec.
+
+    With V = sigma2_e V_1 the loglik is -1/2 [(n - q) log sigma2_e +
+    log|V_1| + log|A| + r / sigma2_e + (n - q - 1) log 2 pi], A and r the
+    _gls forms at unit residual variance (sigma2_e = 1 for the area-level
+    model).  The (n - q - 1) log 2 pi constant is the convention
+    tests/oracles.dense_restricted_loglik shares, not a degrees-of-freedom
+    count.  The BLUP is u_d = w_d rho_d.
+    """
+    x, se = core.parameter(theta)
+    a0, logdet_v, w = core.weights(x)
+    A = _weighted_outer(core, a0)
+    _, beta, rho, r = _gls(core, st, a0, A)
+    sign, logdet_a = np.linalg.slogdet(core.xtx + A)
+    nq = core.n - core.q
+    ll = -0.5 * (nq * np.log(se) + logdet_v + logdet_a + r / se + (nq - 1) * _LOG2PI)
+    out = {"loglik": np.where(sign > 0, ll, -np.inf)}
+    if spec is not None:
+        u = w * rho
+        out.update(
+            beta=beta,
+            u=u,
+            mu=beta @ spec.k.T + spec.m[None, :] * u,
+            g1=core.g1(theta) * spec.m[None, :] ** 2,
+        )
+    return out
 
 
 class _NermCore:
@@ -151,7 +185,6 @@ class _NermCore:
         # t_d = X_d' 1, one row per cluster
         self.t = np.add.reduceat(data.X, data.offsets, axis=0)
         self.tt = _outer_rows(self.t)
-        self.dof = self.n - self.q - 1
 
     def stats(self, Y: np.ndarray) -> dict:
         return {
@@ -160,25 +193,16 @@ class _NermCore:
             "s": np.add.reduceat(Y, self.offsets, axis=1),
         }
 
-    def _common(self, st, theta):
-        se = theta[:, 0]
-        su = theta[:, 1]
-        den = se[:, None] + self.sizes[None, :] * su[:, None]
-        w = su[:, None] / den
-        A = (self.xtx[None] - _weighted_outer(self, w)) / se[:, None, None]
-        b = (st["xty"] - (w * st["s"]) @ self.t) / se[:, None]
-        return se, den, w, A, b
+    def parameter(self, theta):
+        return theta[:, 1] / theta[:, 0], theta[:, 0]
 
-    def loglik(self, st, theta):
-        se, den, w, A, b = self._common(st, theta)
-        beta = _solve_batched(A, b)
-        quad = (st["yty"] - np.einsum("md,md->m", w, st["s"] ** 2)) / se
-        ypy = quad - np.einsum("mi,mi->m", b, beta)
-        logdet_v = (self.n - self.D) * np.log(se) + np.log(den).sum(axis=1)
-        sign, logdet_a = np.linalg.slogdet(A)
-        ll = -0.5 * (logdet_v + logdet_a + ypy + self.dof * _LOG2PI)
-        ll = np.where(sign > 0, ll, -np.inf)
-        return ll, beta
+    def weights(self, psi):
+        """V^-1 weights -psi kappa_d, log|V_1| and BLUP weights psi kappa_d.
+
+        V_1 = I + psi J on cluster d, kappa_d = 1 / (1 + n_d psi).
+        """
+        w = psi[:, None] / (1.0 + self.sizes * psi[:, None])
+        return -w, np.log1p(self.sizes * psi[:, None]).sum(axis=1), w
 
     def slope(self, st, psi):
         """Profile loglik slope and curvature in psi, and y'P y at unit sigma2_e."""
@@ -211,14 +235,6 @@ class _NermCore:
         se0 = np.maximum(msw, 1e-8)
         return np.maximum((msb - se0) / (n_eff * se0), 0.05), rtr
 
-    def predictions(self, st, theta, spec: MixedParameterSpec):
-        se, den, w, A, b = self._common(st, theta)
-        beta = _solve_batched(A, b)
-        u = w * _residual_sums(self, st, beta)[0]
-        g1 = self.g1(theta) * spec.m[None, :] ** 2
-        mu = beta @ spec.k.T + spec.m[None, :] * u
-        return beta, u, mu, g1
-
     def g1(self, theta):
         se = theta[:, 0][:, None]
         su = theta[:, 1][:, None]
@@ -233,35 +249,26 @@ class _FhmCore:
 
     def __init__(self, data: BlockLmmData, error_vars: np.ndarray):
         self.X = data.X
-        self.D = data.D
+        self.n = self.D = data.D
         self.q = data.p + 1
         self.s2e = error_vars
         # one observation per cluster: t_d = x_d, and no unweighted X'X part
         self.t = data.X
         self.tt = _outer_rows(data.X)
         self.xtx = np.zeros((self.q, self.q))
-        self.dof = self.D - self.q - 1
 
     def stats(self, Y: np.ndarray) -> dict:
         # the stacked response is already per-cluster
         m = Y.shape[0]
         return {"s": Y, "xty": np.zeros((m, self.q)), "yty": np.zeros(m)}
 
-    def _common(self, st, theta):
-        v = self.s2e[None, :] + theta[:, 0][:, None]
-        A = _weighted_outer(self, 1.0 / v)
-        b = (st["s"] / v) @ self.X
-        return v, A, b
+    def parameter(self, theta):
+        return theta[:, 0], 1.0
 
-    def loglik(self, st, theta):
-        v, A, b = self._common(st, theta)
-        beta = _solve_batched(A, b)
-        r = st["s"] - beta @ self.X.T
-        ypy = (r**2 / v).sum(axis=1)
-        sign, logdet_a = np.linalg.slogdet(A)
-        ll = -0.5 * (np.log(v).sum(axis=1) + logdet_a + ypy + self.dof * _LOG2PI)
-        ll = np.where(sign > 0, ll, -np.inf)
-        return ll, beta
+    def weights(self, su):
+        """V^-1 weights 1 / v_d, log|V| and BLUP weights sigma2_u / v_d."""
+        v = self.s2e[None, :] + su[:, None]
+        return 1.0 / v, np.log(v).sum(axis=1), su[:, None] / v
 
     def slope(self, st, su):
         """Restricted loglik slope and curvature in sigma2_u, and y'P y."""
@@ -285,15 +292,6 @@ class _FhmCore:
         rtr = (r**2).sum(axis=1)
         msr = rtr / max(self.D - self.q, 1)
         return np.maximum(msr - self.s2e.mean(), 0.05 * msr), rtr
-
-    def predictions(self, st, theta, spec: MixedParameterSpec):
-        v, A, b = self._common(st, theta)
-        beta = _solve_batched(A, b)
-        r = st["s"] - beta @ self.X.T
-        u = (theta[:, 0][:, None] / v) * r
-        g1 = self.g1(theta) * spec.m[None, :] ** 2
-        mu = beta @ spec.k.T + spec.m[None, :] * u
-        return beta, u, mu, g1
 
     def g1(self, theta):
         su = theta[:, 0][:, None]
@@ -390,16 +388,15 @@ def _batch_reml(core, st, s: float, spec: MixedParameterSpec | None = None) -> d
     x0, _ = core.start(st)
     x, r, boundary, unconverged = _newton_profile(core, st, x0)
     theta = core.theta(x, r)
-    ll, _ = core.loglik(st, theta)
+    fit = _evaluate(core, st, theta, spec)
     out = {
         "theta": theta * s**2,
-        "loglik": ll - (core.dof + 1) * math.log(s),  # core.dof + 1 = n - q
+        "loglik": fit["loglik"] - (core.n - core.q) * math.log(s),
         "fallback": unconverged,
         "boundary": boundary,
     }
     if spec is not None:
-        beta, u, mu, g1 = core.predictions(st, theta, spec)
-        out.update(beta=beta * s, u=u * s, mu=mu * s, g1=g1 * s**2)
+        out.update(beta=fit["beta"] * s, u=fit["u"] * s, mu=fit["mu"] * s, g1=fit["g1"] * s**2)
     return out
 
 
@@ -442,9 +439,8 @@ def _theta_components(data: BlockLmmData, row: np.ndarray) -> VarianceComponents
 def restricted_loglik(data: BlockLmmData, theta: VarianceComponents) -> float:
     """Restricted log-likelihood at the supplied variance components."""
     core = _core_for(data)
-    st = core.stats(data.y[None, :])
-    ll, _ = core.loglik(st, _theta_array(data, theta))
-    return float(ll[0])
+    fit = _evaluate(core, core.stats(data.y[None, :]), _theta_array(data, theta))
+    return float(fit["loglik"][0])
 
 
 def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> dict:
@@ -486,11 +482,8 @@ def fit_gls_blup(
     """GLS fixed effects and BLUP random effects at known variance components."""
     check_spec(data, spec)
     core = _core_for(data)
-    st = core.stats(data.y[None, :])
-    tarr = _theta_array(data, theta)
-    beta, u, mu, g1 = core.predictions(st, tarr, spec)
-    ll, _ = core.loglik(st, tarr)
-    return _row0_result(dict(beta=beta, u=u, mu=mu, g1=g1, loglik=ll), theta)
+    fit = _evaluate(core, core.stats(data.y[None, :]), _theta_array(data, theta), spec)
+    return _row0_result(fit, theta)
 
 
 def eblup(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> FitResult:
@@ -527,25 +520,21 @@ def g1_general(
 def g2(
     data: BlockLmmData, theta: VarianceComponents, spec: MixedParameterSpec
 ) -> np.ndarray:
-    """Fixed-effect estimation contribution b_d' (X'V^-1X)^-1 b_d."""
+    """Fixed-effect estimation contribution b_d' (X'V^-1X)^-1 b_d.
+
+    With V = sigma2_e V_1 and BLUP weights w_d, b_d = k_d - m_d w_d t_d and
+    the term is sigma2_e b_d' (X'X + sum_d a_d t_d t_d')^-1 b_d.
+    """
     check_spec(data, spec)
     core = _core_for(data)
-    tarr = _theta_array(data, theta)
-    if data.model_tag == NERM:
-        se, su = tarr[0]
-        kappa = 1.0 / (se + data.sizes * su)
-        bvec = spec.k - (spec.m * su * kappa)[:, None] * core.t
-        A = (core.xtx - np.einsum("d,di,dj->ij", su * kappa, core.t, core.t)) / se
-    else:
-        su = tarr[0, 0]
-        v = data.known_error_vars + su
-        bvec = spec.k - (spec.m * su / v)[:, None] * data.X
-        A = np.einsum("d,di,dj->ij", 1.0 / v, data.X, data.X)
+    x, se = core.parameter(_theta_array(data, theta))
+    a0, _, w = core.weights(x)
+    bvec = spec.k - (spec.m * w[0])[:, None] * core.t
     try:
-        sol = np.linalg.solve(A, bvec.T)
+        sol = np.linalg.solve(core.xtx + _weighted_outer(core, a0)[0], bvec.T)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("X'V^-1X is singular") from exc
-    return np.einsum("di,id->d", bvec, sol)
+    return se * np.einsum("di,id->d", bvec, sol)
 
 
 def cholesky_residuals(data: BlockLmmData, fit: FitResult) -> np.ndarray:

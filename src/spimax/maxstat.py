@@ -70,14 +70,6 @@ class SimultaneousIntervals:
     critical: CriticalValue
     cluster_ids: tuple | None = None
 
-    @property
-    def half_widths(self) -> np.ndarray:
-        return self.upper - self.center
-
-    @property
-    def level(self) -> float:
-        return 1.0 - self.critical.alpha
-
 
 @dataclass(frozen=True)
 class ContrastTest:

@@ -130,10 +130,6 @@ class JointNormalModel:
     p: int
     D: int
 
-    @property
-    def dim(self) -> int:
-        return self.p + 1 + self.D
-
 
 def build_joint_normal(data: BlockLmmData, theta: VarianceComponents) -> JointNormalModel:
     K = assemble_precision(data, theta)

@@ -25,6 +25,7 @@ from spimax.dataio import (
     export_unit_csv,
     ingest_area_csv,
     ingest_unit_csv,
+    read_matrix_csv,
     read_tube_constants,
 )
 from spimax.errors import (
@@ -151,6 +152,16 @@ def test_ingest_diagnostics(tmp_path):
     ragged.write_text("cluster,y,x1\na,1.0,0.5\na,1.0\n")
     with pytest.raises(ParseError, match="row 3"):
         ingest_unit_csv(ragged)
+
+    # rows are numbered by file line, blank lines included
+    blank_lines = tmp_path / "b.csv"
+    blank_lines.write_text("cluster,y,x1\n\na,1,2\n\nb,x,2\n")
+    with pytest.raises(ParseError, match="row 5, column 'y'"):
+        ingest_unit_csv(blank_lines)
+    blank_matrix = tmp_path / "bm.csv"
+    blank_matrix.write_text("1,2\n\n3,x\n")
+    with pytest.raises(ParseError, match="row 3, column 'col2'"):
+        read_matrix_csv(blank_matrix)
 
     empty = tmp_path / "e.csv"
     empty.write_text("")

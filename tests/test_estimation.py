@@ -391,3 +391,58 @@ def test_rows_not_converged_within_max_iter_are_flagged(monkeypatch):
     assert np.array_equal(cut["fallback"], ~full["boundary"])
     assert np.array_equal(cut["theta"][full["boundary"]], full["theta"][full["boundary"]])
     assert np.all(np.isfinite(cut["theta"])) and np.all(np.isfinite(cut["loglik"]))
+
+
+@st.composite
+def gls_problems(draw):
+    """Unit- (unbalanced, p 0-3) or area-level data in random units, and a theta
+    whose random-effect share runs from near the floor to large ratios."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    p = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.sampled_from(["NERM", "FHM"])) == "NERM":
+        data = make_nerm(D=draw(st.integers(min_value=4, max_value=12)), n_d=4, p=p,
+                         seed=seed, unbalanced=True)[0]
+    else:
+        data = make_fhm(D=draw(st.integers(min_value=8, max_value=25)), p=p, seed=seed)[0]
+    assume(data.n_total > data.p + 2 and np.linalg.matrix_rank(data.X) == p + 1)
+    c = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    data = rescaled(data, c)
+    ratio = 10.0 ** draw(st.floats(min_value=-9.0, max_value=4.0))
+    if data.model_tag == "NERM":
+        se = c**2 * 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.0))
+        return data, VarianceComponents(sigma2_u=ratio * se, sigma2_e=se), ratio
+    return data, VarianceComponents(sigma2_u=ratio * data.known_error_vars.mean()), ratio
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=gls_problems())
+def test_fitted_loglik_blup_and_g2_match_the_dense_oracles(problem):
+    data, theta, ratio = problem
+    spec = cluster_mean_spec(data)
+    su, se = theta.sigma2_u, theta.sigma2_e
+    assert_allclose(
+        est.restricted_loglik(data, theta), dense_restricted_loglik(data, su, se), rtol=1e-10
+    )
+    fit = est.fit_gls_blup(data, spec, theta)
+    beta, u = dense_gls_blup(data, su, se)
+    assert_allclose(fit.beta_hat, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
+    assert_allclose(fit.u_hat, u, rtol=0, atol=1e-10 * np.abs(fit.mu_hat).max())
+    if ratio <= 1e2:
+        # the oracle's 1'V_d^-1 1 cancels and loses about 1e-15 * ratio^2 relative
+        # (7e-8 against a 50-digit reference at ratio 8e3, where g2 is 1e-11 off)
+        assert_allclose(est.g2(data, theta, spec), dense_g1_g2(data, spec, su, se)[1], rtol=1e-10)
+
+    # every row of a batch fit is the single-dataset evaluation at the row's theta
+    rng = np.random.default_rng(0)
+    Y = data.y + rng.normal(0.0, data.y.std(), size=(6, data.n_total))
+    out = est.batch_eblup(data, spec, Y)
+    for i in range(Y.shape[0]):
+        row = replace_response(data, Y[i])
+        th = est._theta_components(data, out["theta"][i])
+        single = est.fit_gls_blup(row, spec, th)
+        size = np.abs(single.mu_hat).max()
+        assert_allclose(out["beta"][i], single.beta_hat, rtol=0,
+                        atol=1e-12 * np.abs(single.beta_hat).max())
+        assert_allclose(out["u"][i], single.u_hat, rtol=0, atol=1e-12 * size)
+        assert_allclose(out["mu"][i], single.mu_hat, rtol=0, atol=1e-12 * size)
+        assert_allclose(out["loglik"][i], est.restricted_loglik(row, th), rtol=1e-12)

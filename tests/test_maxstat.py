@@ -60,7 +60,7 @@ def test_build_spi_symmetric_half_widths():
     assert np.array_equal(iv.upper, mu + 2.5 * scale)
     assert np.array_equal(iv.lower, mu - 2.5 * scale)
     assert_allclose(iv.upper + iv.lower, 2 * mu, rtol=1e-14)
-    assert iv.level == 0.95
+    assert iv.critical.alpha == 0.05
 
 
 def test_build_spi_per_cluster_thresholds():

@@ -99,14 +99,15 @@ def test_joint_normal_shapes_and_factor():
     data, truth = make_fhm(D=6, seed=8)
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"])
     model = build_joint_normal(data, theta)
-    assert model.dim == data.p + 1 + data.D
+    dim = data.p + 1 + data.D
+    assert model.precision.dense().shape == (dim, dim)
     np.testing.assert_allclose(
         model.cov_factor.dense() @ model.cov_factor.dense().T,
         model.covariance.dense(),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        model.covariance.dense() @ model.precision.dense(), np.eye(model.dim), atol=1e-9
+        model.covariance.dense() @ model.precision.dense(), np.eye(dim), atol=1e-9
     )
 
 

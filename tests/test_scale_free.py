@@ -26,7 +26,7 @@ from spimax.model import (
     cluster_mean_spec,
 )
 
-from oracles import reference_reml
+from oracles import dense_gls_blup, dense_restricted_loglik, reference_reml
 
 # The profile Newton solver stops once its step is below STEP_TOL = 1e-12
 # relative to the parameter, so theta agrees with the dense reference
@@ -169,24 +169,37 @@ def test_bootstrap_intervals_scale_with_the_data(make, c):
             assert_allclose(scaled.upper, c * unit.upper, rtol=RTOL, atol=RTOL * size)
 
 
+def _assert_dense_fit(data, fit):
+    th = fit.theta
+    beta, u = dense_gls_blup(data, th.sigma2_u, th.sigma2_e)
+    spec = cluster_mean_spec(data)
+    assert_allclose(fit.beta_hat, beta, rtol=1e-13)
+    assert_allclose(fit.mu_hat, beta @ spec.k.T + spec.m * u, rtol=1e-13)
+    ll = dense_restricted_loglik(data, th.sigma2_u, th.sigma2_e)
+    assert_allclose(fit.loglik_restricted, ll, rtol=1e-13)
+
+
 def test_unit_scale_fixture_fits_are_unchanged():
     # frozen fits of the fixtures; theta is the dense reference maximizer's
-    # to 3e-15, so the frozen values pin the solver, not its error
+    # to 3e-15, and beta, mu and the loglik the dense GLS fit's at that theta
+    # to 1.2e-14, so the frozen values pin the solver, not its error
     data = make_nerm()[0]
     fit = eblup(data)
     assert fit.theta.sigma2_e == 0.49241361050317733
     assert fit.theta.sigma2_u == 0.8014197614658315
-    assert fit.beta_hat.tolist() == [1.2950584930987474, 0.7829932817579471]
-    assert fit.mu_hat[[0, -1]].tolist() == [1.6030564745432605, 0.23508307766299286]
-    assert fit.loglik_restricted == -62.73718439961658
+    assert fit.beta_hat.tolist() == [1.2950584930987505, 0.7829932817579452]
+    assert fit.mu_hat[[0, -1]].tolist() == [1.603056474543261, 0.23508307766299263]
+    assert fit.loglik_restricted == -62.737184399616545
     su, se = reference_reml(data, VAR_FLOOR, 1e6)
     assert_allclose([fit.theta.sigma2_u, fit.theta.sigma2_e], [su, se], rtol=1e-14)
+    _assert_dense_fit(data, fit)
 
     data = make_fhm()[0]
     fit = eblup(data)
     assert fit.theta.sigma2_u == 0.29837401232166544
-    assert fit.beta_hat.tolist() == [1.45217319754805, 0.6257223602620653]
-    assert fit.mu_hat[[0, -1]].tolist() == [1.5875083604740867, 1.361086783375865]
-    assert fit.loglik_restricted == -18.52648209691577
+    assert fit.beta_hat.tolist() == [1.452173197548051, 0.6257223602620652]
+    assert fit.mu_hat[[0, -1]].tolist() == [1.5875083604740874, 1.3610867833758657]
+    assert fit.loglik_restricted == -18.526482096915764
     su, _ = reference_reml(data, VAR_FLOOR * response_scale(data.y) ** 2, 1e3)
     assert_allclose(fit.theta.sigma2_u, su, rtol=1e-14)
+    _assert_dense_fit(data, fit)
