@@ -6,11 +6,13 @@ response, and records the studentized deviation of the refitted mixed
 parameter from its replicate truth.  Critical values are order statistics
 of row maxima of that matrix.
 
-Replicate b uses the generator derived from (master_seed, b), and its
-refit depends only on its own response: refitted alone it agrees with the
-batch result to rounding (matrix products round differently for other
-batch sizes).  Refits run in batches of the fixed size CHUNK, so results
-are bit-identical for every worker count.
+The bootstrap is one map over chunks of CHUNK replicates: each chunk
+draws, refits and studentizes its own rows, so only one chunk of
+responses is held at a time.  Replicate b still uses the generator derived
+from (master_seed, b), and its refit depends only on its own response:
+refitted alone it agrees with the batch result to rounding (matrix
+products round differently for other batch sizes).  The chunk size is a
+constant, so results are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ class BootstrapDraws:
     s_matrix: np.ndarray
     delta: np.ndarray
     g1_star: np.ndarray
-    master_seed: int
-    model_tag: str
     cluster_ids: tuple
     n_fallback: int = 0
     n_boundary: int = 0
@@ -86,13 +86,15 @@ def parametric_bootstrap(
 ) -> BootstrapDraws:
     """Draw, refit and studentize b_reps synthetic datasets.
 
-    Unit-level errors are drawn per unit at the estimated sigma2_e;
-    area-level errors per area at the known error variances.  The
-    replicate truth mu*_d = k_d' beta_hat + m_d u*_d keeps the original
-    coefficient estimate, and every replicate is refitted with the same
-    REML pipeline as the original fit.  Replicates whose refit lands on
-    the variance floor are kept; their g1 values are floored before
-    studentizing.
+    Replicate b draws u* and then the errors from derive_rng(master_seed, b):
+    unit-level errors per unit at the estimated sigma2_e, area-level errors
+    per area at the known error variances.  The replicate truth
+    mu*_d = k_d' beta_hat + m_d u*_d keeps the original coefficient
+    estimate, and every replicate is refitted with the same REML pipeline
+    as the original fit.  The work is one map over chunks of CHUNK
+    replicates; each chunk writes only its own rows of the outputs.
+    Replicates whose refit lands on the variance floor are kept; their g1
+    values are floored before studentizing.
     """
     check_spec(data, spec)
     check_seed(master_seed)
@@ -102,54 +104,45 @@ def parametric_bootstrap(
     D, n = data.D, data.n_total
     beta_hat = fit.beta_hat
     xb = data.X @ beta_hat
+    mu_fixed = beta_hat @ spec.k.T
     sigma_u = np.sqrt(fit.theta.sigma2_u)
+    # one error sd per unit of y; area-level data has one unit per area
     if data.model_tag == NERM:
-        sigma_e = np.sqrt(fit.theta.sigma2_e)
+        error_sd = np.full(n, np.sqrt(fit.theta.sigma2_e))
     else:
-        area_sd = np.sqrt(data.known_error_vars)
+        error_sd = np.sqrt(data.known_error_vars)
     reps = np.repeat(np.arange(D), data.sizes)
+    g1_floor = G1_FLOOR * response_scale(data.y) ** 2
+    delta = np.empty((b_reps, D))
+    g1_star = np.empty((b_reps, D))
 
-    Y = np.empty((b_reps, n))
-    u_star = np.empty((b_reps, D))
-    for b in range(b_reps):
-        rng = derive_rng(master_seed, b)
-        u_star[b] = sigma_u * rng.standard_normal(D)
-        if data.model_tag == NERM:
-            e = sigma_e * rng.standard_normal(n)
-        else:
-            e = area_sd * rng.standard_normal(D)
-        Y[b] = xb + u_star[b][reps] + e
+    def run_chunk(start: int) -> tuple[int, int]:
+        m = min(CHUNK, b_reps - start)
+        u_star = np.empty((m, D))
+        Y = np.empty((m, n))
+        for i in range(m):
+            rng = derive_rng(master_seed, start + i)
+            u_star[i] = sigma_u * rng.standard_normal(D)
+            Y[i] = xb + u_star[i][reps] + error_sd * rng.standard_normal(n)
+        res = batch_eblup(data, spec, Y)
+        delta[start : start + m] = res["mu"] - (mu_fixed + spec.m * u_star)
+        g1_star[start : start + m] = np.maximum(res["g1"], g1_floor)
+        return int(res["fallback"].sum()), int(res["boundary"].sum())
 
-    mu_star = beta_hat @ spec.k.T + spec.m[None, :] * u_star
-
-    def refit(start: int) -> dict:
-        return batch_eblup(data, spec, Y[start : start + CHUNK])
-
-    starts = range(0, b_reps, CHUNK)
     try:
-        chunks = deterministic_map(refit, starts, threads)
+        counts = deterministic_map(run_chunk, range(0, b_reps, CHUNK), threads)
     except ShapeMismatch:
         raise
     except Exception as exc:  # pragma: no cover - degenerate linear algebra
         raise RefitFailure(f"bootstrap refit failed: {exc}") from exc
 
-    mu_hat_star = np.vstack([c["mu"] for c in chunks])
-    g1_floor = G1_FLOOR * response_scale(data.y) ** 2
-    g1_star = np.maximum(np.vstack([c["g1"] for c in chunks]), g1_floor)
-    n_fallback = int(sum(c["fallback"].sum() for c in chunks))
-    n_boundary = int(sum(c["boundary"].sum() for c in chunks))
-
-    delta = mu_hat_star - mu_star
-    s_matrix = delta / np.sqrt(g1_star)
     return BootstrapDraws(
-        s_matrix=s_matrix,
+        s_matrix=delta / np.sqrt(g1_star),
         delta=delta,
         g1_star=g1_star,
-        master_seed=int(master_seed),
-        model_tag=data.model_tag,
         cluster_ids=data.cluster_ids,
-        n_fallback=n_fallback,
-        n_boundary=n_boundary,
+        n_fallback=sum(c[0] for c in counts),
+        n_boundary=sum(c[1] for c in counts),
     )
 
 

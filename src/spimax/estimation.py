@@ -409,10 +409,12 @@ def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y: np.ndarray) -> 
     depends only on Y[i]: the solver evaluates each row on its own path,
     so a row fitted alone and inside a batch agree to rounding (matrix
     products round differently for different batch sizes), and a fixed
-    split of the rows gives bit-identical results.
+    split of the rows gives bit-identical results whatever the memory
+    layout of Y.
     """
     check_spec(data, spec)
-    Y = np.asarray(Y, dtype=float)
+    # matrix products round by layout, so every Y is fitted in C order
+    Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != data.n_total:
         raise ShapeMismatch(f"Y must be (m, {data.n_total}), got {Y.shape}")
     return _batch_reml(*_standardize(data, Y), spec)

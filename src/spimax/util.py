@@ -71,8 +71,9 @@ def check_threads(threads: int | None) -> None:
 def deterministic_map(func, items, threads: int | None):
     """Apply func over items, optionally on a thread pool.
 
-    Results come back in input order regardless of scheduling; func must
-    not mutate shared state.  threads=None or 1 runs inline.
+    Results come back in input order regardless of scheduling.  func may
+    write only its own rows of a shared output and must not mutate other
+    shared state.  threads=None or 1 runs inline.
     """
     check_threads(threads)
     items = list(items)

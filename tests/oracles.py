@@ -69,6 +69,33 @@ def dense_g1_g2(data, spec, sigma2_u, sigma2_e=None):
     return g1, g2
 
 
+def closed_form_g2(data, spec, sigma2_u, sigma2_e=None):
+    """g2 from per-cluster closed forms, with no inverse of a V_d block.
+
+    Unit level: X'V^-1 X = sum_d [C_d + sigma2_e / (sigma2_e + n_d sigma2_u)
+    t_d t_d' / n_d] / sigma2_e, with C_d the centred scatter of X_d and t_d
+    its column sums, and b_d = k_d - m_d sigma2_u t_d / (sigma2_e + n_d sigma2_u).
+    Area level: the same with v_d = sigma2_u + psi_d in place of the block.
+    Unlike dense_g1_g2 it keeps its accuracy at large sigma2_u / sigma2_e.
+    """
+    X = data.X
+    if data.model_tag == "FHM":
+        v = sigma2_u + data.known_error_vars
+        A = (X.T / v) @ X
+        b = spec.k - (spec.m * sigma2_u / v)[:, None] * X
+    else:
+        A = np.zeros((X.shape[1], X.shape[1]))
+        b = np.empty(spec.k.shape)
+        for d, sl in enumerate(data.cluster_slices()):
+            n_d = data.sizes[d]
+            t = X[sl].sum(axis=0)
+            centred = X[sl] - t / n_d
+            lam = sigma2_e + n_d * sigma2_u
+            A += (centred.T @ centred + sigma2_e / lam * np.outer(t, t) / n_d) / sigma2_e
+            b[d] = spec.k[d] - spec.m[d] * sigma2_u * t / lam
+    return np.einsum("dj,dj->d", b, np.linalg.solve(A, b.T).T)
+
+
 def grid_reml(data, se_grid=None, su_grid=None, refine=2):
     """Two-stage lattice search over the restricted log-likelihood."""
     if data.model_tag == "FHM":

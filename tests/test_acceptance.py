@@ -246,7 +246,7 @@ def test_criterion_6_oracle_equivalences():
     s = rng.standard_normal((20_000, D))
     draws = BootstrapDraws(
         s_matrix=s, delta=s.copy(), g1_star=np.ones((20_000, D)),
-        master_seed=99, model_tag=NERM, cluster_ids=tuple(range(D)),
+        cluster_ids=tuple(range(D)),
         n_fallback=0, n_boundary=0,
     )
     c_bs = critical_value_bs(draws, alpha).value

@@ -9,14 +9,20 @@ are read here, never changed.
 import ast
 import importlib
 import inspect
+import json
+import math
+import os
 import re
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import spimax.cli  # noqa: F401  (loads every module the tracer wraps)
-from spimax.bootstrap import parametric_bootstrap
+from spimax.bootstrap import CHUNK, parametric_bootstrap
+from spimax.dataio import export_unit_csv
 from spimax.estimation import batch_eblup, eblup
 from spimax.mc import build_joint_normal
 from spimax.model import cluster_mean_spec
@@ -104,3 +110,26 @@ def test_refits_expose_the_counted_masks_and_counts():
         draws = parametric_bootstrap(data, spec, eblup(data, spec), b_reps=20, master_seed=3)
         for attr in ("n_fallback", "n_boundary"):
             assert type(getattr(draws, attr)) is int, attr
+
+
+def test_the_bootstrap_draw_stays_in_its_own_span(tmp_path):
+    # bootstrap.draw_s_per_rep is the self time of parametric_bootstrap, so a
+    # call per replicate into another module would move the draw out of it
+    data = make_nerm(D=8, n_d=4, seed=2)[0]
+    csv_path, spans_path = tmp_path / "unit.csv", tmp_path / "spans.json"
+    csv_path.write_text(export_unit_csv(data))
+    b_reps = 300
+    src = str(Path(spimax.cli.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), str(spans_path), "spi", "--model", "nerm",
+         "--data", str(csv_path), "--method", "bs", "--B", str(b_reps),
+         "--out", str(tmp_path / "spi.json")],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    trace = json.loads(spans_path.read_text())
+    (boot,) = [span for span in trace["spans"] if span[2] == "bootstrap.parametric_bootstrap"]
+    children = Counter(span[2] for span in trace["spans"] if span[1] == boot[0])
+    chunks = math.ceil(b_reps / CHUNK)
+    assert children["estimation.batch_eblup"] == chunks
+    assert max(children.values()) <= chunks, children
+    assert trace["calls"]["util.derive_rng"] == b_reps

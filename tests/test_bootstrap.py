@@ -1,5 +1,6 @@
 import csv
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,13 @@ from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
 
 
-def _draws_from_matrix(S, g1=None, seed=0):
+def _draws_from_matrix(S, g1=None):
     S = np.asarray(S, dtype=float)
     g1 = np.ones_like(S) if g1 is None else g1
     return boot.BootstrapDraws(
         s_matrix=S,
         delta=S * np.sqrt(g1),
         g1_star=g1,
-        master_seed=seed,
-        model_tag="NERM",
         cluster_ids=tuple(range(S.shape[1])),
     )
 
@@ -37,16 +36,48 @@ def nerm_setup():
     return data, spec, fit
 
 
-def test_bootstrap_deterministic_and_thread_invariant(nerm_setup):
-    data, spec, fit = nerm_setup
-    a = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
-    b = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
-    assert np.array_equal(a.s_matrix, b.s_matrix)
-    c = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99, threads=3)
-    assert np.array_equal(a.s_matrix, c.s_matrix)
-    assert np.array_equal(a.g1_star, c.g1_star)
-    d = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=100)
-    assert not np.array_equal(a.s_matrix, d.s_matrix)
+@pytest.fixture(scope="module")
+def fhm_setup():
+    data, _ = make_fhm(D=20, sigma2_u=0.5, seed=77)
+    spec = cluster_mean_spec(data)
+    return data, spec, est.eblup(data, spec)
+
+
+def test_bootstrap_deterministic_and_thread_invariant(nerm_setup, fhm_setup):
+    for data, spec, fit in (nerm_setup, fhm_setup):
+        a = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
+        b = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
+        assert np.array_equal(a.s_matrix, b.s_matrix)
+        c = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99, threads=3)
+        assert np.array_equal(a.s_matrix, c.s_matrix)
+        assert np.array_equal(a.g1_star, c.g1_star)
+        d = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=100)
+        assert not np.array_equal(a.s_matrix, d.s_matrix)
+
+        # one stream per replicate: fewer replicates give a prefix of the rows,
+        # bit for bit over whole chunks, to rounding in a shorter last chunk
+        head = boot.parametric_bootstrap(data, spec, fit, 256, master_seed=99)
+        short = boot.parametric_bootstrap(data, spec, fit, 130, master_seed=99, threads=2)
+        for field in ("s_matrix", "delta", "g1_star"):
+            full = getattr(a, field)
+            assert np.array_equal(getattr(head, field), full[:256]), field
+            assert np.array_equal(getattr(short, field)[:128], full[:128]), field
+            assert_allclose(getattr(short, field)[128:], full[128:130], rtol=0,
+                            atol=1e-12 * np.abs(full).max())
+
+
+def test_bootstrap_holds_one_chunk_of_responses():
+    data, _ = make_nerm(D=20, n_d=50, seed=12)
+    spec = cluster_mean_spec(data)
+    fit = est.eblup(data, spec)
+    b_reps = 1000
+    tracemalloc.start()
+    try:
+        boot.parametric_bootstrap(data, spec, fit, b_reps, master_seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * b_reps * data.n_total * 8
 
 
 def test_bootstrap_replicates_reasonable(nerm_setup):
@@ -61,10 +92,8 @@ def test_bootstrap_replicates_reasonable(nerm_setup):
     assert draws.n_fallback <= 8
 
 
-def test_bootstrap_fhm_uses_known_error_variances():
-    data, _ = make_fhm(D=20, sigma2_u=0.5, seed=77)
-    spec = cluster_mean_spec(data)
-    fit = est.eblup(data, spec)
+def test_bootstrap_fhm_uses_known_error_variances(fhm_setup):
+    data, spec, fit = fhm_setup
     draws = boot.parametric_bootstrap(data, spec, fit, 200, master_seed=8)
     assert draws.s_matrix.shape == (200, 20)
     assert np.all(np.isfinite(draws.s_matrix))
@@ -127,8 +156,6 @@ def test_contrast_identity_reduces_to_bs():
         s_matrix=delta / np.sqrt(np.maximum(g1, boot.G1_FLOOR)),
         delta=delta,
         g1_star=g1,
-        master_seed=0,
-        model_tag="NERM",
         cluster_ids=tuple(range(6)),
     )
     c_id = boot.critical_value_contrast(draws, np.eye(6), 0.1)

@@ -17,6 +17,7 @@ from spimax.model import (
 from conftest import make_fhm, make_nerm, rescaled
 from oracles import (
     _profile_point,
+    closed_form_g2,
     dense_g1_g2,
     dense_reml_score_u,
     dense_gls_blup,
@@ -379,6 +380,18 @@ def test_a_row_fitted_alone_matches_the_row_in_a_batch(data):
         assert_allclose(alone["mu"][0], batch["mu"][i], rtol=0, atol=1e-10 * size)
 
 
+@pytest.mark.parametrize("data", [make_nerm(D=30, seed=1)[0], make_fhm(D=30, seed=1)[0]],
+                         ids=["nerm", "fhm"])
+def test_the_memory_layout_of_y_does_not_move_a_fit(data):
+    spec = cluster_mean_spec(data)
+    Y = _responses(data, seed=13, m=64)
+    want = est.batch_eblup(data, spec, Y)
+    for view in (np.asfortranarray(Y), np.repeat(Y, 2, axis=1)[:, ::2]):
+        got = est.batch_eblup(data, spec, view)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
+
+
 def test_rows_not_converged_within_max_iter_are_flagged(monkeypatch):
     data = make_nerm(D=15, n_d=4, seed=3, unbalanced=True)[0]
     spec = cluster_mean_spec(data)
@@ -427,10 +440,12 @@ def test_fitted_loglik_blup_and_g2_match_the_dense_oracles(problem):
     beta, u = dense_gls_blup(data, su, se)
     assert_allclose(fit.beta_hat, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
     assert_allclose(fit.u_hat, u, rtol=0, atol=1e-10 * np.abs(fit.mu_hat).max())
+    g2 = est.g2(data, theta, spec)
+    assert_allclose(g2, closed_form_g2(data, spec, su, se), rtol=1e-10)
     if ratio <= 1e2:
-        # the oracle's 1'V_d^-1 1 cancels and loses about 1e-15 * ratio^2 relative
+        # the dense oracle's 1'V_d^-1 1 cancels and loses about 1e-15 * ratio^2 relative
         # (7e-8 against a 50-digit reference at ratio 8e3, where g2 is 1e-11 off)
-        assert_allclose(est.g2(data, theta, spec), dense_g1_g2(data, spec, su, se)[1], rtol=1e-10)
+        assert_allclose(g2, dense_g1_g2(data, spec, su, se)[1], rtol=1e-10)
 
     # every row of a batch fit is the single-dataset evaluation at the row's theta
     rng = np.random.default_rng(0)
