@@ -6,13 +6,14 @@ response, and records the studentized deviation of the refitted mixed
 parameter from its replicate truth.  Critical values are order statistics
 of row maxima of that matrix.
 
-The bootstrap is one map over chunks of CHUNK replicates: each chunk
+The bootstrap is one loop over chunks of CHUNK replicates: each chunk
 draws, refits and studentizes its own rows, so only one chunk of
-responses is held at a time.  Replicate b still uses the generator derived
-from (master_seed, b), and its refit depends only on its own response:
+responses is held at a time.  Replicate b uses the generator derived from
+(master_seed, b), and its refit depends only on its own response:
 refitted alone it agrees with the batch result to rounding (matrix
-products round differently for other batch sizes).  The chunk size is a
-constant, so results are bit-identical for every worker count.
+products round differently for other batch sizes).  The chunks run one
+after another in the calling thread; worker threads were measured to slow
+the refits down.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ from .errors import EmptySubset, RefitFailure, ShapeMismatch
 from .estimation import FitResult, batch_eblup, response_scale
 from .maxstat import CriticalValue
 from .model import NERM, BlockLmmData, MixedParameterSpec, check_spec
-from .util import (
-    check_seed,
-    check_threads,
-    derive_rng,
-    deterministic_map,
-    order_statistic,
-    quantile_index,
-)
+from .util import check_seed, derive_rng, order_statistic, quantile_index
 
-# replicates are refitted in fixed-size batches; the size is a constant so
-# that results are bit-identical for every worker count
+# replicates are refitted in fixed-size batches; a constant size keeps the
+# rows of every whole chunk bit-identical whatever b_reps is
 CHUNK = 128
 
 # replicate g1 values are floored at G1_FLOOR s^2, s the response scale of
@@ -82,7 +76,6 @@ def parametric_bootstrap(
     fit: FitResult,
     b_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> BootstrapDraws:
     """Draw, refit and studentize b_reps synthetic datasets.
 
@@ -91,14 +84,13 @@ def parametric_bootstrap(
     per area at the known error variances.  The replicate truth
     mu*_d = k_d' beta_hat + m_d u*_d keeps the original coefficient
     estimate, and every replicate is refitted with the same REML pipeline
-    as the original fit.  The work is one map over chunks of CHUNK
+    as the original fit.  The work is one loop over chunks of CHUNK
     replicates; each chunk writes only its own rows of the outputs.
     Replicates whose refit lands on the variance floor are kept; their g1
     values are floored before studentizing.
     """
     check_spec(data, spec)
     check_seed(master_seed)
-    check_threads(threads)
     if b_reps < 1:
         raise ShapeMismatch("need at least one bootstrap replicate")
     D, n = data.D, data.n_total
@@ -130,7 +122,7 @@ def parametric_bootstrap(
         return int(res["fallback"].sum()), int(res["boundary"].sum())
 
     try:
-        counts = deterministic_map(run_chunk, range(0, b_reps, CHUNK), threads)
+        counts = [run_chunk(start) for start in range(0, b_reps, CHUNK)]
     except ShapeMismatch:
         raise
     except Exception as exc:  # pragma: no cover - degenerate linear algebra

@@ -49,7 +49,6 @@ def calibrate(
     A: np.ndarray | None = None,
     tube: tuple[int, TubeConstants] | None = None,
     draws: BootstrapDraws | None = None,
-    threads: int | None = None,
 ) -> tuple[CriticalValue, np.ndarray, BootstrapDraws | None]:
     """(critical value, floored scales, bootstrap draws) for one method.
 
@@ -72,7 +71,7 @@ def calibrate(
 
     if method in ("BS", "BE"):
         if draws is None:
-            draws = parametric_bootstrap(data, spec, fit, B, seed, threads=threads)
+            draws = parametric_bootstrap(data, spec, fit, B, seed)
         if method == "BE":
             cv = beran_critical_values(draws, alpha)
         elif A is None:
@@ -82,9 +81,7 @@ def calibrate(
     elif method == "MC":
         joint = build_joint_normal(data, fit.theta)
         mc_scales = model_scales(joint, spec, contrast=A)
-        cv = critical_value_mc(
-            joint, spec, K, alpha, seed, scales=mc_scales, contrast=A, threads=threads
-        )
+        cv = critical_value_mc(joint, spec, K, alpha, seed, scales=mc_scales, contrast=A)
         scales = np.maximum(mc_scales, SCALE_FLOOR)
     elif method == "BO":
         cv = bonferroni_cv(data.D if A is None else A.shape[0], alpha)

@@ -3,7 +3,9 @@
 Design rules: every subcommand validates its inputs before computing,
 output files are written only after all computation succeeds, and any
 two identical invocations produce byte-identical outputs (no timestamps,
-no machine-dependent fields; worker counts never change results).
+no machine-dependent fields).  There is no worker-count option: MC runs
+its draw chunks on up to one thread per usable CPU, which never changes
+a result.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (with a
 machine-readable JSON error description when --error-json is given).
@@ -127,7 +129,7 @@ def _calibrate(args, data, spec, fit, A=None):
         tube = (p, constants)
     return calibrate(
         args.method.upper(), data, spec, fit, alpha=args.alpha, seed=args.seed,
-        B=args.B, K=args.K, A=A, tube=tube, threads=args.threads,
+        B=args.B, K=args.K, A=A, tube=tube,
     )
 
 
@@ -255,15 +257,15 @@ def _simulate_payload(args) -> str:
     config = _build_config(args)
     if args.preset in ("table1-row", "table2-row"):
         methods = tuple(m.strip().upper() for m in args.methods.split(","))
-        result = run_spi_experiment(config, methods=methods, threads=args.threads)
+        result = run_spi_experiment(config, methods=methods)
     elif args.preset == "power":
         try:
             deltas = tuple(float(v) for v in args.deltas.split(","))
         except ValueError as exc:
             raise ParseError(f"--deltas must be comma-separated numbers: {exc}") from exc
-        result = run_power_experiment(config, delta_grid=deltas, threads=args.threads)
+        result = run_power_experiment(config, delta_grid=deltas)
     else:
-        result = run_fwer_experiment(config, shift=args.shift, threads=args.threads)
+        result = run_fwer_experiment(config, shift=args.shift)
     return sim_csv_text(result.rows())
 
 
@@ -367,7 +369,6 @@ def _add_common(sub):
     sub.add_argument("--model", required=True, choices=sorted(MODEL_TAGS))
     sub.add_argument("--data", required=True)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--error-json", default=None, dest="error_json")
     return sub
 
@@ -413,7 +414,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--deltas", default="-2,-1,-0.5,0,0.5,1,2")
     sim.add_argument("--shift", type=float, default=1.0)
     sim.add_argument("--out", default=None)
-    sim.add_argument("--threads", type=int, default=None)
     sim.add_argument("--error-json", default=None, dest="error_json")
 
     tr = _add_common(subs.add_parser("transform", help="log-shift response transform"))
@@ -439,8 +439,6 @@ def _validate_flag_combinations(args) -> None:
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
                 raise _UsageError(f"output directory does not exist: {parent}")
-    if args.threads is not None and args.threads < 1:
-        raise _UsageError(f"--threads must be at least 1, got {args.threads}")
     if getattr(args, "method", None) == "vt" and args.tube_constants is None:
         raise _UsageError("--method vt requires --tube-constants")
     if args.command == "test":

@@ -70,10 +70,6 @@ class SeedOverflow(SpimaxError, ValueError):
     """Master seed outside the supported integer range."""
 
 
-class ThreadsOutOfRange(SpimaxError, ValueError):
-    """Worker count below 1 (None runs inline)."""
-
-
 # ---- analytic critical values ----
 
 class InvalidConstants(SpimaxError, ValueError):

@@ -445,12 +445,33 @@ def restricted_loglik(data: BlockLmmData, theta: VarianceComponents) -> float:
     return float(fit["loglik"][0])
 
 
+def _within_dof(data: BlockLmmData) -> int:
+    """sigma2_e's degrees of freedom: n - D - rank of the centred slope columns.
+
+    The rank is at most p, so it is computed only when it decides the sign.
+    """
+    within = data.n_total - data.D
+    if within > data.p:
+        return within - data.p
+    slopes = data.X[:, 1:]
+    means = np.add.reduceat(slopes, data.offsets, axis=0) / data.sizes[:, None]
+    centred = slopes - np.repeat(means, data.sizes, axis=0)
+    # relative to X, not to the centred columns, which may hold only rounding
+    tol = np.linalg.norm(slopes) * max(slopes.shape) * np.finfo(float).eps
+    return within - int(np.linalg.matrix_rank(centred, tol=tol))
+
+
 def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> dict:
     """The dataset's own response as a batch of one, after the single-fit checks."""
     validate(data)
     if data.n_total <= data.p + 2:
         raise ShapeMismatch(
             f"need more than p + 2 = {data.p + 2} observations, have {data.n_total}"
+        )
+    if data.model_tag == NERM and (dof := _within_dof(data)) <= 0:
+        raise DegenerateData(
+            "unit-level data has no information on sigma2_e: n - D - rank of the "
+            f"within-cluster-centred covariates is {dof}"
         )
     core, st, s = _standardize(data, data.y[None, :])
     _, rtr = core.start(st)

@@ -20,6 +20,8 @@ and no (q + D)-square array is ever formed.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +35,14 @@ from .model import (
     MixedParameterSpec,
     VarianceComponents,
 )
-from .util import (
-    check_seed,
-    check_threads,
-    derive_rng,
-    deterministic_map,
-    order_statistic,
-    quantile_index,
-)
+from .util import check_seed, derive_rng, order_statistic, quantile_index
 
 # draws are generated in fixed-size chunks with per-chunk derived streams,
 # so the merged result is invariant to the worker count
 DRAW_CHUNK = 8192
+# a chunk draws blocks of about this many normals (512 KiB), so a block and
+# its products stay in cache and memory does not grow with D
+BLOCK_NUMBERS = 2**16
 
 ARROW_KINDS = ("symmetric", "lower", "gram")
 
@@ -199,6 +197,13 @@ def _row_norms(mq, mw):
     return np.sqrt(np.einsum("ri,ri->r", mq, mq) + u_part)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def critical_value_mc(
     model: JointNormalModel,
     spec: MixedParameterSpec,
@@ -207,7 +212,6 @@ def critical_value_mc(
     master_seed: int,
     scales: np.ndarray | None = None,
     contrast: np.ndarray | None = None,
-    threads: int | None = None,
 ) -> CriticalValue:
     """Max-statistic threshold simulated from the fitted normal law.
 
@@ -215,9 +219,12 @@ def critical_value_mc(
     the model-implied standard deviation of each component.  Pass scales
     to studentize differently (e.g. by sqrt(g1)), or a contrast matrix to
     calibrate linear combinations A mu.
+
+    Chunk c of DRAW_CHUNK draws continues one stream from (master_seed, c)
+    in blocks of BLOCK_NUMBERS normals.  Chunks run on up to one thread per
+    usable CPU and write only their own maxima, so that count moves no bit.
     """
     check_seed(master_seed)
-    check_threads(threads)
     if k_draws < 1:
         raise ShapeMismatch("need at least one draw")
     mq, mw = _mapped_factor(model, spec, contrast)
@@ -232,23 +239,33 @@ def critical_value_mc(
     mq = mq / scales[:, None]
     mw = mw / (scales if mw.ndim == 1 else scales[:, None])
     q = mq.shape[1]
+    block = max(1, BLOCK_NUMBERS // (q + model.D))
+    maxima = np.empty(k_draws)
 
-    def chunk_max(i: int) -> np.ndarray:
-        lo = i * DRAW_CHUNK
-        m = min(DRAW_CHUNK, k_draws - lo)
-        # white noise for (beta, u); F maps it to phi_hat - phi
-        z = derive_rng(master_seed, i).standard_normal((m, q + model.D))
-        zq, zu = z[:, :q], z[:, q:]
-        if mw.ndim == 1:
-            zu *= mw
-            t = zu
-        else:
-            t = zu @ mw.T
-        t += zq @ mq.T
-        np.abs(t, out=t)
-        return t.max(axis=1)
+    def chunk_max(i: int) -> None:
+        rng = derive_rng(master_seed, i)
+        end = min((i + 1) * DRAW_CHUNK, k_draws)
+        for lo in range(i * DRAW_CHUNK, end, block):
+            hi = min(lo + block, end)
+            # white noise for (beta, u); F maps it to phi_hat - phi
+            z = rng.standard_normal((hi - lo, q + model.D))
+            zq, zu = z[:, :q], z[:, q:]
+            if mw.ndim == 1:
+                zu *= mw
+                t = zu
+            else:
+                t = zu @ mw.T
+            t += zq @ mq.T
+            np.abs(t, out=t)
+            t.max(axis=1, out=maxima[lo:hi])
 
     n_chunks = (k_draws + DRAW_CHUNK - 1) // DRAW_CHUNK
-    maxima = np.concatenate(deterministic_map(chunk_max, range(n_chunks), threads))
+    workers = min(n_chunks, _usable_cpus())
+    if workers == 1:
+        for i in range(n_chunks):
+            chunk_max(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(chunk_max, range(n_chunks)))
     value = order_statistic(maxima, quantile_index(k_draws, alpha))
     return CriticalValue(value=value, method="MC", alpha=alpha)

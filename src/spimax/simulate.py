@@ -22,7 +22,7 @@ from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
 from .maxstat import CriticalValue, build_spi, covers_all, step_down_test
 from .model import FHM, NERM, BlockLmmData, cluster_mean_spec
-from .util import check_alpha, check_seed, check_threads, derive_rng, derive_seed
+from .util import check_alpha, check_seed, derive_rng, derive_seed
 
 SPI_METHODS = ("BS", "MC", "BO", "BE")
 
@@ -145,7 +145,7 @@ def _binomial_halfwidth(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
 
 
-def _run_replicates(kind, config, methods, threads, score, aggregate) -> ExperimentResult:
+def _run_replicates(kind, config, methods, score, aggregate) -> ExperimentResult:
     """The one replicate loop: generate, fit, calibrate, score, aggregate.
 
     Replicate i draws its data from generate_scenario(config, i) and its
@@ -157,7 +157,6 @@ def _run_replicates(kind, config, methods, threads, score, aggregate) -> Experim
     aggregate(records) returns (criteria, halfwidths, samples) from the
     records of the surviving replicates, in order.
     """
-    check_threads(threads)  # before the loop, which records a SpimaxError as a failed replicate
     start_time = time.perf_counter()
     records: list = []
     failed: list[int] = []
@@ -172,7 +171,7 @@ def _run_replicates(kind, config, methods, threads, score, aggregate) -> Experim
                 cv, scales, draws = calibrate(
                     m, data, spec, fit, alpha=config.alpha,
                     seed=derive_seed(config.master_seed, i, 2 if m == "MC" else 1),
-                    B=config.n_boot, K=config.n_mc, draws=draws, threads=threads,
+                    B=config.n_boot, K=config.n_mc, draws=draws,
                 )
                 calibrated[m] = (cv, scales)
             records.append(score(fit, mu_true, calibrated, draws))
@@ -208,7 +207,6 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def run_spi_experiment(
     config: ScenarioConfig,
     methods: tuple[str, ...] = SPI_METHODS,
-    threads: int | None = None,
     extra_criticals: dict[str, CriticalValue] | None = None,
 ) -> ExperimentResult:
     """Coverage (ECP), mean width (WS) and width variance (VS) per method.
@@ -252,14 +250,13 @@ def run_spi_experiment(
             samples[m] = {"covered": cov, "widths": w}
         return criteria, halfwidths, samples
 
-    return _run_replicates("spi", config, methods, threads, score, aggregate)
+    return _run_replicates("spi", config, methods, score, aggregate)
 
 
 def run_power_experiment(
     config: ScenarioConfig,
     delta_grid: tuple[float, ...] = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0),
     methods: tuple[str, ...] = ("BS", "MC"),
-    threads: int | None = None,
 ) -> ExperimentResult:
     """Rejection rate of the global max-type test along a shift grid.
 
@@ -297,14 +294,13 @@ def run_power_experiment(
             samples[m] = {"reject": rej}
         return criteria, halfwidths, samples
 
-    return _run_replicates("power", config, methods, threads, score, aggregate)
+    return _run_replicates("power", config, methods, score, aggregate)
 
 
 def run_fwer_experiment(
     config: ScenarioConfig,
     shift: float = 1.0,
     n_alt: int | None = None,
-    threads: int | None = None,
 ) -> ExperimentResult:
     """Family-wise error of step-down selection vs a fixed-threshold test.
 
@@ -354,4 +350,4 @@ def run_fwer_experiment(
             samples[m] = {"false_rejection": false_rej, "alt_rate": alt_rate}
         return criteria, halfwidths, samples
 
-    return _run_replicates("fwer", config, methods, threads, score, aggregate)
+    return _run_replicates("fwer", config, methods, score, aggregate)

@@ -1,12 +1,10 @@
-"""Shared helpers: seed derivation, order statistics, deterministic maps."""
+"""Shared helpers: seed derivation and order statistics."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .errors import AlphaOutOfRange, SeedOverflow, ThreadsOutOfRange
+from .errors import AlphaOutOfRange, SeedOverflow
 
 # Seeds are kept inside the uint64 range so they survive a round trip
 # through SeedSequence.generate_state.
@@ -61,23 +59,3 @@ def order_statistic(values: np.ndarray, k: int) -> float:
         raise ValueError(f"order statistic index {k} outside [1, {values.size}]")
     return float(np.partition(values, k - 1)[k - 1])
 
-
-def check_threads(threads: int | None) -> None:
-    """threads must be None (run inline) or a worker count of at least 1."""
-    if threads is not None and threads < 1:
-        raise ThreadsOutOfRange(f"threads must be at least 1, got {threads}")
-
-
-def deterministic_map(func, items, threads: int | None):
-    """Apply func over items, optionally on a thread pool.
-
-    Results come back in input order regardless of scheduling.  func may
-    write only its own rows of a shared output and must not mutate other
-    shared state.  threads=None or 1 runs inline.
-    """
-    check_threads(threads)
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(func, items))

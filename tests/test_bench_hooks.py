@@ -24,7 +24,7 @@ import spimax.cli  # noqa: F401  (loads every module the tracer wraps)
 from spimax.bootstrap import CHUNK, parametric_bootstrap
 from spimax.dataio import export_unit_csv
 from spimax.estimation import batch_eblup, eblup
-from spimax.mc import build_joint_normal
+from spimax.mc import DRAW_CHUNK, build_joint_normal
 from spimax.model import cluster_mean_spec
 
 from conftest import make_fhm, make_nerm
@@ -133,3 +133,27 @@ def test_the_bootstrap_draw_stays_in_its_own_span(tmp_path):
     assert children["estimation.batch_eblup"] == chunks
     assert max(children.values()) <= chunks, children
     assert trace["calls"]["util.derive_rng"] == b_reps
+
+
+def test_mc_workers_open_no_span(tmp_path):
+    # the tracer keeps one span stack, so MC worker threads may call only the
+    # count-only util helpers; a timed call from a worker would interleave spans
+    data = make_nerm(D=8, n_d=4, seed=2)[0]
+    csv_path, spans_path = tmp_path / "unit.csv", tmp_path / "spans.json"
+    csv_path.write_text(export_unit_csv(data))
+    src = str(Path(spimax.cli.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), str(spans_path), "spi", "--model", "nerm",
+         "--data", str(csv_path), "--method", "mc", "--K", str(DRAW_CHUNK + 1),
+         "--out", str(tmp_path / "spi.json")],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    spans = json.loads(spans_path.read_text())["spans"]
+    (mc_span,) = [span for span in spans if span[2] == "mc.critical_value_mc"]
+    assert mc_span[5] == {"draws": DRAW_CHUNK + 1}
+    assert not [span for span in spans if span[1] == mc_span[0]]
+    for span_id, parent, name, start, end, _ in spans:
+        assert start <= end, name
+        if parent >= 0:
+            _, _, parent_name, parent_start, parent_end, _ = spans[parent]
+            assert parent_start <= start and end <= parent_end, (name, parent_name)

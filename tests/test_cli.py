@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,15 +254,14 @@ def test_replace_response_shape_guard():
 
 
 def test_spi_bs_outputs_match_library_and_are_deterministic(tmp_path, unit_csv):
-    out1, out2, out3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = [
         "spi", "--model", "nerm", "--data", str(unit_csv),
         "--method", "bs", "--alpha", "0.05", "--B", "120", "--seed", "11",
     ]
     assert run_cli(argv + ["--out", str(out1)]) == 0
     assert run_cli(argv + ["--out", str(out2)]) == 0
-    assert run_cli(argv + ["--threads", "3", "--out", str(out3)]) == 0
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+    assert out1.read_bytes() == out2.read_bytes()
 
     payload = json.loads(out1.read_text())
     assert payload["method"] == "bs" and payload["B"] == 120 and payload["seed"] == 11
@@ -550,12 +550,12 @@ def test_exit_codes_and_error_json(tmp_path, unit_csv, tube_file):
         ["fit", "--model", "nerm", "--data", str(unit_csv),
          "--out", str(tmp_path / "no_such_dir" / "x.json")]
     ) == 1
-    for threads in ("0", "-1"):
-        assert run_cli(
-            ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "bs",
-             "--threads", threads]
-        ) == 1
-        assert run_cli(["simulate", "--preset", "fwer", "--threads", threads]) == 1
+    # there is no worker-count option: MC picks its own workers
+    assert run_cli(
+        ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "mc",
+         "--threads", "2"]
+    ) == 1
+    assert run_cli(["simulate", "--preset", "fwer", "--threads", "2"]) == 1
 
     # computation: missing file, with machine-readable report
     err_path = tmp_path / "err.json"
@@ -591,6 +591,22 @@ def test_non_finite_cells_are_data_errors(tmp_path, capsys, model, text, message
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert json.loads(err_path.read_text())["message"] == message
+
+
+def test_one_row_per_cluster_is_a_data_error(tmp_path, capsys):
+    # n - D = 0 leaves nothing to estimate sigma2_e from; no answer, no warning
+    data, _ = make_nerm(D=50, n_d=1, seed=0)
+    path, err_path = tmp_path / "single.csv", tmp_path / "err.json"
+    path.write_text(export_unit_csv(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            ["fit", "--model", "nerm", "--data", str(path), "--error-json", str(err_path)]
+        )
+    assert code == 2
+    report = json.loads(err_path.read_text())
+    assert report["error"] == "DegenerateData"
+    assert capsys.readouterr().err == f"error: {report['message']}\n"
 
 
 def test_generated_scenario_survives_csv_round_trip(tmp_path):

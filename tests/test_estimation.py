@@ -185,6 +185,32 @@ def test_reml_errors():
         est.reml_fit(tiny)
 
 
+def _unit_data(sizes, seed, p=1):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    X = np.column_stack([np.ones(n)] + [rng.uniform(0, 1, n) for _ in range(p)])
+    y = X.sum(axis=1) + np.repeat(rng.normal(size=len(sizes)), sizes) + rng.normal(0, 0.7, n)
+    return BlockLmmData("NERM", tuple(range(len(sizes))), sizes, y, X)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_unit_data_without_within_cluster_dof_is_rejected(p):
+    # one row per cluster: n - D - rank(centred slopes) = 0 says nothing on sigma2_e
+    with pytest.raises(DegenerateData, match="no information on sigma2_e"):
+        est.reml_fit(_unit_data([1] * 50, seed=p, p=p))
+    # singletons plus one pair: the pair's one within-cluster dof goes to the slope
+    if p == 1:
+        with pytest.raises(DegenerateData, match="is 0$"):
+            est.reml_fit(_unit_data([1] * 20 + [2], seed=5, p=p))
+
+
+def test_singletons_with_one_large_cluster_still_fit():
+    data = _unit_data([1] * 200 + [500], seed=3)
+    fit = est.eblup(data)
+    assert 0.3 < fit.theta.sigma2_e < 0.7
+    assert fit.theta.sigma2_u > 0.1 and np.all(np.isfinite(fit.mu_hat))
+
+
 # ----------------------------------------------------------------------
 # MSE components
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for critical values simulated from the joint normal law."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
+from spimax import mc
 from spimax.errors import ShapeMismatch
 from spimax.estimation import g1_general, g2, reml_fit
 from spimax.mc import (
@@ -138,27 +142,55 @@ def test_mc_matches_independent_normal_quantile():
     assert abs(cv.value - max_abs_normal_quantile(D, alpha)) < 0.02
 
 
-def test_mc_deterministic_and_thread_invariant():
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+
+
+def test_mc_deterministic_and_thread_invariant(monkeypatch):
     model, spec = independent_components_model(12)
     kwargs = dict(k_draws=20_000, alpha=0.1, master_seed=7)
     base = critical_value_mc(model, spec, **kwargs).value
     assert critical_value_mc(model, spec, **kwargs).value == base
-    assert critical_value_mc(model, spec, threads=3, **kwargs).value == base
+    for cpus in (1, 3):
+        _with_cpus(monkeypatch, cpus)
+        assert critical_value_mc(model, spec, **kwargs).value == base
     assert critical_value_mc(model, spec, k_draws=20_000, alpha=0.1, master_seed=8).value != base
 
 
-def test_mc_thread_and_chunk_invariant():
-    # two chunks, the second partial: worker count must not change a bit
+def test_mc_thread_and_chunk_invariant(monkeypatch):
+    # three chunks, the last partial: the worker count must not change a bit,
+    # also with more workers than cores switching as often as they can
     data, _ = make_nerm(D=20, seed=12)
     theta = reml_fit(data)
     model = build_joint_normal(data, theta)
     spec = cluster_mean_spec(data)
     contrast = np.random.default_rng(4).normal(size=(6, data.D))
-    for extra in ({}, {"contrast": contrast}):
-        kwargs = dict(k_draws=DRAW_CHUNK + 17, alpha=0.05, master_seed=31, **extra)
-        c1 = critical_value_mc(model, spec, threads=1, **kwargs).value
-        c3 = critical_value_mc(model, spec, threads=3, **kwargs).value
-        assert c1 == c3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for extra in ({}, {"contrast": contrast}):
+            kwargs = dict(k_draws=2 * DRAW_CHUNK + 17, alpha=0.05, master_seed=31, **extra)
+            values = []
+            for cpus in (1, 3):
+                _with_cpus(monkeypatch, cpus)
+                values.append(critical_value_mc(model, spec, **kwargs).value)
+            assert values[0] == values[1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_holds_one_block_of_draws():
+    # each chunk draws in blocks, so memory does not grow with DRAW_CHUNK x (q + D)
+    data, _ = make_nerm(D=300, p=2, seed=8)
+    model = build_joint_normal(data, reml_fit(data))
+    spec = cluster_mean_spec(data)
+    tracemalloc.start()
+    try:
+        critical_value_mc(model, spec, k_draws=2 * DRAW_CHUNK, alpha=0.05, master_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * DRAW_CHUNK * (data.p + 1 + data.D) * 8
 
 
 def test_mc_alpha_monotone():

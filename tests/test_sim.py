@@ -117,15 +117,14 @@ def test_config_validation():
     assert ScenarioConfig(label="cell-3").label == "cell-3"
 
 
-def test_spi_reproducible_and_thread_invariant():
+def test_spi_reproducible():
     config = small_config()
     a = run_spi_experiment(config)
     b = run_spi_experiment(config)
-    c = run_spi_experiment(config, threads=3)
     for m in a.methods:
-        assert a.criteria[m] == b.criteria[m] == c.criteria[m]
+        assert a.criteria[m] == b.criteria[m]
         assert a.halfwidths[m] == b.halfwidths[m]
-        np.testing.assert_array_equal(a.samples[m]["widths"], c.samples[m]["widths"])
+        np.testing.assert_array_equal(a.samples[m]["widths"], b.samples[m]["widths"])
     assert a.n_failed == 0
     assert a.kind == "spi" and a.runtime_seconds > 0
 
