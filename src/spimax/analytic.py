@@ -7,9 +7,11 @@ corrections, the scale bounds xi0/eta0 and the error-dof nu) describe the
 regression manifold; they are inputs supplied by the caller, never
 estimated from data.
 
-scipy.special is imported inside the functions that call it, so that
-``import spimax`` loads numpy only and jobs that never use a closed-form
-calibration never pay for scipy.
+The Bonferroni quantile comes from the standard library
+(util.normal_quantile).  scipy.special, which only the tube bound needs,
+is imported inside the functions that call it, so that ``import spimax``
+loads numpy only and jobs that never use the tube bound never pay for
+scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .model import (
     VarianceComponents,
     check_spec,
 )
-from .util import check_alpha
+from .util import check_alpha, normal_quantile
 
 BISECT_LO = 1e-6
 BISECT_HI = 100.0
@@ -44,12 +46,10 @@ BISECT_MAX_ITER = 200
 
 def bonferroni_cv(D: int, alpha: float) -> CriticalValue:
     """z quantile at level alpha / (2 D)."""
-    from scipy import special
-
     check_alpha(alpha)
     if D < 1:
         raise ShapeMismatch("need at least one cluster")
-    value = float(special.ndtri(1.0 - alpha / (2.0 * D)))
+    value = float(normal_quantile(1.0 - alpha / (2.0 * D)))
     return CriticalValue(value=value, method="BO", alpha=alpha)
 
 

@@ -9,11 +9,13 @@ of row maxima of that matrix.
 The bootstrap is one loop over chunks of CHUNK replicates: each chunk
 draws, refits and studentizes its own rows, so only one chunk of
 responses is held at a time.  Replicate b uses the generator derived from
-(master_seed, b), and its refit depends only on its own response:
-refitted alone it agrees with the batch result to rounding (matrix
-products round differently for other batch sizes).  The chunks run one
-after another in the calling thread; worker threads were measured to slow
-the refits down.
+(master_seed, b); a chunk seeds all its replicate streams in one
+vectorized pass (util.replicate_rngs), identical draw for draw to
+derive_rng(master_seed, b).  A replicate's refit depends only on its own
+response: refitted alone it agrees with the batch result to rounding
+(matrix products round differently for other batch sizes).  The chunks
+run one after another in the calling thread; worker threads were measured
+to slow the refits down.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import EmptySubset, RefitFailure, ShapeMismatch
 from .estimation import FitResult, batch_eblup, response_scale
 from .maxstat import CriticalValue
 from .model import NERM, BlockLmmData, MixedParameterSpec, check_spec
-from .util import check_seed, derive_rng, order_statistic, quantile_index
+from .util import check_seed, order_statistic, quantile_index, replicate_rngs
 
 # replicates are refitted in fixed-size batches; a constant size keeps the
 # rows of every whole chunk bit-identical whatever b_reps is
@@ -79,7 +81,9 @@ def parametric_bootstrap(
 ) -> BootstrapDraws:
     """Draw, refit and studentize b_reps synthetic datasets.
 
-    Replicate b draws u* and then the errors from derive_rng(master_seed, b):
+    Replicate b draws u* and then the errors from the stream of
+    (master_seed, b), which each chunk seeds for all its replicates at once
+    (util.replicate_rngs, equal to derive_rng(master_seed, b)):
     unit-level errors per unit at the estimated sigma2_e, area-level errors
     per area at the known error variances.  The replicate truth
     mu*_d = k_d' beta_hat + m_d u*_d keeps the original coefficient
@@ -112,8 +116,7 @@ def parametric_bootstrap(
         m = min(CHUNK, b_reps - start)
         u_star = np.empty((m, D))
         Y = np.empty((m, n))
-        for i in range(m):
-            rng = derive_rng(master_seed, start + i)
+        for i, rng in enumerate(replicate_rngs(master_seed, range(start, start + m))):
             u_star[i] = sigma_u * rng.standard_normal(D)
             Y[i] = xb + u_star[i][reps] + error_sd * rng.standard_normal(n)
         res = batch_eblup(data, spec, Y)

@@ -42,6 +42,7 @@ from .simulate import (
     run_power_experiment,
     run_spi_experiment,
 )
+from .util import normal_quantile
 
 MODEL_TAGS = {"nerm": NERM, "fhm": FHM}
 SIM_PRESETS = ("table1-row", "table2-row", "power", "fwer")
@@ -322,12 +323,10 @@ def _transform_payload(args) -> tuple[str, str | None]:
 
 def _plot_positions(values: np.ndarray) -> np.ndarray:
     """Normal quantiles at the (rank - 0.5)/N plotting positions."""
-    from scipy import special
-
     n = values.shape[0]
     ranks = np.empty(n, dtype=float)
     ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
-    return special.ndtri((ranks - 0.5) / n)
+    return normal_quantile((ranks - 0.5) / n)
 
 
 def _residuals_payload(args) -> str:

@@ -67,7 +67,7 @@ class RefitFailure(SpimaxError, RuntimeError):
 
 
 class SeedOverflow(SpimaxError, ValueError):
-    """Master seed outside the supported integer range."""
+    """Master seed or replicate key outside the supported integer range."""
 
 
 # ---- analytic critical values ----

@@ -1,6 +1,9 @@
-"""Shared helpers: seed derivation and order statistics."""
+"""Shared helpers: seed derivation, the normal quantile and order statistics."""
 
 from __future__ import annotations
+
+import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +34,71 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+# numpy's SeedSequence hash constants (pool of four uint32 words, xorshift
+# 16) and PCG64's 128-bit LCG multiplier; replicate_rngs reproduces both
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 2**32 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The SeedSequence hash constants init * mult**k mod 2**32, k = first .. first + count - 1."""
+    return np.array([init * pow(mult, k, 2**32) & _MASK32 for k in range(first, first + count)],
+                    dtype=np.uint32)
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+def replicate_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.Generator]:
+    """For each key b, the generator derive_rng(master_seed, b), draw for draw.
+
+    All streams are seeded in one vectorized pass.  The run-entropy pool of
+    master_seed is mixed once (SeedSequence(master_seed).pool: without a
+    spawn key numpy mixes the same zero-padded words); every key word b is
+    then hashed into it as uint32 arrays, the four uint64 state words are
+    generated, and PCG64's seeding step (O'Neill 2014)
+    state = ((inc + initstate) * M + inc) mod 2**128 runs on Python ints.
+    The iterator yields one generator, its state reset for every key, so
+    draw from it before advancing.  Keys are one word: 0 <= b < 2**32.
+    """
+    b = np.array(list(keys), dtype=np.int64)
+    if b.size and (b.min() < 0 or b.max() > _MASK32):
+        raise SeedOverflow(f"replicate keys must lie in [0, 2**32 - 1], got {b.min()}..{b.max()}")
+    b = b.astype(np.uint32)
+    pool = np.random.SeedSequence(check_seed(master_seed)).pool
+    # mixing the pool took hash calls 0..15; the key word takes calls 16..19
+    hc = _hash_consts(_INIT_A, _MULT_A, 16, 5)
+    words = []
+    for i in range(4):
+        h = _xorshift((b ^ hc[i]) * hc[i + 1])
+        mixed = np.uint32(_MIX_MULT_L * int(pool[i]) & _MASK32)
+        words.append(_xorshift(mixed - np.uint32(_MIX_MULT_R) * h))
+    # generate_state(4, uint64): eight uint32 words cycling over the pool
+    hb = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+    half = [_xorshift((words[i % 4] ^ hb[i]) * hb[i + 1]).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = [(lo | hi << np.uint64(32)).tolist() for lo, hi in zip(half[::2], half[1::2])]
+    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(w2, w3)]
+    states = [
+        ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+        for inc, hi, lo in zip(incs, w0, w1)
+    ]
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+
+    def reseeded() -> Iterator[np.random.Generator]:
+        for state, inc in zip(states, incs):
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+    return reseeded()
+
+
 def derive_seed(master_seed: int, *path: int) -> int:
     """Integer sub-seed for handing to an API that wants a scalar seed."""
     seq = np.random.SeedSequence(check_seed(master_seed), spawn_key=tuple(int(p) for p in path))
@@ -42,6 +110,22 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
     return alpha
+
+
+def normal_quantile(p) -> np.ndarray:
+    """Standard normal quantile of each p in (0, 1]; p = 1 gives inf, as scipy's ndtri.
+
+    statistics.NormalDist.inv_cdf is Wichura's AS241 (Applied Statistics
+    37, 1988); it agrees with scipy.special.ndtri to a few ulp.  The
+    standard library module is imported here, not at ``import spimax``.
+    p = 1 is reached when 1 - alpha / (2 D) rounds up.
+    """
+    from statistics import NormalDist
+
+    p = np.asarray(p, dtype=float)
+    inv_cdf = NormalDist().inv_cdf
+    values = [math.inf if q == 1.0 else inv_cdf(q) for q in p.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(p.shape)
 
 
 def quantile_index(n: int, alpha: float) -> int:

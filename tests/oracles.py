@@ -187,8 +187,8 @@ def dense_ridge_weights(data, theta, c):
     return cz / r, float(c @ z), cz_abs / r
 
 
-def dense_reml_score_u(data, sigma2_u, sigma2_e=None):
-    """d/d sigma2_u of the restricted loglik: -(tr(P ZZ') - y'P ZZ' P y) / 2."""
+def dense_reml_score_terms(data, sigma2_u, sigma2_e=None):
+    """(tr(P ZZ'), y'P ZZ' P y), the two terms of the REML score in sigma2_u."""
     V = dense_V(data, sigma2_u, sigma2_e)
     Vinv = np.linalg.inv(V)
     X, y = data.X, data.y
@@ -198,7 +198,13 @@ def dense_reml_score_u(data, sigma2_u, sigma2_e=None):
     for sl in data.cluster_slices():
         ZZ[sl, sl] = 1.0
     Py = P @ y
-    return -0.5 * (np.sum(P * ZZ) - Py @ ZZ @ Py)
+    return np.sum(P * ZZ), Py @ ZZ @ Py
+
+
+def dense_reml_score_u(data, sigma2_u, sigma2_e=None):
+    """d/d sigma2_u of the restricted loglik: -(tr(P ZZ') - y'P ZZ' P y) / 2."""
+    trace, quad = dense_reml_score_terms(data, sigma2_u, sigma2_e)
+    return -0.5 * (trace - quad)
 
 
 def _profile_point(data, x):

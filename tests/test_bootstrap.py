@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spimax import bootstrap as boot
 from spimax import estimation as est
 from spimax.errors import EmptySubset, SeedOverflow, ShapeMismatch
 from spimax.model import cluster_mean_spec
+from spimax.util import MAX_SEED, replicate_rngs
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
@@ -104,6 +107,34 @@ def test_bootstrap_seed_validation(nerm_setup):
         boot.parametric_bootstrap(data, spec, fit, 10, master_seed=2**63)
     with pytest.raises(ShapeMismatch):
         boot.parametric_bootstrap(data, spec, fit, 0, master_seed=1)
+
+
+KEY_MAX = 2**32 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master_seed=st.integers(min_value=0, max_value=MAX_SEED),
+    keys=st.lists(st.integers(min_value=0, max_value=KEY_MAX), min_size=1, max_size=12),
+)
+@example(master_seed=0, keys=[0, KEY_MAX])
+@example(master_seed=2**32 - 1, keys=[0, KEY_MAX])
+@example(master_seed=2**32, keys=[0, KEY_MAX])
+@example(master_seed=MAX_SEED, keys=[0, KEY_MAX])
+def test_replicate_rngs_match_seed_sequence_draw_for_draw(master_seed, keys):
+    for b, rng in zip(keys, replicate_rngs(master_seed, keys), strict=True):
+        want = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(b,)))
+        )
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
+        assert np.array_equal(rng.integers(0, 2**63, size=3), want.integers(0, 2**63, size=3))
+
+
+@pytest.mark.parametrize("keys", [[2**32], [0, 5, 2**40 + 3], [-1]])
+def test_replicate_rngs_refuse_keys_outside_one_word(keys):
+    with pytest.raises(SeedOverflow, match="replicate keys"):
+        replicate_rngs(7, keys)
 
 
 def test_critical_value_bs_matches_independent_normal_oracle():

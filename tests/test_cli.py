@@ -653,3 +653,25 @@ def test_bootstrap_jobs_do_not_load_scipy(tmp_path, unit_csv):
         f"assert run_cli({spi!r}) == 0 and run_cli({test!r}) == 0\n" + NO_SCIPY
     )
     assert json.loads((tmp_path / "test.json").read_text())["stepdown"] is True
+
+
+def test_bonferroni_and_residual_jobs_do_not_load_scipy(tmp_path, unit_csv):
+    h_path = tmp_path / "h.csv"
+    h_path.write_text("\n".join(["0.0"] * 8) + "\n")
+    data = ["--model", "nerm", "--data", str(unit_csv)]
+    jobs = [
+        ["spi", *data, "--method", "bo", "--out", str(tmp_path / "spi.json")],
+        ["test", *data, "--h", str(h_path), "--method", "bo", "--out", str(tmp_path / "test.json")],
+        ["residuals", *data, "--out", str(tmp_path / "resid.csv")],
+    ] + [
+        ["simulate", "--preset", preset, "--D", "10", "--I", "2", "--B", "5", "--K", "50",
+         "--out", str(tmp_path / f"{preset}.csv")]
+        for preset in ("fwer", "table1-row")
+    ]
+    _fresh_interpreter(
+        "import sys\n"
+        "from spimax.cli import run_cli\n"
+        f"assert [run_cli(job) for job in {jobs!r}] == [0] * {len(jobs)}\n" + NO_SCIPY
+    )
+    assert json.loads((tmp_path / "spi.json").read_text())["method"] == "bo"
+    assert "BO" in (tmp_path / "table1-row.csv").read_text()
