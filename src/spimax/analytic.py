@@ -35,6 +35,7 @@ from .model import (
     MixedParameterSpec,
     VarianceComponents,
     check_spec,
+    error_variances,
 )
 from .util import check_alpha, normal_quantile
 
@@ -45,11 +46,15 @@ BISECT_MAX_ITER = 200
 
 
 def bonferroni_cv(D: int, alpha: float) -> CriticalValue:
-    """z quantile at level alpha / (2 D)."""
+    """Upper z quantile at tail level alpha / (2 D).
+
+    Taken as -z(alpha / (2 D)) by symmetry: forming 1 - alpha / (2 D) would
+    round off the digits of a small tail level.
+    """
     check_alpha(alpha)
     if D < 1:
         raise ShapeMismatch("need at least one cluster")
-    value = float(normal_quantile(1.0 - alpha / (2.0 * D)))
+    value = -float(normal_quantile(alpha / (2.0 * D)))
     return CriticalValue(value=value, method="BO", alpha=alpha)
 
 
@@ -74,7 +79,8 @@ def ridge_weights(data: BlockLmmData, theta: VarianceComponents, c: np.ndarray) 
     """Solve the mixed-model equations for the weights of c' phi_tilde.
 
     K z = c is solved by block elimination through the arrow factor F of
-    K^-1 = F F': z = F (F' c), and c' z = ||F' c||^2.
+    K^-1 = F F': z = F (F' c), and c' z = ||F' c||^2.  Then l = R^-1 C z,
+    R the diagonal of per-unit error variances (model.error_variances).
     """
     c = np.asarray(c, dtype=float)
     q = data.p + 1
@@ -86,13 +92,10 @@ def ridge_weights(data: BlockLmmData, theta: VarianceComponents, c: np.ndarray) 
     yu = F.diag * c[q:]
     zq = F.corner @ yq
     zu = F.border @ yq + F.diag * yu
-    cz = data.X @ zq + np.repeat(zu, data.sizes)
+    l = (data.X @ zq + np.repeat(zu, data.sizes)) / error_variances(data, theta)
+    norm = None
     if data.model_tag == NERM:
-        l = cz / theta.sigma2_e
         norm = math.sqrt(float(yq @ yq + yu @ yu)) / math.sqrt(theta.sigma2_e)
-    else:
-        l = cz / np.repeat(data.known_error_vars, data.sizes)
-        norm = None
     return RidgeWeights(l=l, l_m_norm=norm)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptySubset, RefitFailure, ShapeMismatch
 from .estimation import FitResult, batch_eblup, response_scale
 from .maxstat import CriticalValue
-from .model import NERM, BlockLmmData, MixedParameterSpec, check_spec
+from .model import BlockLmmData, MixedParameterSpec, check_spec, error_variances
 from .util import check_seed, order_statistic, quantile_index, replicate_rngs
 
 # replicates are refitted in fixed-size batches; a constant size keeps the
@@ -83,9 +83,10 @@ def parametric_bootstrap(
 
     Replicate b draws u* and then the errors from the stream of
     (master_seed, b), which each chunk seeds for all its replicates at once
-    (util.replicate_rngs, equal to derive_rng(master_seed, b)):
-    unit-level errors per unit at the estimated sigma2_e, area-level errors
-    per area at the known error variances.  The replicate truth
+    (util.replicate_rngs, equal to derive_rng(master_seed, b)): one error
+    per unit of y at its error variance (model.error_variances: the
+    estimated sigma2_e for unit-level data, the known psi_d for area-level
+    data).  The replicate truth
     mu*_d = k_d' beta_hat + m_d u*_d keeps the original coefficient
     estimate, and every replicate is refitted with the same REML pipeline
     as the original fit.  The work is one loop over chunks of CHUNK
@@ -102,11 +103,7 @@ def parametric_bootstrap(
     xb = data.X @ beta_hat
     mu_fixed = beta_hat @ spec.k.T
     sigma_u = np.sqrt(fit.theta.sigma2_u)
-    # one error sd per unit of y; area-level data has one unit per area
-    if data.model_tag == NERM:
-        error_sd = np.full(n, np.sqrt(fit.theta.sigma2_e))
-    else:
-        error_sd = np.sqrt(data.known_error_vars)
+    error_sd = np.sqrt(error_variances(data, fit.theta))
     reps = np.repeat(np.arange(D), data.sizes)
     g1_floor = G1_FLOOR * response_scale(data.y) ** 2
     delta = np.empty((b_reps, D))

@@ -40,7 +40,6 @@ from .errors import (
     SingularSystem,
 )
 from .model import (
-    FHM,
     NERM,
     VAR_FLOOR,
     BlockLmmData,
@@ -48,6 +47,7 @@ from .model import (
     VarianceComponents,
     check_spec,
     cluster_mean_spec,
+    error_variances,
     replace_response,
     validate,
 )
@@ -563,18 +563,15 @@ def g2(
 def cholesky_residuals(data: BlockLmmData, fit: FitResult) -> np.ndarray:
     """Block-whitened residuals L_d^-1 (y_d - X_d beta_hat), stacked.
 
-    Under a correct model these are approximately iid standard normal.
+    L_d is the Cholesky factor of V_d = R_d + sigma2_u 1 1', R_d the diagonal
+    of the cluster's error variances (model.error_variances).  Under a
+    correct model these are approximately iid standard normal.
     """
-    theta = fit.theta
+    ev = error_variances(data, fit.theta)
     out = np.empty(data.n_total)
-    for d, sl in enumerate(data.cluster_slices()):
-        r = data.y[sl] - data.X[sl] @ fit.beta_hat
-        if data.model_tag == FHM:
-            out[sl] = r / math.sqrt(theta.sigma2_u + data.known_error_vars[d])
-        else:
-            V = theta.sigma2_e * np.eye(r.shape[0]) + theta.sigma2_u
-            L = np.linalg.cholesky(V)
-            out[sl] = np.linalg.solve(L, r)
+    for sl in data.cluster_slices():
+        L = np.linalg.cholesky(np.diag(ev[sl]) + fit.theta.sigma2_u)
+        out[sl] = np.linalg.solve(L, data.y[sl] - data.X[sl] @ fit.beta_hat)
     return out
 
 

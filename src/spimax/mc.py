@@ -29,11 +29,10 @@ import numpy as np
 from .errors import CholeskyFailure, ShapeMismatch
 from .maxstat import SCALE_FLOOR, CriticalValue
 from .model import (
-    FHM,
-    NERM,
     BlockLmmData,
     MixedParameterSpec,
     VarianceComponents,
+    error_variances,
 )
 from .util import check_seed, derive_rng, order_statistic, quantile_index
 
@@ -90,28 +89,21 @@ class Arrow:
 
 
 def assemble_precision(data: BlockLmmData, theta: VarianceComponents) -> Arrow:
-    """C' R^-1 C + G+ as a symmetric arrow, assembled from per-cluster blocks."""
-    if data.model_tag == NERM:
-        if theta.sigma2_e is None:
-            raise ShapeMismatch("unit-level model requires sigma2_e")
-        se = theta.sigma2_e
-        t = np.add.reduceat(data.X, data.offsets, axis=0)
-        return Arrow(
-            corner=data.X.T @ data.X / se,
-            border=t / se,
-            diag=data.sizes / se + 1.0 / theta.sigma2_u,
-            kind="symmetric",
-        )
-    if data.model_tag == FHM:
-        s2e = data.known_error_vars
-        border = data.X / s2e[:, None]
-        return Arrow(
-            corner=data.X.T @ border,
-            border=border,
-            diag=1.0 / s2e + 1.0 / theta.sigma2_u,
-            kind="symmetric",
-        )
-    raise ShapeMismatch(f"unknown model tag {data.model_tag!r}")
+    """C' R^-1 C + G+ as a symmetric arrow, assembled from per-cluster blocks.
+
+    R is diagonal with the per-unit error variances r (model.error_variances),
+    so one formula serves both families: corner X' R^-1 X, border the
+    cluster sums of the rows of R^-1 X, diagonal the cluster sums of 1 / r
+    plus 1 / sigma2_u.
+    """
+    r = error_variances(data, theta)
+    xr = data.X / r[:, None]
+    return Arrow(
+        corner=data.X.T @ xr,
+        border=np.add.reduceat(xr, data.offsets, axis=0),
+        diag=np.add.reduceat(1.0 / r, data.offsets) + 1.0 / theta.sigma2_u,
+        kind="symmetric",
+    )
 
 
 @dataclass(frozen=True)

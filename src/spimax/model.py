@@ -200,6 +200,19 @@ def validate(data: BlockLmmData) -> None:
         raise RankDeficient("stacked design matrix is rank deficient")
 
 
+def error_variances(data: BlockLmmData, theta: VarianceComponents) -> np.ndarray:
+    """Error variance of each unit of y: the diagonal of R in e ~ N(0, R).
+
+    sigma2_e for every unit of the unit-level model; the known psi_d of the
+    area-level model, whose areas hold one unit each.
+    """
+    if data.model_tag == FHM:
+        return data.known_error_vars
+    if theta.sigma2_e is None:
+        raise ShapeMismatch("unit-level model requires sigma2_e")
+    return np.full(data.n_total, theta.sigma2_e)
+
+
 def check_spec(data: BlockLmmData, spec: MixedParameterSpec) -> None:
     if spec.k.shape != (data.D, data.p + 1):
         raise ShapeMismatch(

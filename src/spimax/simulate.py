@@ -20,7 +20,7 @@ from .bootstrap import stepdown_quantile_provider
 from .calibration import calibrate
 from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
-from .maxstat import CriticalValue, build_spi, covers_all, step_down_test
+from .maxstat import build_spi, covers_all, step_down_test
 from .model import FHM, NERM, BlockLmmData, cluster_mean_spec
 from .util import check_alpha, check_seed, derive_rng, derive_seed
 
@@ -207,34 +207,28 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def run_spi_experiment(
     config: ScenarioConfig,
     methods: tuple[str, ...] = SPI_METHODS,
-    extra_criticals: dict[str, CriticalValue] | None = None,
 ) -> ExperimentResult:
     """Coverage (ECP), mean width (WS) and width variance (VS) per method.
 
     All methods center intervals at the same predictions.  BS, BE and BO
     scale by the leading MSE term; the direct simulation calibrates and
-    scales with its model-implied standard deviations.  extra_criticals
-    injects fixed thresholds as additional pseudo-methods (for harness
-    checks); they use the leading-term scales.
+    scales with its model-implied standard deviations.
     """
     methods = tuple(methods)
     for m in methods:
         if m not in SPI_METHODS:
             raise ShapeMismatch(f"unknown method {m!r}; choose from {SPI_METHODS}")
-    extra = dict(extra_criticals or {})
-    all_methods = methods + tuple(extra)
-    if len(set(all_methods)) != len(all_methods):
+    if len(set(methods)) != len(methods):
         raise ShapeMismatch("duplicate method names")
 
     def score(fit, mu_true, calibrated, draws):
         intervals = {m: build_spi(fit, cv, scales) for m, (cv, scales) in calibrated.items()}
-        intervals.update((name, build_spi(fit, cv)) for name, cv in extra.items())
         return {m: (covers_all(iv, mu_true), iv.upper - iv.lower) for m, iv in intervals.items()}
 
     def aggregate(records):
         n_ok = len(records)
         criteria, halfwidths, samples = {}, {}, {}
-        for m in all_methods:
+        for m in methods:
             cov = np.array([r[m][0] for r in records])
             w = np.array([r[m][1] for r in records])
             per_cluster_var = (

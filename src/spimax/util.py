@@ -113,18 +113,18 @@ def check_alpha(alpha: float) -> float:
 
 
 def normal_quantile(p) -> np.ndarray:
-    """Standard normal quantile of each p in (0, 1]; p = 1 gives inf, as scipy's ndtri.
+    """Standard normal quantile of each p in [0, 1); p = 0 gives -inf, as scipy's ndtri.
 
     statistics.NormalDist.inv_cdf is Wichura's AS241 (Applied Statistics
     37, 1988); it agrees with scipy.special.ndtri to a few ulp.  The
     standard library module is imported here, not at ``import spimax``.
-    p = 1 is reached when 1 - alpha / (2 D) rounds up.
+    p = 0 is reached when a Bonferroni tail level alpha / (2 D) underflows.
     """
     from statistics import NormalDist
 
     p = np.asarray(p, dtype=float)
     inv_cdf = NormalDist().inv_cdf
-    values = [math.inf if q == 1.0 else inv_cdf(q) for q in p.ravel().tolist()]
+    values = [-math.inf if q == 0.0 else inv_cdf(q) for q in p.ravel().tolist()]
     return np.array(values, dtype=float).reshape(p.shape)
 
 

@@ -63,14 +63,30 @@ special_settings = settings(max_examples=300, deadline=None)
     position=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
 def test_normal_quantile_is_within_a_few_ulp_of_norm_ppf(alpha, D, position):
-    q = np.array([1.0 - alpha / (2.0 * D), position])
+    q = np.array([alpha / (2.0 * D), position, 0.0])
     got, want = normal_quantile(q), stats.norm.ppf(q)
-    finite = np.isfinite(want)  # 1 - alpha / (2D) can round to 1: both give inf
+    finite = np.isfinite(want)  # alpha / (2D) can underflow to 0: both give -inf
     assert np.array_equal(got[~finite], want[~finite])
+    assert got[2] == -math.inf
     err = np.abs(got[finite] - want[finite])
     assert np.all(err <= 2e-15 * np.abs(want[finite]) + 1e-16), (q, got, want)
     if finite[0]:
-        assert bonferroni_cv(D, alpha).value == got[0]
+        assert bonferroni_cv(D, alpha).value == -got[0]
+
+
+def test_bonferroni_matches_norm_isf_at_small_tail_levels():
+    # the upper quantile is taken by symmetry, so no digits of alpha / (2D)
+    # are lost to forming 1 - alpha / (2D)
+    worst = 0.0
+    for D in np.unique(np.round(np.logspace(0, 5, 60)).astype(int)):
+        for alpha in np.logspace(-12, math.log10(0.5), 60):
+            want = stats.norm.isf(alpha / (2.0 * D))
+            worst = max(worst, abs(bonferroni_cv(int(D), alpha).value - want) / want)
+    assert worst <= 1.5e-15
+    assert math.isfinite(bonferroni_cv(100_000, 1e-12).value)
+    # a tail level that underflows to 0 has no finite quantile
+    with pytest.raises(ShapeMismatch):
+        bonferroni_cv(1, 5e-324)
 
 
 @special_settings

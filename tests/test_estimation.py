@@ -263,17 +263,28 @@ def test_g2_shrinks_with_more_clusters():
 # diagnostics
 # ----------------------------------------------------------------------
 
-def test_cholesky_residuals_match_dense_and_whiten():
-    data, _ = make_nerm(D=90, n_d=5, sigma2_e=0.5, sigma2_u=1.0, seed=91)
+@pytest.mark.parametrize("family", ["NERM", "FHM"])
+def test_cholesky_residuals_match_dense_and_whiten(family):
+    if family == "NERM":
+        data, _ = make_nerm(D=90, n_d=5, sigma2_e=0.5, sigma2_u=1.0, seed=91)
+    else:
+        data, _ = make_fhm(D=400, sigma2_u=0.5, seed=91)
     fit = est.eblup(data, cluster_mean_spec(data))
     res = est.cholesky_residuals(data, fit)
     assert res.shape == (data.n_total,)
-    # dense recomputation of one block
-    sl = data.cluster_slices()[3]
-    V = fit.theta.sigma2_e * np.eye(data.sizes[3]) + fit.theta.sigma2_u
-    L = np.linalg.cholesky(V)
-    want = np.linalg.solve(L, data.y[sl] - data.X[sl] @ fit.beta_hat)
-    assert_allclose(res[sl], want, atol=1e-10)
+    if family == "NERM":
+        # dense recomputation of one block
+        sl = data.cluster_slices()[3]
+        V = fit.theta.sigma2_e * np.eye(data.sizes[3]) + fit.theta.sigma2_u
+        L = np.linalg.cholesky(V)
+        want = np.linalg.solve(L, data.y[sl] - data.X[sl] @ fit.beta_hat)
+        assert_allclose(res[sl], want, atol=1e-10)
+    else:
+        # one unit per area: whitening is division by the marginal sd
+        want = (data.y - data.X @ fit.beta_hat) / np.sqrt(
+            fit.theta.sigma2_u + data.known_error_vars
+        )
+        assert_allclose(res, want, rtol=1e-14, atol=0)
     assert 0.85 < res.var() < 1.15
     assert abs(res.mean()) < 0.1
 

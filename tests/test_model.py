@@ -15,6 +15,7 @@ from spimax.model import (
     MixedParameterSpec,
     VarianceComponents,
     cluster_mean_spec,
+    error_variances,
     eval_mixed_parameters,
     validate,
 )
@@ -128,6 +129,17 @@ def test_variance_components_floor_and_immutable():
         theta.sigma2_u = 1.0
     with pytest.raises(ShapeMismatch):
         VarianceComponents(sigma2_u=np.nan)
+
+
+def test_error_variances_per_unit():
+    data, _ = make_nerm(D=4, n_d=3, seed=3, unbalanced=True)
+    r = error_variances(data, VarianceComponents(sigma2_u=1.0, sigma2_e=0.25))
+    np.testing.assert_array_equal(r, np.full(data.n_total, 0.25))
+    with pytest.raises(ShapeMismatch, match="requires sigma2_e"):
+        error_variances(data, VarianceComponents(sigma2_u=1.0))
+    area, _ = make_fhm(D=6, seed=3)
+    r = error_variances(area, VarianceComponents(sigma2_u=1.0))
+    np.testing.assert_array_equal(r, area.known_error_vars)
 
 
 def test_mixed_parameter_spec_shapes():

@@ -5,7 +5,6 @@ import pytest
 
 from spimax import simulate
 from spimax.errors import NonPositiveShift, ShapeMismatch, SingularSystem
-from spimax.maxstat import CriticalValue
 from spimax.model import FHM, NERM
 from spimax.simulate import (
     ScenarioConfig,
@@ -139,23 +138,11 @@ def test_spi_criteria_recompute_from_samples():
         assert result.criteria[m]["vs"] == w.var(axis=0, ddof=1).mean()
 
 
-def test_spi_zero_threshold_stub_scores_zero():
-    stub = CriticalValue(value=0.0, method="BO", alpha=0.05)
-    result = run_spi_experiment(
-        small_config(), methods=("BO",), extra_criticals={"STUB": stub}
-    )
-    assert result.criteria["STUB"] == {"ecp": 0.0, "ws": 0.0, "vs": 0.0}
-    assert ("NERM-D10", "STUB", "ecp", 0.0, 0.0) in result.rows()
-    # real method in the same run is unaffected
-    assert result.criteria["BO"]["ecp"] > 0.0
-
-
 def test_spi_method_validation():
     with pytest.raises(ShapeMismatch):
         run_spi_experiment(small_config(), methods=("BS", "XX"))
-    stub = CriticalValue(value=1.0, method="BO", alpha=0.05)
-    with pytest.raises(ShapeMismatch):
-        run_spi_experiment(small_config(), methods=("BO",), extra_criticals={"BO": stub})
+    with pytest.raises(ShapeMismatch, match="duplicate"):
+        run_spi_experiment(small_config(), methods=("BO", "BO"))
 
 
 def test_rows_layout():
