@@ -8,10 +8,9 @@ regression manifold; they are inputs supplied by the caller, never
 estimated from data.
 
 The Bonferroni quantile comes from the standard library
-(util.normal_quantile).  scipy.special, which only the tube bound needs,
-is imported inside the functions that call it, so that ``import spimax``
-loads numpy only and jobs that never use the tube bound never pay for
-scipy.
+(util.normal_quantile).  The tube bound's Student-t and F tail
+probabilities are both a regularized incomplete beta function, evaluated
+here by one continued fraction (_beta_tail).
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import (
     BoundUnattainable,
     InvalidConstants,
+    NoConvergence,
     NonMonotoneBound,
     ShapeMismatch,
 )
@@ -165,10 +165,88 @@ class TubeConstants:
             raise InvalidConstants("nu must be at least 1")
 
 
-def _gamma_ratio(a: float, b: float) -> float:
-    from scipy import special
+def _log_gamma_ratio(a: float, b: float) -> float:
+    """lgamma(a + b) - lgamma(a) for a, b > 0.
 
-    return math.exp(special.gammaln(a) - special.gammaln(b))
+    From a = 30 up it is the difference of the two Stirling series, so a
+    large a with a small increment b does not cancel two large lgammas.
+    """
+    if a < 30.0:
+        return math.lgamma(a + b) - math.lgamma(a)
+    w = _stirling_remainder
+    return b * math.log(a) + (a + b - 0.5) * math.log1p(b / a) - b + w(a + b) - w(a)
+
+
+def _stirling_remainder(z: float) -> float:
+    """Stirling series 1/(12z) - 1/(360z^3) + 1/(1260z^5).
+
+    It approximates lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2).
+    """
+    z2 = z * z
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z2)) / z2) / z
+
+
+CF_TOL = 1e-15
+CF_MAX_ITER = 1000
+_CF_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """Continued fraction of I_x(a, b), y = 1 - x, by the modified Lentz method.
+
+    Numerical Recipes (section 6.4) form.  The first denominator
+    1 - (a + b) x / (a + 1) is written as ((1 - b) x + (a + 1) y) / (a + 1),
+    which does not cancel when x is close to 1.
+    """
+    c = 1.0
+    d = ((1.0 - b) * x + (a + 1.0) * y) / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, CF_MAX_ITER + 1):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < CF_TOL:
+            return h
+    raise NoConvergence(f"incomplete beta continued fraction at a={a}, b={b}, x={x}")
+
+
+def _beta_tail(a: float, b: float, r: float) -> float:
+    """Regularized incomplete beta I_x(a, b) at x = 1 / (1 + r), r >= 0.
+
+    1 - x = r / (1 + r) is formed directly, so tiny tails keep their
+    digits.  Past x = (a + 1) / (a + b + 2) the fraction converges slowly,
+    and 1 - I_(1-x)(b, a) is taken instead.
+    """
+    if r == 0.0:
+        return 1.0
+    if r == math.inf:
+        return 0.0
+    x, y = 1.0 / (1.0 + r), r / (1.0 + r)
+    log1p_r = math.log1p(r)
+    log_beta = math.lgamma(b) - _log_gamma_ratio(a, b)
+    front = math.exp(-a * log1p_r + b * (math.log(r) - log1p_r) - log_beta)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - front * _beta_cf(b, a, y, x) / b
+    return front * _beta_cf(a, b, x, y) / a
+
+
+def _t_tail(nu: float, x: float) -> float:
+    """P(T > x) for Student's t with nu degrees of freedom, x >= 0."""
+    return 0.5 * _beta_tail(nu / 2.0, 0.5, x * x / nu)
+
+
+def _f_tail(d1: float, nu: float, x: float) -> float:
+    """P(F > x) for the F law with (d1, nu) degrees of freedom, x >= 0."""
+    return _beta_tail(nu / 2.0, d1 / 2.0, d1 * x / nu)
 
 
 def _a_terms(c: float, k: TubeConstants) -> tuple[float, float, float]:
@@ -177,10 +255,10 @@ def _a_terms(c: float, k: TubeConstants) -> tuple[float, float, float]:
     x = c * k.xi0
     base = -0.5 * math.log1p(x * x / nu)  # log (1 + x^2/nu)^(-1/2)
     a1 = math.exp(nu * base)
-    a2 = math.sqrt(2.0) * x / math.sqrt(nu) * _gamma_ratio((nu + 1) / 2, nu / 2) * math.exp(
-        (nu + 1) * base
-    )
-    a3 = (x * x / nu) * 2.0 * _gamma_ratio((nu + 2) / 2, nu / 2) * math.exp((nu + 2) * base)
+    half = math.exp(_log_gamma_ratio(nu / 2, 0.5))  # Gamma((nu + 1) / 2) / Gamma(nu / 2)
+    a2 = math.sqrt(2.0) * x / math.sqrt(nu) * half * math.exp((nu + 1) * base)
+    # (x^2 / nu) * 2 * Gamma((nu + 2) / 2) / Gamma(nu / 2), and that ratio is nu / 2
+    a3 = x * x * math.exp((nu + 2) * base)
     return a1, a2, a3
 
 
@@ -189,9 +267,9 @@ def tube_alpha_bound(p: int, c: float, k: TubeConstants) -> float:
 
     Branches on the manifold dimension p; the p = 1 and p = 2 branches use
     the closed chi-integral terms, the p >= 3 branch F tail probabilities.
+    From p = 343 up a Gamma or pi power in the p >= 3 coefficients
+    overflows, and the bound is unattainable.
     """
-    from scipy import special
-
     if p < 1:
         raise ShapeMismatch("manifold dimension p must be at least 1")
     c = float(c)
@@ -199,7 +277,7 @@ def tube_alpha_bound(p: int, c: float, k: TubeConstants) -> float:
         raise ShapeMismatch("height c must be nonnegative")
     nu = k.nu
     x = c * k.xi0
-    t_tail = 2.0 * special.stdtr(nu, -x)
+    t_tail = 2.0 * _t_tail(nu, x)
     if p == 1:
         a1, a2, _ = _a_terms(c, k)
         return (k.kappa0 / math.pi) * (a1 + k.eta0 * a2) + k.euler * t_tail
@@ -212,24 +290,29 @@ def tube_alpha_bound(p: int, c: float, k: TubeConstants) -> float:
         return lead + edge + 2.0 * k.euler * t_tail
     # p >= 3: sigma_e / sigma_e_hat treated as 1 in the shifted height
     shifted = (x - k.eta0) ** 2
-    out = (
-        k.kappa0
-        * math.gamma((p + 1) / 2)
-        / math.pi ** ((p + 1) / 2)
-        * special.fdtrc(p + 1, nu, shifted / (p + 1))
-    )
-    out += (
-        (k.zeta0 / 2.0)
-        * math.gamma(p / 2)
-        / math.pi ** (p / 2)
-        * special.fdtrc(p, nu, shifted / p)
-    )
-    out += (
-        ((k.kappa2 + k.zeta1 + k.m0) / (2.0 * math.pi))
-        * math.gamma((p - 1) / 2)
-        / math.pi ** ((p - 1) / 2)
-        * special.fdtrc(p - 1, nu, shifted / (p - 1))
-    )
+    try:
+        out = (
+            k.kappa0
+            * math.gamma((p + 1) / 2)
+            / math.pi ** ((p + 1) / 2)
+            * _f_tail(p + 1, nu, shifted / (p + 1))
+        )
+        out += (
+            (k.zeta0 / 2.0)
+            * math.gamma(p / 2)
+            / math.pi ** (p / 2)
+            * _f_tail(p, nu, shifted / p)
+        )
+        out += (
+            ((k.kappa2 + k.zeta1 + k.m0) / (2.0 * math.pi))
+            * math.gamma((p - 1) / 2)
+            / math.pi ** ((p - 1) / 2)
+            * _f_tail(p - 1, nu, shifted / (p - 1))
+        )
+    except OverflowError:  # math.gamma or the pi power
+        raise BoundUnattainable(
+            f"tube bound coefficients overflow at manifold dimension p = {p}"
+        ) from None
     return out
 
 

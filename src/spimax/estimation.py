@@ -591,13 +591,27 @@ def log_shift_profile(data: BlockLmmData, grid) -> tuple[np.ndarray, np.ndarray,
         raise NonPositiveShift(
             f"y + c must stay positive; smallest candidate {grid.min():g} fails"
         )
-    from scipy import stats  # only transform needs it; keeps scipy out of `import spimax`
-
     skews = np.empty(grid.size)
     for i, c in enumerate(grid):
         shifted = replace_response(data, np.log(y + c))
-        skews[i] = float(stats.skew(cholesky_residuals(shifted, eblup(shifted))))
+        skews[i] = _skew(cholesky_residuals(shifted, eblup(shifted)))
     return grid, skews, int(np.argmin(np.abs(skews)))
+
+
+def _skew(r: np.ndarray) -> float:
+    """Fisher skewness m3 / m2^1.5 with biased moments.
+
+    nan when m2 <= (eps * mean)^2, as for an exactly constant vector.  The
+    operations are those of scipy.stats.skew(r, bias=True), so it agrees
+    with it bit for bit.
+    """
+    mean = np.mean(r)
+    d = r - mean
+    m2 = np.mean(d**2)
+    m3 = np.mean(d**2 * d)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return math.nan
+    return float(m3 / m2**1.5)
 
 
 def log_shift_transform(data: BlockLmmData, grid) -> tuple[float, np.ndarray]:

@@ -292,3 +292,35 @@ def reference_scenario(config, replicate):
     k = np.vstack([X.mean(axis=0) for X in Xs])
     mu = k @ beta + np.ones(D) * u
     return np.concatenate(ys), np.vstack(Xs), ev, mu, k
+
+
+def loop_reml_score(data, sigma2_u, sigma2_e):
+    """Unit-level GLS beta and REML score terms by a per-cluster loop.
+
+    Nothing n x n is formed: V_d^-1 v = (v - g_d 1 1'v) / sigma2_e with
+    g_d = sigma2_u / (sigma2_e + n_d sigma2_u) (Sherman-Morrison), one
+    cluster at a time.  Returns (beta, (tr(P ZZ'), y'P ZZ' P y),
+    (tr(P), y'P P y)): the REML score in sigma2_u, resp. sigma2_e, is
+    -(trace - quad) / 2 for its pair.
+    """
+    q = data.X.shape[1]
+    A, b, blocks = np.zeros((q, q)), np.zeros(q), []
+    for sl, n in zip(data.cluster_slices(), data.sizes):
+        g = sigma2_u / (sigma2_e + n * sigma2_u)
+        VX = (data.X[sl] - g * data.X[sl].sum(axis=0)) / sigma2_e
+        Vy = (data.y[sl] - g * data.y[sl].sum()) / sigma2_e
+        A += data.X[sl].T @ VX
+        b += data.X[sl].T @ Vy
+        blocks.append((sl, n, g, VX))
+    beta = np.linalg.solve(A, b)
+    Ainv = np.linalg.inv(A)
+    tr_u = quad_u = tr_e = quad_e = 0.0
+    for sl, n, g, VX in blocks:
+        r = data.y[sl] - data.X[sl] @ beta
+        Pr = (r - g * r.sum()) / sigma2_e  # (P y)_d = V_d^-1 (y_d - X_d beta)
+        s = VX.sum(axis=0)  # X_d' V_d^-1 1
+        tr_u += n / (sigma2_e + n * sigma2_u) - s @ Ainv @ s
+        quad_u += Pr.sum() ** 2
+        tr_e += n * (1.0 - g) / sigma2_e - np.sum(Ainv * (VX.T @ VX))
+        quad_e += Pr @ Pr
+    return beta, (tr_u, quad_u), (tr_e, quad_e)

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile, tube_p1_closed_form
@@ -14,6 +14,8 @@ from spimax.analytic import (
     BISECT_LO,
     RidgeWeights,
     TubeConstants,
+    _f_tail,
+    _t_tail,
     bonferroni_cv,
     ridge_interval_scales,
     ridge_weights,
@@ -51,8 +53,8 @@ def test_bonferroni_frozen_value():
 # BO and the residual plot positions take the normal quantile from the
 # standard library (util.normal_quantile); it stays within a few ulp of
 # scipy.stats.norm.ppf, with an absolute term where the quantile nears 0.
-# VT calls the scipy.special forms below, pinned to the scipy.stats calls
-# they replaced, bit for bit, over the ranges spimax evaluates.
+# VT takes its t and F tails from one incomplete-beta continued fraction,
+# checked against scipy.stats and against closed forms in the deep tail.
 special_settings = settings(max_examples=300, deadline=None)
 
 
@@ -89,23 +91,62 @@ def test_bonferroni_matches_norm_isf_at_small_tail_levels():
         bonferroni_cv(1, 5e-324)
 
 
+def tail_tolerance(nu):
+    return 2e-12 * max(1.0, math.sqrt(nu) / 10.0)
+
+
+def upper_tail(law, x):
+    """P(X > x) from scipy, the smaller side taken directly.
+
+    Near 1, scipy's sf forms 1 - x in its incomplete-beta argument and
+    loses the digits (P(F(1, 1) > 4.3e-17) comes back as 1.0, not
+    1 - 4.2e-9); 1 - cdf does not.  The t tail is taken as
+    P(T > x) = P(F(1, nu) > x^2) / 2: scipy's t.sf at nu = 1 is off by
+    1.5e-9 at x = 1e-8.
+    """
+    sf = law.sf(x)
+    return sf if sf <= 0.5 else 1.0 - law.cdf(x)
+
+
 @special_settings
 @given(
     x=st.floats(min_value=0.0, max_value=1e3),
     nu=st.floats(min_value=1.0, max_value=1e6),
 )
-def test_stdtr_is_bit_identical_to_t_sf(x, nu):
-    assert special.stdtr(nu, -x) == stats.t.sf(x, nu)
+def test_t_tail_matches_t_sf(x, nu):
+    want = 0.5 * upper_tail(stats.f(1, nu), x * x)
+    assume(want >= 1e-100)
+    assert abs(_t_tail(nu, x) - want) <= tail_tolerance(nu) * want
 
 
 @special_settings
 @given(
     x=st.floats(min_value=0.0, max_value=1e4),
-    d1=st.integers(min_value=1, max_value=8),
+    # d1 = p - 1, p, p + 1 of the p >= 3 bound; most draws at p <= 7
+    d1=st.one_of(st.integers(min_value=1, max_value=8), st.integers(min_value=9, max_value=41)),
     nu=st.floats(min_value=1.0, max_value=1e6),
 )
-def test_fdtrc_is_bit_identical_to_f_sf(x, d1, nu):
-    assert special.fdtrc(d1, nu, x) == stats.f.sf(x, d1, nu)
+def test_f_tail_matches_f_sf(x, d1, nu):
+    want = upper_tail(stats.f(d1, nu), x)
+    assume(want >= 1e-100)
+    assert abs(_f_tail(d1, nu, x) - want) <= tail_tolerance(nu) * want
+
+
+def test_tails_match_closed_forms_deep_in_the_tail():
+    # P(F(2, nu) > x) = (1 + 2x/nu)^(-nu/2); P(T(1) > x) = atan2(1, x) / pi
+    checked = 0
+    for nu in np.logspace(0, 6, 25):
+        for x in np.logspace(-3, 6, 60):
+            want = math.exp(-nu / 2.0 * math.log1p(2.0 * x / nu))
+            if want >= 1e-300:
+                checked += 1
+                assert abs(_f_tail(2, nu, x) - want) <= tail_tolerance(nu) * want, (nu, x)
+    for x in np.logspace(-12, 150, 300):  # x^2 stays finite
+        want = math.atan2(1.0, x) / math.pi
+        assert abs(_t_tail(1.0, x) - want) <= tail_tolerance(1.0) * want, x
+    assert checked > 1000
+    assert _t_tail(5.0, 0.0) == 0.5 and _f_tail(3, 5.0, 0.0) == 1.0
+    assert _t_tail(5.0, math.inf) == 0.0
 
 
 def test_bonferroni_dominates_independent_exact():
@@ -251,6 +292,13 @@ def test_tube_cv_boundary_and_failure_modes():
     )
     with pytest.raises(NonMonotoneBound):
         tube_cv(3, khump, 0.05)
+
+
+@pytest.mark.parametrize("p", [343, 344, 2000])
+def test_tube_cv_unattainable_once_the_coefficients_overflow(p):
+    # Gamma((p + 1) / 2) overflows from p = 343 up, pi^((p + 1) / 2) later
+    with pytest.raises(BoundUnattainable, match=f"p = {p}"):
+        tube_cv(p, benign_constants(), 0.05)
 
 
 def test_ridge_weights_dataclass_fields():

@@ -20,7 +20,7 @@ from spimax.bootstrap import (
     parametric_bootstrap,
     stepdown_quantile_provider,
 )
-from spimax.cli import run_cli
+from spimax.cli import SIM_PRESETS, run_cli
 from spimax.dataio import (
     export_area_csv,
     export_unit_csv,
@@ -308,6 +308,20 @@ def test_intercept_only_files_run(tmp_path, tube_file):
         ["spi", "--model", "nerm", "--data", str(unit), "--method", "vt",
          "--tube-constants", str(tube_file)]
     ) == 2
+
+
+def test_vt_overflowing_dimension_is_a_computation_error(tmp_path, capsys, unit_csv, tube_file):
+    # Gamma((p + 1) / 2) overflows from p = 343 up: a reported error, not a traceback
+    err_path = tmp_path / "err.json"
+    code = run_cli(
+        ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "vt",
+         "--tube-constants", str(tube_file), "--p", "344", "--error-json", str(err_path)]
+    )
+    assert code == 2
+    report = json.loads(err_path.read_text())
+    assert report["error"] == "BoundUnattainable"
+    assert "p = 344" in report["message"]
+    assert capsys.readouterr().err == f"error: {report['message']}\n"
 
 
 def test_vt_rejected_for_area_model(tmp_path, area_csv, tube_file):
@@ -640,38 +654,60 @@ def test_importing_the_package_and_cli_does_not_load_scipy():
     _fresh_interpreter("import sys, spimax, spimax.cli\n" + NO_SCIPY)
 
 
-def test_bootstrap_jobs_do_not_load_scipy(tmp_path, unit_csv):
-    h_path = tmp_path / "h.csv"
-    h_path.write_text("\n".join(["0.0"] * 8) + "\n")
-    spi = ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "bs", "--B", "20",
-           "--out", str(tmp_path / "spi.json")]
-    test = ["test", "--model", "nerm", "--data", str(unit_csv), "--h", str(h_path),
-            "--method", "bs", "--B", "20", "--stepdown", "--out", str(tmp_path / "test.json")]
+def _jobs_do_not_load_scipy(jobs: list[list[str]]) -> None:
+    """Run the CLI jobs in one fresh interpreter; each must exit 0 without loading scipy."""
     _fresh_interpreter(
         "import sys\n"
         "from spimax.cli import run_cli\n"
-        f"assert run_cli({spi!r}) == 0 and run_cli({test!r}) == 0\n" + NO_SCIPY
+        f"assert [run_cli(job) for job in {jobs!r}] == [0] * {len(jobs)}\n" + NO_SCIPY
     )
+
+
+def test_bootstrap_jobs_do_not_load_scipy(tmp_path, unit_csv):
+    h_path = tmp_path / "h.csv"
+    h_path.write_text("\n".join(["0.0"] * 8) + "\n")
+    _jobs_do_not_load_scipy([
+        ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "bs", "--B", "20",
+         "--out", str(tmp_path / "spi.json")],
+        ["test", "--model", "nerm", "--data", str(unit_csv), "--h", str(h_path),
+         "--method", "bs", "--B", "20", "--stepdown", "--out", str(tmp_path / "test.json")],
+    ])
     assert json.loads((tmp_path / "test.json").read_text())["stepdown"] is True
+
+
+def test_fit_vt_transform_and_simulate_jobs_do_not_load_scipy(tmp_path, unit_csv, tube_file):
+    h_path = tmp_path / "h.csv"
+    h_path.write_text("\n".join(["0.0"] * 8) + "\n")
+    data = ["--model", "nerm", "--data", str(unit_csv)]
+    vt = ["--method", "vt", "--tube-constants", str(tube_file)]
+    positive = tmp_path / "pos.csv"
+    positive.write_text(export_unit_csv(_positive_data()))
+    pos = ["--model", "nerm", "--data", str(positive)]
+    _jobs_do_not_load_scipy([
+        ["fit", *data, "--out", str(tmp_path / "fit.json")],
+        ["spi", *data, *vt, "--out", str(tmp_path / "vt.json")],
+        ["test", *data, "--h", str(h_path), *vt, "--out", str(tmp_path / "vt_test.json")],
+        ["transform", *pos, "--out", str(tmp_path / "tr.json")],
+        ["transform", *pos, "--grid", "5", "--out", str(tmp_path / "tr5.json"),
+         "--out-data", str(tmp_path / "tr5.csv")],
+    ] + [
+        ["simulate", "--preset", preset, "--D", "10", "--I", "2", "--B", "5", "--K", "50",
+         "--out", str(tmp_path / f"{preset}.csv")]
+        for preset in SIM_PRESETS
+    ])
+    assert json.loads((tmp_path / "vt.json").read_text())["method"] == "vt"
+    assert len(json.loads((tmp_path / "tr5.json").read_text())["skewness"]) == 5
+    assert (tmp_path / "tr5.csv").exists()
+    assert "BO" in (tmp_path / "table1-row.csv").read_text()
 
 
 def test_bonferroni_and_residual_jobs_do_not_load_scipy(tmp_path, unit_csv):
     h_path = tmp_path / "h.csv"
     h_path.write_text("\n".join(["0.0"] * 8) + "\n")
     data = ["--model", "nerm", "--data", str(unit_csv)]
-    jobs = [
+    _jobs_do_not_load_scipy([
         ["spi", *data, "--method", "bo", "--out", str(tmp_path / "spi.json")],
         ["test", *data, "--h", str(h_path), "--method", "bo", "--out", str(tmp_path / "test.json")],
         ["residuals", *data, "--out", str(tmp_path / "resid.csv")],
-    ] + [
-        ["simulate", "--preset", preset, "--D", "10", "--I", "2", "--B", "5", "--K", "50",
-         "--out", str(tmp_path / f"{preset}.csv")]
-        for preset in ("fwer", "table1-row")
-    ]
-    _fresh_interpreter(
-        "import sys\n"
-        "from spimax.cli import run_cli\n"
-        f"assert [run_cli(job) for job in {jobs!r}] == [0] * {len(jobs)}\n" + NO_SCIPY
-    )
+    ])
     assert json.loads((tmp_path / "spi.json").read_text())["method"] == "bo"
-    assert "BO" in (tmp_path / "table1-row.csv").read_text()

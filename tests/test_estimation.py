@@ -19,10 +19,13 @@ from oracles import (
     _profile_point,
     closed_form_g2,
     dense_g1_g2,
-    dense_reml_score_u,
+    dense_V,
     dense_gls_blup,
+    dense_reml_score_terms,
+    dense_reml_score_u,
     dense_restricted_loglik,
     grid_reml,
+    loop_reml_score,
     reference_reml,
 )
 
@@ -211,6 +214,29 @@ def test_singletons_with_one_large_cluster_still_fit():
     assert fit.theta.sigma2_u > 0.1 and np.all(np.isfinite(fit.mu_hat))
 
 
+def test_loop_reml_score_matches_the_dense_forms():
+    data, _ = make_nerm(D=12, n_d=4, p=2, seed=3, unbalanced=True)
+    su, se = 0.7, 0.4
+    beta, score_u, score_e = loop_reml_score(data, su, se)
+    assert_allclose(beta, dense_gls_blup(data, su, se)[0], rtol=1e-12)
+    assert_allclose(score_u, dense_reml_score_terms(data, su, se), rtol=1e-12)
+    Vinv = np.linalg.inv(dense_V(data, su, se))
+    VX = Vinv @ data.X
+    P = Vinv - VX @ np.linalg.solve(data.X.T @ VX, VX.T)
+    Py = P @ data.y
+    assert_allclose(score_e, (np.trace(P), Py @ Py), rtol=1e-12)
+
+
+def test_unit_level_fit_solves_the_reml_score_at_large_D():
+    # D = 2000, n about 11 000: past the reach of the O(n^3) dense oracles
+    data, _ = make_nerm(D=2000, n_d=5, p=2, seed=7, unbalanced=True)
+    fit = est.eblup(data)
+    beta, *scores = loop_reml_score(data, fit.theta.sigma2_u, fit.theta.sigma2_e)
+    for trace, quad in scores:
+        assert abs(trace - quad) <= 1e-8 * max(trace, quad)
+    assert np.max(np.abs(fit.beta_hat - beta)) <= 1e-10 * np.max(np.abs(beta))
+
+
 # ----------------------------------------------------------------------
 # MSE components
 # ----------------------------------------------------------------------
@@ -287,6 +313,23 @@ def test_cholesky_residuals_match_dense_and_whiten(family):
         assert_allclose(res, want, rtol=1e-14, atol=0)
     assert 0.85 < res.var() < 1.15
     assert abs(res.mean()) < 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=400), seed=st.integers(0, 2**32 - 1),
+       shape=st.floats(0.2, 5.0), scale=st.floats(-8.0, 8.0), shift=st.floats(-3.0, 6.0))
+def test_skew_is_bit_identical_to_scipy(n, seed, shape, scale, shift):
+    from scipy import stats
+
+    rng = np.random.default_rng(seed)
+    r = rng.standard_gamma(shape, size=n) * 10.0**scale + rng.normal() * 10.0**shift
+    # a constant vector whose mean rounds off its value falls through the
+    # guard in both (m2 of a few ulp^2 > (eps * mean)^2): same bits again
+    for v in (r, np.full(n, r[0])):
+        got, want = est._skew(v), stats.skew(v)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+    # an exactly constant vector has no skewness
+    assert np.isnan(est._skew(np.full(n, 2.0 ** round(scale))))
 
 
 def test_eb_random_effects_standardized():
