@@ -40,8 +40,7 @@ cv_be = beran_critical_values(draws, alpha=0.05)
 # direct simulation studentizes by the model-implied scales
 joint = build_joint_normal(data, fit.theta)
 mc_scales = model_scales(joint, spec)
-cv_mc = critical_value_mc(joint, spec, k_draws=50_000, alpha=0.05,
-                          master_seed=7, scales=mc_scales)
+cv_mc = critical_value_mc(joint, spec, k_draws=50_000, alpha=0.05, master_seed=7)
 
 cv_bo = bonferroni_cv(data.D, alpha=0.05)
 

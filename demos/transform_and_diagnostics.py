@@ -16,9 +16,9 @@ from spimax import (
     cholesky_residuals,
     eb_random_effects,
     eblup,
-    log_shift_transform,
     replace_response,
 )
+from spimax.estimation import log_shift_profile
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 # build a right-skewed positive response from a well-specified latent model
@@ -38,11 +38,12 @@ print(f"residual skewness on the raw scale: {skewness(res_raw):+.3f}")
 
 # grid search the shift on [min(y), max(y)]
 grid = np.linspace(skewed.y.min(), skewed.y.max(), 21)
-c_star, y_log = log_shift_transform(skewed, grid)
+_, _, best = log_shift_profile(skewed, grid)
+c_star = float(grid[best])
 print(f"chosen shift c* = {c_star:.3f} "
       f"(candidates spanned [{grid[0]:.2f}, {grid[-1]:.2f}])")
 
-transformed = replace_response(skewed, y_log)
+transformed = replace_response(skewed, np.log(skewed.y + c_star))
 fit_log = eblup(transformed)
 res_log = cholesky_residuals(transformed, fit_log)
 print(f"residual skewness after log(y + c*): {skewness(res_log):+.3f}")

@@ -9,7 +9,6 @@ from .model import (
     MixedParameterSpec,
     VarianceComponents,
     cluster_mean_spec,
-    eval_mixed_parameters,
     replace_response,
     validate,
 )
@@ -21,9 +20,7 @@ from .estimation import (
     eblup,
     fit_gls_blup,
     g1,
-    g1_general,
     g2,
-    log_shift_transform,
     reml_fit,
     restricted_loglik,
 )
@@ -34,7 +31,6 @@ from .maxstat import (
     SimultaneousIntervals,
     build_spi,
     covers_all,
-    max_abs_stat,
     single_step_test,
     step_down_test,
 )

@@ -16,6 +16,7 @@ here by one continued fraction (_beta_tail).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,20 +220,23 @@ def _beta_cf(a: float, b: float, x: float, y: float) -> float:
     raise NoConvergence(f"incomplete beta continued fraction at a={a}, b={b}, x={x}")
 
 
-def _beta_tail(a: float, b: float, r: float) -> float:
+def _beta_tail(a: float, b: float, r: float, log_r: Callable[[], float]) -> float:
     """Regularized incomplete beta I_x(a, b) at x = 1 / (1 + r), r >= 0.
 
     1 - x = r / (1 + r) is formed directly, so tiny tails keep their
     digits.  Past x = (a + 1) / (a + b + 2) the fraction converges slowly,
-    and 1 - I_(1-x)(b, a) is taken instead.
+    and 1 - I_(1-x)(b, a) is taken instead.  Where r overflows, log_r()
+    gives log r from its factors; there x = 1 / r and 1 - x = 1 to double
+    precision, and the prefactor x^a (1 - x)^b is r^-a.
     """
     if r == 0.0:
         return 1.0
+    log_beta = math.lgamma(b) - _log_gamma_ratio(a, b)
     if r == math.inf:
-        return 0.0
+        lr = log_r()
+        return math.exp(-a * lr - log_beta) * _beta_cf(a, b, math.exp(-lr), 1.0) / a
     x, y = 1.0 / (1.0 + r), r / (1.0 + r)
     log1p_r = math.log1p(r)
-    log_beta = math.lgamma(b) - _log_gamma_ratio(a, b)
     front = math.exp(-a * log1p_r + b * (math.log(r) - log1p_r) - log_beta)
     if x > (a + 1.0) / (a + b + 2.0):
         return 1.0 - front * _beta_cf(b, a, y, x) / b
@@ -241,12 +245,14 @@ def _beta_tail(a: float, b: float, r: float) -> float:
 
 def _t_tail(nu: float, x: float) -> float:
     """P(T > x) for Student's t with nu degrees of freedom, x >= 0."""
-    return 0.5 * _beta_tail(nu / 2.0, 0.5, x * x / nu)
+    return 0.5 * _beta_tail(nu / 2.0, 0.5, x * x / nu, lambda: 2.0 * math.log(x) - math.log(nu))
 
 
 def _f_tail(d1: float, nu: float, x: float) -> float:
     """P(F > x) for the F law with (d1, nu) degrees of freedom, x >= 0."""
-    return _beta_tail(nu / 2.0, d1 / 2.0, d1 * x / nu)
+    return _beta_tail(
+        nu / 2.0, d1 / 2.0, d1 * x / nu, lambda: math.log(d1) + math.log(x) - math.log(nu)
+    )
 
 
 def _a_terms(c: float, k: TubeConstants) -> tuple[float, float, float]:

@@ -80,9 +80,8 @@ def calibrate(
             cv = critical_value_contrast(draws, A, alpha)
     elif method == "MC":
         joint = build_joint_normal(data, fit.theta)
-        mc_scales = model_scales(joint, spec, contrast=A)
-        cv = critical_value_mc(joint, spec, K, alpha, seed, scales=mc_scales, contrast=A)
-        scales = np.maximum(mc_scales, SCALE_FLOOR)
+        cv = critical_value_mc(joint, spec, K, alpha, seed, contrast=A)
+        scales = np.maximum(model_scales(joint, spec, contrast=A), SCALE_FLOOR)
     elif method == "BO":
         cv = bonferroni_cv(data.D if A is None else A.shape[0], alpha)
     else:

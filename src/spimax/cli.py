@@ -154,7 +154,7 @@ def _spi_payload(args) -> str:
     spec = cluster_mean_spec(data)
     fit = eblup(data, spec)
     cv, scales, _ = _calibrate(args, data, spec, fit)
-    intervals = build_spi(fit, cv, scales=scales, cluster_ids=data.cluster_ids)
+    intervals = build_spi(fit, cv, scales=scales)
     out = {
         **_method_header(args, cv),
         "intervals": [
@@ -198,11 +198,10 @@ def _test_payload(args) -> str:
             raise ShapeMismatch(f"h must have {data.D} values, got {h.shape[0]}")
         mu_hat = fit.mu_hat
     cv, scales, draws = _calibrate(args, data, spec, fit, A=A)
-    test = single_step_test(mu_hat, scales, h, cv, A=A)
+    test = single_step_test(mu_hat, scales, h, cv)
     if args.stepdown:
-        t = np.abs(mu_hat - h) / scales
         provider = stepdown_quantile_provider(draws, alpha, A=A)
-        rejected = [int(i) for i in step_down_test(t, provider, alpha)]
+        rejected = [int(i) for i in step_down_test(test.t, provider, alpha)]
     else:
         rejected = [int(i) for i in np.flatnonzero(test.decisions)]
     if A is None:

@@ -532,14 +532,6 @@ def g1(data: BlockLmmData, theta: VarianceComponents) -> np.ndarray:
     return core.g1(_theta_array(data, theta))[0]
 
 
-def g1_general(
-    data: BlockLmmData, theta: VarianceComponents, spec: MixedParameterSpec
-) -> np.ndarray:
-    """Matrix form m_d^2 (G - G 1'V^-1 1 G); equals g1 scaled by m_d^2."""
-    check_spec(data, spec)
-    return g1(data, theta) * spec.m**2
-
-
 def g2(
     data: BlockLmmData, theta: VarianceComponents, spec: MixedParameterSpec
 ) -> np.ndarray:
@@ -612,13 +604,6 @@ def _skew(r: np.ndarray) -> float:
     if m2 <= (np.finfo(float).eps * mean) ** 2:
         return math.nan
     return float(m3 / m2**1.5)
-
-
-def log_shift_transform(data: BlockLmmData, grid) -> tuple[float, np.ndarray]:
-    """Shift c minimizing |skewness| of residuals, and the response log(y + c)."""
-    grid, _, best = log_shift_profile(data, grid)
-    c_star = float(grid[best])
-    return c_star, np.log(data.y + c_star)
 
 
 def eb_random_effects(data: BlockLmmData, fit: FitResult) -> np.ndarray:

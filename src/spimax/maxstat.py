@@ -68,20 +68,16 @@ class SimultaneousIntervals:
     lower: np.ndarray
     upper: np.ndarray
     critical: CriticalValue
-    cluster_ids: tuple | None = None
 
 
 @dataclass(frozen=True)
 class ContrastTest:
+    """t = |mu_hat - h| / floored scale, which decisions compares and step_down_test takes."""
+
     statistic: float
     decisions: np.ndarray
-    h: np.ndarray
+    t: np.ndarray
     critical: CriticalValue
-    A: np.ndarray | None = None
-
-    @property
-    def reject_global(self) -> bool:
-        return bool(self.decisions.any())
 
 
 def _floored(scales: np.ndarray) -> np.ndarray:
@@ -91,22 +87,10 @@ def _floored(scales: np.ndarray) -> np.ndarray:
     return np.maximum(scales, SCALE_FLOOR)
 
 
-def max_abs_stat(numerators: np.ndarray, scales: np.ndarray) -> float:
-    """max_d |numerator_d / scale_d| with floored scales."""
-    numerators = np.asarray(numerators, dtype=float)
-    scales = _floored(scales)
-    if numerators.shape != scales.shape:
-        raise ShapeMismatch(
-            f"numerators {numerators.shape} and scales {scales.shape} disagree"
-        )
-    return float(np.max(np.abs(numerators / scales)))
-
-
 def build_spi(
     fit: FitResult,
     critical: CriticalValue,
     scales: np.ndarray | None = None,
-    cluster_ids: tuple | None = None,
 ) -> SimultaneousIntervals:
     """Simultaneous intervals mu_hat_d +/- c_d * scale_d.
 
@@ -124,7 +108,6 @@ def build_spi(
         lower=fit.mu_hat - half,
         upper=fit.mu_hat + half,
         critical=critical,
-        cluster_ids=cluster_ids,
     )
 
 
@@ -141,7 +124,6 @@ def single_step_test(
     scales_h: np.ndarray,
     h: np.ndarray,
     critical: CriticalValue,
-    A: np.ndarray | None = None,
 ) -> ContrastTest:
     """Test A mu = h via the max studentized component; ties reject."""
     mu_hat_h = np.asarray(mu_hat_h, dtype=float)
@@ -154,9 +136,8 @@ def single_step_test(
     return ContrastTest(
         statistic=float(t.max()),
         decisions=t >= thresholds,
-        h=h,
+        t=t,
         critical=critical,
-        A=A,
     )
 
 

@@ -202,15 +202,13 @@ def critical_value_mc(
     k_draws: int,
     alpha: float,
     master_seed: int,
-    scales: np.ndarray | None = None,
     contrast: np.ndarray | None = None,
 ) -> CriticalValue:
     """Max-statistic threshold simulated from the fitted normal law.
 
-    Numerators are the mapped deviations; the default studentization is
-    the model-implied standard deviation of each component.  Pass scales
-    to studentize differently (e.g. by sqrt(g1)), or a contrast matrix to
-    calibrate linear combinations A mu.
+    Numerators are the mapped deviations, studentized by the model-implied
+    standard deviation of each component (model_scales).  Pass a contrast
+    matrix to calibrate linear combinations A mu.
 
     Chunk c of DRAW_CHUNK draws continues one stream from (master_seed, c)
     in blocks of BLOCK_NUMBERS normals.  Chunks run on up to one thread per
@@ -220,13 +218,7 @@ def critical_value_mc(
     if k_draws < 1:
         raise ShapeMismatch("need at least one draw")
     mq, mw = _mapped_factor(model, spec, contrast)
-    if scales is None:
-        scales = _row_norms(mq, mw)
-    else:
-        scales = np.asarray(scales, dtype=float)
-        if scales.shape != (mq.shape[0],):
-            raise ShapeMismatch(f"scales must have shape {(mq.shape[0],)}, got {scales.shape}")
-    scales = np.maximum(scales, SCALE_FLOOR)
+    scales = np.maximum(_row_norms(mq, mw), SCALE_FLOOR)
     # studentize the mapped factor once instead of every draw
     mq = mq / scales[:, None]
     mw = mw / (scales if mw.ndim == 1 else scales[:, None])

@@ -220,20 +220,6 @@ def check_spec(data: BlockLmmData, spec: MixedParameterSpec) -> None:
         )
 
 
-def eval_mixed_parameters(
-    data: BlockLmmData, spec: MixedParameterSpec, beta: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """mu_d = k_d' beta + m_d u_d for every cluster."""
-    check_spec(data, spec)
-    beta = _as_float_array(beta, "beta", 1)
-    u = _as_float_array(u, "u", 1)
-    if beta.shape[0] != data.p + 1:
-        raise ShapeMismatch(f"beta has length {beta.shape[0]}, expected {data.p + 1}")
-    if u.shape[0] != data.D:
-        raise ShapeMismatch(f"u has length {u.shape[0]}, expected {data.D}")
-    return spec.k @ beta + spec.m * u
-
-
 def cluster_mean_spec(data: BlockLmmData) -> MixedParameterSpec:
     """Target the cluster mean of the fixed part plus the full random effect.
 

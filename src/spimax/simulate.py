@@ -20,7 +20,7 @@ from .bootstrap import stepdown_quantile_provider
 from .calibration import calibrate
 from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
 from .estimation import eblup
-from .maxstat import build_spi, covers_all, step_down_test
+from .maxstat import build_spi, covers_all, single_step_test, step_down_test
 from .model import FHM, NERM, BlockLmmData, cluster_mean_spec
 from .util import check_alpha, check_seed, derive_rng, derive_seed
 
@@ -269,7 +269,7 @@ def run_power_experiment(
     def score(fit, mu_true, calibrated, draws):
         return {
             m: np.array(
-                [np.max(np.abs(fit.mu_hat - (mu_true + delta)) / scales) >= cv.value
+                [single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any()
                  for delta in deltas]
             )
             for m, (cv, scales) in calibrated.items()
@@ -317,12 +317,13 @@ def run_fwer_experiment(
     def score(fit, mu_true, calibrated, draws):
         h = mu_true.copy()
         h[:n_alt] -= shift
-        # both methods studentize by the leading-term scales
-        t = np.abs(fit.mu_hat - h) / calibrated["BS"][1]
+        # both methods studentize by the same floored leading-term scales
+        cv, scales = calibrated["BO"]
+        test = single_step_test(fit.mu_hat, scales, h, cv)
         provider = stepdown_quantile_provider(draws, config.alpha)
         rejected = {
-            "BS": step_down_test(t, provider, config.alpha),
-            "BO": np.flatnonzero(t >= calibrated["BO"][0].value),
+            "BS": step_down_test(test.t, provider, config.alpha),
+            "BO": np.flatnonzero(test.decisions),
         }
         return {
             m: (bool(np.any(rej >= n_alt)), float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0)

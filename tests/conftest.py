@@ -3,10 +3,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from spimax.model import BlockLmmData
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# a failing example prints the @reproduce_failure blob that replays it exactly
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 def make_nerm(

@@ -35,7 +35,13 @@ def dense_gls_blup(data, sigma2_u, sigma2_e=None):
     return beta, u
 
 
-def dense_restricted_loglik(data, sigma2_u, sigma2_e=None):
+def dense_restricted_loglik_terms(data, sigma2_u, sigma2_e=None):
+    """log|V|, log|X'V^-1 X|, y'Py and (n - q - 1) log 2 pi.
+
+    The restricted loglik is -1/2 their sum.  It can cancel far below the
+    terms, so compare it to within a multiple of the sum of their absolute
+    values, not relative to itself.
+    """
     V = dense_V(data, sigma2_u, sigma2_e)
     Vinv = np.linalg.inv(V)
     X, y = data.X, data.y
@@ -46,7 +52,12 @@ def dense_restricted_loglik(data, sigma2_u, sigma2_e=None):
     n, q = X.shape
     _, ld_v = np.linalg.slogdet(V)
     _, ld_a = np.linalg.slogdet(A)
-    return -0.5 * (ld_v + ld_a + ypy + (n - q - 1) * math.log(2 * math.pi))
+    return ld_v, ld_a, ypy, (n - q - 1) * math.log(2 * math.pi)
+
+
+def dense_restricted_loglik(data, sigma2_u, sigma2_e=None):
+    ld_v, ld_a, ypy, const = dense_restricted_loglik_terms(data, sigma2_u, sigma2_e)
+    return -0.5 * (ld_v + ld_a + ypy + const)
 
 
 def dense_g1_g2(data, spec, sigma2_u, sigma2_e=None):

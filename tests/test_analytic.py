@@ -1,6 +1,7 @@
 """Tests for Bonferroni, ridge weights and the volume-of-tube bound."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from spimax.errors import (
     NonMonotoneBound,
     ShapeMismatch,
 )
-from spimax.estimation import eblup, g1_general, g2, reml_fit
+from spimax.estimation import eblup, g1, g2, reml_fit
 from spimax.model import VarianceComponents, cluster_mean_spec
 from spimax.util import normal_quantile
 
@@ -141,9 +142,15 @@ def test_tails_match_closed_forms_deep_in_the_tail():
             if want >= 1e-300:
                 checked += 1
                 assert abs(_f_tail(2, nu, x) - want) <= tail_tolerance(nu) * want, (nu, x)
-    for x in np.logspace(-12, 150, 300):  # x^2 stays finite
+    # past x = 1.3e154 the argument x^2 / nu of the incomplete beta overflows
+    for x in map(float, np.logspace(-12, 300, 600)):
         want = math.atan2(1.0, x) / math.pi
         assert abs(_t_tail(1.0, x) - want) <= tail_tolerance(1.0) * want, x
+    # 2x overflows here though 2x / nu need not; the tail is (2x / nu)^(-nu/2)
+    for nu in (1.0, 1.5):
+        for x in (1e308, 1.5e308, sys.float_info.max):
+            want = math.exp(-nu / 2.0 * (math.log(2.0) + math.log(x) - math.log(nu)))
+            assert abs(_f_tail(2, nu, x) - want) <= tail_tolerance(nu) * want, (nu, x)
     assert checked > 1000
     assert _t_tail(5.0, 0.0) == 0.5 and _f_tail(3, 5.0, 0.0) == 1.0
     assert _t_tail(5.0, math.inf) == 0.0
@@ -187,7 +194,7 @@ def test_ridge_norm_matches_prediction_variance():
     data, _ = make_nerm(D=10, seed=13)
     theta = reml_fit(data)
     spec = cluster_mean_spec(data)
-    g = g1_general(data, theta, spec) + g2(data, theta, spec)
+    g = g1(data, theta) * spec.m**2 + g2(data, theta, spec)
     for d in range(data.D):
         c = np.zeros(data.p + 1 + data.D)
         c[: data.p + 1] = spec.k[d]

@@ -66,7 +66,7 @@ def test_closed_form_and_mc_methods_match_primitives(model):
     _assert_same(_run("BO", data, spec, fit), bonferroni_cv(data.D, ALPHA), lead)
     joint = build_joint_normal(data, fit.theta)
     mc_scales = model_scales(joint, spec)
-    cv = critical_value_mc(joint, spec, K, ALPHA, SEED, scales=mc_scales)
+    cv = critical_value_mc(joint, spec, K, ALPHA, SEED)
     _assert_same(_run("MC", data, spec, fit), cv, np.maximum(mc_scales, SCALE_FLOOR))
     if model == "nerm":
         vt_scales = np.maximum(ridge_interval_scales(data, fit.theta, spec), SCALE_FLOOR)
@@ -90,7 +90,7 @@ def test_contrast_methods_match_primitives(model):
     _assert_same(_run("BO", data, spec, fit, A=A), bonferroni_cv(A.shape[0], ALPHA), lead)
     joint = build_joint_normal(data, fit.theta)
     mc_scales = model_scales(joint, spec, contrast=A)
-    cv = critical_value_mc(joint, spec, K, ALPHA, SEED, scales=mc_scales, contrast=A)
+    cv = critical_value_mc(joint, spec, K, ALPHA, SEED, contrast=A)
     _assert_same(_run("MC", data, spec, fit, A=A), cv, np.maximum(mc_scales, SCALE_FLOOR))
 
 

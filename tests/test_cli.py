@@ -36,7 +36,7 @@ from spimax.errors import (
     ParseError,
     ShapeMismatch,
 )
-from spimax.estimation import eblup, log_shift_transform
+from spimax.estimation import eblup, log_shift_profile
 from spimax.maxstat import SCALE_FLOOR, single_step_test, step_down_test
 from spimax.model import FHM, cluster_mean_spec, replace_response
 from spimax.simulate import ScenarioConfig, generate_scenario
@@ -222,9 +222,8 @@ def test_log_shift_transform_minimizes_abs_skewness():
 
     data = _positive_data()
     grid = np.linspace(data.y.min(), data.y.max(), 9)
-    c_star, y_log = log_shift_transform(data, grid)
-    assert c_star in grid
-    np.testing.assert_array_equal(y_log, np.log(data.y + c_star))
+    got_grid, got_skews, best = log_shift_profile(data, grid)
+    np.testing.assert_array_equal(got_grid, grid)
     # recompute the profile; the reported shift must attain the minimum
     skews = []
     for c in grid:
@@ -232,16 +231,17 @@ def test_log_shift_transform_minimizes_abs_skewness():
         skews.append(
             abs(stats.skew(cholesky_residuals(replace_response(data, np.log(data.y + c)), fit)))
         )
-    assert np.argmin(skews) == list(grid).index(c_star)
+    assert np.argmin(skews) == best
+    np.testing.assert_allclose(np.abs(got_skews), skews, rtol=1e-12)
 
 
 def test_log_shift_transform_validation():
     data = _positive_data()
     with pytest.raises(EmptyGrid):
-        log_shift_transform(data, [])
+        log_shift_profile(data, [])
     shifted = replace_response(data, data.y - data.y.min() - 1.0)  # y min is -1
     with pytest.raises(NonPositiveShift):
-        log_shift_transform(shifted, [0.5])
+        log_shift_profile(shifted, [0.5])
 
 
 def test_replace_response_shape_guard():
@@ -410,7 +410,7 @@ def test_contrast_stepdown_cli_matches_library(tmp_path, unit_csv):
     assert payload["rejected_indices"] == [int(i) for i in expected]
 
     # step-down can only add rejections over the single-step contrast test
-    single = single_step_test(A @ fit.mu_hat, scales, h, critical_value_contrast(draws, A, 0.05), A=A)
+    single = single_step_test(A @ fit.mu_hat, scales, h, critical_value_contrast(draws, A, 0.05))
     assert set(payload["rejected_indices"]) >= {int(i) for i in np.flatnonzero(single.decisions)}
 
 

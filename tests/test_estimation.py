@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from oracles import (
     dense_reml_score_terms,
     dense_reml_score_u,
     dense_restricted_loglik,
+    dense_restricted_loglik_terms,
     grid_reml,
     loop_reml_score,
     reference_reml,
@@ -260,7 +263,7 @@ def test_g1_simplified_equals_matrix_form():
         else:
             theta = VarianceComponents(sigma2_u=0.4)
             g1_dense, _ = dense_g1_g2(data, spec, 0.4)
-        assert_allclose(est.g1_general(data, theta, spec), g1_dense, atol=1e-12, rtol=0)
+        assert_allclose(est.g1(data, theta) * spec.m**2, g1_dense, atol=1e-12, rtol=0)
 
 
 def test_g2_matches_dense_oracle():
@@ -507,15 +510,24 @@ def gls_problems(draw):
     return data, VarianceComponents(sigma2_u=ratio * data.known_error_vars.mean()), ratio
 
 
+def _loglik_atol(data, theta, tol):
+    """tol times the sum of |terms| of the restricted loglik.
+
+    The loglik is -1/2 the sum of four terms and can cancel far below them,
+    so a tolerance relative to the loglik itself is ill-posed.
+    """
+    terms = dense_restricted_loglik_terms(data, theta.sigma2_u, theta.sigma2_e)
+    return tol * sum(abs(t) for t in terms)
+
+
 @settings(max_examples=40, deadline=None)
 @given(problem=gls_problems())
 def test_fitted_loglik_blup_and_g2_match_the_dense_oracles(problem):
     data, theta, ratio = problem
     spec = cluster_mean_spec(data)
     su, se = theta.sigma2_u, theta.sigma2_e
-    assert_allclose(
-        est.restricted_loglik(data, theta), dense_restricted_loglik(data, su, se), rtol=1e-10
-    )
+    assert_allclose(est.restricted_loglik(data, theta), dense_restricted_loglik(data, su, se),
+                    rtol=0, atol=_loglik_atol(data, theta, 1e-10))
     fit = est.fit_gls_blup(data, spec, theta)
     beta, u = dense_gls_blup(data, su, se)
     assert_allclose(fit.beta_hat, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
@@ -540,4 +552,20 @@ def test_fitted_loglik_blup_and_g2_match_the_dense_oracles(problem):
                         atol=1e-12 * np.abs(single.beta_hat).max())
         assert_allclose(out["u"][i], single.u_hat, rtol=0, atol=1e-12 * size)
         assert_allclose(out["mu"][i], single.mu_hat, rtol=0, atol=1e-12 * size)
-        assert_allclose(out["loglik"][i], est.restricted_loglik(row, th), rtol=1e-12)
+        assert_allclose(out["loglik"][i], est.restricted_loglik(row, th),
+                        rtol=0, atol=_loglik_atol(row, th, 1e-12))
+
+
+def test_restricted_loglik_matches_the_dense_oracle_where_it_cancels_to_zero():
+    # y * c with theta * c^2 moves the loglik by -(n - q) log c, so this c puts
+    # it within about 1e-13 of 0 while its terms stay in the hundreds
+    for seed in range(20):
+        data = make_nerm(D=12, n_d=4, p=3, seed=seed, unbalanced=True)[0]
+        n, q = data.X.shape
+        c = math.exp(dense_restricted_loglik(data, 91.0, 1.0) / (n - q))
+        data = rescaled(data, c)
+        theta = VarianceComponents(sigma2_u=91.0 * c**2, sigma2_e=c**2)
+        want = dense_restricted_loglik(data, theta.sigma2_u, theta.sigma2_e)
+        assert abs(want) < 1e-11
+        assert_allclose(est.restricted_loglik(data, theta), want,
+                        rtol=0, atol=_loglik_atol(data, theta, 1e-10))

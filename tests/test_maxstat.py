@@ -25,16 +25,42 @@ def _fit(mu, scale):
     )
 
 
-def test_max_abs_stat_basic():
-    assert maxstat.max_abs_stat([1.0, -3.0, 2.0], [1.0, 1.0, 1.0]) == 3.0
-    assert maxstat.max_abs_stat([2.0], [2.0]) == 1.0
+def test_single_step_test_rejects_a_shape_mismatch():
+    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
     with pytest.raises(ShapeMismatch):
-        maxstat.max_abs_stat([1.0, 2.0], [1.0])
+        maxstat.single_step_test([1.0, 2.0], [1.0], [0.0, 0.0], c)
+    with pytest.raises(ShapeMismatch):
+        maxstat.single_step_test([1.0, 2.0], [1.0, 1.0], [0.0], c)
 
 
-def test_max_abs_stat_floors_zero_scales():
-    val = maxstat.max_abs_stat([1e-6], [0.0])
-    assert np.isfinite(val) and val == 1e-6 / 1e-12
+def test_single_step_test_floors_zero_scales():
+    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
+    out = maxstat.single_step_test([1e-6], [0.0], [0.0], c)
+    assert np.isfinite(out.statistic) and out.statistic == 1e-6 / 1e-12
+    assert out.t.tolist() == [1e-6 / 1e-12]
+
+
+def test_single_step_test_t_is_the_floored_studentized_vector():
+    rng = np.random.default_rng(23)
+    mu, h = rng.normal(size=40) * 50, rng.normal(size=40) * 50
+    scale = rng.uniform(0.0, 3.0, size=40)
+    scale[::7] = 0.0
+    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
+    out = maxstat.single_step_test(mu, scale, h, c)
+    want = np.abs(mu - h) / np.maximum(scale, maxstat.SCALE_FLOOR)
+    assert np.array_equal(out.t, want)
+    assert out.statistic == want.max()
+    assert np.array_equal(out.decisions, want >= 2.0)
+
+
+def test_single_step_test_decisions_use_per_cluster_thresholds():
+    mu = np.array([1.5, 1.5, 2.5, 0.5])
+    c = maxstat.CriticalValue(
+        value=0.9, method="BE", alpha=0.1, per_cluster=np.array([1.0, 2.0, 2.5, 0.1])
+    )
+    out = maxstat.single_step_test(mu, np.ones(4), np.zeros(4), c)
+    assert np.array_equal(out.decisions, out.t >= c.per_cluster)
+    assert out.decisions.tolist() == [True, False, True, True]
 
 
 def test_critical_value_validation():
@@ -89,7 +115,7 @@ def test_single_step_ties_reject():
     )
     assert out.statistic == 2.0
     assert out.decisions.tolist() == [True, False]
-    assert out.reject_global
+    assert out.decisions.any()
 
 
 def test_paired_contrast_layout_rejects():
@@ -103,9 +129,9 @@ def test_paired_contrast_layout_rejects():
     mu_h = np.zeros(52)
     mu_h[17] = 10.495
     crit = maxstat.CriticalValue(value=8.673, method="BS", alpha=0.05)
-    out = maxstat.single_step_test(mu_h, np.ones(52), np.zeros(52), crit, A=A)
+    out = maxstat.single_step_test(mu_h, np.ones(52), np.zeros(52), crit)
     assert out.statistic == pytest.approx(10.495)
-    assert out.reject_global
+    assert out.decisions.any()
     assert out.decisions.sum() == 1
 
 

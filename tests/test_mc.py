@@ -10,7 +10,7 @@ from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
 from spimax import mc
 from spimax.errors import ShapeMismatch
-from spimax.estimation import g1_general, g2, reml_fit
+from spimax.estimation import g1, g2, reml_fit
 from spimax.mc import (
     DRAW_CHUNK,
     Arrow,
@@ -19,7 +19,6 @@ from spimax.mc import (
     build_joint_normal,
     critical_value_mc,
     loading_matrix,
-    model_scales,
 )
 from spimax.model import (
     NERM,
@@ -211,10 +210,7 @@ def test_mc_contrast_subset_is_exactly_monotone():
           for r in (2, 5, 8)]
     assert cs[0] <= cs[1] <= cs[2]
     c_plain = critical_value_mc(model, spec, 10_000, 0.05, 17).value
-    c_eye = critical_value_mc(
-        model, spec, 10_000, 0.05, 17, contrast=full,
-        scales=model_scales(model, spec),
-    ).value
+    c_eye = critical_value_mc(model, spec, 10_000, 0.05, 17, contrast=full).value
     assert c_eye == c_plain
 
 
@@ -226,21 +222,8 @@ def test_model_scales_equal_prediction_variance_split():
         model = build_joint_normal(data, theta)
         L = loading_matrix(model, spec)
         scales = np.sqrt(np.einsum("di,ij,dj->d", L, model.covariance.dense(), L))
-        expected = np.sqrt(g1_general(data, theta, spec) + g2(data, theta, spec))
+        expected = np.sqrt(g1(data, theta) * spec.m**2 + g2(data, theta, spec))
         np.testing.assert_allclose(scales, expected, rtol=1e-9)
-
-
-def test_mc_scale_choice_changes_threshold_little():
-    # studentizing by sqrt(g1) instead of the model scale moves the
-    # threshold by well under 2 percent here
-    data, _ = make_nerm(D=15, n_d=5, sigma2_e=0.5, sigma2_u=1.0, seed=11)
-    theta = reml_fit(data)
-    spec = cluster_mean_spec(data)
-    model = build_joint_normal(data, theta)
-    g1_scales = np.sqrt(g1_general(data, theta, spec))
-    c_model = critical_value_mc(model, spec, 100_000, 0.05, 99).value
-    c_g1 = critical_value_mc(model, spec, 100_000, 0.05, 99, scales=g1_scales).value
-    assert abs(c_model - c_g1) / c_model < 0.02
 
 
 def test_mc_input_validation():
@@ -249,8 +232,6 @@ def test_mc_input_validation():
         critical_value_mc(model, spec, 0, 0.05, 1)
     with pytest.raises(ShapeMismatch):
         critical_value_mc(model, spec, 100, 0.05, 1, contrast=np.ones((2, 5)))
-    with pytest.raises(ShapeMismatch):
-        critical_value_mc(model, spec, 100, 0.05, 1, scales=np.ones(3))
     with pytest.raises(ShapeMismatch):
         bad_spec = MixedParameterSpec(k=np.zeros((5, 1)), m=np.ones(5))
         loading_matrix(model, bad_spec)

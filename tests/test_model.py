@@ -16,7 +16,6 @@ from spimax.model import (
     VarianceComponents,
     cluster_mean_spec,
     error_variances,
-    eval_mixed_parameters,
     validate,
 )
 
@@ -147,22 +146,6 @@ def test_mixed_parameter_spec_shapes():
         MixedParameterSpec(k=np.ones((3, 2)), m=np.ones(4))
     spec = MixedParameterSpec(k=np.ones((3, 2)), m=np.ones(3))
     assert spec.k.dtype == float
-
-
-def test_eval_mixed_parameters():
-    data, _ = make_nerm(D=3, n_d=2, seed=4)
-    spec = MixedParameterSpec(
-        k=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]),
-        m=np.array([1.0, 0.5, 0.0]),
-    )
-    beta = np.array([2.0, -1.0])
-    u = np.array([0.3, -0.2, 0.7])
-    mu = eval_mixed_parameters(data, spec, beta, u)
-    np.testing.assert_allclose(mu, [2.0 + 0.3, 1.0 - 0.1, -2.0])
-    with pytest.raises(ShapeMismatch):
-        eval_mixed_parameters(data, spec, beta[:1], u)
-    with pytest.raises(ShapeMismatch):
-        eval_mixed_parameters(data, spec, beta, u[:2])
 
 
 def test_cluster_mean_spec_targets_within_cluster_average():
