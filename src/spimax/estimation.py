@@ -11,17 +11,22 @@ REML has one free parameter once the residual variance is profiled out:
 the ratio psi = sigma2_u / sigma2_e for the unit-level model (sigma2_e =
 y'P y / (n - q) in closed form) and sigma2_u for the area-level model.  Each
 core returns the profile's slope and curvature for a batch of rows in one
-call, with every weighted sum sum_d w_d t_d t_d' formed as a single matrix
-product against the outer products t_d t_d' built once per core.  A
-safeguarded Newton iteration over the rows still moving maximizes it (see
-_newton_profile); a row whose slope at the floor VAR_FLOOR is <= 0 sits
-exactly on the floor.  One GLS evaluation (_gls) serves the solver and the
-fit: the Newton profile reads y'P y from it, and _evaluate reads the
-restricted loglik, beta and the BLUPs from the same forms at the fitted
-theta; g2 is built from the same cluster weights.  Fits run on the
-response divided by s, a power of two near its standard deviation, and are
-mapped back, so the tolerances and the floor act in standardized units and
-a fit does not depend on the units the response was recorded in.
+call.  The weights of V^-1 depend on a cluster only through its size (or
+known error variance), so the clusters fall into G weight classes, and
+every weighted sum sum_d w_d t_d t_d' is a single matrix product against
+the class sums T_g = sum_{d in g} t_d t_d' built once per core; a Newton
+step costs O(G) per row, not O(D).  A safeguarded Newton iteration over
+the rows still moving maximizes the profile (see _newton_profile); a row
+whose slope at the floor VAR_FLOOR is <= 0 sits exactly on the floor.
+One GLS evaluation (_gls) serves the solver and the fit: the Newton
+profile reads y'P y from it, and _evaluate reads the restricted loglik,
+beta and the BLUPs from the same forms at the fitted theta; g2 is built
+from the same class weights.  Fits run on the response divided by s, a
+power of two near its standard deviation, and are mapped back, so the
+tolerances and the floor act in standardized units and a fit does not
+depend on the units the response was recorded in.  They also run on the
+response minus the dataset's own OLS fit, with beta_ols added back, so a
+fit does not depend on where the response sits either.
 """
 
 from __future__ import annotations
@@ -80,60 +85,127 @@ def _outer_rows(t: np.ndarray) -> np.ndarray:
     return (t[:, :, None] * t[:, None, :]).reshape(t.shape[0], -1)
 
 
-def _weighted_outer(core, w: np.ndarray) -> np.ndarray:
-    """sum_d w_md t_d t_d' for every row of w, as one matrix product."""
-    return (w.reshape(-1, w.shape[-1]) @ core.tt).reshape(w.shape[:-1] + (core.q, core.q))
+class _Core:
+    """What both likelihood cores share: weight classes and the centring.
 
+    The weights of V^-1 depend on a cluster only through its key (n_d for
+    the unit-level model, the known error variance for the area-level
+    one), so every weighted sum over clusters is a sum over the G distinct
+    keys, the weight classes, of class sums built once.  label maps each
+    cluster to its class, count holds the class sizes, and order lists the
+    clusters class by class, each class starting at its entry of starts.
 
-def _residual_sums(core, st, beta):
-    """Cluster sums rho_d = s_d - t_d' beta of y - X beta, and |y - X beta|^2.
-
-    The squared norm is the unweighted part of y'V^-1 y, zero for the
-    area-level model.
+    The core works in units of scale: statistics are taken of the response
+    divided by scale, minus the dataset's own OLS fit X beta_ols.  y'P y
+    does not change under a shift of y along X, and the expanded quadratic
+    forms of _gls stay clear of cancellation however far the response sits
+    from zero.  Fitted coefficients add beta_ols back.  beta_ols comes from
+    the dataset's own response, never from the rows of Y, so a row gives
+    the same fit alone and in any batch.
     """
-    rtr = (
-        st["yty"]
-        - 2.0 * np.einsum("mi,mi->m", st["xty"], beta)
-        + np.einsum("mi,ij,mj->m", beta, core.xtx, beta)
-    )
-    return st["s"] - beta @ core.t.T, rtr
+
+    def __init__(self, data: BlockLmmData, scale: float, t: np.ndarray, key: np.ndarray):
+        X = self.X = data.X
+        self.q = X.shape[1]
+        self.scale = scale
+        self.t = t
+        self.key, self.label, self.count = np.unique(
+            key, return_inverse=True, return_counts=True
+        )
+        self.order = np.argsort(self.label, kind="stable")
+        self.starts = np.concatenate([[0], np.cumsum(self.count)[:-1]])
+        t_sorted = t[self.order]
+        # T_g = sum over the clusters d of class g of t_d t_d', (G, q * q)
+        self.tt = np.add.reduceat(_outer_rows(t_sorted), self.starts, axis=0)
+        # the columns of t, class by class, to broadcast against (m, D): a
+        # product whose inner axis runs over clusters is about twice as
+        # fast as one whose inner axis runs over the q coefficients
+        self.t_columns = np.ascontiguousarray(t_sorted.T)[:, None, :]
+        self.gram = X.T @ X
+        try:
+            self.beta_ols = np.linalg.solve(self.gram, X.T @ (data.y / scale))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("normal equations are singular") from exc
+        # the OLS fit in the units of Y: scale is a power of two, so
+        # (Y - shift) / scale rounds exactly as Y / scale - X beta_ols
+        self.shift = scale * (X @ self.beta_ols)
+
+    def stats(self, Y: np.ndarray) -> dict:
+        """Sufficient statistics of every row of Y / scale minus the dataset's OLS fit.
+
+        s holds the cluster sums s_d (m, D), which the BLUPs and the start
+        read.  The Newton profile reads only the class-level entries: X'y
+        and y'y (the unweighted parts) and S_g = sum_d s_d (s_d, t_d'),
+        (m, G, 1 + q), which holds S2_g = sum_d s_d^2 and ST_g = sum_d s_d
+        t_d side by side.  The sums are taken in the units of Y and divided
+        by powers of two afterwards, which is exact.
+        """
+        Y = Y - self.shift
+        s = self._cluster_sums(Y) / self.scale
+        s_sorted = s[:, self.order]
+        prod = np.empty((1 + self.q,) + s.shape)
+        np.multiply(s_sorted, s_sorted, out=prod[0])
+        np.multiply(s_sorted, self.t_columns, out=prod[1:])
+        S = np.add.reduceat(prod, self.starts, axis=2).transpose(1, 2, 0)
+        return {**self._unweighted(Y), "s": s, "S": np.ascontiguousarray(S)}
 
 
-def _gls(core, st, a0: np.ndarray, A: np.ndarray):
-    """GLS fit at unit residual variance from the cluster weights a0 of V^-1.
+# the statistics the Newton profile reads, none with an axis over clusters
+_CLASS_STATS = ("xty", "yty", "S")
 
-    V^-1 = I + a_d J on cluster d, so X'V^-1 X = X'X + A with A =
-    sum_d a_d t_d t_d', and y'V^-1 y = y'y + sum_d a_d s_d^2 (X'X and y'y
-    are zero for the area-level model).  Returns (X'V^-1 X)^-1, beta, the
-    cluster residual sums rho_d = s_d - t_d' beta and r = y'P y =
-    |y - X beta|^2 + sum_d a_d rho_d^2.
+
+def _weighted_outer(core, a: np.ndarray) -> np.ndarray:
+    """sum_g a_g T_g for every row of a, as one matrix product."""
+    return (a.reshape(-1, a.shape[-1]) @ core.tt).reshape(a.shape[:-1] + (core.q, core.q))
+
+
+def _gls(core, st, a: np.ndarray):
+    """GLS fit at unit residual variance from the class weights a[:, 0] of V^-1.
+
+    V^-1 = I + a_d J on cluster d.  a stacks class weight vectors per row,
+    shape (m, k, G), and for each k A_k = sum_g a_k,g T_g, a_k . S2 and
+    B_k = sum_g a_k,g ST_g are formed, the last two as one product with
+    S.  Then X'V^-1 X = X'X + A_0 and X'V^-1 y = X'y + B_0 = c (X'X and
+    X'y are zero for the area-level model), beta = (X'V^-1 X)^-1 c and r =
+    y'P y = y'y + a_0 . S2 - beta'c.  Returns A, B, a . S2, (X'V^-1 X)^-1,
+    beta (in the centred coordinates) and r.
+
+    Sums over classes and row-wise dot products are batched matrix
+    products, one (k x G) @ (G x (1 + q)) product per row, and a row
+    vector v[:, None, :] times a column vector w[:, :, None].
     """
+    A = _weighted_outer(core, a)
+    aS = a @ st["S"]
+    aS2, B = aS[..., 0], aS[..., 1:]
     try:
-        inv = np.linalg.inv(core.xtx + A)
+        inv = np.linalg.inv(core.xtx + A[:, 0])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("normal equations are singular") from exc
-    beta = np.einsum("mij,mj->mi", inv, st["xty"] + (a0 * st["s"]) @ core.t)
-    rho, rtr = _residual_sums(core, st, beta)
-    return inv, beta, rho, rtr + (a0 * rho**2).sum(axis=1)
+    c = st["xty"] + B[:, 0]
+    beta = (inv @ c[:, :, None])[:, :, 0]
+    r = st["yty"] + aS2[:, 0] - (beta[:, None, :] @ c[:, :, None])[:, 0, 0]
+    return A, B, aS2, inv, beta, r
 
 
 def _profile_forms(core, st, a: np.ndarray):
     """y'P y with its first two derivatives, and the log|A| derivative traces.
 
-    a stacks the cluster weights of V^-1 and their first two derivatives in
-    the solver's parameter, shape (3, m, D), at unit residual variance (see
-    _gls).  r' = sum_d a'_d rho_d^2 and r'' = sum_d a''_d rho_d^2 -
-    2 beta'A beta', where A beta' = sum_d a'_d rho_d t_d.  The traces are
-    tr(A^-1 A') and tr(A^-1 A'') - tr((A^-1 A')^2).
+    a stacks the class weights of V^-1 and their first two derivatives in
+    the solver's parameter, shape (m, 3, G), at unit residual variance (see
+    _gls).  With cluster residual sums rho_d = s_d - t_d' beta, r_k =
+    sum_d a_k,d rho_d^2 = a_k . S2 - 2 beta'B_k + beta'A_k beta for k = 1,
+    2, and r'' = r_2 - 2 g'(X'V^-1 X)^-1 g with g = sum_d a'_d rho_d t_d =
+    B_1 - A_1 beta.  The traces are tr(A^-1 A') and tr(A^-1 A'') -
+    tr((A^-1 A')^2).
     """
-    A, A1, A2 = _weighted_outer(core, a)
-    inv, beta, rho, r = _gls(core, st, a[0], A)
-    r1, r2 = (a[1:] * rho**2).sum(axis=2)
-    g = (a[1] * rho) @ core.t
-    r2 = r2 - 2.0 * np.einsum("mi,mij,mj->m", g, inv, g)
-    M1 = inv @ A1
+    A, B, aS2, inv, beta, r = _gls(core, st, a)
+    Ab = (A[:, 1:] @ beta[:, None, :, None])[..., 0]
+    r1, r2 = (aS2[:, 1:] + ((Ab - 2.0 * B[:, 1:]) @ beta[:, :, None])[..., 0]).T
+    g = B[:, 1] - Ab[:, 0]
+    r2 = r2 - 2.0 * (g[:, None, :] @ inv @ g[:, :, None])[:, 0, 0]
+    M1 = inv @ A[:, 1]
     tr1 = np.einsum("mii->m", M1)
-    tr2 = np.einsum("mij,mji->m", inv, A2) - np.einsum("mij,mji->m", M1, M1)
+    tr2 = np.einsum("mij,mji->m", inv, A[:, 2]) - np.einsum("mij,mji->m", M1, M1)
     return r, r1, r2, tr1, tr2
 
 
@@ -145,74 +217,74 @@ def _evaluate(core, st, theta, spec: MixedParameterSpec | None = None) -> dict:
     _gls forms at unit residual variance (sigma2_e = 1 for the area-level
     model).  The (n - q - 1) log 2 pi constant is the convention
     tests/oracles.dense_restricted_loglik shares, not a degrees-of-freedom
-    count.  The BLUP is u_d = w_d rho_d.
+    count.  The BLUP is u_d = w_g(d) rho_d with rho_d = s_d - t_d' beta.
     """
     x, se = core.parameter(theta)
     a0, logdet_v, w = core.weights(x)
-    A = _weighted_outer(core, a0)
-    _, beta, rho, r = _gls(core, st, a0, A)
-    sign, logdet_a = np.linalg.slogdet(core.xtx + A)
+    A, _, _, _, beta, r = _gls(core, st, a0[:, None])
+    sign, logdet_a = np.linalg.slogdet(core.xtx + A[:, 0])
     nq = core.n - core.q
     ll = -0.5 * (nq * np.log(se) + logdet_v + logdet_a + r / se + (nq - 1) * _LOG2PI)
     out = {"loglik": np.where(sign > 0, ll, -np.inf)}
     if spec is not None:
-        u = w * rho
+        u = w[:, core.label] * (st["s"] - beta @ core.t.T)
+        beta = beta + core.beta_ols
         out.update(
             beta=beta,
             u=u,
             mu=beta @ spec.k.T + spec.m[None, :] * u,
-            g1=core.g1(theta) * spec.m[None, :] ** 2,
+            g1=core.g1(theta)[:, core.label] * spec.m[None, :] ** 2,
         )
     return out
 
 
-class _NermCore:
+class _NermCore(_Core):
     """Closed-form likelihood pieces for the unit-level model.
 
     theta rows are (sigma2_e, sigma2_u).  The solver's parameter is the
     ratio psi = sigma2_u / sigma2_e, with sigma2_e profiled out at its REML
-    maximizer y'P y / (n - q), P the projection at unit sigma2_e.
+    maximizer y'P y / (n - q), P the projection at unit sigma2_e.  The
+    weight classes are the distinct cluster sizes n_g.
     """
 
-    def __init__(self, data: BlockLmmData):
-        self.X = data.X
+    def __init__(self, data: BlockLmmData, scale: float):
         self.n = data.n_total
         self.D = data.D
-        self.q = data.p + 1
         self.sizes = data.sizes.astype(float)
         self.offsets = data.offsets
-        self.xtx = data.X.T @ data.X
         # t_d = X_d' 1, one row per cluster
-        self.t = np.add.reduceat(data.X, data.offsets, axis=0)
-        self.tt = _outer_rows(self.t)
+        super().__init__(data, scale, np.add.reduceat(data.X, data.offsets, axis=0), self.sizes)
+        self.xtx = self.gram
 
-    def stats(self, Y: np.ndarray) -> dict:
+    def _cluster_sums(self, Y):
+        return np.add.reduceat(Y, self.offsets, axis=1)
+
+    def _unweighted(self, Y):
         return {
-            "xty": Y @ self.X,
-            "yty": np.einsum("mi,mi->m", Y, Y),
-            "s": np.add.reduceat(Y, self.offsets, axis=1),
+            "xty": (Y @ self.X) / self.scale,
+            "yty": np.einsum("mi,mi->m", Y, Y) / self.scale**2,
         }
 
     def parameter(self, theta):
         return theta[:, 1] / theta[:, 0], theta[:, 0]
 
     def weights(self, psi):
-        """V^-1 weights -psi kappa_d, log|V_1| and BLUP weights psi kappa_d.
+        """V^-1 weights -psi kappa_g, log|V_1| and BLUP weights psi kappa_g.
 
-        V_1 = I + psi J on cluster d, kappa_d = 1 / (1 + n_d psi).
+        V_1 = I + psi J on cluster d, kappa_g = 1 / (1 + n_g psi).
         """
-        w = psi[:, None] / (1.0 + self.sizes * psi[:, None])
-        return -w, np.log1p(self.sizes * psi[:, None]).sum(axis=1), w
+        w = psi[:, None] / (1.0 + self.key * psi[:, None])
+        return -w, np.log1p(self.key * psi[:, None]) @ self.count, w
 
     def slope(self, st, psi):
         """Profile loglik slope and curvature in psi, and y'P y at unit sigma2_e."""
-        nk = self.sizes / (1.0 + self.sizes * psi[:, None])  # n_d kappa_d
-        kappa = nk / self.sizes
-        a = np.stack([-psi[:, None] * kappa, -(kappa**2), 2.0 * nk * kappa**2])
+        nk = self.key / (1.0 + self.key * psi[:, None])  # n_g kappa_g
+        kappa = nk / self.key
+        a = np.stack([-psi[:, None] * kappa, -(kappa**2), 2.0 * nk * kappa**2], axis=1)
         r, r1, r2, tr1, tr2 = _profile_forms(self, st, a)
         dof = self.n - self.q
-        l1 = -0.5 * (dof * r1 / r + nk.sum(axis=1) + tr1)
-        l2 = -0.5 * (dof * (r2 / r - (r1 / r) ** 2) - (nk**2).sum(axis=1) + tr2)
+        l1 = -0.5 * (dof * r1 / r + nk @ self.count + tr1)
+        l2 = -0.5 * (dof * (r2 / r - (r1 / r) ** 2) - nk**2 @ self.count + tr2)
         return l1, l2, r
 
     def theta(self, psi, r):
@@ -220,12 +292,17 @@ class _NermCore:
         return np.stack([se, psi * se], axis=1)
 
     def start(self, st):
-        # method-of-moments ratio on OLS residuals, kept away from zero
+        # method-of-moments ratio on each row's own OLS residuals, kept away from zero
         m = st["xty"].shape[0]
         beta0 = np.linalg.solve(
             np.broadcast_to(self.xtx, (m, self.q, self.q)), st["xty"][..., None]
         )[..., 0]
-        rsum, rtr = _residual_sums(self, st, beta0)
+        rsum = st["s"] - beta0 @ self.t.T
+        rtr = (
+            st["yty"]
+            - 2.0 * np.einsum("mi,mi->m", st["xty"], beta0)
+            + np.einsum("mi,ij,mj->m", beta0, self.xtx, beta0)
+        )
         ss_between = (rsum**2 / self.sizes[None, :]).sum(axis=1)
         ss_within = np.maximum(rtr - ss_between, 0.0)
         msw = ss_within / max(self.n - self.D, 1)
@@ -236,47 +313,51 @@ class _NermCore:
         return np.maximum((msb - se0) / (n_eff * se0), 0.05), rtr
 
     def g1(self, theta):
+        """g1 of each weight class."""
         se = theta[:, 0][:, None]
         su = theta[:, 1][:, None]
-        return su * se / (se + self.sizes[None, :] * su)
+        return su * se / (se + self.key[None, :] * su)
 
 
-class _FhmCore:
+class _FhmCore(_Core):
     """Likelihood pieces for the area-level model; theta rows are (sigma2_u,).
 
-    The solver's parameter is sigma2_u itself.
+    The solver's parameter is sigma2_u itself.  The weight classes are the
+    distinct known error variances.
     """
 
-    def __init__(self, data: BlockLmmData, error_vars: np.ndarray):
-        self.X = data.X
+    def __init__(self, data: BlockLmmData, scale: float):
         self.n = self.D = data.D
-        self.q = data.p + 1
-        self.s2e = error_vars
+        self.s2e = data.known_error_vars / scale**2
         # one observation per cluster: t_d = x_d, and no unweighted X'X part
-        self.t = data.X
-        self.tt = _outer_rows(data.X)
+        super().__init__(data, scale, data.X, self.s2e)
         self.xtx = np.zeros((self.q, self.q))
 
-    def stats(self, Y: np.ndarray) -> dict:
+    def _cluster_sums(self, Y):
         # the stacked response is already per-cluster
+        return Y
+
+    def _unweighted(self, Y):
         m = Y.shape[0]
-        return {"s": Y, "xty": np.zeros((m, self.q)), "yty": np.zeros(m)}
+        return {"xty": np.zeros((m, self.q)), "yty": np.zeros(m)}
 
     def parameter(self, theta):
         return theta[:, 0], 1.0
 
     def weights(self, su):
-        """V^-1 weights 1 / v_d, log|V| and BLUP weights sigma2_u / v_d."""
-        v = self.s2e[None, :] + su[:, None]
-        return 1.0 / v, np.log(v).sum(axis=1), su[:, None] / v
+        """V^-1 weights 1 / v_g, log|V| and BLUP weights sigma2_u / v_g."""
+        v = self.key[None, :] + su[:, None]
+        return 1.0 / v, np.log(v) @ self.count, su[:, None] / v
 
     def slope(self, st, su):
         """Restricted loglik slope and curvature in sigma2_u, and y'P y."""
-        inv = 1.0 / (self.s2e[None, :] + su[:, None])
-        a = np.stack([inv, -(inv**2), 2.0 * inv**3])
+        inv = 1.0 / (self.key[None, :] + su[:, None])
+        inv2 = inv * inv
+        # inv2 * inv, not inv**3: a cube goes through pow, several times slower
+        a = np.stack([inv, -inv2, 2.0 * inv2 * inv], axis=1)
         r, r1, r2, tr1, tr2 = _profile_forms(self, st, a)
-        l1 = -0.5 * (r1 + inv.sum(axis=1) + tr1)
-        l2 = -0.5 * (r2 - (inv**2).sum(axis=1) + tr2)
+        l1 = -0.5 * (r1 + inv @ self.count + tr1)
+        l2 = -0.5 * (r2 - inv2 @ self.count + tr2)
         return l1, l2, r
 
     def theta(self, su, r):
@@ -284,9 +365,8 @@ class _FhmCore:
 
     def start(self, st):
         m = st["s"].shape[0]
-        xtx = self.X.T @ self.X
         beta0 = np.linalg.solve(
-            np.broadcast_to(xtx, (m, self.q, self.q)), (st["s"] @ self.X)[..., None]
+            np.broadcast_to(self.gram, (m, self.q, self.q)), (st["s"] @ self.X)[..., None]
         )[..., 0]
         r = st["s"] - beta0 @ self.X.T
         rtr = (r**2).sum(axis=1)
@@ -294,15 +374,14 @@ class _FhmCore:
         return np.maximum(msr - self.s2e.mean(), 0.05 * msr), rtr
 
     def g1(self, theta):
+        """g1 of each weight class."""
         su = theta[:, 0][:, None]
-        return su * self.s2e[None, :] / (su + self.s2e[None, :])
+        return su * self.key[None, :] / (su + self.key[None, :])
 
 
 def _core_for(data: BlockLmmData, s: float = 1.0):
     """Likelihood core for the response in units of s (known variances / s^2)."""
-    if data.model_tag == NERM:
-        return _NermCore(data)
-    return _FhmCore(data, data.known_error_vars / s**2)
+    return (_NermCore if data.model_tag == NERM else _FhmCore)(data, s)
 
 
 def response_scale(y: np.ndarray) -> float:
@@ -325,9 +404,8 @@ def _standardize(data: BlockLmmData, Y: np.ndarray):
     s comes from the dataset's own response, never from the rows of Y, so
     every batch of bootstrap replicates is solved in the same units.
     """
-    s = response_scale(data.y)
-    core = _core_for(data, s)
-    return core, core.stats(Y / s), s
+    core = _core_for(data, response_scale(data.y))
+    return core, core.stats(Y)
 
 
 # ======================================================================
@@ -342,13 +420,15 @@ def _newton_profile(core, st, x0):
     and a non-positive one at hi, takes the Newton step when the curvature
     is negative and the step stays inside the bracket, and otherwise
     bisects the bracket geometrically, or expands it while hi is unbounded.
-    Only rows still moving are evaluated, and every decision reads the sign
-    and size of the slope, never a difference of loglik values, so a row
-    follows the same path whatever batch it sits in.
+    Only rows still moving are evaluated, on their class-level statistics
+    alone (_CLASS_STATS), and every decision reads the sign and size of the
+    slope, never a difference of loglik values, so a row follows the same
+    path whatever batch it sits in.
 
     Returns the last evaluated parameter, y'P y there, and the boundary
     and not-converged masks.
     """
+    st = {k: st[k] for k in _CLASS_STATS}
     m = x0.shape[0]
     x = np.full(m, VAR_FLOOR)
     slope, _, r = core.slope(st, x)
@@ -361,7 +441,8 @@ def _newton_profile(core, st, x0):
         if rows.size == 0:
             break
         x[rows] = xi = nxt[rows]
-        slope, curv, r[rows] = core.slope({k: v[rows] for k, v in st.items()}, xi)
+        moving = st if rows.size == m else {k: v[rows] for k, v in st.items()}
+        slope, curv, r[rows] = core.slope(moving, xi)
         up = slope > 0.0
         lo[rows] = lo_i = np.where(up, xi, lo[rows])
         hi[rows] = hi_i = np.where(up, hi[rows], xi)
@@ -377,11 +458,11 @@ def _newton_profile(core, st, x0):
     return x, r, boundary, ~converged
 
 
-def _batch_reml(core, st, s: float, spec: MixedParameterSpec | None = None) -> dict:
+def _batch_reml(core, st, spec: MixedParameterSpec | None = None) -> dict:
     """REML per row of a standardized problem, with results in the units of Y.
 
     Maps theta and g1 back by s^2, beta, u and mu by s, and the restricted
-    loglik by -(n - q) log s.  `boundary` marks rows at the floor of the
+    loglik by -(n - q) log s, s the core's scale.  `boundary` marks rows at the floor of the
     solver's parameter and `fallback` rows not converged within MAX_ITER.
     Predictions are included when spec is given.
     """
@@ -389,6 +470,7 @@ def _batch_reml(core, st, s: float, spec: MixedParameterSpec | None = None) -> d
     x, r, boundary, unconverged = _newton_profile(core, st, x0)
     theta = core.theta(x, r)
     fit = _evaluate(core, st, theta, spec)
+    s = core.scale
     out = {
         "theta": theta * s**2,
         "loglik": fit["loglik"] - (core.n - core.q) * math.log(s),
@@ -473,11 +555,12 @@ def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> d
             "unit-level data has no information on sigma2_e: n - D - rank of the "
             f"within-cluster-centred covariates is {dof}"
         )
-    core, st, s = _standardize(data, data.y[None, :])
+    core, st = _standardize(data, data.y[None, :])
+    s = core.scale
     _, rtr = core.start(st)
     if rtr[0] <= 1e-12 * (1.0 + float(np.mean(data.y**2)) / s**2):
         raise DegenerateData("response has no residual variation around the fixed part")
-    fit = _batch_reml(core, st, s, spec)
+    fit = _batch_reml(core, st, spec)
     if not np.isfinite(fit["loglik"][0]):
         raise NoConvergence("restricted likelihood is not finite at any candidate")
     return fit
@@ -529,7 +612,7 @@ def g1(data: BlockLmmData, theta: VarianceComponents) -> np.ndarray:
     sigma2_u sigma2_e_d / (sigma2_u + sigma2_e_d).
     """
     core = _core_for(data)
-    return core.g1(_theta_array(data, theta))[0]
+    return core.g1(_theta_array(data, theta))[0, core.label]
 
 
 def g2(
@@ -544,7 +627,7 @@ def g2(
     core = _core_for(data)
     x, se = core.parameter(_theta_array(data, theta))
     a0, _, w = core.weights(x)
-    bvec = spec.k - (spec.m * w[0])[:, None] * core.t
+    bvec = spec.k - (spec.m * w[0, core.label])[:, None] * core.t
     try:
         sol = np.linalg.solve(core.xtx + _weighted_outer(core, a0)[0], bvec.T)
     except np.linalg.LinAlgError as exc:

@@ -335,3 +335,26 @@ def loop_reml_score(data, sigma2_u, sigma2_e):
         tr_e += n * (1.0 - g) / sigma2_e - np.sum(Ainv * (VX.T @ VX))
         quad_e += Pr @ Pr
     return beta, (tr_u, quad_u), (tr_e, quad_e)
+
+
+def loop_fhm_reml_score(data, sigma2_u):
+    """Area-level GLS beta and REML score terms by a loop over the areas.
+
+    V = diag(v_d) with v_d = sigma2_u + psi_d and Z = I, so P y = V^-1 (y -
+    X beta), y'P ZZ' P y = sum_d ((y_d - x_d' beta) / v_d)^2 and tr(P ZZ')
+    = sum_d 1 / v_d - tr((X'V^-1 X)^-1 X'V^-2 X).  Nothing D x D is formed.
+    Returns (beta, (tr(P ZZ'), y'P ZZ' P y)); the REML score in sigma2_u is
+    -(trace - quad) / 2.
+    """
+    q = data.X.shape[1]
+    A, b, W = np.zeros((q, q)), np.zeros(q), np.zeros((q, q))
+    for x, y, psi in zip(data.X, data.y, data.known_error_vars):
+        v = sigma2_u + psi
+        A += np.outer(x, x) / v
+        b += x * y / v
+        W += np.outer(x, x) / v**2
+    beta = np.linalg.solve(A, b)
+    v = sigma2_u + data.known_error_vars
+    trace = np.sum(1.0 / v) - np.sum(np.linalg.inv(A) * W)
+    quad = np.sum(((data.y - data.X @ beta) / v) ** 2)
+    return beta, (trace, quad)

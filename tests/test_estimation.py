@@ -28,6 +28,7 @@ from oracles import (
     dense_restricted_loglik,
     dense_restricted_loglik_terms,
     grid_reml,
+    loop_fhm_reml_score,
     loop_reml_score,
     reference_reml,
 )
@@ -230,6 +231,23 @@ def test_loop_reml_score_matches_the_dense_forms():
     assert_allclose(score_e, (np.trace(P), Py @ Py), rtol=1e-12)
 
 
+def test_loop_fhm_reml_score_matches_the_dense_forms():
+    data, _ = make_fhm(D=25, p=2, seed=3)
+    beta, score = loop_fhm_reml_score(data, 0.6)
+    assert_allclose(beta, dense_gls_blup(data, 0.6)[0], rtol=1e-12)
+    assert_allclose(score, dense_reml_score_terms(data, 0.6), rtol=1e-12)
+
+
+def test_area_level_fit_with_distinct_error_variances_solves_the_reml_score_at_large_D():
+    # every area its own weight class (G = D = 2000), the solver's worst case
+    data, _ = make_fhm(D=2000, p=2, seed=7)
+    assert np.unique(data.known_error_vars).size == data.D
+    fit = est.eblup(data)
+    beta, (trace, quad) = loop_fhm_reml_score(data, fit.theta.sigma2_u)
+    assert abs(trace - quad) <= 1e-8 * max(trace, quad)
+    assert np.max(np.abs(fit.beta_hat - beta)) <= 1e-10 * np.max(np.abs(beta))
+
+
 def test_unit_level_fit_solves_the_reml_score_at_large_D():
     # D = 2000, n about 11 000: past the reach of the O(n^3) dense oracles
     data, _ = make_nerm(D=2000, n_d=5, p=2, seed=7, unbalanced=True)
@@ -309,11 +327,12 @@ def test_cholesky_residuals_match_dense_and_whiten(family):
         want = np.linalg.solve(L, data.y[sl] - data.X[sl] @ fit.beta_hat)
         assert_allclose(res[sl], want, atol=1e-10)
     else:
-        # one unit per area: whitening is division by the marginal sd
-        want = (data.y - data.X @ fit.beta_hat) / np.sqrt(
-            fit.theta.sigma2_u + data.known_error_vars
-        )
-        assert_allclose(res, want, rtol=1e-14, atol=0)
+        # one unit per area: whitening is division by the marginal sd.  y - X beta
+        # can cancel far below its terms, so the tolerance is relative to them
+        sd = np.sqrt(fit.theta.sigma2_u + data.known_error_vars)
+        want = (data.y - data.X @ fit.beta_hat) / sd
+        terms = (np.abs(data.y) + np.abs(data.X) @ np.abs(fit.beta_hat)) / sd
+        assert np.all(np.abs(res - want) <= 1e-14 * terms)
     assert 0.85 < res.var() < 1.15
     assert abs(res.mean()) < 0.1
 
@@ -473,6 +492,23 @@ def test_the_memory_layout_of_y_does_not_move_a_fit(data):
         got = est.batch_eblup(data, spec, view)
         for key, value in want.items():
             assert np.array_equal(got[key], value), key
+
+
+def test_the_newton_iteration_reads_no_per_cluster_statistic(monkeypatch):
+    # 300 clusters of 5 units form one weight class, so every sum the Newton
+    # profile forms is over G = 1 class; 64 rows keep the batch axis off D
+    data = make_nerm(D=300, n_d=5, seed=5)[0]
+    passed = []
+    slope = est._NermCore.slope
+
+    def spy(core, st, x):
+        passed.extend([x, *st.values()])
+        return slope(core, st, x)
+
+    monkeypatch.setattr(est._NermCore, "slope", spy)
+    est.batch_eblup(data, cluster_mean_spec(data), _responses(data, seed=3, m=64))
+    assert passed
+    assert all(data.D not in np.shape(value) for value in passed)
 
 
 def test_rows_not_converged_within_max_iter_are_flagged(monkeypatch):

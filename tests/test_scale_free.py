@@ -1,10 +1,11 @@
-"""REML fits do not depend on the units of the response.
+"""REML fits do not depend on the units or the location of the response.
 
 Multiplying y by c (and, for the area-level model, the known error
 variances by c^2) multiplies the variance components by c^2 and the
 coefficients and predictions by c.  For c a power of two the results are
 exact multiples, because the estimator solves the same standardized
-problem bit for bit.
+problem bit for bit.  Adding c to y leaves the variance components alone
+and adds c to the predictions of cluster means.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from spimax.model import (
     BlockLmmData,
     VarianceComponents,
     cluster_mean_spec,
+    replace_response,
 )
 
 from oracles import dense_gls_blup, dense_restricted_loglik, reference_reml
@@ -92,6 +94,22 @@ def test_power_of_two_units_give_exact_multiples(data, k):
     assert scaled.theta.sigma2_u == c**2 * unit.theta.sigma2_u
     if data.model_tag == NERM:
         assert scaled.theta.sigma2_e == c**2 * unit.theta.sigma2_e
+
+
+@pytest.mark.parametrize("make", [make_nerm, make_fhm])
+@pytest.mark.parametrize("sds", [1e2, 1e4, 1e6])
+def test_fit_is_invariant_to_a_shift_of_the_response(make, sds):
+    # the fit works on y minus the dataset's own OLS fit, so a response far
+    # from zero does not cancel in its quadratic forms
+    data = make(D=30, seed=2)[0]
+    c = sds * float(np.std(data.y))
+    unit, shifted = eblup(data), eblup(replace_response(data, data.y + c))
+    assert_allclose(shifted.theta.sigma2_u, unit.theta.sigma2_u, rtol=1e-9, atol=0)
+    if data.model_tag == NERM:
+        assert_allclose(shifted.theta.sigma2_e, unit.theta.sigma2_e, rtol=1e-9, atol=0)
+    # y + c itself rounds to a few ulp of c
+    atol = 8 * np.finfo(float).eps * c + 1e-10 * np.abs(unit.mu_hat).max()
+    assert_allclose(shifted.mu_hat - c, unit.mu_hat, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize(
@@ -185,21 +203,21 @@ def test_unit_scale_fixture_fits_are_unchanged():
     # to 1.2e-14, so the frozen values pin the solver, not its error
     data = make_nerm()[0]
     fit = eblup(data)
-    assert fit.theta.sigma2_e == 0.49241361050317733
-    assert fit.theta.sigma2_u == 0.8014197614658315
-    assert fit.beta_hat.tolist() == [1.2950584930987505, 0.7829932817579452]
-    assert fit.mu_hat[[0, -1]].tolist() == [1.603056474543261, 0.23508307766299263]
-    assert fit.loglik_restricted == -62.737184399616545
+    assert fit.theta.sigma2_e == 0.4924136105031773
+    assert fit.theta.sigma2_u == 0.8014197614658323
+    assert fit.beta_hat.tolist() == [1.2950584930987514, 0.782993281757944]
+    assert fit.mu_hat[[0, -1]].tolist() == [1.603056474543261, 0.23508307766299308]
+    assert fit.loglik_restricted == -62.73718439961654
     su, se = reference_reml(data, VAR_FLOOR, 1e6)
     assert_allclose([fit.theta.sigma2_u, fit.theta.sigma2_e], [su, se], rtol=1e-14)
     _assert_dense_fit(data, fit)
 
     data = make_fhm()[0]
     fit = eblup(data)
-    assert fit.theta.sigma2_u == 0.29837401232166544
-    assert fit.beta_hat.tolist() == [1.452173197548051, 0.6257223602620652]
-    assert fit.mu_hat[[0, -1]].tolist() == [1.5875083604740874, 1.3610867833758657]
-    assert fit.loglik_restricted == -18.526482096915764
+    assert fit.theta.sigma2_u == 0.29837401232166655
+    assert fit.beta_hat.tolist() == [1.4521731975480527, 0.6257223602620602]
+    assert fit.mu_hat[[0, -1]].tolist() == [1.5875083604740854, 1.3610867833758655]
+    assert fit.loglik_restricted == -18.526482096915768
     su, _ = reference_reml(data, VAR_FLOOR * response_scale(data.y) ** 2, 1e3)
     assert_allclose(fit.theta.sigma2_u, su, rtol=1e-14)
     _assert_dense_fit(data, fit)
