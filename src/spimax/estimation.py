@@ -558,7 +558,12 @@ def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> d
     core, st = _standardize(data, data.y[None, :])
     s = core.scale
     _, rtr = core.start(st)
-    if rtr[0] <= 1e-12 * (1.0 + float(np.mean(data.y**2)) / s**2):
+    # rtr is the OLS residual sum of squares of the centred response in
+    # units of s.  Rounding y_d to a double alone leaves a residual of up to
+    # eps |y_d| / s, so residuals within 64 ulps of the response are
+    # rounding, however far from zero the response sits.
+    rounding = (64.0 * np.finfo(float).eps) ** 2 * float(np.sum((data.y / s) ** 2))
+    if rtr[0] <= 1e-12 + rounding:
         raise DegenerateData("response has no residual variation around the fixed part")
     fit = _batch_reml(core, st, spec)
     if not np.isfinite(fit["loglik"][0]):

@@ -20,12 +20,12 @@ and no (q + D)-square array is ever formed.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import util
 from .errors import CholeskyFailure, ShapeMismatch
 from .maxstat import SCALE_FLOOR, CriticalValue
 from .model import (
@@ -189,13 +189,6 @@ def _row_norms(mq, mw):
     return np.sqrt(np.einsum("ri,ri->r", mq, mq) + u_part)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def critical_value_mc(
     model: JointNormalModel,
     spec: MixedParameterSpec,
@@ -244,7 +237,7 @@ def critical_value_mc(
             t.max(axis=1, out=maxima[lo:hi])
 
     n_chunks = (k_draws + DRAW_CHUNK - 1) // DRAW_CHUNK
-    workers = min(n_chunks, _usable_cpus())
+    workers = min(n_chunks, util.usable_cpus())
     if workers == 1:
         for i in range(n_chunks):
             chunk_max(i)

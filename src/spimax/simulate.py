@@ -5,7 +5,10 @@ calibrate): simultaneous-interval comparison scored by coverage and
 width criteria, power curves for the max-type test, and family-wise
 error rates for step-down selection.  Every random ingredient is drawn
 from a seed derived from (master_seed, replicate, role), so results are
-bit-exact for a fixed configuration regardless of scheduling.
+bit-exact for a fixed configuration regardless of scheduling.  Replicates
+run on one forked worker process per usable CPU (the CPU-affinity set, so
+``taskset -c 0`` runs them inline) and are gathered in replicate order:
+the output does not depend on the CPU count, and no option sets it.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import util
 from .bootstrap import stepdown_quantile_provider
 from .calibration import calibrate
 from .errors import NonPositiveShift, ShapeMismatch, SpimaxError
@@ -145,6 +150,62 @@ def _binomial_halfwidth(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
 
 
+def _replicate(config, methods, score, i):
+    """(record or None, n_fallback, n_boundary) of replicate i.
+
+    None marks a replicate where a fit, a calibration or the scoring raised
+    SpimaxError; any other error propagates.
+    """
+    data, mu_true, spec = generate_scenario(config, i)
+    draws = record = None
+    try:
+        fit = eblup(data, spec)
+        calibrated = {}
+        for m in methods:
+            cv, scales, draws = calibrate(
+                m, data, spec, fit, alpha=config.alpha,
+                seed=derive_seed(config.master_seed, i, 2 if m == "MC" else 1),
+                B=config.n_boot, K=config.n_mc, draws=draws,
+            )
+            calibrated[m] = (cv, scales)
+        record = score(fit, mu_true, calibrated, draws)
+    except SpimaxError:
+        pass
+    if draws is None:
+        return record, 0, 0
+    return record, draws.n_fallback, draws.n_boundary
+
+
+def _map_replicates(task, n: int) -> list:
+    """[task(i) for i in range(n)], on one forked worker process per usable CPU.
+
+    Results come back in replicate order.  Without a second CPU, or where
+    the platform cannot fork, the replicates run inline: spawning a fresh
+    interpreter re-imports numpy and spimax in every worker, which costs
+    about as much as it saves.  They also run inline in a daemonic process
+    (a multiprocessing.Pool worker), which may not start children.  Every
+    worker has exited when this returns, also when a replicate raises.
+    """
+    workers = min(n, util.usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+        ):
+            workers = 1
+    if workers == 1:
+        return [task(i) for i in range(n)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(task, range(n), chunksize=max(1, n // (4 * workers))))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _run_replicates(kind, config, methods, score, aggregate) -> ExperimentResult:
     """The one replicate loop: generate, fit, calibrate, score, aggregate.
 
@@ -154,32 +215,25 @@ def _run_replicates(kind, config, methods, score, aggregate) -> ExperimentResult
     score(fit, mu_true, calibrated, draws) turns the calibrated {method:
     (critical value, floored scales)} into one record; a replicate where
     any step raises SpimaxError is recorded as failed and left out.
-    aggregate(records) returns (criteria, halfwidths, samples) from the
-    records of the surviving replicates, in order.
+    Replicates run on one forked worker process per usable CPU
+    (_map_replicates); a replicate depends only on (config, i), so the
+    worker count moves no bit.  score must pickle: a module-level function
+    or a functools.partial of one.  aggregate(records) returns (criteria,
+    halfwidths, samples) from the records of the surviving replicates, in
+    order, and runs in the calling process.
     """
     start_time = time.perf_counter()
     records: list = []
     failed: list[int] = []
     n_fallback = n_boundary = 0
-    for i in range(config.n_sim):
-        data, mu_true, spec = generate_scenario(config, i)
-        draws = None
-        try:
-            fit = eblup(data, spec)
-            calibrated = {}
-            for m in methods:
-                cv, scales, draws = calibrate(
-                    m, data, spec, fit, alpha=config.alpha,
-                    seed=derive_seed(config.master_seed, i, 2 if m == "MC" else 1),
-                    B=config.n_boot, K=config.n_mc, draws=draws,
-                )
-                calibrated[m] = (cv, scales)
-            records.append(score(fit, mu_true, calibrated, draws))
-        except SpimaxError:
+    outcomes = _map_replicates(partial(_replicate, config, methods, score), config.n_sim)
+    for i, (record, fallback, boundary) in enumerate(outcomes):
+        if record is None:
             failed.append(i)
-        if draws is not None:
-            n_fallback += draws.n_fallback
-            n_boundary += draws.n_boundary
+        else:
+            records.append(record)
+        n_fallback += fallback
+        n_boundary += boundary
     if not records:
         raise ShapeMismatch("every simulation replicate failed")
     criteria, halfwidths, samples = aggregate(records)
@@ -204,6 +258,41 @@ def _mean_halfwidth(values: np.ndarray) -> float:
     return 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
 
 
+def _score_spi(fit, mu_true, calibrated, draws):
+    """{method: (covers every target, interval widths)}."""
+    intervals = {m: build_spi(fit, cv, scales) for m, (cv, scales) in calibrated.items()}
+    return {m: (covers_all(iv, mu_true), iv.upper - iv.lower) for m, iv in intervals.items()}
+
+
+def _score_power(deltas, fit, mu_true, calibrated, draws):
+    """{method: global-test rejection at each shift of the realized targets}."""
+    return {
+        m: np.array(
+            [single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any()
+             for delta in deltas]
+        )
+        for m, (cv, scales) in calibrated.items()
+    }
+
+
+def _score_fwer(n_alt, shift, alpha, fit, mu_true, calibrated, draws):
+    """{method: (any true null rejected, share of the n_alt alternatives rejected)}."""
+    h = mu_true.copy()
+    h[:n_alt] -= shift
+    # both methods studentize by the same floored leading-term scales
+    cv, scales = calibrated["BO"]
+    test = single_step_test(fit.mu_hat, scales, h, cv)
+    provider = stepdown_quantile_provider(draws, alpha)
+    rejected = {
+        "BS": step_down_test(test.t, provider, alpha),
+        "BO": np.flatnonzero(test.decisions),
+    }
+    return {
+        m: (bool(np.any(rej >= n_alt)), float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0)
+        for m, rej in rejected.items()
+    }
+
+
 def run_spi_experiment(
     config: ScenarioConfig,
     methods: tuple[str, ...] = SPI_METHODS,
@@ -220,10 +309,6 @@ def run_spi_experiment(
             raise ShapeMismatch(f"unknown method {m!r}; choose from {SPI_METHODS}")
     if len(set(methods)) != len(methods):
         raise ShapeMismatch("duplicate method names")
-
-    def score(fit, mu_true, calibrated, draws):
-        intervals = {m: build_spi(fit, cv, scales) for m, (cv, scales) in calibrated.items()}
-        return {m: (covers_all(iv, mu_true), iv.upper - iv.lower) for m, iv in intervals.items()}
 
     def aggregate(records):
         n_ok = len(records)
@@ -244,7 +329,7 @@ def run_spi_experiment(
             samples[m] = {"covered": cov, "widths": w}
         return criteria, halfwidths, samples
 
-    return _run_replicates("spi", config, methods, score, aggregate)
+    return _run_replicates("spi", config, methods, _score_spi, aggregate)
 
 
 def run_power_experiment(
@@ -266,15 +351,6 @@ def run_power_experiment(
     if deltas.size < 1:
         raise ShapeMismatch("need at least one shift value")
 
-    def score(fit, mu_true, calibrated, draws):
-        return {
-            m: np.array(
-                [single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any()
-                 for delta in deltas]
-            )
-            for m, (cv, scales) in calibrated.items()
-        }
-
     def aggregate(records):
         criteria, halfwidths, samples = {}, {}, {"deltas": deltas}
         for m in methods:
@@ -288,7 +364,7 @@ def run_power_experiment(
             samples[m] = {"reject": rej}
         return criteria, halfwidths, samples
 
-    return _run_replicates("power", config, methods, score, aggregate)
+    return _run_replicates("power", config, methods, partial(_score_power, deltas), aggregate)
 
 
 def run_fwer_experiment(
@@ -314,22 +390,6 @@ def run_fwer_experiment(
         raise NonPositiveShift("alternative shift must be positive")
     methods = ("BS", "BO")
 
-    def score(fit, mu_true, calibrated, draws):
-        h = mu_true.copy()
-        h[:n_alt] -= shift
-        # both methods studentize by the same floored leading-term scales
-        cv, scales = calibrated["BO"]
-        test = single_step_test(fit.mu_hat, scales, h, cv)
-        provider = stepdown_quantile_provider(draws, config.alpha)
-        rejected = {
-            "BS": step_down_test(test.t, provider, config.alpha),
-            "BO": np.flatnonzero(test.decisions),
-        }
-        return {
-            m: (bool(np.any(rej >= n_alt)), float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0)
-            for m, rej in rejected.items()
-        }
-
     def aggregate(records):
         n_ok = len(records)
         criteria, halfwidths, samples = {}, {}, {"n_alt": n_alt}
@@ -345,4 +405,5 @@ def run_fwer_experiment(
             samples[m] = {"false_rejection": false_rej, "alt_rate": alt_rate}
         return criteria, halfwidths, samples
 
+    score = partial(_score_fwer, n_alt, shift, config.alpha)
     return _run_replicates("fwer", config, methods, score, aggregate)

@@ -1,8 +1,9 @@
-"""Shared helpers: seed derivation, the normal quantile and order statistics."""
+"""Shared helpers: seed derivation, the normal quantile, order statistics and the CPU count."""
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -143,3 +144,9 @@ def order_statistic(values: np.ndarray, k: int) -> float:
         raise ValueError(f"order statistic index {k} outside [1, {values.size}]")
     return float(np.partition(values, k - 1)[k - 1])
 
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

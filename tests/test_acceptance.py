@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spimax import mc
+from spimax import util
 from spimax.analytic import (
     TubeConstants,
     ridge_weights,
@@ -297,7 +297,7 @@ def test_criterion_7_property_suites(monkeypatch):
     # the MC worker count (one per usable CPU) never changes a single bit
     values = []
     for cpus in (1, 3):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(util, "usable_cpus", lambda cpus=cpus: cpus)
         values.append(critical_value_mc(joint, spec, 30_000, 0.05, 7).value)
     checks.append(("worker-count-invariance", values[0] == values[1]))
 

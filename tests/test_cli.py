@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spimax
+from spimax import util
 from spimax.bootstrap import (
     critical_value_contrast,
     parametric_bootstrap,
@@ -414,6 +415,19 @@ def test_contrast_stepdown_cli_matches_library(tmp_path, unit_csv):
     assert set(payload["rejected_indices"]) >= {int(i) for i in np.flatnonzero(single.decisions)}
 
 
+@pytest.mark.parametrize("preset", SIM_PRESETS)
+def test_simulate_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, preset):
+    argv = ["simulate", "--preset", preset, "--D", "10", "--I", "7", "--B", "40", "--K", "200",
+            "--seed", "11"]
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(util, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"{cpus}.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_simulate_csv_format_and_determinism(tmp_path):
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     argv = [
@@ -652,6 +666,25 @@ NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], s
 
 def test_importing_the_package_and_cli_does_not_load_scipy():
     _fresh_interpreter("import sys, spimax, spimax.cli\n" + NO_SCIPY)
+
+
+def test_the_cli_and_its_fit_spi_and_test_jobs_do_not_load_multiprocessing(tmp_path, unit_csv):
+    # only a simulate run with more than one usable CPU imports it
+    h_path = tmp_path / "h.csv"
+    h_path.write_text("\n".join(["0.0"] * 8) + "\n")
+    data = ["--model", "nerm", "--data", str(unit_csv)]
+    jobs = [
+        ["fit", *data, "--out", str(tmp_path / "fit.json")],
+        ["spi", *data, "--method", "mc", "--K", "20000", "--out", str(tmp_path / "spi.json")],
+        ["test", *data, "--h", str(h_path), "--method", "bs", "--B", "20", "--stepdown",
+         "--out", str(tmp_path / "test.json")],
+    ]
+    no_mp = ("assert not [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'], "
+             "sorted(sys.modules)\n")
+    _fresh_interpreter(
+        "import sys\nimport spimax.cli\n" + no_mp
+        + f"assert [spimax.cli.run_cli(job) for job in {jobs!r}] == [0, 0, 0]\n" + no_mp
+    )
 
 
 def _jobs_do_not_load_scipy(jobs: list[list[str]]) -> None:

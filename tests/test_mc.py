@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
-from spimax import mc
+from spimax import util
 from spimax.errors import ShapeMismatch
 from spimax.estimation import g1, g2, reml_fit
 from spimax.mc import (
@@ -142,7 +142,7 @@ def test_mc_matches_independent_normal_quantile():
 
 
 def _with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
 
 
 def test_mc_deterministic_and_thread_invariant(monkeypatch):

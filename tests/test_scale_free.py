@@ -8,6 +8,9 @@ problem bit for bit.  Adding c to y leaves the variance components alone
 and adds c to the predictions of cluster means.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import make_fhm, make_nerm, rescaled
 from spimax.bootstrap import parametric_bootstrap
 from spimax.calibration import calibrate
+from spimax.errors import DegenerateData
 from spimax.estimation import batch_eblup, eb_random_effects, eblup, response_scale
 from spimax.maxstat import build_spi
 from spimax.model import (
@@ -110,6 +114,38 @@ def test_fit_is_invariant_to_a_shift_of_the_response(make, sds):
     # y + c itself rounds to a few ulp of c
     atol = 8 * np.finfo(float).eps * c + 1e-10 * np.abs(unit.mu_hat).max()
     assert_allclose(shifted.mu_hat - c, unit.mu_hat, rtol=0, atol=atol)
+
+
+def _desk_data(seed: int) -> BlockLmmData:
+    """The unit-level desk input of the benchmark (bench/inputs.py) for seed."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    draw = inputs.draw_units(seed, inputs.DESK_D)
+    X = np.column_stack([np.ones(draw.y.size), draw.covs])
+    return BlockLmmData(NERM, tuple(range(inputs.DESK_D)), np.full(inputs.DESK_D, inputs.N_D),
+                        draw.y, X)
+
+
+@pytest.mark.parametrize("seed", [1801, 1811])
+def test_a_response_far_from_zero_with_residuals_is_fitted(seed):
+    # the degenerate-response bound reads the centred residuals, so it does
+    # not grow with the square of the offset
+    data = _desk_data(seed)
+    unit, shifted = eblup(data), eblup(replace_response(data, data.y + 1e8))
+    assert_allclose(shifted.theta.sigma2_u, unit.theta.sigma2_u, rtol=1e-6, atol=0)
+    assert_allclose(shifted.theta.sigma2_e, unit.theta.sigma2_e, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8, 1e12])
+def test_an_exact_fit_far_from_zero_is_still_degenerate(offset):
+    # y = X beta + offset holds nothing but the rounding of y
+    data = _desk_data(1801)
+    exact = replace_response(data, data.X @ np.array([1.0, 2.0, -0.5]) + offset)
+    with pytest.raises(DegenerateData, match="no residual variation"):
+        eblup(exact)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Simulation harness: generation, criteria bookkeeping, reproducibility."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from spimax import simulate
+from spimax import simulate, util
 from spimax.errors import NonPositiveShift, ShapeMismatch, SingularSystem
 from spimax.model import FHM, NERM
 from spimax.simulate import (
@@ -224,13 +226,17 @@ def test_fwer_validation():
 # ----------------------------------------------------- failed replicates
 
 
-def _fail_fits_on(monkeypatch, replicates):
-    """Make the replicate fit raise SingularSystem on the given replicates."""
-    calls = iter(range(10**6))
+def _fail_fits_on(monkeypatch, config, replicates):
+    """Make the replicate fit raise SingularSystem on the given replicates.
+
+    A replicate is recognized by its response, so the failure follows the
+    replicate into whichever worker process fits it.
+    """
+    responses = [generate_scenario(config, i)[0].y for i in replicates]
     real_eblup = simulate.eblup
 
     def eblup(data, spec=None):
-        if next(calls) in replicates:
+        if any(np.array_equal(data.y, y) for y in responses):
             raise SingularSystem("injected failure")
         return real_eblup(data, spec)
 
@@ -266,7 +272,7 @@ def test_failed_replicates_are_left_out(monkeypatch, kind):
     config = small_config(n_sim=6, n_boot=40, n_mc=200)
     full = EXPERIMENTS[kind](config)
     failing = (1, 4)
-    _fail_fits_on(monkeypatch, failing)
+    _fail_fits_on(monkeypatch, config, failing)
     result = EXPERIMENTS[kind](config)
     assert result.n_failed == 2
     assert result.samples["failed_replicates"] == failing
@@ -282,6 +288,71 @@ def test_failed_replicates_are_left_out(monkeypatch, kind):
 @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
 def test_every_replicate_failing_raises(monkeypatch, kind):
     config = small_config(n_sim=3, n_boot=40, n_mc=200)
-    _fail_fits_on(monkeypatch, range(config.n_sim))
+    _fail_fits_on(monkeypatch, config, range(config.n_sim))
     with pytest.raises(ShapeMismatch):
         EXPERIMENTS[kind](config)
+
+
+# ----------------------------------------------------- worker processes
+
+
+def _assert_same_samples(a, b):
+    assert a.keys() == b.keys()
+    for key, value in a.items():
+        if isinstance(value, dict):
+            _assert_same_samples(value, b[key])
+        else:
+            np.testing.assert_array_equal(value, b[key])
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_results_do_not_depend_on_the_worker_count(monkeypatch, kind):
+    # seven replicates over one, two and three workers, two of them failing
+    config = small_config(n_sim=7, n_boot=40, n_mc=200)
+    _fail_fits_on(monkeypatch, config, (2, 5))
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(util, "usable_cpus", lambda cpus=cpus: cpus)
+        results.append(EXPERIMENTS[kind](config))
+        assert multiprocessing.active_children() == []
+    base = results[0]
+    assert base.samples["failed_replicates"] == (2, 5)
+    for other in results[1:]:
+        assert other.criteria == base.criteria
+        assert other.halfwidths == base.halfwidths
+        assert (other.n_failed, other.n_fallback, other.n_boundary) == (
+            base.n_failed, base.n_fallback, base.n_boundary
+        )
+        _assert_same_samples(other.samples, base.samples)
+
+
+class _InjectedBug(Exception):
+    """An error that is not a SpimaxError: a replicate raising it is a bug."""
+
+
+def test_a_worker_error_surfaces_with_its_type_and_leaves_no_process(monkeypatch):
+    config = small_config(n_sim=6, n_boot=40, n_mc=200)
+    bad = generate_scenario(config, 4)[0].y
+    real_eblup = simulate.eblup
+
+    def eblup(data, spec=None):
+        if np.array_equal(data.y, bad):
+            raise _InjectedBug("replicate 4")
+        return real_eblup(data, spec)
+
+    monkeypatch.setattr(simulate, "eblup", eblup)
+    monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+    with pytest.raises(_InjectedBug, match="replicate 4"):
+        run_spi_experiment(config, methods=("BO",))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_run_inside_a_pool_worker_stays_inline(monkeypatch):
+    # a daemonic process may not start children, so its replicates run inline
+    config = small_config(n_sim=4, n_boot=40, n_mc=200)
+    monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+    direct = run_spi_experiment(config, methods=("BO",))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        nested = pool.apply(run_spi_experiment, (config, ("BO",)))
+    assert nested.criteria == direct.criteria
+    _assert_same_samples(nested.samples, direct.samples)
