@@ -2,20 +2,20 @@
 
 Each replicate draws new random effects and errors at the fitted
 parameters, refits the whole estimation pipeline on the synthetic
-response, and records the studentized deviation of the refitted mixed
-parameter from its replicate truth.  Critical values are order statistics
-of row maxima of that matrix.
+response, and records the deviation of the refitted mixed parameter from
+its replicate truth and its leading MSE term g1.  Critical values are
+order statistics of row maxima of |S*| = |delta / sqrt(g1)|, derived on
+read: each reader builds it in one buffer of its own.
 
 The bootstrap is one loop over chunks of CHUNK replicates: each chunk
-draws, refits and studentizes its own rows, so only one chunk of
-responses is held at a time.  Replicate b uses the generator derived from
-(master_seed, b); a chunk seeds all its replicate streams in one
-vectorized pass (util.replicate_rngs), identical draw for draw to
-derive_rng(master_seed, b).  A replicate's refit depends only on its own
-response: refitted alone it agrees with the batch result to rounding
-(matrix products round differently for other batch sizes).  The chunks
-run one after another in the calling thread; worker threads were measured
-to slow the refits down.
+draws and refits its own rows, so only one chunk of responses is held at
+a time.  Replicate b uses the generator derived from (master_seed, b); a
+chunk seeds all its replicate streams in one vectorized pass
+(util.replicate_rngs), identical draw for draw to derive_rng(master_seed,
+b).  A replicate's refit depends only on its own response: refitted alone
+it agrees with the batch result to rounding (matrix products round
+differently for other batch sizes).  The chunks run one after another in
+the calling thread; worker threads were measured to slow the refits down.
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ G1_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """Studentized bootstrap deviations plus the pieces needed for reuse.
+    """Bootstrap deviations and g1 values, reusable without refitting.
 
-    s_matrix[b, d] = (mu_hat*_bd - mu*_bd) / sqrt(g1_bd(theta*_b));
-    delta holds the unstudentized numerators and g1_star the replicate
-    MSE leading terms (floored), so contrast and per-cluster calibrations
-    can reuse the same draws without refitting.
+    delta[b, d] = mu_hat*_bd - mu*_bd and g1_star[b, d] = g1_d(theta*_b)
+    (floored) are the only B x D state; the studentized matrix
+    s_matrix = delta / sqrt(g1_star) is computed on each read.
     """
 
-    s_matrix: np.ndarray
     delta: np.ndarray
     g1_star: np.ndarray
     cluster_ids: tuple
@@ -58,12 +56,16 @@ class BootstrapDraws:
     n_boundary: int = 0
 
     @property
+    def s_matrix(self) -> np.ndarray:
+        return self.delta / np.sqrt(self.g1_star)
+
+    @property
     def b_reps(self) -> int:
-        return self.s_matrix.shape[0]
+        return self.delta.shape[0]
 
     @property
     def D(self) -> int:
-        return self.s_matrix.shape[1]
+        return self.delta.shape[1]
 
     def save_csv(self, path) -> None:
         """Rows are replicates, columns clusters, under a header row of cluster ids."""
@@ -79,20 +81,16 @@ def parametric_bootstrap(
     b_reps: int,
     master_seed: int,
 ) -> BootstrapDraws:
-    """Draw, refit and studentize b_reps synthetic datasets.
+    """Draw and refit b_reps synthetic datasets.
 
-    Replicate b draws u* and then the errors from the stream of
-    (master_seed, b), which each chunk seeds for all its replicates at once
-    (util.replicate_rngs, equal to derive_rng(master_seed, b)): one error
-    per unit of y at its error variance (model.error_variances: the
-    estimated sigma2_e for unit-level data, the known psi_d for area-level
-    data).  The replicate truth
-    mu*_d = k_d' beta_hat + m_d u*_d keeps the original coefficient
-    estimate, and every replicate is refitted with the same REML pipeline
-    as the original fit.  The work is one loop over chunks of CHUNK
-    replicates; each chunk writes only its own rows of the outputs.
-    Replicates whose refit lands on the variance floor are kept; their g1
-    values are floored before studentizing.
+    Replicate b draws u* and then one error per unit of y at its error
+    variance (model.error_variances: the estimated sigma2_e for unit-level
+    data, the known psi_d for area-level data), both from its own stream.
+    The replicate truth mu*_d = k_d' beta_hat + m_d u*_d keeps the original
+    coefficient estimate, and every replicate is refitted with the same
+    REML pipeline as the original fit; each chunk writes only its own rows
+    of the outputs.  Replicates whose refit lands on the variance floor
+    are kept; their g1 values are floored.
     """
     check_spec(data, spec)
     check_seed(master_seed)
@@ -128,48 +126,49 @@ def parametric_bootstrap(
     except Exception as exc:  # pragma: no cover - degenerate linear algebra
         raise RefitFailure(f"bootstrap refit failed: {exc}") from exc
 
-    return BootstrapDraws(
-        s_matrix=delta / np.sqrt(g1_star),
-        delta=delta,
-        g1_star=g1_star,
-        cluster_ids=data.cluster_ids,
-        n_fallback=sum(c[0] for c in counts),
-        n_boundary=sum(c[1] for c in counts),
-    )
+    n_fallback, n_boundary = (sum(c) for c in zip(*counts))
+    return BootstrapDraws(delta, g1_star, data.cluster_ids, n_fallback, n_boundary)
+
+
+def _abs_s(draws: BootstrapDraws) -> np.ndarray:
+    """|S*| = |delta / sqrt(g1_star)| in one fresh buffer."""
+    buf = np.sqrt(draws.g1_star)
+    return np.abs(np.divide(draws.delta, buf, out=buf), out=buf)
+
+
+def _row_max_quantile(abs_s: np.ndarray, alpha: float, where=True) -> float:
+    """(1-alpha) order statistic of the row maxima of abs_s over the columns that where marks."""
+    # the entries are >= 0, so a masked maximum from 0 is exact and copies no columns
+    row_max = np.max(abs_s, axis=1, where=where, initial=0.0)
+    return order_statistic(row_max, quantile_index(abs_s.shape[0], alpha))
 
 
 def critical_value_bs(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     """(1-alpha) order statistic of the row maxima of |S*|."""
-    k = quantile_index(draws.b_reps, alpha)
-    row_max = np.abs(draws.s_matrix).max(axis=1)
-    return CriticalValue(value=order_statistic(row_max, k), method="BS", alpha=alpha)
+    return CriticalValue(value=_row_max_quantile(_abs_s(draws), alpha), method="BS", alpha=alpha)
 
 
 def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
     """|studentized| replicate matrix for the contrasts A mu, shape (B, q)."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[1] != draws.D:
-        raise ShapeMismatch(f"A must have {draws.D} columns, got shape {A.shape}")
-    if A.shape[0] < 1:
-        raise ShapeMismatch("A needs at least one row")
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] != draws.D:
+        raise ShapeMismatch(f"A must have at least one row and {draws.D} columns, got {A.shape}")
     numer = draws.delta @ A.T
     scale = np.sqrt(draws.g1_star @ (A.T**2))
     # an all-zero contrast row has a zero numerator; keep its statistic at 0
-    return np.abs(numer) / np.where(scale > 0.0, scale, 1.0)
+    scale[~(scale > 0.0)] = 1.0
+    return np.divide(np.abs(numer, out=numer), scale, out=numer)
 
 
-def critical_value_contrast(
-    draws: BootstrapDraws, A: np.ndarray, alpha: float
-) -> CriticalValue:
+def critical_value_contrast(draws: BootstrapDraws, A: np.ndarray, alpha: float) -> CriticalValue:
     """Bootstrap threshold for the max statistic of the contrasts A mu.
 
     Numerators are the projected replicate deviations A (mu_hat* - mu*);
     each contrast is studentized by sqrt(sum_j A_dj^2 g1_j(theta*)).
     With A = I this reduces exactly to critical_value_bs.
     """
-    s = _contrast_abs_s(draws, A)
-    k = quantile_index(draws.b_reps, alpha)
-    return CriticalValue(value=order_statistic(s.max(axis=1), k), method="BS", alpha=alpha)
+    value = _row_max_quantile(_contrast_abs_s(draws, A), alpha)
+    return CriticalValue(value=value, method="BS", alpha=alpha)
 
 
 def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
@@ -180,23 +179,21 @@ def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     back through each marginal cdf to give cluster thresholds that share
     one probability level.
     """
-    B, D = draws.s_matrix.shape
-    abs_s = np.abs(draws.s_matrix)
-    sorted_cols = np.sort(abs_s, axis=0)
-    ranks = np.empty_like(abs_s)
-    for d in range(D):
-        ranks[:, d] = np.searchsorted(sorted_cols[:, d], abs_s[:, d], side="right")
-    row_max = ranks.max(axis=1) / B
-    q = order_statistic(row_max, quantile_index(B, alpha))
+    B = draws.b_reps
+    cols = _abs_s(draws)
+    max_rank = np.zeros(B, dtype=np.intp)
+    for d in range(draws.D):  # column d turns into its sorted copy once it is ranked
+        sorted_col = np.sort(cols[:, d])
+        np.maximum(max_rank, np.searchsorted(sorted_col, cols[:, d], side="right"), out=max_rank)
+        cols[:, d] = sorted_col
+    q = order_statistic(max_rank / B, quantile_index(B, alpha))
     # generalized inverse: smallest order statistic with cdf >= q
     idx = min(max(int(np.ceil(q * B - 1e-9)), 1), B)
-    per_cluster = sorted_cols[idx - 1, :].copy()
+    per_cluster = cols[idx - 1, :].copy()
     return CriticalValue(value=float(q), method="BE", alpha=alpha, per_cluster=per_cluster)
 
 
-def stepdown_quantile_provider(
-    draws: BootstrapDraws, alpha: float, A: np.ndarray | None = None
-):
+def stepdown_quantile_provider(draws: BootstrapDraws, alpha: float, A: np.ndarray | None = None):
     """Subset-max quantiles over shared draws, for step-down selection.
 
     Because every subset quantile comes from the same draw matrix, the
@@ -204,16 +201,15 @@ def stepdown_quantile_provider(
     subsets index clusters; with a contrast matrix A they index its rows,
     studentized the same way as critical_value_contrast.
     """
-    abs_s = np.abs(draws.s_matrix) if A is None else _contrast_abs_s(draws, A)
-    k = quantile_index(draws.b_reps, alpha)
+    abs_s = _abs_s(draws) if A is None else _contrast_abs_s(draws, A)
     m = abs_s.shape[1]
 
     def provider(subset) -> float:
-        idx = np.array(sorted({int(i) for i in subset}), dtype=int)
+        idx = np.array([int(i) for i in subset], dtype=int)
         if idx.size == 0:
             raise EmptySubset("cannot take a quantile over an empty cluster subset")
         if idx.min() < 0 or idx.max() >= m:
             raise ShapeMismatch(f"component indices must lie in [0, {m})")
-        return order_statistic(abs_s[:, idx].max(axis=1), k)
+        return _row_max_quantile(abs_s, alpha, np.isin(np.arange(m), idx))
 
     return provider

@@ -246,7 +246,7 @@ def test_criterion_6_oracle_equivalences():
     c_mc = critical_value_mc(joint, spec, 200_000, alpha, 99).value
     s = rng.standard_normal((20_000, D))
     draws = BootstrapDraws(
-        s_matrix=s, delta=s.copy(), g1_star=np.ones((20_000, D)),
+        delta=s.copy(), g1_star=np.ones((20_000, D)),
         cluster_ids=tuple(range(D)),
         n_fallback=0, n_boundary=0,
     )

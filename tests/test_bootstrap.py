@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from spimax import bootstrap as boot
 from spimax import estimation as est
 from spimax.errors import EmptySubset, SeedOverflow, ShapeMismatch
+from spimax.maxstat import step_down_test
 from spimax.model import cluster_mean_spec
-from spimax.util import MAX_SEED, replicate_rngs
+from spimax.util import MAX_SEED, order_statistic, quantile_index, replicate_rngs
 
 from conftest import make_fhm, make_nerm
 from oracles import max_abs_normal_quantile
@@ -22,7 +24,6 @@ def _draws_from_matrix(S, g1=None):
     S = np.asarray(S, dtype=float)
     g1 = np.ones_like(S) if g1 is None else g1
     return boot.BootstrapDraws(
-        s_matrix=S,
         delta=S * np.sqrt(g1),
         g1_star=g1,
         cluster_ids=tuple(range(S.shape[1])),
@@ -167,7 +168,6 @@ def test_contrast_identity_reduces_to_bs():
     g1 = rng.uniform(0.5, 2.0, size=(300, 6))
     delta = rng.standard_normal((300, 6)) * np.sqrt(g1)
     draws = boot.BootstrapDraws(
-        s_matrix=delta / np.sqrt(np.maximum(g1, boot.G1_FLOOR)),
         delta=delta,
         g1_star=g1,
         cluster_ids=tuple(range(6)),
@@ -256,6 +256,102 @@ def test_stepdown_provider_contrast_rows():
     ident = boot.stepdown_quantile_provider(draws, 0.05, A=np.eye(6))
     plain = boot.stepdown_quantile_provider(draws, 0.05)
     assert all(ident(s) == plain(s) for s in [range(6), (0, 2, 4), (5,)])
+
+
+def _copied_abs_s(draws, A=None):
+    """|S*| the copying way: studentize, then take a separate absolute value."""
+    if A is None:
+        return np.abs(draws.delta / np.sqrt(draws.g1_star))
+    scale = np.sqrt(draws.g1_star @ (A.T**2))
+    return np.abs(draws.delta @ A.T) / np.where(scale > 0.0, scale, 1.0)
+
+
+def _copied_subset_quantile(abs_s, alpha, subset):
+    cols = sorted({int(i) for i in subset})
+    return order_statistic(abs_s[:, cols].max(axis=1), quantile_index(abs_s.shape[0], alpha))
+
+
+def _copied_beran(draws, alpha):
+    """(q, per_cluster) from a full B x D matrix of per-column searchsorted ranks."""
+    abs_s = _copied_abs_s(draws)
+    B, D = abs_s.shape
+    sorted_cols = np.sort(abs_s, axis=0)
+    ranks = np.empty_like(abs_s)
+    for d in range(D):
+        ranks[:, d] = np.searchsorted(sorted_cols[:, d], abs_s[:, d], side="right")
+    q = order_statistic(ranks.max(axis=1) / B, quantile_index(B, alpha))
+    idx = min(max(int(np.ceil(q * B - 1e-9)), 1), B)
+    return q, sorted_cols[idx - 1, :]
+
+
+# few distinct values, so ties in |S*|, in the row maxima and in the ranks are common
+_VALUES = st.sampled_from([-2.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0])
+_G1 = st.sampled_from([1e-12, 0.25, 1.0, 2.0, 7.0])
+
+
+@st.composite
+def _draws_and_contrasts(draw):
+    """Small draws plus contrast rows from {-1, 0, 1}, an all-zero row included now and then."""
+    B, D, q = draw(st.integers(1, 40)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    delta = draw(hnp.arrays(float, (B, D), elements=_VALUES))
+    g1 = draw(hnp.arrays(float, (B, D), elements=_G1))
+    A = draw(hnp.arrays(float, (q, D), elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    return boot.BootstrapDraws(delta=delta, g1_star=g1, cluster_ids=tuple(range(D))), A
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_draws_and_contrasts(), alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+       data=st.data())
+def test_readers_equal_the_copying_forms_bit_for_bit(drawn, alpha, data):
+    draws, A = drawn
+    D, q = draws.D, A.shape[0]
+    abs_s, abs_c = _copied_abs_s(draws), _copied_abs_s(draws, A)
+    assert np.array_equal(draws.s_matrix, draws.delta / np.sqrt(draws.g1_star))
+
+    assert boot.critical_value_bs(draws, alpha).value == _copied_subset_quantile(
+        abs_s, alpha, range(D))
+    assert boot.critical_value_contrast(draws, A, alpha).value == _copied_subset_quantile(
+        abs_c, alpha, range(q))
+    be = boot.beran_critical_values(draws, alpha)
+    level, per_cluster = _copied_beran(draws, alpha)
+    assert be.value == level and np.array_equal(be.per_cluster, per_cluster)
+
+    for m, provider, copied in (
+        (D, boot.stepdown_quantile_provider(draws, alpha), abs_s),
+        (q, boot.stepdown_quantile_provider(draws, alpha, A=A), abs_c),
+    ):
+        subset = st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)
+        for idx in data.draw(st.lists(subset, min_size=1, max_size=4)):
+            assert provider(idx) == _copied_subset_quantile(copied, alpha, idx)
+
+
+def test_readers_hold_at_most_one_draw_matrix_beyond_delta_and_g1():
+    # desk size: |S*| lives in one buffer, and the step-down reduces each
+    # subset of it in place instead of copying its columns
+    B, D = 2000, 300
+    rng = np.random.default_rng(5)
+    draws = boot.BootstrapDraws(
+        delta=rng.standard_normal((B, D)), g1_star=rng.uniform(0.5, 2.0, (B, D)),
+        cluster_ids=tuple(range(D)),
+    )
+    t = np.linspace(0.0, 6.0, D)  # about a third rejected, over several rounds
+    bound = B * D * 8 + 16 * B * 8  # one B x D array plus a few length-B vectors
+
+    def peak_of(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def bs_and_stepdown():
+        boot.critical_value_bs(draws, 0.05)
+        rejected = step_down_test(t, boot.stepdown_quantile_provider(draws, 0.05), 0.05)
+        assert 0 < rejected.size < D
+
+    assert peak_of(bs_and_stepdown) <= bound
+    assert peak_of(lambda: boot.beran_critical_values(draws, 0.05)) <= bound
 
 
 def test_save_csv_roundtrip(tmp_path, nerm_setup):
