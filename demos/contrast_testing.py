@@ -10,12 +10,7 @@ strata, simultaneously?
 
 import numpy as np
 
-from spimax import (
-    critical_value_contrast,
-    eblup,
-    parametric_bootstrap,
-    single_step_test,
-)
+from spimax import eblup, max_test
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 # 2k clusters interpreted as k strata x two groups; pair up neighbors
@@ -30,14 +25,12 @@ for s in range(k_strata):
     A[s, 2 * s] = 1.0
     A[s, 2 * s + 1] = -1.0
 
+# the test `spimax test --contrasts` runs: bootstrap-calibrated, the
+# projected estimates studentized by the projected leading MSE term;
+# the nulls default to zero differences, and K drives only the MC method
 fit = eblup(data, spec)
-draws = parametric_bootstrap(data, spec, fit, b_reps=2000, master_seed=9)
-cv = critical_value_contrast(draws, A, alpha=0.05)
-
-# studentize projected estimates by the projected leading MSE term
+test, cv, rejected = max_test("BS", data, spec, fit, alpha=0.05, seed=9, B=2000, K=1, A=A)
 diff_hat = A @ fit.mu_hat
-scales = np.sqrt(fit.scale**2 @ (A.T**2))
-test = single_step_test(diff_hat, scales, np.zeros(k_strata), cv)
 
 true_diff = A @ mu_true
 print(f"max |t| = {test.statistic:.2f}, threshold {cv.value:.2f}, "
@@ -47,5 +40,4 @@ for s in range(k_strata):
     print(f"{s:>7} {true_diff[s]:>9.2f} {diff_hat[s]:>9.2f} {test.t[s]:>6.2f} "
           f"{str(bool(test.decisions[s])):>7}")
 
-print("\nstrata rejected at the family level: "
-      f"{sorted(int(i) for i in np.flatnonzero(test.decisions))}")
+print(f"\nstrata rejected at the family level: {[int(i) for i in rejected]}")

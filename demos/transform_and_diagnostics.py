@@ -8,8 +8,6 @@ decorrelated residuals is a standard remedy; the choice of c is a grid
 search that refits the model at every candidate.
 """
 
-from statistics import NormalDist
-
 import numpy as np
 
 from spimax import (
@@ -18,8 +16,9 @@ from spimax import (
     eblup,
     replace_response,
 )
-from spimax.estimation import log_shift_profile
+from spimax.estimation import log_shift, log_shift_profile
 from spimax.simulate import ScenarioConfig, generate_scenario
+from spimax.util import normal_scores
 
 # build a right-skewed positive response from a well-specified latent model
 config = ScenarioConfig(D=15, n_d=6, sigma2_e=0.4, sigma2_u=0.8, master_seed=8)
@@ -36,25 +35,21 @@ fit_raw = eblup(skewed)
 res_raw = cholesky_residuals(skewed, fit_raw)
 print(f"residual skewness on the raw scale: {skewness(res_raw):+.3f}")
 
-# grid search the shift on [min(y), max(y)]
-grid = np.linspace(skewed.y.min(), skewed.y.max(), 21)
-_, _, best = log_shift_profile(skewed, grid)
+# grid search the shift over 21 points spanning [min(y), max(y)]
+grid, _, best = log_shift_profile(skewed, 21)
 c_star = float(grid[best])
 print(f"chosen shift c* = {c_star:.3f} "
       f"(candidates spanned [{grid[0]:.2f}, {grid[-1]:.2f}])")
 
-transformed = replace_response(skewed, np.log(skewed.y + c_star))
+transformed = log_shift(skewed, c_star)
 fit_log = eblup(transformed)
 res_log = cholesky_residuals(transformed, fit_log)
 print(f"residual skewness after log(y + c*): {skewness(res_log):+.3f}")
 
 # normal-quantile diagnostics: decorrelated residuals and effect estimates
 def qq_summary(values, label):
-    n = len(values)
-    order = np.sort(values)
-    quantiles = [NormalDist().inv_cdf((i - 0.5) / n) for i in range(1, n + 1)]
-    corr = np.corrcoef(order, quantiles)[0, 1]
-    print(f"{label:>22}: n={n:>3}, QQ correlation {corr:.4f}")
+    corr = np.corrcoef(values, normal_scores(values))[0, 1]
+    print(f"{label:>22}: n={len(values):>3}, QQ correlation {corr:.4f}")
 
 qq_summary(res_raw, "raw residuals")
 qq_summary(res_log, "transformed residuals")

@@ -60,7 +60,7 @@ from .analytic import (
     tube_alpha_bound,
     tube_cv,
 )
-from .calibration import calibrate
+from .calibration import calibrate, max_test
 from .dataio import (
     export_area_csv,
     export_unit_csv,

@@ -13,6 +13,9 @@ that calibrate it:
 
 With a contrast matrix A (BS, MC and BO) the targets are the rows of
 A mu; the leading-term scales become sqrt(sum_j A_rj^2 g1_j).
+
+max_test runs the max-type test of mu = h (or A mu = h) on one calibrate
+call: single-step, or step-down over the shared bootstrap draws for BS.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from .bootstrap import (
     critical_value_bs,
     critical_value_contrast,
     parametric_bootstrap,
+    stepdown_quantile_provider,
 )
 from .errors import InvalidConstants, ShapeMismatch
 from .estimation import FitResult
-from .maxstat import METHODS, SCALE_FLOOR, CriticalValue
+from .maxstat import METHODS, SCALE_FLOOR, ContrastTest, CriticalValue, single_step_test, step_down_test
 from .mc import build_joint_normal, critical_value_mc, model_scales
 from .model import BlockLmmData, MixedParameterSpec
 
@@ -91,3 +95,44 @@ def calibrate(
         cv = tube_cv(p, constants, alpha)
         scales = np.maximum(ridge_interval_scales(data, fit.theta, spec), SCALE_FLOOR)
     return cv, scales, draws
+
+
+def max_test(
+    method: str,
+    data: BlockLmmData,
+    spec: MixedParameterSpec,
+    fit: FitResult,
+    h=None,
+    *,
+    alpha: float,
+    seed: int,
+    B: int,
+    K: int,
+    A: np.ndarray | None = None,
+    tube: tuple[int, TubeConstants] | None = None,
+    stepdown: bool = False,
+) -> tuple[ContrastTest, CriticalValue, np.ndarray]:
+    """(test, critical value, sorted rejected indices) of the max-type test of mu = h.
+
+    With a contrast matrix A the nulls are A mu = h.  h defaults to zeros,
+    one per target row, and is checked before any calibration.  The test
+    studentizes by calibrate's floored scales; stepdown (BS only) selects
+    by step-down over subset quantiles of the same bootstrap draws.
+    """
+    rows = data.D if A is None else len(A)
+    h = np.zeros(rows) if h is None else np.asarray(h, dtype=float).ravel()
+    if h.shape != (rows,):
+        if A is None:
+            raise ShapeMismatch(f"h must have {rows} values, got {h.shape[0]}")
+        raise ShapeMismatch(f"h must have one value per contrast row ({rows})")
+    if stepdown and method != "BS":
+        raise ShapeMismatch(f"step-down selection needs method BS, got {method!r}")
+    cv, scales, draws = calibrate(
+        method, data, spec, fit, alpha=alpha, seed=seed, B=B, K=K, A=A, tube=tube
+    )
+    mu_hat = fit.mu_hat if A is None else np.asarray(A, dtype=float) @ fit.mu_hat
+    test = single_step_test(mu_hat, scales, h, cv)
+    if stepdown:
+        provider = stepdown_quantile_provider(draws, alpha, A=A)
+        return test, cv, step_down_test(test.t, provider, alpha)
+    return test, cv, np.flatnonzero(test.decisions)

@@ -1,11 +1,14 @@
-"""Command-line surface: ingestion, fitting, intervals, tests, simulations.
+"""Command-line surface: argument parsing and output encoding only.
 
-Design rules: every subcommand validates its inputs before computing,
-output files are written only after all computation succeeds, and any
-two identical invocations produce byte-identical outputs (no timestamps,
-no machine-dependent fields).  There is no worker-count option: MC runs
-its draw chunks on up to one thread per usable CPU, which never changes
-a result.
+Each subcommand reads its inputs, calls the library (eblup, calibrate,
+calibration.max_test, the simulate presets and experiments,
+log_shift_profile, the residual diagnostics) and encodes the result as
+JSON or CSV.  Design rules: every subcommand validates its inputs before
+computing, output files are written only after all computation
+succeeds, and any two identical invocations produce byte-identical
+outputs (no timestamps, no machine-dependent fields).  There is no
+worker-count option: MC runs its draw chunks on up to one thread per
+usable CPU, which never changes a result.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (with a
 machine-readable JSON error description when --error-json is given).
@@ -20,10 +23,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .bootstrap import stepdown_quantile_provider
-from .calibration import CONTRAST_METHODS, calibrate
+from .calibration import CONTRAST_METHODS, calibrate, max_test
 from .dataio import (
     export_area_csv,
     export_unit_csv,
@@ -32,30 +32,21 @@ from .dataio import (
     read_matrix_csv,
     read_tube_constants,
 )
-from .errors import EmptyGrid, ParseError, ShapeMismatch, SpimaxError
-from .estimation import cholesky_residuals, eb_random_effects, eblup, log_shift_profile
-from .maxstat import build_spi, single_step_test, step_down_test
-from .model import FHM, NERM, BlockLmmData, cluster_mean_spec, replace_response
+from .errors import ParseError, SpimaxError
+from .estimation import cholesky_residuals, eb_random_effects, eblup, log_shift, log_shift_profile
+from .maxstat import build_spi
+from .model import BlockLmmData, cluster_mean_spec
 from .simulate import (
-    ScenarioConfig,
+    PRESETS,
+    preset_config,
     run_fwer_experiment,
     run_power_experiment,
     run_spi_experiment,
 )
-from .util import normal_quantile
+from .util import normal_scores
 
-MODEL_TAGS = {"nerm": NERM, "fhm": FHM}
-SIM_PRESETS = ("table1-row", "table2-row", "power", "fwer")
-
-
-# ----------------------------------------------------------------------
-# input selection
-# ----------------------------------------------------------------------
-
-def ingest_data(model: str, path) -> BlockLmmData:
-    if model not in MODEL_TAGS:
-        raise ParseError(f"model must be one of {sorted(MODEL_TAGS)}, got {model!r}")
-    return ingest_unit_csv(path) if model == "nerm" else ingest_area_csv(path)
+MODEL_TAGS = ("fhm", "nerm")
+SIM_PRESETS = tuple(PRESETS)
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +80,10 @@ def _write_output(text: str, path: str | None) -> None:
 # subcommand implementations (return text to write *after* success)
 # ----------------------------------------------------------------------
 
+def ingest_data(model: str, path) -> BlockLmmData:
+    return ingest_unit_csv(path) if model == "nerm" else ingest_area_csv(path)
+
+
 def _fit_payload(args) -> str:
     data = ingest_data(args.model, args.data)
     fit = eblup(data)
@@ -117,21 +112,12 @@ def _fit_payload(args) -> str:
     return _json_text(out)
 
 
-def _calibrate(args, data, spec, fit, A=None):
-    """calibrate() with the method options of the spi and test subcommands."""
+def _method_options(args, data) -> dict:
+    """calibrate() keywords of the spi and test subcommands; VT's p defaults to data.p."""
     tube = None
     if args.method == "vt":
-        constants = read_tube_constants(args.tube_constants)
-        p = data.p if args.p is None else args.p
-        if p < 1:
-            raise ShapeMismatch(
-                "tube bound needs manifold dimension p >= 1; pass --p explicitly"
-            )
-        tube = (p, constants)
-    return calibrate(
-        args.method.upper(), data, spec, fit, alpha=args.alpha, seed=args.seed,
-        B=args.B, K=args.K, A=A, tube=tube,
-    )
+        tube = (data.p if args.p is None else args.p, read_tube_constants(args.tube_constants))
+    return dict(alpha=args.alpha, seed=args.seed, B=args.B, K=args.K, tube=tube)
 
 
 def _method_header(args, cv) -> dict:
@@ -153,7 +139,7 @@ def _spi_payload(args) -> str:
     data = ingest_data(args.model, args.data)
     spec = cluster_mean_spec(data)
     fit = eblup(data, spec)
-    cv, scales, _ = _calibrate(args, data, spec, fit)
+    cv, scales, _ = calibrate(args.method.upper(), data, spec, fit, **_method_options(args, data))
     intervals = build_spi(fit, cv, scales=scales)
     out = {
         **_method_header(args, cv),
@@ -178,37 +164,14 @@ def _test_payload(args) -> str:
     data = ingest_data(args.model, args.data)
     spec = cluster_mean_spec(data)
     fit = eblup(data, spec)
-    alpha = args.alpha
-
-    if args.contrasts is not None:
-        A = read_matrix_csv(args.contrasts)
-        if A.ndim != 2 or A.shape[1] != data.D:
-            raise ShapeMismatch(f"contrast matrix must have {data.D} columns")
-        if args.h is not None:
-            h = read_matrix_csv(args.h).ravel()
-        else:
-            h = np.zeros(A.shape[0])
-        if h.shape != (A.shape[0],):
-            raise ShapeMismatch(f"h must have one value per contrast row ({A.shape[0]})")
-        mu_hat = A @ fit.mu_hat
-    else:
-        A = None
-        h = read_matrix_csv(args.h).ravel()
-        if h.shape != (data.D,):
-            raise ShapeMismatch(f"h must have {data.D} values, got {h.shape[0]}")
-        mu_hat = fit.mu_hat
-    cv, scales, draws = _calibrate(args, data, spec, fit, A=A)
-    test = single_step_test(mu_hat, scales, h, cv)
-    if args.stepdown:
-        provider = stepdown_quantile_provider(draws, alpha, A=A)
-        rejected = [int(i) for i in step_down_test(test.t, provider, alpha)]
-    else:
-        rejected = [int(i) for i in np.flatnonzero(test.decisions)]
-    if A is None:
-        labels = [str(data.cluster_ids[i]) for i in rejected]
-    else:
-        labels = [f"contrast{i}" for i in rejected]
-
+    A = None if args.contrasts is None else read_matrix_csv(args.contrasts)
+    h = None if args.h is None else read_matrix_csv(args.h)
+    test, cv, rejected = max_test(
+        args.method.upper(), data, spec, fit, h, A=A, stepdown=args.stepdown,
+        **_method_options(args, data),
+    )
+    rejected = [int(i) for i in rejected]
+    labels = [str(data.cluster_ids[i]) if A is None else f"contrast{i}" for i in rejected]
     out = {
         **_method_header(args, cv),
         "stepdown": bool(args.stepdown),
@@ -220,86 +183,40 @@ def _test_payload(args) -> str:
     return _json_text(out)
 
 
-def _build_config(args) -> ScenarioConfig:
-    preset = args.preset
-    defaults = {
-        "table1-row": dict(model_tag=NERM, D=30, sigma2_e=0.5, sigma2_u=1.0),
-        "table2-row": dict(model_tag=FHM, D=60, sigma2_u=1.0),
-        "power": dict(model_tag=NERM, D=30, sigma2_e=0.5, sigma2_u=1.0),
-        "fwer": dict(model_tag=NERM, D=15, sigma2_e=1.0, sigma2_u=1.0),
-    }[preset]
-    if args.D is not None:
-        defaults["D"] = args.D
-    if args.sigma_e2 is not None:
-        defaults["sigma2_e"] = args.sigma_e2
-    if args.sigma_u2 is not None:
-        defaults["sigma2_u"] = args.sigma_u2
-    if args.pattern is not None:
-        try:
-            pattern = tuple(float(v) for v in args.pattern.split(","))
-        except ValueError as exc:
-            raise ParseError(f"--pattern must be comma-separated numbers: {exc}") from exc
-        defaults["fhm_sigma_pattern"] = pattern
-    label = f"{preset}-D{defaults['D']}"
-    return ScenarioConfig(
-        n_d=args.n_d,
-        n_sim=args.I,
-        n_boot=args.B,
-        n_mc=args.K,
-        alpha=args.alpha,
-        master_seed=args.seed,
-        label=label,
-        **defaults,
-    )
+def _numbers(text: str, flag: str, what: str = "comma-separated numbers") -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"{flag} must be {what}: {exc}") from exc
 
 
 def _simulate_payload(args) -> str:
-    config = _build_config(args)
+    flags = {"D": args.D, "sigma2_e": args.sigma_e2, "sigma2_u": args.sigma_u2}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    if args.pattern is not None:
+        overrides["fhm_sigma_pattern"] = _numbers(args.pattern, "--pattern")
+    config = preset_config(
+        args.preset, n_d=args.n_d, n_sim=args.I, n_boot=args.B, n_mc=args.K,
+        alpha=args.alpha, master_seed=args.seed, **overrides,
+    )
     if args.preset in ("table1-row", "table2-row"):
         methods = tuple(m.strip().upper() for m in args.methods.split(","))
         result = run_spi_experiment(config, methods=methods)
     elif args.preset == "power":
-        try:
-            deltas = tuple(float(v) for v in args.deltas.split(","))
-        except ValueError as exc:
-            raise ParseError(f"--deltas must be comma-separated numbers: {exc}") from exc
-        result = run_power_experiment(config, delta_grid=deltas)
+        result = run_power_experiment(config, delta_grid=_numbers(args.deltas, "--deltas"))
     else:
         result = run_fwer_experiment(config, shift=args.shift)
     return sim_csv_text(result.rows())
 
 
-def _default_grid(y: np.ndarray, count: int) -> np.ndarray:
-    """count shifts from min(y) to max(y) for a positive response.
-
-    Otherwise the same span is moved to (-min(y), max(y) - 2 min(y)], so
-    that y + c stays positive at every candidate.
-    """
-    lo, hi = y.min(), y.max()
-    if lo > 0:
-        return np.linspace(lo, hi, count)
-    return np.linspace(0.0, hi - lo, count + 1)[1:] - lo
-
-
 def _transform_payload(args) -> tuple[str, str | None]:
     data = ingest_data(args.model, args.data)
-    y = data.y
-    if args.grid is None:
-        grid = _default_grid(y, 25)
-    else:
+    grid = 25
+    if args.grid is not None:
         try:
-            count = int(args.grid)
+            grid = int(args.grid)
         except ValueError:
-            try:
-                grid = np.array([float(v) for v in args.grid.split(",")])
-            except ValueError as exc:
-                raise ParseError(
-                    f"--grid must be a point count or comma-separated shifts: {exc}"
-                ) from exc
-        else:
-            if count < 1:
-                raise EmptyGrid("grid needs at least one point")
-            grid = _default_grid(y, count)
+            grid = _numbers(args.grid, "--grid", "a point count or comma-separated shifts")
     grid, skews, best = log_shift_profile(data, grid)
     c_star = float(grid[best])
     report = _json_text(
@@ -313,19 +230,11 @@ def _transform_payload(args) -> tuple[str, str | None]:
     )
     data_text = None
     if args.out_data is not None:
-        shifted = replace_response(data, np.log(y + c_star))
+        shifted = log_shift(data, c_star)
         data_text = (
             export_unit_csv(shifted) if args.model == "nerm" else export_area_csv(shifted)
         )
     return report, data_text
-
-
-def _plot_positions(values: np.ndarray) -> np.ndarray:
-    """Normal quantiles at the (rank - 0.5)/N plotting positions."""
-    n = values.shape[0]
-    ranks = np.empty(n, dtype=float)
-    ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
-    return normal_quantile((ranks - 0.5) / n)
 
 
 def _residuals_payload(args) -> str:
@@ -333,8 +242,8 @@ def _residuals_payload(args) -> str:
     fit = eblup(data)
     resid = cholesky_residuals(data, fit)
     effects = eb_random_effects(data, fit)
-    rq = _plot_positions(resid)
-    eq = _plot_positions(effects)
+    rq = normal_scores(resid)
+    eq = normal_scores(effects)
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(["kind", "cluster", "unit", "value", "normal_quantile"])
@@ -364,7 +273,7 @@ class _UsageError(Exception):
 
 
 def _add_common(sub):
-    sub.add_argument("--model", required=True, choices=sorted(MODEL_TAGS))
+    sub.add_argument("--model", required=True, choices=MODEL_TAGS)
     sub.add_argument("--data", required=True)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--error-json", default=None, dest="error_json")
@@ -423,20 +332,27 @@ def build_parser() -> _Parser:
 
 
 def _emit_error(args, exc: Exception) -> None:
+    """Report exc on stderr and, with --error-json, as JSON; never raises."""
     sys.stderr.write(f"error: {exc}\n")
     path = getattr(args, "error_json", None)
     if path is not None:
         text = _json_text({"error": type(exc).__name__, "message": str(exc)})
-        _write_output(text, path)
+        try:
+            _write_output(text, path)
+        except OSError as write_exc:
+            sys.stderr.write(f"error: cannot write the error report: {write_exc}\n")
 
 
 def _validate_flag_combinations(args) -> None:
     for attr in ("out", "out_data", "error_json"):
         path = getattr(args, attr, None)
-        if path is not None:
-            parent = os.path.dirname(path) or "."
-            if not os.path.isdir(parent):
-                raise _UsageError(f"output directory does not exist: {parent}")
+        if path is None or path == "-":
+            continue
+        if os.path.isdir(path):
+            raise _UsageError(f"output path is a directory: {path}")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise _UsageError(f"output directory does not exist: {parent}")
     if getattr(args, "method", None) == "vt" and args.tube_constants is None:
         raise _UsageError("--method vt requires --tube-constants")
     if args.command == "test":

@@ -655,25 +655,38 @@ def cholesky_residuals(data: BlockLmmData, fit: FitResult) -> np.ndarray:
     return out
 
 
-def log_shift_profile(data: BlockLmmData, grid) -> tuple[np.ndarray, np.ndarray, int]:
+def log_shift(data: BlockLmmData, c: float) -> BlockLmmData:
+    """data with its response replaced by log(y + c)."""
+    return replace_response(data, np.log(data.y + c))
+
+
+def log_shift_profile(data: BlockLmmData, grid=25) -> tuple[np.ndarray, np.ndarray, int]:
     """Residual skewness under y -> log(y + c) at every shift c of grid.
 
-    Returns the grid as a float vector, the Fisher skewness of the
-    decorrelated residuals at each shift, and the index of the shift
+    grid holds the shifts, or is a point count: that many shifts from
+    min(y) to max(y) for a positive response, otherwise the same span moved
+    to (-min(y), max(y) - 2 min(y)], so that y + c stays positive at every
+    candidate.  Returns the grid as a float vector, the Fisher skewness of
+    the decorrelated residuals at each shift, and the index of the shift
     minimizing |skewness|.  The model is refitted at every candidate; ties
     go to the first grid point attaining the minimum.
     """
+    y = data.y
+    if isinstance(grid, (int, np.integer)):
+        if grid < 1:
+            raise EmptyGrid("grid needs at least one point")
+        lo, hi = y.min(), y.max()
+        grid = np.linspace(lo, hi, grid) if lo > 0 else np.linspace(0.0, hi - lo, grid + 1)[1:] - lo
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise EmptyGrid("transform grid is empty")
-    y = data.y
     if np.any(y + grid.min() <= 0):
         raise NonPositiveShift(
             f"y + c must stay positive; smallest candidate {grid.min():g} fails"
         )
     skews = np.empty(grid.size)
     for i, c in enumerate(grid):
-        shifted = replace_response(data, np.log(y + c))
+        shifted = log_shift(data, c)
         skews[i] = _skew(cholesky_residuals(shifted, eblup(shifted)))
     return grid, skews, int(np.argmin(np.abs(skews)))
 

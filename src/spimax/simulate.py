@@ -87,6 +87,21 @@ class ScenarioConfig:
         return np.repeat(pat, self.D // pat.size)
 
 
+# the model and variance settings of the command line's simulation presets
+PRESETS = {
+    "table1-row": dict(model_tag=NERM, D=30, sigma2_e=0.5, sigma2_u=1.0),
+    "table2-row": dict(model_tag=FHM, D=60, sigma2_u=1.0),
+    "power": dict(model_tag=NERM, D=30, sigma2_e=0.5, sigma2_u=1.0),
+    "fwer": dict(model_tag=NERM, D=15, sigma2_e=1.0, sigma2_u=1.0),
+}
+
+
+def preset_config(preset: str, **overrides) -> ScenarioConfig:
+    """The preset's ScenarioConfig, labelled "{preset}-D{D}"; overrides set or replace fields."""
+    fields = {**PRESETS[preset], **overrides}
+    return ScenarioConfig(**{"label": f"{preset}-D{fields['D']}", **fields})
+
+
 def generate_scenario(config: ScenarioConfig, replicate: int):
     """Dataset, true mixed parameters and target spec for one replicate.
 

@@ -1,4 +1,4 @@
-"""Shared helpers: seed derivation, the normal quantile, order statistics and the CPU count."""
+"""Shared helpers: seed derivation, normal quantiles and scores, order statistics, CPU count."""
 
 from __future__ import annotations
 
@@ -127,6 +127,14 @@ def normal_quantile(p) -> np.ndarray:
     inv_cdf = NormalDist().inv_cdf
     values = [-math.inf if q == 0.0 else inv_cdf(q) for q in p.ravel().tolist()]
     return np.array(values, dtype=float).reshape(p.shape)
+
+
+def normal_scores(values) -> np.ndarray:
+    """Normal quantiles at the plotting positions (rank - 0.5) / N; ties rank in order."""
+    n = len(values)
+    ranks = np.empty(n, dtype=float)
+    ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
+    return normal_quantile((ranks - 0.5) / n)
 
 
 def quantile_index(n: int, alpha: float) -> int:

@@ -1,4 +1,4 @@
-"""calibrate(): the one method dispatch agrees exactly with the primitives."""
+"""calibrate() and max_test(): the method dispatch and the test agree exactly with the primitives."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from spimax import bootstrap as boot
 from spimax import calibration
 from spimax.analytic import TubeConstants, bonferroni_cv, ridge_interval_scales, tube_cv
-from spimax.calibration import calibrate
+from spimax.calibration import calibrate, max_test
 from spimax.errors import InvalidConstants, ShapeMismatch, SpimaxError
 from spimax.estimation import eblup
 from spimax.maxstat import SCALE_FLOOR
@@ -136,3 +136,11 @@ def test_invalid_requests_raise():
         for method in ("BS", "MC", "BO"):
             with pytest.raises(ShapeMismatch):
                 _run(method, data, spec, fit, A=A)
+    # max_test checks h before calibrating, where B = 0 would fail the bootstrap
+    kw = {"alpha": ALPHA, "seed": SEED, "B": 0, "K": K}
+    for h, A, message in [(np.zeros(3), None, f"h must have {data.D} values, got 3"),
+                          (np.zeros(data.D), _contrast(data.D), "one value per contrast row")]:
+        with pytest.raises(ShapeMismatch, match=message):
+            max_test("BS", data, spec, fit, h, A=A, **kw)
+    with pytest.raises(ShapeMismatch, match="step-down"):
+        max_test("MC", data, spec, fit, stepdown=True, **kw)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spimax
-from spimax import util
+from spimax import cli, util
 from spimax.bootstrap import (
+    critical_value_bs,
     critical_value_contrast,
     parametric_bootstrap,
     stepdown_quantile_provider,
 )
+from spimax.calibration import max_test
 from spimax.cli import SIM_PRESETS, run_cli
 from spimax.dataio import (
     export_area_csv,
@@ -37,10 +41,11 @@ from spimax.errors import (
     ParseError,
     ShapeMismatch,
 )
-from spimax.estimation import eblup, log_shift_profile
+from spimax.estimation import eblup, log_shift, log_shift_profile
 from spimax.maxstat import SCALE_FLOOR, single_step_test, step_down_test
 from spimax.model import FHM, cluster_mean_spec, replace_response
 from spimax.simulate import ScenarioConfig, generate_scenario
+from spimax.util import normal_scores
 
 from conftest import make_fhm, make_nerm
 
@@ -228,21 +233,42 @@ def test_log_shift_transform_minimizes_abs_skewness():
     # recompute the profile; the reported shift must attain the minimum
     skews = []
     for c in grid:
-        fit = eblup(replace_response(data, np.log(data.y + c)))
-        skews.append(
-            abs(stats.skew(cholesky_residuals(replace_response(data, np.log(data.y + c)), fit)))
-        )
+        shifted = log_shift(data, c)
+        skews.append(abs(stats.skew(cholesky_residuals(shifted, eblup(shifted)))))
     assert np.argmin(skews) == best
     np.testing.assert_allclose(np.abs(got_skews), skews, rtol=1e-12)
 
 
 def test_log_shift_transform_validation():
     data = _positive_data()
-    with pytest.raises(EmptyGrid):
-        log_shift_profile(data, [])
+    for grid in ([], 0, -3):  # no shifts, or a point count below one
+        with pytest.raises(EmptyGrid):
+            log_shift_profile(data, grid)
     shifted = replace_response(data, data.y - data.y.min() - 1.0)  # y min is -1
     with pytest.raises(NonPositiveShift):
         log_shift_profile(shifted, [0.5])
+
+
+@pytest.mark.parametrize("centred", [False, True], ids=["positive", "nonpositive"])
+def test_count_grid_spans_the_response(centred):
+    data = _positive_data()
+    if centred:
+        data = replace_response(data, data.y - data.y.mean())
+    lo, hi = data.y.min(), data.y.max()
+    # the grid the command line has always used
+    expected = np.linspace(lo, hi, 5) if lo > 0 else np.linspace(0.0, hi - lo, 6)[1:] - lo
+    grid, _, _ = log_shift_profile(data, 5)
+    assert grid.tobytes() == expected.tobytes()
+    assert np.all(data.y[:, None] + grid > 0)
+    assert log_shift_profile(data)[0].size == 25
+
+
+def test_normal_scores_rank_ties_in_order():
+    values = np.array([0.3, -1.2, 0.3, 2.0, -1.2, 0.0, 0.3])
+    n = values.size
+    order = sorted(range(n), key=lambda i: (values[i], i))
+    expected = [NormalDist().inv_cdf((order.index(i) + 0.5) / n) for i in range(n)]
+    assert normal_scores(values).tolist() == expected
 
 
 def test_replace_response_shape_guard():
@@ -335,84 +361,72 @@ def test_vt_rejected_for_area_model(tmp_path, area_csv, tube_file):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_stepdown_cli_matches_library(tmp_path, unit_csv):
+def _write_matrix(path, M):
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in M) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("contrasts", [False, True], ids=["clusters", "contrasts"])
+def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contrasts):
     data = ingest_unit_csv(unit_csv)
     spec = cluster_mean_spec(data)
     fit = eblup(data, spec)
-    h = fit.mu_hat + np.where(np.arange(data.D) < 2, 1.5, 0.0)
-    h_path = tmp_path / "h.csv"
-    h_path.write_text("\n".join(repr(float(v)) for v in h) + "\n")
-
-    out = tmp_path / "t.json"
-    code = run_cli(
-        ["test", "--model", "nerm", "--data", str(unit_csv), "--h", str(h_path),
-         "--method", "bs", "--B", "150", "--seed", "21", "--stepdown",
-         "--out", str(out)]
-    )
-    assert code == 0
-    payload = json.loads(out.read_text())
+    # two targets pushed well off their nulls, the rest exactly on them
+    A = np.eye(data.D)[:-1] - np.eye(data.D, k=1)[:-1] if contrasts else None
+    mu_hat = fit.mu_hat if A is None else A @ fit.mu_hat
+    h = mu_hat + np.where(np.arange(mu_hat.size) < 2, 1.5, 0.0)
+    kw = {"alpha": 0.05, "seed": 21, "B": 150, "K": 100_000, "A": A}
+    test, cv, rejected = max_test("BS", data, spec, fit, h, stepdown=True, **kw)
 
     draws = parametric_bootstrap(data, spec, fit, 150, 21)
-    t = np.abs(fit.mu_hat - h) / np.maximum(fit.scale, SCALE_FLOOR)
-    expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05), 0.05)
-    assert payload["rejected_indices"] == [int(i) for i in expected]
+    scales = np.maximum(fit.scale, SCALE_FLOOR)
+    if A is None:
+        single_cv = critical_value_bs(draws, 0.05)
+    else:
+        single_cv = critical_value_contrast(draws, A, 0.05)
+        scales = np.sqrt(np.maximum(scales**2 @ (A.T**2), SCALE_FLOOR**2))
+    t = np.abs(mu_hat - h) / np.maximum(scales, SCALE_FLOOR)
+    expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05, A=A), 0.05)
+    np.testing.assert_array_equal(rejected, expected)
+    np.testing.assert_array_equal(test.t, t)
+    assert (test.statistic, cv.value) == (t.max(), single_cv.value)
+    # step-down can only add rejections over the single-step test
+    single = np.flatnonzero(single_step_test(mu_hat, scales, h, single_cv).decisions)
+    np.testing.assert_array_equal(max_test("BS", data, spec, fit, h, **kw)[2], single)
+    assert set(single) <= set(rejected)
+
+    # the command line reports the same test
+    out = tmp_path / "t.json"
+    argv = ["test", "--model", "nerm", "--data", str(unit_csv),
+            "--h", _write_matrix(tmp_path / "h.csv", h[:, None]),
+            "--method", "bs", "--B", "150", "--seed", "21", "--stepdown", "--out", str(out)]
+    if contrasts:
+        argv += ["--contrasts", _write_matrix(tmp_path / "A.csv", A)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text())
     assert payload["stepdown"] is True
+    assert payload["rejected_indices"] == [int(i) for i in rejected]
+    assert (payload["statistic"], payload["critical_value"]) == (test.statistic, cv.value)
 
 
 def test_contrast_test_cli(tmp_path, unit_csv):
     data = ingest_unit_csv(unit_csv)
-    A = np.zeros((data.D - 1, data.D))
-    for i in range(data.D - 1):
-        A[i, i], A[i, i + 1] = 1.0, -1.0
-    a_path = tmp_path / "A.csv"
-    a_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in A) + "\n")
+    A = np.eye(data.D)[:-1] - np.eye(data.D, k=1)[:-1]
     out = tmp_path / "ct.json"
     code = run_cli(
         ["test", "--model", "nerm", "--data", str(unit_csv),
-         "--contrasts", str(a_path), "--method", "bs", "--B", "120",
+         "--contrasts", _write_matrix(tmp_path / "A.csv", A), "--method", "bs", "--B", "120",
          "--seed", "3", "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["statistic"] > 0
     assert all(label.startswith("contrast") for label in payload["rejected"])
-
-
-def test_contrast_stepdown_cli_matches_library(tmp_path, unit_csv):
-    data = ingest_unit_csv(unit_csv)
+    # without --h the nulls are zero differences
     spec = cluster_mean_spec(data)
-    fit = eblup(data, spec)
-    A = np.zeros((data.D - 1, data.D))
-    for i in range(data.D - 1):
-        A[i, i], A[i, i + 1] = 1.0, -1.0
-    # two contrasts pushed well off their nulls, the rest exactly on them
-    h = A @ fit.mu_hat + np.where(np.arange(data.D - 1) < 2, 1.5, 0.0)
-    a_path, h_path = tmp_path / "A.csv", tmp_path / "h.csv"
-    a_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in A) + "\n")
-    h_path.write_text("\n".join(repr(float(v)) for v in h) + "\n")
-
-    out = tmp_path / "cs.json"
-    code = run_cli(
-        ["test", "--model", "nerm", "--data", str(unit_csv),
-         "--contrasts", str(a_path), "--h", str(h_path),
-         "--method", "bs", "--B", "150", "--seed", "21", "--stepdown",
-         "--out", str(out)]
-    )
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["stepdown"] is True
-
-    draws = parametric_bootstrap(data, spec, fit, 150, 21)
-    scales = np.sqrt(
-        np.maximum(np.maximum(fit.scale, SCALE_FLOOR) ** 2 @ (A.T**2), SCALE_FLOOR**2)
-    )
-    t = np.abs(A @ fit.mu_hat - h) / np.maximum(scales, SCALE_FLOOR)
-    expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05, A=A), 0.05)
-    assert payload["rejected_indices"] == [int(i) for i in expected]
-
-    # step-down can only add rejections over the single-step contrast test
-    single = single_step_test(A @ fit.mu_hat, scales, h, critical_value_contrast(draws, A, 0.05))
-    assert set(payload["rejected_indices"]) >= {int(i) for i in np.flatnonzero(single.decisions)}
+    test = max_test("BS", data, spec, eblup(data, spec), np.zeros(len(A)), alpha=0.05, seed=3,
+                    B=120, K=1, A=A)[0]
+    assert payload["statistic"] == test.statistic
 
 
 @pytest.mark.parametrize("preset", SIM_PRESETS)
@@ -557,44 +571,48 @@ def test_fit_payload_fields(tmp_path, area_csv):
     assert {"cluster", "n", "mu_hat", "u_hat", "scale"} <= set(payload["clusters"][0])
 
 
-def test_exit_codes_and_error_json(tmp_path, unit_csv, tube_file):
-    # usage: unknown option, bad combination
-    assert run_cli(["spi", "--nope"]) == 1
-    assert run_cli(
-        ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "vt"]
-    ) == 1
-    assert run_cli(
-        ["test", "--model", "nerm", "--data", str(unit_csv), "--method", "bs"]
-    ) == 1
-    assert run_cli(
-        ["test", "--model", "nerm", "--data", str(unit_csv), "--method", "mc",
-         "--h", "x.csv", "--stepdown"]
-    ) == 1
-    assert run_cli(
-        ["test", "--model", "nerm", "--data", str(unit_csv), "--method", "be",
-         "--contrasts", "A.csv"]
-    ) == 1
-    assert run_cli(
-        ["fit", "--model", "nerm", "--data", str(unit_csv),
-         "--out", str(tmp_path / "no_such_dir" / "x.json")]
-    ) == 1
-    # there is no worker-count option: MC picks its own workers
-    assert run_cli(
-        ["spi", "--model", "nerm", "--data", str(unit_csv), "--method", "mc",
-         "--threads", "2"]
-    ) == 1
-    assert run_cli(["simulate", "--preset", "fwer", "--threads", "2"]) == 1
+def test_exit_codes_and_error_json(tmp_path, capsys, unit_csv, tube_file):
+    nerm = ["--model", "nerm", "--data", str(unit_csv)]
+    absent = str(tmp_path / "absent.csv")
+    usage_errors = [
+        ["spi", "--nope"],  # unknown option, then bad combinations
+        ["spi", *nerm, "--method", "vt"],
+        ["test", *nerm, "--method", "bs"],
+        ["test", *nerm, "--method", "mc", "--h", "x.csv", "--stepdown"],
+        ["test", *nerm, "--method", "be", "--contrasts", "A.csv"],
+        ["fit", *nerm, "--out", str(tmp_path / "no_such_dir" / "x.json")],
+        # an output path that is a directory: caught before the data or h is read
+        ["fit", "--model", "nerm", "--data", absent, "--out", str(tmp_path)],
+        ["test", *nerm, "--h", absent, "--method", "bs", "--error-json", str(tmp_path)],
+        ["transform", "--model", "nerm", "--data", absent, "--out-data", str(tmp_path)],
+        # there is no worker-count option: MC picks its own workers
+        ["spi", *nerm, "--method", "mc", "--threads", "2"],
+        ["simulate", "--preset", "fwer", "--threads", "2"],
+    ]
+    assert [run_cli(argv) for argv in usage_errors] == [1] * len(usage_errors)
+    assert capsys.readouterr().err.count(f"output path is a directory: {tmp_path}\n") == 3
 
     # computation: missing file, with machine-readable report
     err_path = tmp_path / "err.json"
-    code = run_cli(
-        ["fit", "--model", "nerm", "--data", str(tmp_path / "absent.csv"),
-         "--error-json", str(err_path)]
-    )
-    assert code == 2
+    assert run_cli(["fit", "--model", "nerm", "--data", absent, "--error-json", str(err_path)]) == 2
     report = json.loads(err_path.read_text())
     assert report["error"] == "ParseError"
     assert "absent.csv" in report["message"]
+
+
+def test_a_failed_error_report_keeps_the_stderr_line(tmp_path, capsys, monkeypatch):
+    err_path = tmp_path / "err.json"
+
+    def fails_after_the_checks(path):
+        err_path.mkdir()  # the report can no longer be written
+        raise ParseError("bad data")
+
+    monkeypatch.setattr(cli, "ingest_unit_csv", fails_after_the_checks)
+    code = run_cli(["fit", "--model", "nerm", "--data", "x.csv", "--error-json", str(err_path)])
+    assert code == 2
+    first, second = capsys.readouterr().err.splitlines()
+    assert first == "error: bad data"
+    assert second.startswith("error: cannot write the error report: ")
 
 
 @pytest.mark.parametrize(
@@ -647,6 +665,14 @@ def test_generated_scenario_survives_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.X, data.X)
     # identifiers come back as text; re-export is the fixed point
     assert export_unit_csv(back) == path.read_text()
+
+
+def test_the_cli_module_imports_no_numpy():
+    # the command line only parses and encodes; array work belongs to the library
+    nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text())))
+    names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
+    assert [name for name in names if name.split(".")[0] == "numpy"] == []
 
 
 def _fresh_interpreter(code: str) -> None:

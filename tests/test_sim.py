@@ -11,6 +11,7 @@ from spimax.model import FHM, NERM
 from spimax.simulate import (
     ScenarioConfig,
     generate_scenario,
+    preset_config,
     run_fwer_experiment,
     run_power_experiment,
     run_spi_experiment,
@@ -23,6 +24,16 @@ def small_config(**kw):
     base = dict(D=10, n_d=4, n_sim=12, n_boot=60, n_mc=300, master_seed=414)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def test_preset_config_applies_overrides_and_labels():
+    assert preset_config("fwer") == ScenarioConfig(
+        model_tag=NERM, D=15, sigma2_e=1.0, sigma2_u=1.0, label="fwer-D15"
+    )
+    config = preset_config("table2-row", D=10, n_sim=3, sigma2_u=0.4, fhm_sigma_pattern=(0.5,))
+    assert config.label == "table2-row-D10"
+    assert (config.model_tag, config.D, config.n_sim, config.sigma2_u) == (FHM, 10, 3, 0.4)
+    assert config.fhm_sigma_pattern == (0.5,)
 
 
 def test_generate_unit_level_layout():
