@@ -38,6 +38,6 @@ for it as D grows.
 """)
 
 # every aggregate can be recomputed from the stored per-replicate arrays
-w = result.samples["BS"]["widths"]
+w = result.samples["BS"]["ws"]
 assert result.criteria["BS"]["ws"] == w.mean()
 print(f"per-replicate width matrix: {w.shape}, mean {w.mean():.3f}")

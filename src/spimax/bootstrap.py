@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptySubset, RefitFailure, ShapeMismatch
 from .estimation import FitResult, batch_eblup, response_scale
 from .maxstat import CriticalValue
-from .model import BlockLmmData, MixedParameterSpec, check_spec, error_variances
+from .model import BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
 from .util import check_seed, order_statistic, quantile_index, replicate_rngs
 
 # replicates are refitted in fixed-size batches; a constant size keeps the
@@ -150,9 +150,7 @@ def critical_value_bs(draws: BootstrapDraws, alpha: float) -> CriticalValue:
 
 def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
     """|studentized| replicate matrix for the contrasts A mu, shape (B, q)."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] != draws.D:
-        raise ShapeMismatch(f"A must have at least one row and {draws.D} columns, got {A.shape}")
+    A = check_contrast(A, draws.D)
     numer = draws.delta @ A.T
     scale = np.sqrt(draws.g1_star @ (A.T**2))
     # an all-zero contrast row has a zero numerator; keep its statistic at 0

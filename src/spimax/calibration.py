@@ -35,7 +35,7 @@ from .errors import InvalidConstants, ShapeMismatch
 from .estimation import FitResult
 from .maxstat import METHODS, SCALE_FLOOR, ContrastTest, CriticalValue, single_step_test, step_down_test
 from .mc import build_joint_normal, critical_value_mc, model_scales
-from .model import BlockLmmData, MixedParameterSpec
+from .model import BlockLmmData, MixedParameterSpec, check_contrast
 
 CONTRAST_METHODS = ("BS", "MC", "BO")
 
@@ -68,9 +68,7 @@ def calibrate(
     if A is not None:
         if method not in CONTRAST_METHODS:
             raise ShapeMismatch(f"contrast calibration supports {CONTRAST_METHODS}, got {method!r}")
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] != data.D:
-            raise ShapeMismatch(f"A must have at least one row and {data.D} columns, got {A.shape}")
+        A = check_contrast(A, data.D)
         scales = np.sqrt(np.maximum(scales**2 @ (A.T**2), SCALE_FLOOR**2))
 
     if method in ("BS", "BE"):

@@ -34,7 +34,7 @@ from .dataio import (
 )
 from .errors import ParseError, SpimaxError
 from .estimation import cholesky_residuals, eb_random_effects, eblup, log_shift, log_shift_profile
-from .maxstat import build_spi
+from .maxstat import METHODS, build_spi
 from .model import BlockLmmData, cluster_mean_spec
 from .simulate import (
     PRESETS,
@@ -281,7 +281,7 @@ def _add_common(sub):
 
 
 def _add_method(sub):
-    sub.add_argument("--method", required=True, choices=["bs", "mc", "bo", "be", "vt"])
+    sub.add_argument("--method", required=True, choices=[m.lower() for m in METHODS])
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--B", type=int, default=1000)
     sub.add_argument("--K", type=int, default=100_000)
@@ -343,7 +343,15 @@ def _emit_error(args, exc: Exception) -> None:
             sys.stderr.write(f"error: cannot write the error report: {write_exc}\n")
 
 
+def _destination(path: str | None) -> str:
+    return "stdout" if path is None or path == "-" else os.path.realpath(path)
+
+
 def _validate_flag_combinations(args) -> None:
+    if getattr(args, "out_data", None) is not None:
+        destination = _destination(args.out_data)
+        if destination == _destination(args.out):
+            raise _UsageError(f"--out and --out-data name the same destination: {destination}")
     for attr in ("out", "out_data", "error_json"):
         path = getattr(args, attr, None)
         if path is None or path == "-":
@@ -361,7 +369,8 @@ def _validate_flag_combinations(args) -> None:
         if args.stepdown and args.method != "bs":
             raise _UsageError("--stepdown requires --method bs")
         if args.contrasts is not None and args.method.upper() not in CONTRAST_METHODS:
-            raise _UsageError("contrast tests support methods bs, mc and bo")
+            *most, last = (m.lower() for m in CONTRAST_METHODS)
+            raise _UsageError(f"contrast tests support methods {', '.join(most)} and {last}")
 
 
 def run_cli(argv=None) -> int:

@@ -32,6 +32,7 @@ from .model import (
     BlockLmmData,
     MixedParameterSpec,
     VarianceComponents,
+    check_contrast,
     error_variances,
 )
 from .util import check_seed, derive_rng, order_statistic, quantile_index
@@ -171,9 +172,7 @@ def _mapped_factor(model, spec, contrast):
     w = spec.m * F.diag
     if contrast is None:
         return mq, w
-    contrast = np.asarray(contrast, dtype=float)
-    if contrast.ndim != 2 or contrast.shape[1] != model.D:
-        raise ShapeMismatch(f"contrast must have {model.D} columns, got {contrast.shape}")
+    contrast = check_contrast(contrast, model.D)
     return contrast @ mq, contrast * w
 
 

@@ -220,6 +220,14 @@ def check_spec(data: BlockLmmData, spec: MixedParameterSpec) -> None:
         )
 
 
+def check_contrast(A, D: int) -> np.ndarray:
+    """A as a float matrix; it must be 2-D with at least one row and D columns."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] != D:
+        raise ShapeMismatch(f"A must have at least one row and {D} columns, got {A.shape}")
+    return A
+
+
 def cluster_mean_spec(data: BlockLmmData) -> MixedParameterSpec:
     """Target the cluster mean of the fixed part plus the full random effect.
 

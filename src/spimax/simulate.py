@@ -1,14 +1,16 @@
 """Scenario generation and simulation experiments.
 
-Three experiment drivers share one replicate pipeline (generate, fit,
-calibrate): simultaneous-interval comparison scored by coverage and
-width criteria, power curves for the max-type test, and family-wise
-error rates for step-down selection.  Every random ingredient is drawn
-from a seed derived from (master_seed, replicate, role), so results are
-bit-exact for a fixed configuration regardless of scheduling.  Replicates
-run on one forked worker process per usable CPU (the CPU-affinity set, so
-``taskset -c 0`` runs them inline) and are gathered in replicate order:
-the output does not depend on the CPU count, and no option sets it.
+Three experiments (coverage and width of the simultaneous intervals,
+power of the max-type test, family-wise error of step-down selection)
+share one replicate loop: generate, fit, calibrate, then score each
+method as {criterion: value}.  Each criterion is the mean of its values
+over the surviving replicates (see ExperimentResult).  Every random
+ingredient is drawn from a seed derived from (master_seed, replicate,
+role), so results are bit-exact for a fixed configuration regardless of
+scheduling.  Replicates run on one forked worker process per usable CPU
+(the CPU-affinity set, so ``taskset -c 0`` runs them inline) and are
+gathered in replicate order: the output does not depend on the CPU
+count, and no option sets it.
 """
 
 from __future__ import annotations
@@ -132,11 +134,17 @@ def generate_scenario(config: ScenarioConfig, replicate: int):
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Aggregated criteria plus the per-replicate records behind them.
+    """Aggregated criteria plus the per-replicate samples behind them.
 
-    criteria[method] maps criterion names to values; halfwidths holds the
-    matching 1.96-sigma Monte Carlo half-widths.  samples keeps the raw
-    per-replicate arrays so any aggregate can be recomputed exactly.
+    samples[method][criterion] stacks one value per surviving replicate,
+    replicates on axis 0: a bool for a rate (ecp, power@delta, fwer), a
+    float (alt_rate) or the D interval widths (ws).  Each criterion is
+    the mean of its own sample, with a 1.96-sigma Monte Carlo half-width:
+    binomial for a bool sample, else from the per-replicate means.  The
+    one exception is vs, the mean over clusters of the width variance,
+    derived from samples[method]["ws"].  samples also holds
+    failed_replicates (indices of the replicates left out) and, per
+    experiment, deltas (power) or n_alt (fwer).
     """
 
     kind: str
@@ -161,8 +169,14 @@ class ExperimentResult:
         return out
 
 
-def _binomial_halfwidth(p: float, n: int) -> float:
-    return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
+def _halfwidth(sample: np.ndarray) -> float:
+    """1.96-sigma Monte Carlo half-width: binomial for a rate, else of the replicate means."""
+    n = sample.shape[0]
+    if sample.dtype == bool:
+        p = float(sample.mean())
+        return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    values = sample.mean(axis=1) if sample.ndim == 2 else sample
+    return 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
 
 
 def _replicate(config, methods, score, i):
@@ -221,22 +235,24 @@ def _map_replicates(task, n: int) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_replicates(kind, config, methods, score, aggregate) -> ExperimentResult:
+def _run_replicates(kind, config, methods, score, **extras) -> ExperimentResult:
     """The one replicate loop: generate, fit, calibrate, score, aggregate.
 
     Replicate i draws its data from generate_scenario(config, i) and its
     calibration streams from (master_seed, i, 1) for the bootstrap (shared
     by BS and BE) and (master_seed, i, 2) for the direct simulation.
     score(fit, mu_true, calibrated, draws) turns the calibrated {method:
-    (critical value, floored scales)} into one record; a replicate where
-    any step raises SpimaxError is recorded as failed and left out.
-    Replicates run on one forked worker process per usable CPU
-    (_map_replicates); a replicate depends only on (config, i), so the
+    (critical value, floored scales)} into {method: {criterion: value}};
+    a replicate where any step raises SpimaxError is recorded as failed
+    and left out.  Replicates run on one forked worker process per usable
+    CPU (_map_replicates); a replicate depends only on (config, i), so the
     worker count moves no bit.  score must pickle: a module-level function
-    or a functools.partial of one.  aggregate(records) returns (criteria,
-    halfwidths, samples) from the records of the surviving replicates, in
-    order, and runs in the calling process.
+    or a functools.partial of one.  The surviving replicates' values are
+    stacked and averaged as ExperimentResult describes; extras are added
+    to samples as they are.
     """
+    if len(set(methods)) != len(methods):
+        raise ShapeMismatch("duplicate method names")
     start_time = time.perf_counter()
     records: list = []
     failed: list[int] = []
@@ -251,47 +267,47 @@ def _run_replicates(kind, config, methods, score, aggregate) -> ExperimentResult
         n_boundary += boundary
     if not records:
         raise ShapeMismatch("every simulation replicate failed")
-    criteria, halfwidths, samples = aggregate(records)
-    samples["failed_replicates"] = tuple(failed)
+    per_method = {
+        m: {c: np.array([r[m][c] for r in records]) for c in records[0][m]} for m in methods
+    }
     return ExperimentResult(
         kind=kind,
         config=config,
-        methods=tuple(criteria),
-        criteria=criteria,
-        halfwidths=halfwidths,
+        methods=methods,
+        criteria={m: {c: float(x.mean()) for c, x in s.items()} for m, s in per_method.items()},
+        halfwidths={m: {c: _halfwidth(x) for c, x in s.items()} for m, s in per_method.items()},
         n_failed=len(failed),
         n_fallback=n_fallback,
         n_boundary=n_boundary,
         runtime_seconds=time.perf_counter() - start_time,
-        samples=samples,
+        samples={**extras, **per_method, "failed_replicates": tuple(failed)},
     )
 
 
-def _mean_halfwidth(values: np.ndarray) -> float:
-    """1.96-sigma Monte Carlo half-width of the mean of values."""
-    n = values.shape[0]
-    return 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-
-
 def _score_spi(fit, mu_true, calibrated, draws):
-    """{method: (covers every target, interval widths)}."""
-    intervals = {m: build_spi(fit, cv, scales) for m, (cv, scales) in calibrated.items()}
-    return {m: (covers_all(iv, mu_true), iv.upper - iv.lower) for m, iv in intervals.items()}
+    """{method: {"ecp": covers every target, "ws": the interval widths}}."""
+    out = {}
+    for m, (cv, scales) in calibrated.items():
+        iv = build_spi(fit, cv, scales)
+        out[m] = {"ecp": covers_all(iv, mu_true), "ws": iv.upper - iv.lower}
+    return out
 
 
 def _score_power(deltas, fit, mu_true, calibrated, draws):
-    """{method: global-test rejection at each shift of the realized targets}."""
+    """{method: {"power@delta": global-test rejection at that shift of the realized targets}}."""
     return {
-        m: np.array(
-            [single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any()
-             for delta in deltas]
-        )
+        m: {
+            f"power@{delta:g}": bool(
+                single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any()
+            )
+            for delta in deltas
+        }
         for m, (cv, scales) in calibrated.items()
     }
 
 
 def _score_fwer(n_alt, shift, alpha, fit, mu_true, calibrated, draws):
-    """{method: (any true null rejected, share of the n_alt alternatives rejected)}."""
+    """{method: {"fwer": any true null rejected, "alt_rate": share of alternatives rejected}}."""
     h = mu_true.copy()
     h[:n_alt] -= shift
     # both methods studentize by the same floored leading-term scales
@@ -303,7 +319,10 @@ def _score_fwer(n_alt, shift, alpha, fit, mu_true, calibrated, draws):
         "BO": np.flatnonzero(test.decisions),
     }
     return {
-        m: (bool(np.any(rej >= n_alt)), float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0)
+        m: {
+            "fwer": bool(np.any(rej >= n_alt)),
+            "alt_rate": float(np.sum(rej < n_alt)) / n_alt if n_alt else 0.0,
+        }
         for m, rej in rejected.items()
     }
 
@@ -322,29 +341,14 @@ def run_spi_experiment(
     for m in methods:
         if m not in SPI_METHODS:
             raise ShapeMismatch(f"unknown method {m!r}; choose from {SPI_METHODS}")
-    if len(set(methods)) != len(methods):
-        raise ShapeMismatch("duplicate method names")
-
-    def aggregate(records):
-        n_ok = len(records)
-        criteria, halfwidths, samples = {}, {}, {}
-        for m in methods:
-            cov = np.array([r[m][0] for r in records])
-            w = np.array([r[m][1] for r in records])
-            per_cluster_var = (
-                w.var(axis=0, ddof=1) if n_ok > 1 else np.zeros(config.D)
-            )
-            ecp = float(cov.mean())
-            criteria[m] = {"ecp": ecp, "ws": float(w.mean()), "vs": float(per_cluster_var.mean())}
-            halfwidths[m] = {
-                "ecp": _binomial_halfwidth(ecp, n_ok),
-                "ws": _mean_halfwidth(w.mean(axis=1)),
-                "vs": 1.96 * float(per_cluster_var.std(ddof=1)) / math.sqrt(config.D),
-            }
-            samples[m] = {"covered": cov, "widths": w}
-        return criteria, halfwidths, samples
-
-    return _run_replicates("spi", config, methods, _score_spi, aggregate)
+    result = _run_replicates("spi", config, methods, _score_spi)
+    for m in methods:
+        w = result.samples[m]["ws"]
+        per_cluster_var = w.var(axis=0, ddof=1) if w.shape[0] > 1 else np.zeros(config.D)
+        result.criteria[m]["vs"] = float(per_cluster_var.mean())
+        vs_sd = float(per_cluster_var.std(ddof=1))
+        result.halfwidths[m]["vs"] = 1.96 * vs_sd / math.sqrt(config.D)
+    return result
 
 
 def run_power_experiment(
@@ -356,7 +360,7 @@ def run_power_experiment(
 
     Each replicate tests the targets mu = h with h = (realized mu) +
     delta for every delta, reusing one calibrated threshold per method,
-    so the delta = 0 column is the empirical size.
+    so power@0 is the empirical size.
     """
     methods = tuple(methods)
     for m in methods:
@@ -365,21 +369,8 @@ def run_power_experiment(
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size < 1:
         raise ShapeMismatch("need at least one shift value")
-
-    def aggregate(records):
-        criteria, halfwidths, samples = {}, {}, {"deltas": deltas}
-        for m in methods:
-            rej = np.column_stack([r[m] for r in records])
-            criteria[m], halfwidths[m] = {}, {}
-            for j, delta in enumerate(deltas):
-                rate = float(rej[j].mean())
-                key = f"power@{delta:g}"
-                criteria[m][key] = rate
-                halfwidths[m][key] = _binomial_halfwidth(rate, len(records))
-            samples[m] = {"reject": rej}
-        return criteria, halfwidths, samples
-
-    return _run_replicates("power", config, methods, partial(_score_power, deltas), aggregate)
+    score = partial(_score_power, deltas)
+    return _run_replicates("power", config, methods, score, deltas=deltas)
 
 
 def run_fwer_experiment(
@@ -403,22 +394,5 @@ def run_fwer_experiment(
         raise ShapeMismatch(f"n_alt must lie in [0, {config.D}]")
     if n_alt > 0 and shift <= 0:
         raise NonPositiveShift("alternative shift must be positive")
-    methods = ("BS", "BO")
-
-    def aggregate(records):
-        n_ok = len(records)
-        criteria, halfwidths, samples = {}, {}, {"n_alt": n_alt}
-        for m in methods:
-            false_rej = np.array([r[m][0] for r in records])
-            alt_rate = np.array([r[m][1] for r in records])
-            fw = float(false_rej.mean())
-            criteria[m] = {"fwer": fw, "alt_rate": float(alt_rate.mean())}
-            halfwidths[m] = {
-                "fwer": _binomial_halfwidth(fw, n_ok),
-                "alt_rate": _mean_halfwidth(alt_rate),
-            }
-            samples[m] = {"false_rejection": false_rej, "alt_rate": alt_rate}
-        return criteria, halfwidths, samples
-
     score = partial(_score_fwer, n_alt, shift, config.alpha)
-    return _run_replicates("fwer", config, methods, score, aggregate)
+    return _run_replicates("fwer", config, ("BS", "BO"), score, n_alt=n_alt)

@@ -585,12 +585,20 @@ def test_exit_codes_and_error_json(tmp_path, capsys, unit_csv, tube_file):
         ["fit", "--model", "nerm", "--data", absent, "--out", str(tmp_path)],
         ["test", *nerm, "--h", absent, "--method", "bs", "--error-json", str(tmp_path)],
         ["transform", "--model", "nerm", "--data", absent, "--out-data", str(tmp_path)],
+        # two outputs to one destination: caught before the data is read
+        ["transform", "--model", "nerm", "--data", absent,
+         "--out", str(tmp_path / "t.out"), "--out-data", str(tmp_path / "." / "t.out")],
+        ["transform", "--model", "nerm", "--data", absent, "--out-data", "-"],
+        ["transform", "--model", "nerm", "--data", absent, "--out", "-", "--out-data", "-"],
         # there is no worker-count option: MC picks its own workers
         ["spi", *nerm, "--method", "mc", "--threads", "2"],
         ["simulate", "--preset", "fwer", "--threads", "2"],
     ]
     assert [run_cli(argv) for argv in usage_errors] == [1] * len(usage_errors)
-    assert capsys.readouterr().err.count(f"output path is a directory: {tmp_path}\n") == 3
+    err = capsys.readouterr().err
+    assert err.count(f"output path is a directory: {tmp_path}\n") == 3
+    assert err.count("--out and --out-data name the same destination: ") == 3
+    assert not (tmp_path / "t.out").exists()
 
     # computation: missing file, with machine-readable report
     err_path = tmp_path / "err.json"

@@ -19,6 +19,7 @@ from spimax.mc import (
     build_joint_normal,
     critical_value_mc,
     loading_matrix,
+    model_scales,
 )
 from spimax.model import (
     NERM,
@@ -230,8 +231,11 @@ def test_mc_input_validation():
     model, spec = independent_components_model(4)
     with pytest.raises(ShapeMismatch):
         critical_value_mc(model, spec, 0, 0.05, 1)
-    with pytest.raises(ShapeMismatch):
-        critical_value_mc(model, spec, 100, 0.05, 1, contrast=np.ones((2, 5)))
+    for contrast in (np.ones((2, 5)), np.zeros((0, 4)), np.ones(4)):
+        with pytest.raises(ShapeMismatch, match="at least one row and 4 columns"):
+            critical_value_mc(model, spec, 100, 0.05, 1, contrast=contrast)
+        with pytest.raises(ShapeMismatch, match="at least one row and 4 columns"):
+            model_scales(model, spec, contrast=contrast)
     with pytest.raises(ShapeMismatch):
         bad_spec = MixedParameterSpec(k=np.zeros((5, 1)), m=np.ones(5))
         loading_matrix(model, bad_spec)

@@ -14,6 +14,7 @@ from spimax.model import (
     BlockLmmData,
     MixedParameterSpec,
     VarianceComponents,
+    check_contrast,
     cluster_mean_spec,
     error_variances,
     validate,
@@ -146,6 +147,15 @@ def test_mixed_parameter_spec_shapes():
         MixedParameterSpec(k=np.ones((3, 2)), m=np.ones(4))
     spec = MixedParameterSpec(k=np.ones((3, 2)), m=np.ones(3))
     assert spec.k.dtype == float
+
+
+def test_check_contrast_returns_floats_and_rejects_bad_shapes():
+    A = check_contrast([[1, -1, 0], [0, 0, 2]], 3)
+    assert A.dtype == float
+    np.testing.assert_array_equal(A, [[1.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
+    for bad in (np.ones((2, 4)), np.zeros((0, 3)), np.ones(3), np.ones((1, 1, 3))):
+        with pytest.raises(ShapeMismatch, match=r"at least one row and 3 columns, got \("):
+            check_contrast(bad, 3)
 
 
 def test_cluster_mean_spec_targets_within_cluster_average():

@@ -136,16 +136,18 @@ def test_spi_reproducible():
     for m in a.methods:
         assert a.criteria[m] == b.criteria[m]
         assert a.halfwidths[m] == b.halfwidths[m]
-        np.testing.assert_array_equal(a.samples[m]["widths"], b.samples[m]["widths"])
+        np.testing.assert_array_equal(a.samples[m]["ws"], b.samples[m]["ws"])
     assert a.n_failed == 0
     assert a.kind == "spi" and a.runtime_seconds > 0
 
 
 def test_spi_criteria_recompute_from_samples():
-    result = run_spi_experiment(small_config(), methods=("BS", "MC"))
+    config = small_config()
+    result = run_spi_experiment(config, methods=("BS", "MC"))
     for m in result.methods:
-        w = result.samples[m]["widths"]
-        cov = result.samples[m]["covered"]
+        cov, w = result.samples[m]["ecp"], result.samples[m]["ws"]
+        assert cov.dtype == bool and cov.shape == (config.n_sim,)
+        assert w.shape == (config.n_sim, config.D)
         assert result.criteria[m]["ecp"] == cov.mean()
         assert result.criteria[m]["ws"] == w.mean()
         assert result.criteria[m]["vs"] == w.var(axis=0, ddof=1).mean()
@@ -154,8 +156,18 @@ def test_spi_criteria_recompute_from_samples():
 def test_spi_method_validation():
     with pytest.raises(ShapeMismatch):
         run_spi_experiment(small_config(), methods=("BS", "XX"))
-    with pytest.raises(ShapeMismatch, match="duplicate"):
-        run_spi_experiment(small_config(), methods=("BO", "BO"))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda config: run_spi_experiment(config, methods=("BO", "BO")),
+     lambda config: run_power_experiment(config, methods=("BS", "BS"))],
+    ids=["spi", "power"],
+)
+def test_duplicate_methods_are_rejected_before_any_replicate(monkeypatch, run):
+    monkeypatch.setattr(simulate, "_map_replicates", None)  # calling it would fail
+    with pytest.raises(ShapeMismatch, match="duplicate method names"):
+        run(small_config())
 
 
 def test_rows_layout():
@@ -186,9 +198,8 @@ def test_power_reuses_one_threshold_across_shifts():
     config = small_config(n_sim=10)
     a = run_power_experiment(config, delta_grid=(0.0, 1.0))
     b = run_power_experiment(config, delta_grid=(1.0,))
-    np.testing.assert_array_equal(
-        a.samples["BS"]["reject"][1], b.samples["BS"]["reject"][0]
-    )
+    np.testing.assert_array_equal(a.samples["BS"]["power@1"], b.samples["BS"]["power@1"])
+    assert a.samples["BS"]["power@1"].dtype == bool
 
 
 def test_power_validation():
@@ -262,19 +273,12 @@ EXPERIMENTS = {
 
 
 def _recomputed(result):
-    """Criteria recomputed from the per-replicate samples."""
+    """Criteria recomputed from the per-replicate samples: each is its sample's mean but vs."""
     out = {}
     for m in result.methods:
-        s = result.samples[m]
+        out[m] = {c: float(x.mean()) for c, x in result.samples[m].items()}
         if result.kind == "spi":
-            w = s["widths"]
-            out[m] = {"ecp": s["covered"].mean(), "ws": w.mean(),
-                      "vs": w.var(axis=0, ddof=1).mean()}
-        elif result.kind == "power":
-            out[m] = {f"power@{d:g}": s["reject"][j].mean()
-                      for j, d in enumerate(result.samples["deltas"])}
-        else:
-            out[m] = {"fwer": s["false_rejection"].mean(), "alt_rate": s["alt_rate"].mean()}
+            out[m]["vs"] = float(result.samples[m]["ws"].var(axis=0, ddof=1).mean())
     return out
 
 
@@ -292,8 +296,7 @@ def test_failed_replicates_are_left_out(monkeypatch, kind):
     keep = [i for i in range(config.n_sim) if i not in failing]
     for m in result.methods:
         for name, values in result.samples[m].items():
-            axis = 1 if name == "reject" else 0
-            np.testing.assert_array_equal(values, np.take(full.samples[m][name], keep, axis=axis))
+            np.testing.assert_array_equal(values, full.samples[m][name][keep])
 
 
 @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
