@@ -29,11 +29,11 @@ for s in range(k_strata):
 # projected estimates studentized by the projected leading MSE term;
 # the nulls default to zero differences, and K drives only the MC method
 fit = eblup(data, spec)
-test, cv, rejected = max_test("BS", data, spec, fit, alpha=0.05, seed=9, B=2000, K=1, A=A)
+test, rejected = max_test("BS", data, spec, fit, alpha=0.05, seed=9, B=2000, K=1, A=A)
 diff_hat = A @ fit.mu_hat
 
 true_diff = A @ mu_true
-print(f"max |t| = {test.statistic:.2f}, threshold {cv.value:.2f}, "
+print(f"max |t| = {test.statistic:.2f}, threshold {test.critical.value:.2f}, "
       f"global rejection: {test.decisions.any()}")
 print(f"\n{'stratum':>7} {'true diff':>9} {'estimate':>9} {'|t|':>6} {'reject':>7}")
 for s in range(k_strata):

@@ -48,7 +48,6 @@ from .mc import (
     assemble_precision,
     build_joint_normal,
     critical_value_mc,
-    loading_matrix,
     model_scales,
 )
 from .analytic import (

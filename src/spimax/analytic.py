@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,18 +142,8 @@ class TubeConstants:
     nu: float
 
     def __post_init__(self):
-        vals = {
-            "kappa0": self.kappa0,
-            "zeta0": self.zeta0,
-            "kappa2": self.kappa2,
-            "zeta1": self.zeta1,
-            "m0": self.m0,
-            "euler": self.euler,
-            "xi0": self.xi0,
-            "eta0": self.eta0,
-            "nu": self.nu,
-        }
-        for name, v in vals.items():
+        for f in fields(self):
+            name, v = f.name, getattr(self, f.name)
             if not np.isfinite(v):
                 raise InvalidConstants(f"{name} must be finite, got {v}")
             if v < 0:

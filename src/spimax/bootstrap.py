@@ -20,12 +20,11 @@ the calling thread; worker threads were measured to slow the refits down.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubset, RefitFailure, ShapeMismatch
+from .errors import EmptySubset, ShapeMismatch
 from .estimation import FitResult, batch_eblup, response_scale
 from .maxstat import CriticalValue
 from .model import BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
@@ -45,19 +44,13 @@ class BootstrapDraws:
     """Bootstrap deviations and g1 values, reusable without refitting.
 
     delta[b, d] = mu_hat*_bd - mu*_bd and g1_star[b, d] = g1_d(theta*_b)
-    (floored) are the only B x D state; the studentized matrix
-    s_matrix = delta / sqrt(g1_star) is computed on each read.
+    (floored) are the only B x D state; each reader derives |S*| from them.
     """
 
     delta: np.ndarray
     g1_star: np.ndarray
-    cluster_ids: tuple
     n_fallback: int = 0
     n_boundary: int = 0
-
-    @property
-    def s_matrix(self) -> np.ndarray:
-        return self.delta / np.sqrt(self.g1_star)
 
     @property
     def b_reps(self) -> int:
@@ -66,12 +59,6 @@ class BootstrapDraws:
     @property
     def D(self) -> int:
         return self.delta.shape[1]
-
-    def save_csv(self, path) -> None:
-        """Rows are replicates, columns clusters, under a header row of cluster ids."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow([str(c) for c in self.cluster_ids])
-            np.savetxt(fh, self.s_matrix, delimiter=",")
 
 
 def parametric_bootstrap(
@@ -119,15 +106,9 @@ def parametric_bootstrap(
         g1_star[start : start + m] = np.maximum(res["g1"], g1_floor)
         return int(res["fallback"].sum()), int(res["boundary"].sum())
 
-    try:
-        counts = [run_chunk(start) for start in range(0, b_reps, CHUNK)]
-    except ShapeMismatch:
-        raise
-    except Exception as exc:  # pragma: no cover - degenerate linear algebra
-        raise RefitFailure(f"bootstrap refit failed: {exc}") from exc
-
+    counts = [run_chunk(start) for start in range(0, b_reps, CHUNK)]
     n_fallback, n_boundary = (sum(c) for c in zip(*counts))
-    return BootstrapDraws(delta, g1_star, data.cluster_ids, n_fallback, n_boundary)
+    return BootstrapDraws(delta, g1_star, n_fallback, n_boundary)
 
 
 def _abs_s(draws: BootstrapDraws) -> np.ndarray:

@@ -109,13 +109,14 @@ def max_test(
     A: np.ndarray | None = None,
     tube: tuple[int, TubeConstants] | None = None,
     stepdown: bool = False,
-) -> tuple[ContrastTest, CriticalValue, np.ndarray]:
-    """(test, critical value, sorted rejected indices) of the max-type test of mu = h.
+) -> tuple[ContrastTest, np.ndarray]:
+    """(test, sorted rejected indices) of the max-type test of mu = h.
 
     With a contrast matrix A the nulls are A mu = h.  h defaults to zeros,
     one per target row, and is checked before any calibration.  The test
     studentizes by calibrate's floored scales; stepdown (BS only) selects
-    by step-down over subset quantiles of the same bootstrap draws.
+    by step-down over subset quantiles of the same bootstrap draws.  The
+    critical value is test.critical.
     """
     rows = data.D if A is None else len(A)
     h = np.zeros(rows) if h is None else np.asarray(h, dtype=float).ravel()
@@ -132,5 +133,5 @@ def max_test(
     test = single_step_test(mu_hat, scales, h, cv)
     if stepdown:
         provider = stepdown_quantile_provider(draws, alpha, A=A)
-        return test, cv, step_down_test(test.t, provider, alpha)
-    return test, cv, np.flatnonzero(test.decisions)
+        return test, step_down_test(test.t, provider, alpha)
+    return test, np.flatnonzero(test.decisions)

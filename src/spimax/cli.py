@@ -35,7 +35,7 @@ from .dataio import (
 from .errors import ParseError, SpimaxError
 from .estimation import cholesky_residuals, eb_random_effects, eblup, log_shift, log_shift_profile
 from .maxstat import METHODS, build_spi
-from .model import BlockLmmData, cluster_mean_spec
+from .model import NERM, BlockLmmData, cluster_mean_spec
 from .simulate import (
     PRESETS,
     preset_config,
@@ -166,14 +166,14 @@ def _test_payload(args) -> str:
     fit = eblup(data, spec)
     A = None if args.contrasts is None else read_matrix_csv(args.contrasts)
     h = None if args.h is None else read_matrix_csv(args.h)
-    test, cv, rejected = max_test(
+    test, rejected = max_test(
         args.method.upper(), data, spec, fit, h, A=A, stepdown=args.stepdown,
         **_method_options(args, data),
     )
     rejected = [int(i) for i in rejected]
     labels = [str(data.cluster_ids[i]) if A is None else f"contrast{i}" for i in rejected]
     out = {
-        **_method_header(args, cv),
+        **_method_header(args, test.critical),
         "stepdown": bool(args.stepdown),
         "statistic": float(test.statistic),
         "n_rejected": len(rejected),
@@ -190,34 +190,39 @@ def _numbers(text: str, flag: str, what: str = "comma-separated numbers") -> tup
         raise ParseError(f"{flag} must be {what}: {exc}") from exc
 
 
+def _set(**flags) -> dict:
+    """The flags a user set; None marks an unset flag, whose default the library owns."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _simulate_payload(args) -> str:
-    flags = {"D": args.D, "sigma2_e": args.sigma_e2, "sigma2_u": args.sigma_u2}
-    overrides = {name: value for name, value in flags.items() if value is not None}
-    if args.pattern is not None:
-        overrides["fhm_sigma_pattern"] = _numbers(args.pattern, "--pattern")
-    config = preset_config(
-        args.preset, n_d=args.n_d, n_sim=args.I, n_boot=args.B, n_mc=args.K,
-        alpha=args.alpha, master_seed=args.seed, **overrides,
+    pattern = None if args.pattern is None else _numbers(args.pattern, "--pattern")
+    config = preset_config(args.preset, **_set(
+        D=args.D, n_d=args.n_d, sigma2_e=args.sigma_e2, sigma2_u=args.sigma_u2,
+        fhm_sigma_pattern=pattern, n_sim=args.I, n_boot=args.B, n_mc=args.K,
+        alpha=args.alpha, master_seed=args.seed,
+    ))
+    # _validate_flag_combinations has rejected every flag this preset does not read
+    methods = None if args.methods is None else tuple(
+        m.strip().upper() for m in args.methods.split(",")
     )
-    if args.preset in ("table1-row", "table2-row"):
-        methods = tuple(m.strip().upper() for m in args.methods.split(","))
-        result = run_spi_experiment(config, methods=methods)
-    elif args.preset == "power":
-        result = run_power_experiment(config, delta_grid=_numbers(args.deltas, "--deltas"))
-    else:
-        result = run_fwer_experiment(config, shift=args.shift)
+    deltas = None if args.deltas is None else _numbers(args.deltas, "--deltas")
+    run = {"power": run_power_experiment, "fwer": run_fwer_experiment}.get(
+        args.preset, run_spi_experiment
+    )
+    result = run(config, **_set(methods=methods, delta_grid=deltas, shift=args.shift))
     return sim_csv_text(result.rows())
 
 
 def _transform_payload(args) -> tuple[str, str | None]:
     data = ingest_data(args.model, args.data)
-    grid = 25
+    grid = None
     if args.grid is not None:
         try:
             grid = int(args.grid)
         except ValueError:
             grid = _numbers(args.grid, "--grid", "a point count or comma-separated shifts")
-    grid, skews, best = log_shift_profile(data, grid)
+    grid, skews, best = log_shift_profile(data, **_set(grid=grid))
     c_star = float(grid[best])
     report = _json_text(
         {
@@ -308,18 +313,18 @@ def build_parser() -> _Parser:
     sim = subs.add_parser("simulate", help="simulation experiments as CSV")
     sim.add_argument("--preset", required=True, choices=SIM_PRESETS)
     sim.add_argument("--D", type=int, default=None)
-    sim.add_argument("--n-d", type=int, default=5, dest="n_d")
+    sim.add_argument("--n-d", type=int, default=None, dest="n_d")
     sim.add_argument("--sigma-e2", type=float, default=None, dest="sigma_e2")
     sim.add_argument("--sigma-u2", type=float, default=None, dest="sigma_u2")
     sim.add_argument("--pattern", default=None, help="FHM error variances, comma list")
-    sim.add_argument("--I", type=int, default=500)
-    sim.add_argument("--B", type=int, default=500)
-    sim.add_argument("--K", type=int, default=2000)
-    sim.add_argument("--alpha", type=float, default=0.05)
-    sim.add_argument("--seed", type=int, default=20260819)
-    sim.add_argument("--methods", default="BS,MC,BO,BE")
-    sim.add_argument("--deltas", default="-2,-1,-0.5,0,0.5,1,2")
-    sim.add_argument("--shift", type=float, default=1.0)
+    sim.add_argument("--I", type=int, default=None)
+    sim.add_argument("--B", type=int, default=None)
+    sim.add_argument("--K", type=int, default=None)
+    sim.add_argument("--alpha", type=float, default=None)
+    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--methods", default=None)
+    sim.add_argument("--deltas", default=None)
+    sim.add_argument("--shift", type=float, default=None)
     sim.add_argument("--out", default=None)
     sim.add_argument("--error-json", default=None, dest="error_json")
 
@@ -363,6 +368,21 @@ def _validate_flag_combinations(args) -> None:
             raise _UsageError(f"output directory does not exist: {parent}")
     if getattr(args, "method", None) == "vt" and args.tube_constants is None:
         raise _UsageError("--method vt requires --tube-constants")
+    if args.command == "simulate":
+        # the flags only some presets read, each with whether this preset does
+        nerm = PRESETS[args.preset]["model_tag"] == NERM
+        reads = {
+            "--methods": args.preset != "fwer",
+            "--deltas": args.preset == "power",
+            "--shift": args.preset == "fwer",
+            "--pattern": not nerm,
+            "--n-d": nerm,
+            "--sigma-e2": nerm,
+        }
+        unread = [flag for flag, read in reads.items()
+                  if not read and getattr(args, flag[2:].replace("-", "_")) is not None]
+        if unread:
+            raise _UsageError(f"--preset {args.preset} does not read {', '.join(unread)}")
     if args.command == "test":
         if args.h is None and args.contrasts is None:
             raise _UsageError("test needs --h, --contrasts, or both")

@@ -9,6 +9,7 @@ with commas or quotes survive.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -17,7 +18,7 @@ from .analytic import TubeConstants
 from .errors import EmptyFile, ParseError
 from .model import FHM, NERM, BlockLmmData, validate
 
-TUBE_KEYS = ("kappa0", "zeta0", "kappa2", "zeta1", "m0", "euler", "xi0", "eta0", "nu")
+TUBE_KEYS = tuple(f.name for f in dataclasses.fields(TubeConstants))
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:

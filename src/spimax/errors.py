@@ -62,10 +62,6 @@ class EmptySubset(SpimaxError, ValueError):
 
 # ---- bootstrap ----
 
-class RefitFailure(SpimaxError, RuntimeError):
-    """A bootstrap replicate could not be refitted at all."""
-
-
 class SeedOverflow(SpimaxError, ValueError):
     """Master seed or replicate key outside the supported integer range."""
 

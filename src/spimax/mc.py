@@ -118,8 +118,6 @@ class JointNormalModel:
     precision: Arrow
     covariance: Arrow
     cov_factor: Arrow
-    p: int
-    D: int
 
 
 def build_joint_normal(data: BlockLmmData, theta: VarianceComponents) -> JointNormalModel:
@@ -142,22 +140,7 @@ def build_joint_normal(data: BlockLmmData, theta: VarianceComponents) -> JointNo
         precision=K,
         covariance=Arrow(lc, border, diag, kind="gram"),
         cov_factor=Arrow(lc, border, diag, kind="lower"),
-        p=data.p,
-        D=data.D,
     )
-
-
-def loading_matrix(model: JointNormalModel, spec: MixedParameterSpec) -> np.ndarray:
-    """Rows map phi to the mixed parameters: [k_d, m_d e_d]."""
-    _check_loading(model, spec)
-    return np.hstack([spec.k, np.diag(spec.m)])
-
-
-def _check_loading(model: JointNormalModel, spec: MixedParameterSpec) -> None:
-    if spec.k.shape != (model.D, model.p + 1):
-        raise ShapeMismatch(
-            f"spec k has shape {spec.k.shape}, expected {(model.D, model.p + 1)}"
-        )
 
 
 def _mapped_factor(model, spec, contrast):
@@ -166,13 +149,15 @@ def _mapped_factor(model, spec, contrast):
     Without a contrast Mw is the vector w of a diagonal (the u-part of L F
     is diag(m / sqrt(lambda))); with one it is the dense R x D block A diag(w).
     """
-    _check_loading(model, spec)
     F = model.cov_factor
+    D, q = F.diag.shape[0], F.corner.shape[0]
+    if spec.k.shape != (D, q):
+        raise ShapeMismatch(f"spec k has shape {spec.k.shape}, expected {(D, q)}")
     mq = spec.k @ F.corner + spec.m[:, None] * F.border
     w = spec.m * F.diag
     if contrast is None:
         return mq, w
-    contrast = check_contrast(contrast, model.D)
+    contrast = check_contrast(contrast, D)
     return contrast @ mq, contrast * w
 
 
@@ -214,8 +199,8 @@ def critical_value_mc(
     # studentize the mapped factor once instead of every draw
     mq = mq / scales[:, None]
     mw = mw / (scales if mw.ndim == 1 else scales[:, None])
-    q = mq.shape[1]
-    block = max(1, BLOCK_NUMBERS // (q + model.D))
+    q, D = mq.shape[1], model.cov_factor.diag.shape[0]
+    block = max(1, BLOCK_NUMBERS // (q + D))
     maxima = np.empty(k_draws)
 
     def chunk_max(i: int) -> None:
@@ -224,7 +209,7 @@ def critical_value_mc(
         for lo in range(i * DRAW_CHUNK, end, block):
             hi = min(lo + block, end)
             # white noise for (beta, u); F maps it to phi_hat - phi
-            z = rng.standard_normal((hi - lo, q + model.D))
+            z = rng.standard_normal((hi - lo, q + D))
             zq, zu = z[:, :q], z[:, q:]
             if mw.ndim == 1:
                 zu *= mw

@@ -65,17 +65,17 @@ class ScenarioConfig:
             raise ShapeMismatch("need at least two clusters")
         if min(self.n_sim, self.n_boot, self.n_mc) < 1:
             raise ShapeMismatch("n_sim, n_boot and n_mc must be at least 1")
-        if self.sigma2_u <= 0 or self.sigma2_e <= 0:
-            raise ShapeMismatch("variances must be positive")
-        if len(self.beta) < 1:
-            raise ShapeMismatch("beta needs at least the intercept coefficient")
+        if not all(math.isfinite(v) and v > 0 for v in (self.sigma2_u, self.sigma2_e)):
+            raise ShapeMismatch("variances must be positive and finite")
+        if len(self.beta) < 1 or not all(map(math.isfinite, self.beta)):
+            raise ShapeMismatch("beta needs at least the intercept coefficient, all finite")
         if self.model_tag == FHM:
-            if any(v <= 0 for v in self.fhm_sigma_pattern):
-                raise ShapeMismatch("error variance pattern must be positive")
-            if self.D % len(self.fhm_sigma_pattern) != 0:
+            pattern = self.fhm_sigma_pattern
+            if len(pattern) < 1 or not all(math.isfinite(v) and v > 0 for v in pattern):
+                raise ShapeMismatch("error variance pattern must be nonempty, positive and finite")
+            if self.D % len(pattern) != 0:
                 raise ShapeMismatch(
-                    f"D = {self.D} must be divisible by the pattern length "
-                    f"{len(self.fhm_sigma_pattern)}"
+                    f"D = {self.D} must be divisible by the pattern length {len(pattern)}"
                 )
         elif self.n_d < 2:
             raise ShapeMismatch("unit-level clusters need at least two units")
@@ -293,14 +293,15 @@ def _score_spi(fit, mu_true, calibrated, draws):
     return out
 
 
-def _score_power(deltas, fit, mu_true, calibrated, draws):
-    """{method: {"power@delta": global-test rejection at that shift of the realized targets}}."""
+def _score_power(shifts, fit, mu_true, calibrated, draws):
+    """{method: {"power@delta": global-test rejection at that shift of the realized targets}}.
+
+    shifts maps each criterion name to its shift delta.
+    """
     return {
         m: {
-            f"power@{delta:g}": bool(
-                single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any()
-            )
-            for delta in deltas
+            key: bool(single_step_test(fit.mu_hat, scales, mu_true + delta, cv).decisions.any())
+            for key, delta in shifts.items()
         }
         for m, (cv, scales) in calibrated.items()
     }
@@ -367,9 +368,12 @@ def run_power_experiment(
         if m not in ("BS", "MC"):
             raise ShapeMismatch(f"power experiment supports BS and MC, got {m!r}")
     deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.size < 1:
-        raise ShapeMismatch("need at least one shift value")
-    score = partial(_score_power, deltas)
+    if deltas.size < 1 or not np.all(np.isfinite(deltas)):
+        raise ShapeMismatch("need at least one shift value, all finite")
+    shifts = {f"power@{delta:g}": delta for delta in deltas}
+    if len(shifts) < deltas.size:
+        raise ShapeMismatch("shift values must differ in their first six significant digits")
+    score = partial(_score_power, shifts)
     return _run_replicates("power", config, methods, score, deltas=deltas)
 
 
@@ -392,7 +396,7 @@ def run_fwer_experiment(
         n_alt = config.D // 5
     if not 0 <= n_alt <= config.D:
         raise ShapeMismatch(f"n_alt must lie in [0, {config.D}]")
-    if n_alt > 0 and shift <= 0:
-        raise NonPositiveShift("alternative shift must be positive")
+    if not math.isfinite(shift) or (n_alt > 0 and shift <= 0):
+        raise NonPositiveShift("alternative shift must be positive and finite")
     score = partial(_score_fwer, n_alt, shift, config.alpha)
     return _run_replicates("fwer", config, ("BS", "BO"), score, n_alt=n_alt)

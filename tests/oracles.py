@@ -170,10 +170,15 @@ def dense_joint_normal(data, theta):
     return K, cov, np.linalg.cholesky(cov)
 
 
+def dense_loading(spec):
+    """Rows map phi = (beta, u) to the mixed parameters: [k_d, m_d e_d]."""
+    return np.hstack([spec.k, np.diag(spec.m)])
+
+
 def dense_loading_scales(data, theta, spec, contrast=None):
     """sqrt(diag(L K^-1 L')) with L = (A) [k, diag(m)]."""
     _, cov, _ = dense_joint_normal(data, theta)
-    L = np.hstack([spec.k, np.diag(spec.m)])
+    L = dense_loading(spec)
     if contrast is not None:
         L = contrast @ L
     return np.sqrt(np.einsum("di,ij,dj->d", L, cov, L))

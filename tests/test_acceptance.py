@@ -240,15 +240,13 @@ def test_criterion_6_oracle_equivalences():
         for kind in ("symmetric", "gram", "lower")
     }
     joint = JointNormalModel(
-        precision=eye["symmetric"], covariance=eye["gram"], cov_factor=eye["lower"], p=0, D=D
+        precision=eye["symmetric"], covariance=eye["gram"], cov_factor=eye["lower"]
     )
     spec = MixedParameterSpec(k=np.zeros((D, 1)), m=np.ones(D))
     c_mc = critical_value_mc(joint, spec, 200_000, alpha, 99).value
     s = rng.standard_normal((20_000, D))
     draws = BootstrapDraws(
-        delta=s.copy(), g1_star=np.ones((20_000, D)),
-        cluster_ids=tuple(range(D)),
-        n_fallback=0, n_boundary=0,
+        delta=s.copy(), g1_star=np.ones((20_000, D)), n_fallback=0, n_boundary=0,
     )
     c_bs = critical_value_bs(draws, alpha).value
     mc_err, bs_err = abs(c_mc - c_star), abs(c_bs - c_star)

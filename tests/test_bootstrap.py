@@ -1,4 +1,3 @@
-import csv
 import time
 import tracemalloc
 
@@ -23,11 +22,16 @@ from oracles import max_abs_normal_quantile
 def _draws_from_matrix(S, g1=None):
     S = np.asarray(S, dtype=float)
     g1 = np.ones_like(S) if g1 is None else g1
-    return boot.BootstrapDraws(
-        delta=S * np.sqrt(g1),
-        g1_star=g1,
-        cluster_ids=tuple(range(S.shape[1])),
-    )
+    return boot.BootstrapDraws(delta=S * np.sqrt(g1), g1_star=g1)
+
+
+def _s(draws):
+    """The studentized replicate matrix S* = delta / sqrt(g1*)."""
+    return draws.delta / np.sqrt(draws.g1_star)
+
+
+def _arrays(draws):
+    return {"s": _s(draws), "delta": draws.delta, "g1_star": draws.g1_star}
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +53,20 @@ def test_bootstrap_deterministic_and_prefix_stable(nerm_setup, fhm_setup):
     for data, spec, fit in (nerm_setup, fhm_setup):
         a = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
         b = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
-        assert np.array_equal(a.s_matrix, b.s_matrix)
+        assert np.array_equal(_s(a), _s(b))
         assert np.array_equal(a.g1_star, b.g1_star)
         d = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=100)
-        assert not np.array_equal(a.s_matrix, d.s_matrix)
+        assert not np.array_equal(_s(a), _s(d))
 
         # one stream per replicate: fewer replicates give a prefix of the rows,
         # bit for bit over whole chunks, to rounding in a shorter last chunk
         head = boot.parametric_bootstrap(data, spec, fit, 256, master_seed=99)
         short = boot.parametric_bootstrap(data, spec, fit, 130, master_seed=99)
-        for field in ("s_matrix", "delta", "g1_star"):
-            full = getattr(a, field)
-            assert np.array_equal(getattr(head, field), full[:256]), field
-            assert np.array_equal(getattr(short, field)[:128], full[:128]), field
-            assert_allclose(getattr(short, field)[128:], full[128:130], rtol=0,
+        heads, shorts = _arrays(head), _arrays(short)
+        for field, full in _arrays(a).items():
+            assert np.array_equal(heads[field], full[:256]), field
+            assert np.array_equal(shorts[field][:128], full[:128]), field
+            assert_allclose(shorts[field][128:], full[128:130], rtol=0,
                             atol=1e-12 * np.abs(full).max())
 
 
@@ -83,21 +87,23 @@ def test_bootstrap_holds_one_chunk_of_responses():
 def test_bootstrap_replicates_reasonable(nerm_setup):
     data, spec, fit = nerm_setup
     draws = boot.parametric_bootstrap(data, spec, fit, 400, master_seed=5)
-    assert draws.s_matrix.shape == (400, 12)
-    assert np.all(np.isfinite(draws.s_matrix))
+    S = _s(draws)
+    assert S.shape == (400, 12)
+    assert np.all(np.isfinite(S))
     # studentized deviations should look roughly standard normal
-    sd = draws.s_matrix.std()
+    sd = S.std()
     assert 0.8 < sd < 1.4
-    assert abs(draws.s_matrix.mean()) < 0.1
+    assert abs(S.mean()) < 0.1
     assert draws.n_fallback <= 8
 
 
 def test_bootstrap_fhm_uses_known_error_variances(fhm_setup):
     data, spec, fit = fhm_setup
     draws = boot.parametric_bootstrap(data, spec, fit, 200, master_seed=8)
-    assert draws.s_matrix.shape == (200, 20)
-    assert np.all(np.isfinite(draws.s_matrix))
-    assert 0.7 < draws.s_matrix.std() < 1.5
+    S = _s(draws)
+    assert S.shape == (200, 20)
+    assert np.all(np.isfinite(S))
+    assert 0.7 < S.std() < 1.5
 
 
 def test_bootstrap_seed_validation(nerm_setup):
@@ -167,11 +173,7 @@ def test_contrast_identity_reduces_to_bs():
     rng = np.random.default_rng(41)
     g1 = rng.uniform(0.5, 2.0, size=(300, 6))
     delta = rng.standard_normal((300, 6)) * np.sqrt(g1)
-    draws = boot.BootstrapDraws(
-        delta=delta,
-        g1_star=g1,
-        cluster_ids=tuple(range(6)),
-    )
+    draws = boot.BootstrapDraws(delta=delta, g1_star=g1)
     c_id = boot.critical_value_contrast(draws, np.eye(6), 0.1)
     c_bs = boot.critical_value_bs(draws, 0.1)
     assert c_id.value == c_bs.value
@@ -296,7 +298,7 @@ def _draws_and_contrasts(draw):
     delta = draw(hnp.arrays(float, (B, D), elements=_VALUES))
     g1 = draw(hnp.arrays(float, (B, D), elements=_G1))
     A = draw(hnp.arrays(float, (q, D), elements=st.sampled_from([-1.0, 0.0, 1.0])))
-    return boot.BootstrapDraws(delta=delta, g1_star=g1, cluster_ids=tuple(range(D))), A
+    return boot.BootstrapDraws(delta=delta, g1_star=g1), A
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,7 +308,6 @@ def test_readers_equal_the_copying_forms_bit_for_bit(drawn, alpha, data):
     draws, A = drawn
     D, q = draws.D, A.shape[0]
     abs_s, abs_c = _copied_abs_s(draws), _copied_abs_s(draws, A)
-    assert np.array_equal(draws.s_matrix, draws.delta / np.sqrt(draws.g1_star))
 
     assert boot.critical_value_bs(draws, alpha).value == _copied_subset_quantile(
         abs_s, alpha, range(D))
@@ -331,8 +332,7 @@ def test_readers_hold_at_most_one_draw_matrix_beyond_delta_and_g1():
     B, D = 2000, 300
     rng = np.random.default_rng(5)
     draws = boot.BootstrapDraws(
-        delta=rng.standard_normal((B, D)), g1_star=rng.uniform(0.5, 2.0, (B, D)),
-        cluster_ids=tuple(range(D)),
+        delta=rng.standard_normal((B, D)), g1_star=rng.uniform(0.5, 2.0, (B, D))
     )
     t = np.linspace(0.0, 6.0, D)  # about a third rejected, over several rounds
     bound = B * D * 8 + 16 * B * 8  # one B x D array plus a few length-B vectors
@@ -352,33 +352,6 @@ def test_readers_hold_at_most_one_draw_matrix_beyond_delta_and_g1():
 
     assert peak_of(bs_and_stepdown) <= bound
     assert peak_of(lambda: boot.beran_critical_values(draws, 0.05)) <= bound
-
-
-def test_save_csv_roundtrip(tmp_path, nerm_setup):
-    data, spec, fit = nerm_setup
-    draws = boot.parametric_bootstrap(data, spec, fit, 20, master_seed=3)
-    path = tmp_path / "draws.csv"
-    draws.save_csv(path)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert_allclose(back, draws.s_matrix, rtol=1e-6)
-
-
-def test_save_csv_header_holds_the_cluster_ids(tmp_path):
-    S = np.array([[0.5, -1.25], [2.0, 0.125]])
-    draws = _draws_from_matrix(S)
-    quoted = boot.BootstrapDraws(**{**vars(draws), "cluster_ids": ("a,b", 'c"d')})
-    path = tmp_path / "quoted.csv"
-    quoted.save_csv(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["a,b", 'c"d']
-    assert [[float(v) for v in row] for row in rows[1:]] == S.tolist()
-
-    # plain ids: the same bytes as a header joined with commas
-    plain, legacy = tmp_path / "plain.csv", tmp_path / "legacy.csv"
-    draws.save_csv(plain)
-    np.savetxt(legacy, S, delimiter=",", header="0,1", comments="")
-    assert plain.read_bytes() == legacy.read_bytes()
 
 
 def test_bootstrap_speed(nerm_setup):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spimax
-from spimax import cli, util
+from spimax import cli, simulate, util
 from spimax.bootstrap import (
     critical_value_bs,
     critical_value_contrast,
@@ -25,7 +25,7 @@ from spimax.bootstrap import (
     stepdown_quantile_provider,
 )
 from spimax.calibration import max_test
-from spimax.cli import SIM_PRESETS, run_cli
+from spimax.cli import SIM_PRESETS, run_cli, sim_csv_text
 from spimax.dataio import (
     export_area_csv,
     export_unit_csv,
@@ -44,7 +44,14 @@ from spimax.errors import (
 from spimax.estimation import eblup, log_shift, log_shift_profile
 from spimax.maxstat import SCALE_FLOOR, single_step_test, step_down_test
 from spimax.model import FHM, cluster_mean_spec, replace_response
-from spimax.simulate import ScenarioConfig, generate_scenario
+from spimax.simulate import (
+    ScenarioConfig,
+    generate_scenario,
+    preset_config,
+    run_fwer_experiment,
+    run_power_experiment,
+    run_spi_experiment,
+)
 from spimax.util import normal_scores
 
 from conftest import make_fhm, make_nerm
@@ -376,7 +383,7 @@ def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contra
     mu_hat = fit.mu_hat if A is None else A @ fit.mu_hat
     h = mu_hat + np.where(np.arange(mu_hat.size) < 2, 1.5, 0.0)
     kw = {"alpha": 0.05, "seed": 21, "B": 150, "K": 100_000, "A": A}
-    test, cv, rejected = max_test("BS", data, spec, fit, h, stepdown=True, **kw)
+    test, rejected = max_test("BS", data, spec, fit, h, stepdown=True, **kw)
 
     draws = parametric_bootstrap(data, spec, fit, 150, 21)
     scales = np.maximum(fit.scale, SCALE_FLOOR)
@@ -389,10 +396,10 @@ def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contra
     expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05, A=A), 0.05)
     np.testing.assert_array_equal(rejected, expected)
     np.testing.assert_array_equal(test.t, t)
-    assert (test.statistic, cv.value) == (t.max(), single_cv.value)
+    assert (test.statistic, test.critical.value) == (t.max(), single_cv.value)
     # step-down can only add rejections over the single-step test
     single = np.flatnonzero(single_step_test(mu_hat, scales, h, single_cv).decisions)
-    np.testing.assert_array_equal(max_test("BS", data, spec, fit, h, **kw)[2], single)
+    np.testing.assert_array_equal(max_test("BS", data, spec, fit, h, **kw)[1], single)
     assert set(single) <= set(rejected)
 
     # the command line reports the same test
@@ -406,7 +413,8 @@ def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contra
     payload = json.loads(out.read_text())
     assert payload["stepdown"] is True
     assert payload["rejected_indices"] == [int(i) for i in rejected]
-    assert (payload["statistic"], payload["critical_value"]) == (test.statistic, cv.value)
+    assert payload["statistic"] == test.statistic
+    assert payload["critical_value"] == test.critical.value
 
 
 def test_contrast_test_cli(tmp_path, unit_csv):
@@ -440,6 +448,41 @@ def test_simulate_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch,
         assert run_cli(argv + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("preset", SIM_PRESETS)
+def test_simulate_defaults_are_the_library_defaults(tmp_path, preset):
+    # the command line restates no default: methods, shifts and the sizes it
+    # does not set come from the preset's config and the experiment runner
+    run = {"table1-row": run_spi_experiment, "table2-row": run_spi_experiment,
+           "power": run_power_experiment, "fwer": run_fwer_experiment}[preset]
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--preset", preset, "--I", "3", "--B", "20", "--K", "200"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    expected = run(preset_config(preset, n_sim=3, n_boot=20, n_mc=200))
+    assert out.read_text() == sim_csv_text(expected.rows())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--preset", "table1-row", "--sigma-u2", "nan"], "variances must be positive and finite"),
+        (["--preset", "table2-row", "--pattern", "nan,1,1,1,1"],
+         "error variance pattern must be nonempty, positive and finite"),
+        (["--preset", "fwer", "--shift", "nan"], "alternative shift must be positive and finite"),
+        (["--preset", "power", "--deltas", "nan,0"], "need at least one shift value, all finite"),
+        (["--preset", "power", "--deltas", "0,0,0.5,0.5000001"],
+         "shift values must differ in their first six significant digits"),
+        (["--preset", "power", "--methods", "BO"],
+         "power experiment supports BS and MC, got 'BO'"),
+    ],
+    ids=["nan-sigma-u2", "nan-pattern", "nan-shift", "nan-delta", "colliding-deltas",
+         "power-methods"],
+)
+def test_simulate_settings_are_checked_before_any_replicate(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(simulate, "_map_replicates", None)  # calling it would fail
+    assert run_cli(["simulate", *argv, "--I", "2", "--B", "5", "--K", "50"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_csv_format_and_determinism(tmp_path):
@@ -593,11 +636,20 @@ def test_exit_codes_and_error_json(tmp_path, capsys, unit_csv, tube_file):
         # there is no worker-count option: MC picks its own workers
         ["spi", *nerm, "--method", "mc", "--threads", "2"],
         ["simulate", "--preset", "fwer", "--threads", "2"],
+        # a simulate flag that the preset does not read
+        ["simulate", "--preset", "fwer", "--methods", "XX", "--deltas", "1"],
+        ["simulate", "--preset", "table2-row", "--n-d", "9", "--sigma-e2", "7"],
+        ["simulate", "--preset", "table1-row", "--pattern", "1,2"],
+        ["simulate", "--preset", "power", "--shift", "2"],
+        ["simulate", "--preset", "table1-row", "--deltas", "0"],
     ]
     assert [run_cli(argv) for argv in usage_errors] == [1] * len(usage_errors)
     err = capsys.readouterr().err
     assert err.count(f"output path is a directory: {tmp_path}\n") == 3
     assert err.count("--out and --out-data name the same destination: ") == 3
+    assert "usage error: --preset fwer does not read --methods, --deltas\n" in err
+    assert "usage error: --preset table2-row does not read --n-d, --sigma-e2\n" in err
+    assert err.count(" does not read ") == 5
     assert not (tmp_path / "t.out").exists()
 
     # computation: missing file, with machine-readable report

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_fhm, make_nerm
-from oracles import max_abs_normal_quantile
+from oracles import dense_loading, max_abs_normal_quantile
 from spimax import util
 from spimax.errors import ShapeMismatch
 from spimax.estimation import g1, g2, reml_fit
@@ -18,7 +18,6 @@ from spimax.mc import (
     assemble_precision,
     build_joint_normal,
     critical_value_mc,
-    loading_matrix,
     model_scales,
 )
 from spimax.model import (
@@ -125,8 +124,6 @@ def independent_components_model(D):
         precision=identity_arrow(D, "symmetric"),
         covariance=identity_arrow(D, "gram"),
         cov_factor=identity_arrow(D, "lower"),
-        p=0,
-        D=D,
     )
     spec = MixedParameterSpec(k=np.zeros((D, 1)), m=np.ones(D))
     return model, spec
@@ -135,8 +132,7 @@ def independent_components_model(D):
 def test_mc_matches_independent_normal_quantile():
     D, alpha = 30, 0.05
     model, spec = independent_components_model(D)
-    L = loading_matrix(model, spec)
-    assert np.array_equal(L, np.hstack([np.zeros((D, 1)), np.eye(D)]))
+    assert np.array_equal(dense_loading(spec), np.hstack([np.zeros((D, 1)), np.eye(D)]))
     cv = critical_value_mc(model, spec, k_draws=100_000, alpha=alpha, master_seed=42)
     assert cv.method == "MC"
     assert abs(cv.value - max_abs_normal_quantile(D, alpha)) < 0.02
@@ -221,7 +217,7 @@ def test_model_scales_equal_prediction_variance_split():
         theta = reml_fit(data)
         spec = cluster_mean_spec(data)
         model = build_joint_normal(data, theta)
-        L = loading_matrix(model, spec)
+        L = dense_loading(spec)
         scales = np.sqrt(np.einsum("di,ij,dj->d", L, model.covariance.dense(), L))
         expected = np.sqrt(g1(data, theta) * spec.m**2 + g2(data, theta, spec))
         np.testing.assert_allclose(scales, expected, rtol=1e-9)
@@ -236,9 +232,10 @@ def test_mc_input_validation():
             critical_value_mc(model, spec, 100, 0.05, 1, contrast=contrast)
         with pytest.raises(ShapeMismatch, match="at least one row and 4 columns"):
             model_scales(model, spec, contrast=contrast)
-    with pytest.raises(ShapeMismatch):
-        bad_spec = MixedParameterSpec(k=np.zeros((5, 1)), m=np.ones(5))
-        loading_matrix(model, bad_spec)
+    bad_spec = MixedParameterSpec(k=np.zeros((5, 1)), m=np.ones(5))
+    for run in (model_scales, lambda m, s: critical_value_mc(m, s, 100, 0.05, 1)):
+        with pytest.raises(ShapeMismatch, match=r"spec k has shape \(5, 1\), expected \(4, 1\)"):
+            run(model, bad_spec)
     data = tiny_unit_data()
     with pytest.raises(ShapeMismatch):
         assemble_precision(data, VarianceComponents(sigma2_u=1.0))

@@ -5,7 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from spimax import simulate, util
+from spimax import bootstrap, simulate, util
 from spimax.errors import NonPositiveShift, ShapeMismatch, SingularSystem
 from spimax.model import FHM, NERM
 from spimax.simulate import (
@@ -125,6 +125,11 @@ def test_config_validation():
         ScenarioConfig(model_tag=FHM, fhm_sigma_pattern=(0.5, -0.1), D=10)
     with pytest.raises(ShapeMismatch):
         ScenarioConfig(n_sim=0)
+    for fields in (dict(sigma2_u=np.nan), dict(sigma2_e=np.inf), dict(beta=(1.0, np.nan)),
+                   dict(model_tag=FHM, D=10, fhm_sigma_pattern=(np.nan, 1.0, 1.0, 1.0, 1.0)),
+                   dict(model_tag=FHM, fhm_sigma_pattern=())):
+        with pytest.raises(ShapeMismatch, match="finite"):
+            ScenarioConfig(**fields)
     assert ScenarioConfig().label == "NERM-D30"
     assert ScenarioConfig(label="cell-3").label == "cell-3"
 
@@ -202,11 +207,14 @@ def test_power_reuses_one_threshold_across_shifts():
     assert a.samples["BS"]["power@1"].dtype == bool
 
 
-def test_power_validation():
+def test_power_validation(monkeypatch):
+    monkeypatch.setattr(simulate, "_map_replicates", None)  # calling it would fail
     with pytest.raises(ShapeMismatch):
         run_power_experiment(small_config(), methods=("BO",))
-    with pytest.raises(ShapeMismatch):
-        run_power_experiment(small_config(), delta_grid=())
+    # every criterion power@{delta:g} names exactly one finite shift
+    for grid in ((), (0.0, 0.0, 0.5), (0.5, 0.5000001), (np.nan, 0.0), (np.inf,)):
+        with pytest.raises(ShapeMismatch):
+            run_power_experiment(small_config(), delta_grid=grid)
 
 
 def test_fwer_all_null_weak_control():
@@ -237,8 +245,9 @@ def test_fwer_reproducible():
 
 
 def test_fwer_validation():
-    with pytest.raises(NonPositiveShift):
-        run_fwer_experiment(small_config(), shift=-1.0, n_alt=2)
+    for shift in (-1.0, np.nan, np.inf):
+        with pytest.raises(NonPositiveShift):
+            run_fwer_experiment(small_config(), shift=shift, n_alt=2)
     with pytest.raises(ShapeMismatch):
         run_fwer_experiment(small_config(D=12, n_sim=2), shift=1.0)  # 5 does not divide 12
     with pytest.raises(ShapeMismatch):
@@ -370,3 +379,17 @@ def test_a_run_inside_a_pool_worker_stays_inline(monkeypatch):
         nested = pool.apply(run_spi_experiment, (config, ("BO",)))
     assert nested.criteria == direct.criteria
     _assert_same_samples(nested.samples, direct.samples)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_refit_bug_propagates_out_of_the_experiment(monkeypatch, cpus):
+    # only a SpimaxError marks a replicate failed; a programming error in
+    # the bootstrap refit must surface as itself
+    def batch_eblup(data, spec, Y):
+        raise TypeError("refit bug")
+
+    monkeypatch.setattr(bootstrap, "batch_eblup", batch_eblup)
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+    with pytest.raises(TypeError, match="refit bug"):
+        run_spi_experiment(small_config(n_sim=2), methods=("BS",))
+    assert multiprocessing.active_children() == []
