@@ -10,18 +10,7 @@ balanced per-cluster variant.
 
 import numpy as np
 
-from spimax import (
-    beran_critical_values,
-    bonferroni_cv,
-    build_joint_normal,
-    build_spi,
-    covers_all,
-    critical_value_bs,
-    critical_value_mc,
-    eblup,
-    model_scales,
-    parametric_bootstrap,
-)
+from spimax import build_spi, calibrate, covers_all, eblup
 from spimax.simulate import ScenarioConfig, generate_scenario
 
 # one synthetic dataset: 25 clusters of 5 units, intercept + one slope
@@ -32,27 +21,18 @@ fit = eblup(data, spec)
 print(f"REML estimates: sigma2_e={fit.theta.sigma2_e:.3f}, "
       f"sigma2_u={fit.theta.sigma2_u:.3f}")
 
-# bootstrap calibration; the same draws also give the balanced variant
-draws = parametric_bootstrap(data, spec, fit, b_reps=1000, master_seed=7)
-cv_bs = critical_value_bs(draws, alpha=0.05)
-cv_be = beran_critical_values(draws, alpha=0.05)
+# one calibrate call per method: BS and BE share one set of bootstrap
+# draws, and MC comes with the model-implied scales it studentizes by
+bands, draws = {}, None
+for method in ("BS", "MC", "BO", "BE"):
+    cv, scales, draws = calibrate(
+        method, data, spec, fit, alpha=0.05, seed=7, B=1000, K=50_000, draws=draws
+    )
+    bands[method] = build_spi(fit, cv, scales)
 
-# direct simulation studentizes by the model-implied scales
-joint = build_joint_normal(data, fit.theta)
-mc_scales = model_scales(joint, spec)
-cv_mc = critical_value_mc(joint, spec, k_draws=50_000, alpha=0.05, master_seed=7)
-
-cv_bo = bonferroni_cv(data.D, alpha=0.05)
-
-print(f"\ncritical values: BS={cv_bs.value:.3f}  MC={cv_mc.value:.3f}  "
-      f"BO={cv_bo.value:.3f}  BE(level)={cv_be.value:.3f}")
-
-bands = {
-    "BS": build_spi(fit, cv_bs),
-    "MC": build_spi(fit, cv_mc, scales=mc_scales),
-    "BO": build_spi(fit, cv_bo),
-    "BE": build_spi(fit, cv_be),
-}
+c = {name: iv.critical.value for name, iv in bands.items()}
+print(f"\ncritical values: BS={c['BS']:.3f}  MC={c['MC']:.3f}  "
+      f"BO={c['BO']:.3f}  BE(level)={c['BE']:.3f}")
 
 print(f"\n{'method':>6} {'mean width':>11} {'covers all':>11}")
 for name, iv in bands.items():

@@ -21,7 +21,6 @@ from .estimation import (
     fit_gls_blup,
     g1,
     g2,
-    reml_fit,
     restricted_loglik,
 )
 from .maxstat import (

@@ -56,7 +56,7 @@ def bonferroni_cv(D: int, alpha: float) -> CriticalValue:
     if D < 1:
         raise ShapeMismatch("need at least one cluster")
     value = -float(normal_quantile(alpha / (2.0 * D)))
-    return CriticalValue(value=value, method="BO", alpha=alpha)
+    return CriticalValue(value=value)
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +340,7 @@ def tube_cv(p: int, k: TubeConstants, alpha: float) -> CriticalValue:
         )
     if crossings == 0:
         # at or below alpha over the whole bracket
-        return CriticalValue(value=BISECT_LO, method="VT", alpha=alpha)
+        return CriticalValue(value=BISECT_LO)
     i = int(np.flatnonzero(~below).max())
     lo, hi = grid[i], grid[i + 1]
     for _ in range(BISECT_MAX_ITER):
@@ -351,4 +351,4 @@ def tube_cv(p: int, k: TubeConstants, alpha: float) -> CriticalValue:
             lo = mid
         if hi - lo < 0.1 * BISECT_TOL:
             break
-    return CriticalValue(value=hi, method="VT", alpha=alpha)
+    return CriticalValue(value=hi)

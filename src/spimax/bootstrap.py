@@ -126,7 +126,7 @@ def _row_max_quantile(abs_s: np.ndarray, alpha: float, where=True) -> float:
 
 def critical_value_bs(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     """(1-alpha) order statistic of the row maxima of |S*|."""
-    return CriticalValue(value=_row_max_quantile(_abs_s(draws), alpha), method="BS", alpha=alpha)
+    return CriticalValue(value=_row_max_quantile(_abs_s(draws), alpha))
 
 
 def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
@@ -147,7 +147,7 @@ def critical_value_contrast(draws: BootstrapDraws, A: np.ndarray, alpha: float) 
     With A = I this reduces exactly to critical_value_bs.
     """
     value = _row_max_quantile(_contrast_abs_s(draws, A), alpha)
-    return CriticalValue(value=value, method="BS", alpha=alpha)
+    return CriticalValue(value=value)
 
 
 def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
@@ -169,7 +169,7 @@ def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     # generalized inverse: smallest order statistic with cdf >= q
     idx = min(max(int(np.ceil(q * B - 1e-9)), 1), B)
     per_cluster = cols[idx - 1, :].copy()
-    return CriticalValue(value=float(q), method="BE", alpha=alpha, per_cluster=per_cluster)
+    return CriticalValue(value=float(q), per_cluster=per_cluster)
 
 
 def stepdown_quantile_provider(draws: BootstrapDraws, alpha: float, A: np.ndarray | None = None):

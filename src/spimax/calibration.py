@@ -33,10 +33,11 @@ from .bootstrap import (
 )
 from .errors import InvalidConstants, ShapeMismatch
 from .estimation import FitResult
-from .maxstat import METHODS, SCALE_FLOOR, ContrastTest, CriticalValue, single_step_test, step_down_test
+from .maxstat import SCALE_FLOOR, ContrastTest, CriticalValue, single_step_test, step_down_test
 from .mc import build_joint_normal, critical_value_mc, model_scales
 from .model import BlockLmmData, MixedParameterSpec, check_contrast
 
+METHODS = ("BS", "MC", "BO", "BE", "VT")
 CONTRAST_METHODS = ("BS", "MC", "BO")
 
 
@@ -113,12 +114,14 @@ def max_test(
     """(test, sorted rejected indices) of the max-type test of mu = h.
 
     With a contrast matrix A the nulls are A mu = h.  h defaults to zeros,
-    one per target row, and is checked before any calibration.  The test
-    studentizes by calibrate's floored scales; stepdown (BS only) selects
-    by step-down over subset quantiles of the same bootstrap draws.  The
-    critical value is test.critical.
+    one per target row.  A's shape, then h, is checked before any
+    calibration.  The test studentizes by calibrate's floored scales;
+    stepdown (BS only) selects by step-down over subset quantiles of the
+    same bootstrap draws.  The critical value is test.critical.
     """
-    rows = data.D if A is None else len(A)
+    if A is not None:
+        A = check_contrast(A, data.D)
+    rows = data.D if A is None else A.shape[0]
     h = np.zeros(rows) if h is None else np.asarray(h, dtype=float).ravel()
     if h.shape != (rows,):
         if A is None:
@@ -129,7 +132,7 @@ def max_test(
     cv, scales, draws = calibrate(
         method, data, spec, fit, alpha=alpha, seed=seed, B=B, K=K, A=A, tube=tube
     )
-    mu_hat = fit.mu_hat if A is None else np.asarray(A, dtype=float) @ fit.mu_hat
+    mu_hat = fit.mu_hat if A is None else A @ fit.mu_hat
     test = single_step_test(mu_hat, scales, h, cv)
     if stepdown:
         provider = stepdown_quantile_provider(draws, alpha, A=A)

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .calibration import CONTRAST_METHODS, calibrate, max_test
+from .calibration import CONTRAST_METHODS, METHODS, calibrate, max_test
 from .dataio import (
     export_area_csv,
     export_unit_csv,
@@ -34,7 +34,7 @@ from .dataio import (
 )
 from .errors import ParseError, SpimaxError
 from .estimation import cholesky_residuals, eb_random_effects, eblup, log_shift, log_shift_profile
-from .maxstat import METHODS, build_spi
+from .maxstat import build_spi
 from .model import NERM, BlockLmmData, cluster_mean_spec
 from .simulate import (
     PRESETS,

@@ -48,10 +48,6 @@ class AlphaOutOfRange(SpimaxError, ValueError):
     """Significance level outside (0, 1)."""
 
 
-class MissingPerCluster(SpimaxError, ValueError):
-    """A per-cluster critical value vector is required but absent."""
-
-
 class ProviderInconsistent(SpimaxError, RuntimeError):
     """Step-down quantile provider violated subset monotonicity."""
 

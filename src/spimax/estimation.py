@@ -543,7 +543,7 @@ def _within_dof(data: BlockLmmData) -> int:
     return within - int(np.linalg.matrix_rank(centred, tol=tol))
 
 
-def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> dict:
+def _fit_single(data: BlockLmmData, spec: MixedParameterSpec) -> dict:
     """The dataset's own response as a batch of one, after the single-fit checks."""
     validate(data)
     if data.n_total <= data.p + 2:
@@ -569,11 +569,6 @@ def _fit_single(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> d
     if not np.isfinite(fit["loglik"][0]):
         raise NoConvergence("restricted likelihood is not finite at any candidate")
     return fit
-
-
-def reml_fit(data: BlockLmmData) -> VarianceComponents:
-    """REML variance components of the dataset's own response."""
-    return _theta_components(data, _fit_single(data)["theta"][0])
 
 
 def _row0_result(fit: dict, theta: VarianceComponents) -> FitResult:
@@ -680,6 +675,8 @@ def log_shift_profile(data: BlockLmmData, grid=25) -> tuple[np.ndarray, np.ndarr
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise EmptyGrid("transform grid is empty")
+    if not np.all(finite := np.isfinite(grid)):
+        raise ShapeMismatch(f"transform shifts must be finite, got {grid[~finite][0]:g}")
     if np.any(y + grid.min() <= 0):
         raise NonPositiveShift(
             f"y + c must stay positive; smallest candidate {grid.min():g} fails"

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPerCluster, ProviderInconsistent, ShapeMismatch
+from .errors import ProviderInconsistent, ShapeMismatch
 from .estimation import FitResult
 from .util import check_alpha
-
-METHODS = ("BS", "MC", "BO", "BE", "VT")
 
 # studentizing scales are floored before any division
 SCALE_FLOOR = 1e-12
@@ -24,27 +22,21 @@ SCALE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CriticalValue:
-    """Calibrated threshold; per_cluster carries the BE per-cluster values.
+    """Calibrated threshold, or per-cluster thresholds when per_cluster is set.
 
-    For the BE method `value` stores the common cdf level the per-cluster
-    thresholds share; for every other method it is the threshold itself.
+    Only beran_critical_values (BE) sets per_cluster; `value` then stores
+    the common cdf level the per-cluster thresholds share.  Otherwise
+    `value` is the threshold itself.
     """
 
     value: float
-    method: str
-    alpha: float
     per_cluster: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ShapeMismatch(f"unknown method {self.method!r}, expected one of {METHODS}")
-        check_alpha(self.alpha)
         v = float(self.value)
         if not (np.isfinite(v) and v >= 0.0):
             raise ShapeMismatch(f"critical value must be finite and nonnegative, got {v}")
         object.__setattr__(self, "value", v)
-        if (self.per_cluster is not None) != (self.method == "BE"):
-            raise MissingPerCluster("per_cluster values are required exactly for method BE")
         if self.per_cluster is not None:
             pc = np.asarray(self.per_cluster, dtype=float)
             if pc.ndim != 1 or not np.all(np.isfinite(pc)) or np.any(pc < 0):

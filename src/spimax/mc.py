@@ -229,4 +229,4 @@ def critical_value_mc(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(chunk_max, range(n_chunks)))
     value = order_statistic(maxima, quantile_index(k_draws, alpha))
-    return CriticalValue(value=value, method="MC", alpha=alpha)
+    return CriticalValue(value=value)

@@ -16,7 +16,6 @@ count, and no option sets it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -147,7 +146,6 @@ class ExperimentResult:
     experiment, deltas (power) or n_alt (fwer).
     """
 
-    kind: str
     config: ScenarioConfig
     methods: tuple[str, ...]
     criteria: dict
@@ -155,7 +153,6 @@ class ExperimentResult:
     n_failed: int
     n_fallback: int
     n_boundary: int
-    runtime_seconds: float
     samples: dict = field(repr=False, default_factory=dict)
 
     def rows(self) -> list[tuple]:
@@ -235,7 +232,7 @@ def _map_replicates(task, n: int) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_replicates(kind, config, methods, score, **extras) -> ExperimentResult:
+def _run_replicates(config, methods, score, **extras) -> ExperimentResult:
     """The one replicate loop: generate, fit, calibrate, score, aggregate.
 
     Replicate i draws its data from generate_scenario(config, i) and its
@@ -253,7 +250,6 @@ def _run_replicates(kind, config, methods, score, **extras) -> ExperimentResult:
     """
     if len(set(methods)) != len(methods):
         raise ShapeMismatch("duplicate method names")
-    start_time = time.perf_counter()
     records: list = []
     failed: list[int] = []
     n_fallback = n_boundary = 0
@@ -271,7 +267,6 @@ def _run_replicates(kind, config, methods, score, **extras) -> ExperimentResult:
         m: {c: np.array([r[m][c] for r in records]) for c in records[0][m]} for m in methods
     }
     return ExperimentResult(
-        kind=kind,
         config=config,
         methods=methods,
         criteria={m: {c: float(x.mean()) for c, x in s.items()} for m, s in per_method.items()},
@@ -279,7 +274,6 @@ def _run_replicates(kind, config, methods, score, **extras) -> ExperimentResult:
         n_failed=len(failed),
         n_fallback=n_fallback,
         n_boundary=n_boundary,
-        runtime_seconds=time.perf_counter() - start_time,
         samples={**extras, **per_method, "failed_replicates": tuple(failed)},
     )
 
@@ -342,7 +336,7 @@ def run_spi_experiment(
     for m in methods:
         if m not in SPI_METHODS:
             raise ShapeMismatch(f"unknown method {m!r}; choose from {SPI_METHODS}")
-    result = _run_replicates("spi", config, methods, _score_spi)
+    result = _run_replicates(config, methods, _score_spi)
     for m in methods:
         w = result.samples[m]["ws"]
         per_cluster_var = w.var(axis=0, ddof=1) if w.shape[0] > 1 else np.zeros(config.D)
@@ -374,7 +368,7 @@ def run_power_experiment(
     if len(shifts) < deltas.size:
         raise ShapeMismatch("shift values must differ in their first six significant digits")
     score = partial(_score_power, shifts)
-    return _run_replicates("power", config, methods, score, deltas=deltas)
+    return _run_replicates(config, methods, score, deltas=deltas)
 
 
 def run_fwer_experiment(
@@ -388,7 +382,9 @@ def run_fwer_experiment(
     the realized targets, the rest carry true nulls; FWER is the fraction
     of replicates rejecting at least one true null.  BS uses the
     step-down rule with shared-draw subset quantiles; BO applies the
-    normal-quantile threshold in a single step.
+    normal-quantile threshold in a single step.  No MC calibration runs,
+    so config.n_mc is never read: the command line's fwer preset accepts
+    --K and ignores it.
     """
     if n_alt is None:
         if config.D % 5 != 0:
@@ -399,4 +395,4 @@ def run_fwer_experiment(
     if not math.isfinite(shift) or (n_alt > 0 and shift <= 0):
         raise NonPositiveShift("alternative shift must be positive and finite")
     score = partial(_score_fwer, n_alt, shift, config.alpha)
-    return _run_replicates("fwer", config, ("BS", "BO"), score, n_alt=n_alt)
+    return _run_replicates(config, ("BS", "BO"), score, n_alt=n_alt)

@@ -24,7 +24,7 @@ from spimax.bootstrap import (
     parametric_bootstrap,
     stepdown_quantile_provider,
 )
-from spimax.estimation import eblup, fit_gls_blup, g1, reml_fit, restricted_loglik
+from spimax.estimation import eblup, fit_gls_blup, g1, restricted_loglik
 from spimax.maxstat import SCALE_FLOOR, build_spi, single_step_test, step_down_test
 from spimax.mc import Arrow, JointNormalModel, build_joint_normal, critical_value_mc
 from spimax.model import (
@@ -194,7 +194,7 @@ def test_criterion_6_oracle_equivalences():
 
     # (b) ridge weights reproduce the BLUP of random linear functionals
     data, _ = make_nerm(D=8, n_d=4, seed=61)
-    theta = reml_fit(data)
+    theta = eblup(data).theta
     gls = fit_gls_blup(data, cluster_mean_spec(data), theta)
     phi = np.concatenate([gls.beta_hat, gls.u_hat])
     ridge_err = 0.0
@@ -207,7 +207,7 @@ def test_criterion_6_oracle_equivalences():
     # (c) closed-form leading MSE term against its matrix definition
     fhm_data = make_fhm(D=10, seed=62)[0]
     g1_err = 0.0
-    for data_, theta_ in [(data, theta), (fhm_data, reml_fit(fhm_data))]:
+    for data_, theta_ in [(data, theta), (fhm_data, eblup(fhm_data).theta)]:
         Z = np.zeros((data_.n_total, data_.D))
         for d, sl in enumerate(data_.cluster_slices()):
             Z[sl, d] = 1.0

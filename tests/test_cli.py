@@ -254,6 +254,9 @@ def test_log_shift_transform_validation():
     shifted = replace_response(data, data.y - data.y.min() - 1.0)  # y min is -1
     with pytest.raises(NonPositiveShift):
         log_shift_profile(shifted, [0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ShapeMismatch, match=f"transform shifts must be finite, got {bad:g}$"):
+            log_shift_profile(data, [1.0, bad])
 
 
 @pytest.mark.parametrize("centred", [False, True], ids=["positive", "nonpositive"])
@@ -585,6 +588,17 @@ def test_transform_cli_writes_data_only_on_success(tmp_path):
     )
     assert code == 2
     assert not bad_out.exists() and not bad_data.exists()
+
+
+@pytest.mark.parametrize("grid, shown", [("nan,1", "nan"), ("inf", "inf")])
+def test_transform_cli_rejects_non_finite_shifts(tmp_path, capsys, grid, shown):
+    src = tmp_path / "pos.csv"
+    src.write_text(export_unit_csv(_positive_data()))
+    out = tmp_path / "t.json"
+    argv = ["transform", "--model", "nerm", "--data", str(src), "--grid", grid, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: transform shifts must be finite, got {shown}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", [None, "7"])

@@ -3,12 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spimax import maxstat
-from spimax.errors import (
-    AlphaOutOfRange,
-    MissingPerCluster,
-    ProviderInconsistent,
-    ShapeMismatch,
-)
+from spimax.errors import ProviderInconsistent, ShapeMismatch
 from spimax.estimation import FitResult
 from spimax.model import VarianceComponents
 
@@ -26,7 +21,7 @@ def _fit(mu, scale):
 
 
 def test_single_step_test_rejects_a_shape_mismatch():
-    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
+    c = maxstat.CriticalValue(value=2.0)
     with pytest.raises(ShapeMismatch):
         maxstat.single_step_test([1.0, 2.0], [1.0], [0.0, 0.0], c)
     with pytest.raises(ShapeMismatch):
@@ -34,7 +29,7 @@ def test_single_step_test_rejects_a_shape_mismatch():
 
 
 def test_single_step_test_floors_zero_scales():
-    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
+    c = maxstat.CriticalValue(value=2.0)
     out = maxstat.single_step_test([1e-6], [0.0], [0.0], c)
     assert np.isfinite(out.statistic) and out.statistic == 1e-6 / 1e-12
     assert out.t.tolist() == [1e-6 / 1e-12]
@@ -45,7 +40,7 @@ def test_single_step_test_t_is_the_floored_studentized_vector():
     mu, h = rng.normal(size=40) * 50, rng.normal(size=40) * 50
     scale = rng.uniform(0.0, 3.0, size=40)
     scale[::7] = 0.0
-    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
+    c = maxstat.CriticalValue(value=2.0)
     out = maxstat.single_step_test(mu, scale, h, c)
     want = np.abs(mu - h) / np.maximum(scale, maxstat.SCALE_FLOOR)
     assert np.array_equal(out.t, want)
@@ -55,46 +50,35 @@ def test_single_step_test_t_is_the_floored_studentized_vector():
 
 def test_single_step_test_decisions_use_per_cluster_thresholds():
     mu = np.array([1.5, 1.5, 2.5, 0.5])
-    c = maxstat.CriticalValue(
-        value=0.9, method="BE", alpha=0.1, per_cluster=np.array([1.0, 2.0, 2.5, 0.1])
-    )
+    c = maxstat.CriticalValue(value=0.9, per_cluster=np.array([1.0, 2.0, 2.5, 0.1]))
     out = maxstat.single_step_test(mu, np.ones(4), np.zeros(4), c)
     assert np.array_equal(out.decisions, out.t >= c.per_cluster)
     assert out.decisions.tolist() == [True, False, True, True]
 
 
 def test_critical_value_validation():
-    with pytest.raises(AlphaOutOfRange):
-        maxstat.CriticalValue(value=2.0, method="BS", alpha=1.5)
     with pytest.raises(ShapeMismatch):
-        maxstat.CriticalValue(value=-1.0, method="BS", alpha=0.05)
+        maxstat.CriticalValue(value=-1.0)
     with pytest.raises(ShapeMismatch):
-        maxstat.CriticalValue(value=2.0, method="XX", alpha=0.05)
-    with pytest.raises(MissingPerCluster):
-        maxstat.CriticalValue(value=2.0, method="BE", alpha=0.05)
-    with pytest.raises(MissingPerCluster):
-        maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05, per_cluster=np.ones(3))
+        maxstat.CriticalValue(value=0.9, per_cluster=np.array([1.0, np.nan]))
 
 
 def test_build_spi_symmetric_half_widths():
     rng = np.random.default_rng(5)
     mu = rng.normal(size=8) * 100
     scale = rng.uniform(0.1, 2.0, size=8)
-    c = maxstat.CriticalValue(value=2.5, method="BS", alpha=0.05)
+    c = maxstat.CriticalValue(value=2.5)
     iv = maxstat.build_spi(_fit(mu, scale), c)
     # identical half-width added above and subtracted below, bit for bit
     assert np.array_equal(iv.upper, mu + 2.5 * scale)
     assert np.array_equal(iv.lower, mu - 2.5 * scale)
     assert_allclose(iv.upper + iv.lower, 2 * mu, rtol=1e-14)
-    assert iv.critical.alpha == 0.05
 
 
 def test_build_spi_per_cluster_thresholds():
     mu = np.zeros(3)
     scale = np.ones(3)
-    c = maxstat.CriticalValue(
-        value=0.9, method="BE", alpha=0.1, per_cluster=np.array([1.0, 2.0, 3.0])
-    )
+    c = maxstat.CriticalValue(value=0.9, per_cluster=np.array([1.0, 2.0, 3.0]))
     iv = maxstat.build_spi(_fit(mu, scale), c)
     assert_allclose(iv.upper, [1.0, 2.0, 3.0])
     with pytest.raises(ShapeMismatch):
@@ -102,14 +86,14 @@ def test_build_spi_per_cluster_thresholds():
 
 
 def test_covers_all_closed_endpoints():
-    c = maxstat.CriticalValue(value=1.0, method="BO", alpha=0.05)
+    c = maxstat.CriticalValue(value=1.0)
     iv = maxstat.build_spi(_fit([0.0, 0.0], [1.0, 2.0]), c)
     assert maxstat.covers_all(iv, np.array([1.0, -2.0]))  # exactly on the boundary
     assert not maxstat.covers_all(iv, np.array([1.0001, 0.0]))
 
 
 def test_single_step_ties_reject():
-    c = maxstat.CriticalValue(value=2.0, method="BS", alpha=0.05)
+    c = maxstat.CriticalValue(value=2.0)
     out = maxstat.single_step_test(
         np.array([2.0, 1.0]), np.ones(2), np.zeros(2), c
     )
@@ -128,7 +112,7 @@ def test_paired_contrast_layout_rejects():
     assert np.all(A.sum(axis=1) == 0)
     mu_h = np.zeros(52)
     mu_h[17] = 10.495
-    crit = maxstat.CriticalValue(value=8.673, method="BS", alpha=0.05)
+    crit = maxstat.CriticalValue(value=8.673)
     out = maxstat.single_step_test(mu_h, np.ones(52), np.zeros(52), crit)
     assert out.statistic == pytest.approx(10.495)
     assert out.decisions.any()

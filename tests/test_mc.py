@@ -10,7 +10,7 @@ from conftest import make_fhm, make_nerm
 from oracles import dense_loading, max_abs_normal_quantile
 from spimax import util
 from spimax.errors import ShapeMismatch
-from spimax.estimation import g1, g2, reml_fit
+from spimax.estimation import eblup, g1, g2
 from spimax.mc import (
     DRAW_CHUNK,
     Arrow,
@@ -134,7 +134,6 @@ def test_mc_matches_independent_normal_quantile():
     model, spec = independent_components_model(D)
     assert np.array_equal(dense_loading(spec), np.hstack([np.zeros((D, 1)), np.eye(D)]))
     cv = critical_value_mc(model, spec, k_draws=100_000, alpha=alpha, master_seed=42)
-    assert cv.method == "MC"
     assert abs(cv.value - max_abs_normal_quantile(D, alpha)) < 0.02
 
 
@@ -157,7 +156,7 @@ def test_mc_thread_and_chunk_invariant(monkeypatch):
     # three chunks, the last partial: the worker count must not change a bit,
     # also with more workers than cores switching as often as they can
     data, _ = make_nerm(D=20, seed=12)
-    theta = reml_fit(data)
+    theta = eblup(data).theta
     model = build_joint_normal(data, theta)
     spec = cluster_mean_spec(data)
     contrast = np.random.default_rng(4).normal(size=(6, data.D))
@@ -178,7 +177,7 @@ def test_mc_thread_and_chunk_invariant(monkeypatch):
 def test_mc_holds_one_block_of_draws():
     # each chunk draws in blocks, so memory does not grow with DRAW_CHUNK x (q + D)
     data, _ = make_nerm(D=300, p=2, seed=8)
-    model = build_joint_normal(data, reml_fit(data))
+    model = build_joint_normal(data, eblup(data).theta)
     spec = cluster_mean_spec(data)
     tracemalloc.start()
     try:
@@ -214,7 +213,7 @@ def test_mc_contrast_subset_is_exactly_monotone():
 def test_model_scales_equal_prediction_variance_split():
     # diag(L K^-1 L') = g1 + g2 for the mixed-parameter loading rows
     for data, truth in (make_nerm(D=12, seed=2), make_fhm(D=12, seed=2)):
-        theta = reml_fit(data)
+        theta = eblup(data).theta
         spec = cluster_mean_spec(data)
         model = build_joint_normal(data, theta)
         L = dense_loading(spec)

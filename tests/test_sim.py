@@ -143,7 +143,6 @@ def test_spi_reproducible():
         assert a.halfwidths[m] == b.halfwidths[m]
         np.testing.assert_array_equal(a.samples[m]["ws"], b.samples[m]["ws"])
     assert a.n_failed == 0
-    assert a.kind == "spi" and a.runtime_seconds > 0
 
 
 def test_spi_criteria_recompute_from_samples():
@@ -188,7 +187,6 @@ def test_rows_layout():
 def test_power_size_and_saturation():
     config = small_config(n_sim=60, n_boot=100, n_mc=400)
     result = run_power_experiment(config, delta_grid=(-2.0, 0.0, 2.0))
-    assert result.kind == "power"
     np.testing.assert_array_equal(result.samples["deltas"], [-2.0, 0.0, 2.0])
     for m in ("BS", "MC"):
         size = result.criteria[m]["power@0"]
@@ -286,7 +284,7 @@ def _recomputed(result):
     out = {}
     for m in result.methods:
         out[m] = {c: float(x.mean()) for c, x in result.samples[m].items()}
-        if result.kind == "spi":
+        if "ws" in result.samples[m]:  # the spi experiment
             out[m]["vs"] = float(result.samples[m]["ws"].var(axis=0, ddof=1).mean())
     return out
 
