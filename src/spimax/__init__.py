@@ -24,7 +24,6 @@ from .estimation import (
     restricted_loglik,
 )
 from .maxstat import (
-    SCALE_FLOOR,
     ContrastTest,
     CriticalValue,
     SimultaneousIntervals,
@@ -50,15 +49,14 @@ from .mc import (
     model_scales,
 )
 from .analytic import (
-    RidgeWeights,
     TubeConstants,
     bonferroni_cv,
     ridge_interval_scales,
-    ridge_weights,
     tube_alpha_bound,
     tube_cv,
 )
 from .calibration import calibrate, max_test
+from .util import SCALE_FLOOR
 from .dataio import (
     export_area_csv,
     export_unit_csv,

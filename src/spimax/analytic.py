@@ -36,7 +36,6 @@ from .model import (
     MixedParameterSpec,
     VarianceComponents,
     check_spec,
-    error_variances,
 )
 from .util import check_alpha, normal_quantile
 
@@ -60,45 +59,8 @@ def bonferroni_cv(D: int, alpha: float) -> CriticalValue:
 
 
 # ----------------------------------------------------------------------
-# ridge representation of the predictor
+# ridge band scales
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RidgeWeights:
-    """Observation weights l with c' phi_tilde = l' y, plus ||l_M||.
-
-    l_m_norm is the norm of the rotated weight vector, satisfying
-    sigma2_e * ||l_M||^2 = Var(c' (phi_tilde - phi)); it is only defined
-    for the homoscedastic unit-level model.
-    """
-
-    l: np.ndarray
-    l_m_norm: float | None
-
-
-def ridge_weights(data: BlockLmmData, theta: VarianceComponents, c: np.ndarray) -> RidgeWeights:
-    """Solve the mixed-model equations for the weights of c' phi_tilde.
-
-    K z = c is solved by block elimination through the arrow factor F of
-    K^-1 = F F': z = F (F' c), and c' z = ||F' c||^2.  Then l = R^-1 C z,
-    R the diagonal of per-unit error variances (model.error_variances).
-    """
-    c = np.asarray(c, dtype=float)
-    q = data.p + 1
-    dim = q + data.D
-    if c.shape != (dim,):
-        raise ShapeMismatch(f"c must have length {dim}, got {c.shape}")
-    F = build_joint_normal(data, theta).cov_factor
-    yq = F.corner.T @ c[:q] + F.border.T @ c[q:]
-    yu = F.diag * c[q:]
-    zq = F.corner @ yq
-    zu = F.border @ yq + F.diag * yu
-    l = (data.X @ zq + np.repeat(zu, data.sizes)) / error_variances(data, theta)
-    norm = None
-    if data.model_tag == NERM:
-        norm = math.sqrt(float(yq @ yq + yu @ yu)) / math.sqrt(theta.sigma2_e)
-    return RidgeWeights(l=l, l_m_norm=norm)
-
 
 def ridge_interval_scales(
     data: BlockLmmData, theta: VarianceComponents, spec: MixedParameterSpec

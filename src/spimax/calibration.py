@@ -33,9 +33,10 @@ from .bootstrap import (
 )
 from .errors import InvalidConstants, ShapeMismatch
 from .estimation import FitResult
-from .maxstat import SCALE_FLOOR, ContrastTest, CriticalValue, single_step_test, step_down_test
+from .maxstat import ContrastTest, CriticalValue, single_step_test, step_down_test
 from .mc import build_joint_normal, critical_value_mc, model_scales
 from .model import BlockLmmData, MixedParameterSpec, check_contrast
+from .util import check_alpha
 
 METHODS = ("BS", "MC", "BO", "BE", "VT")
 CONTRAST_METHODS = ("BS", "MC", "BO")
@@ -55,22 +56,24 @@ def calibrate(
     tube: tuple[int, TubeConstants] | None = None,
     draws: BootstrapDraws | None = None,
 ) -> tuple[CriticalValue, np.ndarray, BootstrapDraws | None]:
-    """(critical value, floored scales, bootstrap draws) for one method.
+    """(critical value, studentizing scales, bootstrap draws) for one method.
 
-    seed drives the bootstrap (B replicates) or the direct simulation (K
-    draws); tube = (p, constants) is required for VT.  Draws passed in
-    are reused instead of redrawn and returned as they came, so several
-    bootstrap methods can share one set of refits; methods that do not
-    bootstrap return draws unchanged.
+    alpha is checked before any work.  The scales are not floored; the
+    code that divides by them does that.  seed drives the bootstrap (B
+    replicates) or the direct simulation (K draws); tube = (p, constants)
+    is required for VT.  Draws passed in are reused instead of redrawn and
+    returned as they came, so several bootstrap methods can share one set
+    of refits; methods that do not bootstrap return draws unchanged.
     """
+    check_alpha(alpha)
     if method not in METHODS:
         raise ShapeMismatch(f"unknown method {method!r}; choose from {METHODS}")
-    scales = np.maximum(fit.scale, SCALE_FLOOR)
+    scales = fit.scale
     if A is not None:
         if method not in CONTRAST_METHODS:
             raise ShapeMismatch(f"contrast calibration supports {CONTRAST_METHODS}, got {method!r}")
         A = check_contrast(A, data.D)
-        scales = np.sqrt(np.maximum(scales**2 @ (A.T**2), SCALE_FLOOR**2))
+        scales = np.sqrt(scales**2 @ (A.T**2))
 
     if method in ("BS", "BE"):
         if draws is None:
@@ -84,7 +87,7 @@ def calibrate(
     elif method == "MC":
         joint = build_joint_normal(data, fit.theta)
         cv = critical_value_mc(joint, spec, K, alpha, seed, contrast=A)
-        scales = np.maximum(model_scales(joint, spec, contrast=A), SCALE_FLOOR)
+        scales = model_scales(joint, spec, contrast=A)
     elif method == "BO":
         cv = bonferroni_cv(data.D if A is None else A.shape[0], alpha)
     else:
@@ -92,7 +95,7 @@ def calibrate(
             raise InvalidConstants("method VT needs tube = (p, TubeConstants)")
         p, constants = tube
         cv = tube_cv(p, constants, alpha)
-        scales = np.maximum(ridge_interval_scales(data, fit.theta, spec), SCALE_FLOOR)
+        scales = ridge_interval_scales(data, fit.theta, spec)
     return cv, scales, draws
 
 
@@ -113,11 +116,10 @@ def max_test(
 ) -> tuple[ContrastTest, np.ndarray]:
     """(test, sorted rejected indices) of the max-type test of mu = h.
 
-    With a contrast matrix A the nulls are A mu = h.  h defaults to zeros,
-    one per target row.  A's shape, then h, is checked before any
-    calibration.  The test studentizes by calibrate's floored scales;
-    stepdown (BS only) selects by step-down over subset quantiles of the
-    same bootstrap draws.  The critical value is test.critical.
+    With a contrast matrix A the nulls are A mu = h; h defaults to zeros.
+    A's shape, then h, is checked before any calibration.  single_step_test
+    floors calibrate's scales; stepdown (BS only) selects by step-down over
+    subset quantiles of the same draws.  The critical value is test.critical.
     """
     if A is not None:
         A = check_contrast(A, data.D)

@@ -14,10 +14,7 @@ import numpy as np
 
 from .errors import ProviderInconsistent, ShapeMismatch
 from .estimation import FitResult
-from .util import check_alpha
-
-# studentizing scales are floored before any division
-SCALE_FLOOR = 1e-12
+from .util import check_alpha, floor_scales
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,6 @@ class ContrastTest:
     critical: CriticalValue
 
 
-def _floored(scales: np.ndarray) -> np.ndarray:
-    scales = np.asarray(scales, dtype=float)
-    if np.any(scales < 0):
-        raise ShapeMismatch("scales must be nonnegative")
-    return np.maximum(scales, SCALE_FLOOR)
-
-
 def build_spi(
     fit: FitResult,
     critical: CriticalValue,
@@ -89,7 +79,7 @@ def build_spi(
     scales defaults to the fit's prediction scales; pass an override when a
     method calibrates against a different studentization.
     """
-    scales = _floored(fit.scale if scales is None else scales)
+    scales = floor_scales(fit.scale if scales is None else scales)
     D = fit.mu_hat.shape[0]
     if scales.shape[0] != D:
         raise ShapeMismatch(f"scales has {scales.shape[0]} entries, expected {D}")
@@ -120,7 +110,7 @@ def single_step_test(
     """Test A mu = h via the max studentized component; ties reject."""
     mu_hat_h = np.asarray(mu_hat_h, dtype=float)
     h = np.asarray(h, dtype=float)
-    scales_h = _floored(scales_h)
+    scales_h = floor_scales(scales_h)
     if not (mu_hat_h.shape == h.shape == scales_h.shape):
         raise ShapeMismatch("component estimates, scales and h must share one shape")
     t = np.abs(mu_hat_h - h) / scales_h

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import util
 from .errors import CholeskyFailure, ShapeMismatch
-from .maxstat import SCALE_FLOOR, CriticalValue
+from .maxstat import CriticalValue
 from .model import (
     BlockLmmData,
     MixedParameterSpec,
@@ -35,7 +35,7 @@ from .model import (
     check_contrast,
     error_variances,
 )
-from .util import check_seed, derive_rng, order_statistic, quantile_index
+from .util import check_seed, derive_rng, floor_scales, order_statistic, quantile_index
 
 # draws are generated in fixed-size chunks with per-chunk derived streams,
 # so the merged result is invariant to the worker count
@@ -195,7 +195,7 @@ def critical_value_mc(
     if k_draws < 1:
         raise ShapeMismatch("need at least one draw")
     mq, mw = _mapped_factor(model, spec, contrast)
-    scales = np.maximum(_row_norms(mq, mw), SCALE_FLOOR)
+    scales = floor_scales(_row_norms(mq, mw))
     # studentize the mapped factor once instead of every draw
     mq = mq / scales[:, None]
     mw = mw / (scales if mw.ndim == 1 else scales[:, None])

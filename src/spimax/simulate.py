@@ -140,10 +140,9 @@ class ExperimentResult:
     float (alt_rate) or the D interval widths (ws).  Each criterion is
     the mean of its own sample, with a 1.96-sigma Monte Carlo half-width:
     binomial for a bool sample, else from the per-replicate means.  The
-    one exception is vs, the mean over clusters of the width variance,
-    derived from samples[method]["ws"].  samples also holds
-    failed_replicates (indices of the replicates left out) and, per
-    experiment, deltas (power) or n_alt (fwer).
+    one exception is vs, whose value and sample run_spi_experiment
+    describes.  samples also holds failed_replicates (indices of the
+    replicates left out) and, per experiment, deltas (power) or n_alt (fwer).
     """
 
     config: ScenarioConfig
@@ -239,7 +238,7 @@ def _run_replicates(config, methods, score, **extras) -> ExperimentResult:
     calibration streams from (master_seed, i, 1) for the bootstrap (shared
     by BS and BE) and (master_seed, i, 2) for the direct simulation.
     score(fit, mu_true, calibrated, draws) turns the calibrated {method:
-    (critical value, floored scales)} into {method: {criterion: value}};
+    (critical value, studentizing scales)} into {method: {criterion: value}};
     a replicate where any step raises SpimaxError is recorded as failed
     and left out.  Replicates run on one forked worker process per usable
     CPU (_map_replicates); a replicate depends only on (config, i), so the
@@ -305,7 +304,7 @@ def _score_fwer(n_alt, shift, alpha, fit, mu_true, calibrated, draws):
     """{method: {"fwer": any true null rejected, "alt_rate": share of alternatives rejected}}."""
     h = mu_true.copy()
     h[:n_alt] -= shift
-    # both methods studentize by the same floored leading-term scales
+    # both methods studentize by BO's scales, the leading MSE terms
     cv, scales = calibrated["BO"]
     test = single_step_test(fit.mu_hat, scales, h, cv)
     provider = stepdown_quantile_provider(draws, alpha)
@@ -331,6 +330,12 @@ def run_spi_experiment(
     All methods center intervals at the same predictions.  BS, BE and BO
     scale by the leading MSE term; the direct simulation calibrates and
     scales with its model-implied standard deviations.
+
+    vs is the mean over clusters of the width variance over the I
+    surviving replicates.  Its sample is z_i = I / (I - 1) * mean_d
+    (w_id - wbar_d)^2, whose mean is vs, and its half-width is that of z.
+    wbar_d averages every replicate, so the z_i are not independent; the
+    effect on the half-width is O(1/I).
     """
     methods = tuple(methods)
     for m in methods:
@@ -339,10 +344,12 @@ def run_spi_experiment(
     result = _run_replicates(config, methods, _score_spi)
     for m in methods:
         w = result.samples[m]["ws"]
-        per_cluster_var = w.var(axis=0, ddof=1) if w.shape[0] > 1 else np.zeros(config.D)
+        I = w.shape[0]
+        per_cluster_var = w.var(axis=0, ddof=1) if I > 1 else np.zeros(config.D)
         result.criteria[m]["vs"] = float(per_cluster_var.mean())
-        vs_sd = float(per_cluster_var.std(ddof=1))
-        result.halfwidths[m]["vs"] = 1.96 * vs_sd / math.sqrt(config.D)
+        z = ((w - w.mean(axis=0)) ** 2).mean(axis=1) * (I / max(I - 1, 1))
+        result.samples[m]["vs"] = z
+        result.halfwidths[m]["vs"] = _halfwidth(z)
     return result
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: seed derivation, normal quantiles and scores, order statistics, CPU count."""
+"""Shared helpers: seeds, scale floor, normal quantiles and scores, order statistics, CPU count."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, SeedOverflow
+from .errors import AlphaOutOfRange, SeedOverflow, ShapeMismatch
 
 # Seeds are kept inside the uint64 range so they survive a round trip
 # through SeedSequence.generate_state.
@@ -111,6 +111,21 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
     return alpha
+
+
+SCALE_FLOOR = 1e-12  # relative to the largest scale in the vector
+
+
+def floor_scales(scales) -> np.ndarray:
+    """The studentizing scales, each raised to SCALE_FLOOR times the largest.
+
+    The floor is relative, so studentized values do not depend on the units
+    of the response.  Negative or non-finite scales, or only zeros, raise.
+    """
+    scales = np.asarray(scales, dtype=float)
+    if not (np.all(np.isfinite(scales) & (scales >= 0)) and scales.any()):
+        raise ShapeMismatch("scales must be finite, nonnegative and not all zero")
+    return np.maximum(scales, SCALE_FLOOR * scales.max())
 
 
 def normal_quantile(p) -> np.ndarray:

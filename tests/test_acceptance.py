@@ -14,7 +14,6 @@ from scipy import stats
 from spimax import util
 from spimax.analytic import (
     TubeConstants,
-    ridge_weights,
     tube_alpha_bound,
     tube_cv,
 )
@@ -25,7 +24,7 @@ from spimax.bootstrap import (
     stepdown_quantile_provider,
 )
 from spimax.estimation import eblup, fit_gls_blup, g1, restricted_loglik
-from spimax.maxstat import SCALE_FLOOR, build_spi, single_step_test, step_down_test
+from spimax.maxstat import build_spi, single_step_test, step_down_test
 from spimax.mc import Arrow, JointNormalModel, build_joint_normal, critical_value_mc
 from spimax.model import (
     FHM,
@@ -43,6 +42,7 @@ from spimax.simulate import (
 )
 
 from conftest import make_fhm, make_nerm
+from oracles import dense_ridge_weights
 
 pytestmark = pytest.mark.slow
 
@@ -192,7 +192,7 @@ def test_criterion_6_oracle_equivalences():
         )
     checks.append(("blup<=1e-10", blup_err <= 1e-10, f"{blup_err:.1e}"))
 
-    # (b) ridge weights reproduce the BLUP of random linear functionals
+    # (b) the BLUP of random linear functionals agrees with dense ridge weights
     data, _ = make_nerm(D=8, n_d=4, seed=61)
     theta = eblup(data).theta
     gls = fit_gls_blup(data, cluster_mean_spec(data), theta)
@@ -200,8 +200,8 @@ def test_criterion_6_oracle_equivalences():
     ridge_err = 0.0
     for _ in range(5):
         c = rng.standard_normal(phi.size)
-        w = ridge_weights(data, theta, c)
-        ridge_err = max(ridge_err, abs(float(w.l @ data.y) - float(c @ phi)))
+        l, _, _ = dense_ridge_weights(data, theta, c)
+        ridge_err = max(ridge_err, abs(float(l @ data.y) - float(c @ phi)))
     checks.append(("ridge<=1e-10", ridge_err <= 1e-10, f"{ridge_err:.1e}"))
 
     # (c) closed-form leading MSE term against its matrix definition
@@ -268,7 +268,7 @@ def test_criterion_7_property_suites(monkeypatch):
     # interval symmetry: identical half-width added and subtracted, bit for bit
     cv05 = critical_value_bs(draws, 0.05)
     iv = build_spi(fit, cv05)
-    half = cv05.value * np.maximum(fit.scale, SCALE_FLOOR)
+    half = cv05.value * util.floor_scales(fit.scale)
     sym = np.array_equal(iv.upper, fit.mu_hat + half) and np.array_equal(
         iv.lower, fit.mu_hat - half
     )
@@ -287,7 +287,7 @@ def test_criterion_7_property_suites(monkeypatch):
 
     # step-down rejects at least everything the single-step test rejects
     h = fit.mu_hat + np.where(np.arange(data.D) < 3, 0.8, 0.0)
-    t = np.abs(fit.mu_hat - h) / np.maximum(fit.scale, SCALE_FLOOR)
+    t = np.abs(fit.mu_hat - h) / util.floor_scales(fit.scale)
     single = single_step_test(fit.mu_hat, fit.scale, h, critical_value_bs(draws, 0.05))
     sd = set(int(i) for i in step_down_test(t, provider, 0.05))
     checks.append(("stepdown-superset", set(np.flatnonzero(single.decisions)) <= sd))

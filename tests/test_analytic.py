@@ -1,4 +1,4 @@
-"""Tests for Bonferroni, ridge weights and the volume-of-tube bound."""
+"""Tests for Bonferroni, the ridge band scales and the volume-of-tube bound."""
 
 import math
 import sys
@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_fhm, make_nerm
-from oracles import max_abs_normal_quantile, tube_p1_closed_form
+from oracles import dense_ridge_weights, max_abs_normal_quantile, tube_p1_closed_form
 from spimax.analytic import (
     BISECT_LO,
-    RidgeWeights,
     TubeConstants,
     _f_tail,
     _t_tail,
     bonferroni_cv,
     ridge_interval_scales,
-    ridge_weights,
     tube_alpha_bound,
     tube_cv,
 )
@@ -176,20 +174,13 @@ def test_ridge_weights_reproduce_predictor(maker):
     rng = np.random.default_rng(5)
     for _ in range(5):
         c = rng.normal(size=phi_hat.size)
-        w = ridge_weights(data, fit.theta, c)
+        l, _, _ = dense_ridge_weights(data, fit.theta, c)
         target = float(c @ phi_hat)
-        assert abs(float(w.l @ data.y) - target) <= 1e-10 * (1.0 + abs(target))
-
-
-def test_ridge_weights_shape_guard():
-    data, truth = make_nerm(D=4, seed=1)
-    theta = VarianceComponents(sigma2_u=truth["sigma2_u"], sigma2_e=truth["sigma2_e"])
-    with pytest.raises(ShapeMismatch):
-        ridge_weights(data, theta, np.ones(3))
+        assert abs(float(l @ data.y) - target) <= 1e-10 * (1.0 + abs(target))
 
 
 def test_ridge_norm_matches_prediction_variance():
-    # sigma2_e * ||l_M||^2 = g1 + g2 for the mixed-parameter coefficient rows
+    # c' K^-1 c = sigma2_e * ||l_M||^2 = g1 + g2 for the mixed-parameter coefficient rows
     data, _ = make_nerm(D=10, seed=13)
     theta = eblup(data).theta
     spec = cluster_mean_spec(data)
@@ -198,8 +189,8 @@ def test_ridge_norm_matches_prediction_variance():
         c = np.zeros(data.p + 1 + data.D)
         c[: data.p + 1] = spec.k[d]
         c[data.p + 1 + d] = spec.m[d]
-        w = ridge_weights(data, theta, c)
-        assert abs(theta.sigma2_e * w.l_m_norm**2 - g[d]) <= 1e-8 * g[d]
+        _, quad, _ = dense_ridge_weights(data, theta, c)
+        assert abs(quad - g[d]) <= 1e-8 * g[d]
     scales = ridge_interval_scales(data, theta, spec)
     np.testing.assert_allclose(scales, np.sqrt(g), rtol=1e-10)
 
@@ -207,8 +198,6 @@ def test_ridge_norm_matches_prediction_variance():
 def test_ridge_norm_undefined_for_area_level():
     data, truth = make_fhm(D=6, seed=2)
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"])
-    w = ridge_weights(data, theta, np.ones(data.p + 1 + data.D))
-    assert w.l_m_norm is None
     with pytest.raises(ShapeMismatch):
         ridge_interval_scales(data, theta, cluster_mean_spec(data))
 
@@ -305,7 +294,3 @@ def test_tube_cv_unattainable_once_the_coefficients_overflow(p):
     with pytest.raises(BoundUnattainable, match=f"p = {p}"):
         tube_cv(p, benign_constants(), 0.05)
 
-
-def test_ridge_weights_dataclass_fields():
-    w = RidgeWeights(l=np.ones(3), l_m_norm=2.0)
-    assert w.l_m_norm == 2.0

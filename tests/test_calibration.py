@@ -9,7 +9,6 @@ from spimax.analytic import TubeConstants, bonferroni_cv, ridge_interval_scales,
 from spimax.calibration import calibrate, max_test
 from spimax.errors import AlphaOutOfRange, InvalidConstants, ShapeMismatch, SpimaxError
 from spimax.estimation import eblup
-from spimax.maxstat import SCALE_FLOOR
 from spimax.mc import build_joint_normal, critical_value_mc, model_scales
 from spimax.model import cluster_mean_spec
 
@@ -52,7 +51,7 @@ def _assert_same(got, cv, scales):
 def test_bootstrap_methods_match_primitives(model):
     data, spec, fit = _setup(model)
     draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
-    lead = np.maximum(fit.scale, SCALE_FLOOR)
+    lead = fit.scale
     cv, scales, got_draws = _run("BS", data, spec, fit)
     _assert_same((cv, scales, None), boot.critical_value_bs(draws, ALPHA), lead)
     np.testing.assert_array_equal(got_draws.delta, draws.delta)
@@ -63,14 +62,14 @@ def test_bootstrap_methods_match_primitives(model):
 @pytest.mark.parametrize("model", ["nerm", "fhm"])
 def test_closed_form_and_mc_methods_match_primitives(model):
     data, spec, fit = _setup(model)
-    lead = np.maximum(fit.scale, SCALE_FLOOR)
+    lead = fit.scale
     _assert_same(_run("BO", data, spec, fit), bonferroni_cv(data.D, ALPHA), lead)
     joint = build_joint_normal(data, fit.theta)
     mc_scales = model_scales(joint, spec)
     cv = critical_value_mc(joint, spec, K, ALPHA, SEED)
-    _assert_same(_run("MC", data, spec, fit), cv, np.maximum(mc_scales, SCALE_FLOOR))
+    _assert_same(_run("MC", data, spec, fit), cv, mc_scales)
     if model == "nerm":
-        vt_scales = np.maximum(ridge_interval_scales(data, fit.theta, spec), SCALE_FLOOR)
+        vt_scales = ridge_interval_scales(data, fit.theta, spec)
         _assert_same(_run("VT", data, spec, fit), tube_cv(*TUBE, ALPHA), vt_scales)
     else:
         # the ridge band is defined only for the unit-level model
@@ -82,9 +81,7 @@ def test_closed_form_and_mc_methods_match_primitives(model):
 def test_contrast_methods_match_primitives(model):
     data, spec, fit = _setup(model)
     A = _contrast(data.D)
-    lead = np.sqrt(
-        np.maximum(np.maximum(fit.scale, SCALE_FLOOR) ** 2 @ (A.T**2), SCALE_FLOOR**2)
-    )
+    lead = np.sqrt(fit.scale**2 @ (A.T**2))
     draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
     cv = boot.critical_value_contrast(draws, A, ALPHA)
     _assert_same(_run("BS", data, spec, fit, A=A), cv, lead)
@@ -92,7 +89,7 @@ def test_contrast_methods_match_primitives(model):
     joint = build_joint_normal(data, fit.theta)
     mc_scales = model_scales(joint, spec, contrast=A)
     cv = critical_value_mc(joint, spec, K, ALPHA, SEED, contrast=A)
-    _assert_same(_run("MC", data, spec, fit, A=A), cv, np.maximum(mc_scales, SCALE_FLOOR))
+    _assert_same(_run("MC", data, spec, fit, A=A), cv, mc_scales)
 
 
 def test_passed_draws_are_reused_without_refitting(monkeypatch):
@@ -112,7 +109,7 @@ def test_passed_draws_are_reused_without_refitting(monkeypatch):
     _assert_same(
         _run("BS", data, spec, fit, seed=SEED + 1, draws=draws),
         boot.critical_value_bs(draws, ALPHA),
-        np.maximum(fit.scale, SCALE_FLOOR),
+        fit.scale,
     )
 
 
@@ -173,3 +170,25 @@ def test_every_calibrator_rejects_alpha_outside_the_unit_interval(name):
     for alpha in (0.0, 1.5):
         with pytest.raises(AlphaOutOfRange):
             _CALIBRATORS[name](inputs, alpha)
+
+
+@pytest.mark.parametrize("method", ["BS", "MC"])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_a_bad_alpha_is_rejected_before_any_refit_or_draw(monkeypatch, method, alpha):
+    data, spec, fit = _setup("nerm")
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called before alpha was checked")
+
+        return record
+
+    monkeypatch.setattr(boot, "batch_eblup", spy("batch_eblup"))
+    monkeypatch.setattr(calibration, "critical_value_mc", spy("critical_value_mc"))
+    with pytest.raises(AlphaOutOfRange, match="alpha must lie strictly inside"):
+        _run(method, data, spec, fit, alpha=alpha)
+    with pytest.raises(AlphaOutOfRange):
+        max_test(method, data, spec, fit, alpha=alpha, seed=SEED, B=B, K=K)
+    assert calls == []

@@ -42,7 +42,7 @@ from spimax.errors import (
     ShapeMismatch,
 )
 from spimax.estimation import eblup, log_shift, log_shift_profile
-from spimax.maxstat import SCALE_FLOOR, single_step_test, step_down_test
+from spimax.maxstat import single_step_test, step_down_test
 from spimax.model import FHM, cluster_mean_spec, replace_response
 from spimax.simulate import (
     ScenarioConfig,
@@ -52,7 +52,7 @@ from spimax.simulate import (
     run_power_experiment,
     run_spi_experiment,
 )
-from spimax.util import normal_scores
+from spimax.util import floor_scales, normal_scores
 
 from conftest import make_fhm, make_nerm
 
@@ -389,13 +389,13 @@ def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contra
     test, rejected = max_test("BS", data, spec, fit, h, stepdown=True, **kw)
 
     draws = parametric_bootstrap(data, spec, fit, 150, 21)
-    scales = np.maximum(fit.scale, SCALE_FLOOR)
+    scales = fit.scale
     if A is None:
         single_cv = critical_value_bs(draws, 0.05)
     else:
         single_cv = critical_value_contrast(draws, A, 0.05)
-        scales = np.sqrt(np.maximum(scales**2 @ (A.T**2), SCALE_FLOOR**2))
-    t = np.abs(mu_hat - h) / np.maximum(scales, SCALE_FLOOR)
+        scales = np.sqrt(scales**2 @ (A.T**2))
+    t = np.abs(mu_hat - h) / floor_scales(scales)
     expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05, A=A), 0.05)
     np.testing.assert_array_equal(rejected, expected)
     np.testing.assert_array_equal(test.t, t)

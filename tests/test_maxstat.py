@@ -6,6 +6,7 @@ from spimax import maxstat
 from spimax.errors import ProviderInconsistent, ShapeMismatch
 from spimax.estimation import FitResult
 from spimax.model import VarianceComponents
+from spimax.util import SCALE_FLOOR, floor_scales
 
 
 def _fit(mu, scale):
@@ -29,10 +30,32 @@ def test_single_step_test_rejects_a_shape_mismatch():
 
 
 def test_single_step_test_floors_zero_scales():
+    # a zero scale is raised to SCALE_FLOOR times the largest scale
     c = maxstat.CriticalValue(value=2.0)
-    out = maxstat.single_step_test([1e-6], [0.0], [0.0], c)
-    assert np.isfinite(out.statistic) and out.statistic == 1e-6 / 1e-12
-    assert out.t.tolist() == [1e-6 / 1e-12]
+    out = maxstat.single_step_test([1e-6, 1.0], [0.0, 4.0], [0.0, 0.0], c)
+    assert np.isfinite(out.statistic) and out.statistic == 1e-6 / (SCALE_FLOOR * 4.0)
+    assert out.t.tolist() == [1e-6 / (SCALE_FLOOR * 4.0), 0.25]
+
+
+@pytest.mark.parametrize(
+    "scales", [[0.0, 0.0], [1.0, -1e-300], [1.0, np.nan], [np.inf, 1.0]],
+    ids=["all-zero", "negative", "nan", "inf"],
+)
+def test_single_step_test_rejects_scales_it_cannot_floor(scales):
+    c = maxstat.CriticalValue(value=2.0)
+    with pytest.raises(ShapeMismatch, match="scales"):
+        maxstat.single_step_test([1.0, 1.0], scales, [0.0, 0.0], c)
+    with pytest.raises(ShapeMismatch, match="scales"):
+        maxstat.build_spi(_fit([1.0, 1.0], scales), c)
+
+
+def test_the_floor_is_relative_to_the_largest_scale():
+    scale = np.array([3.0, 4e-12, 1e-13, 0.0])
+    floor = SCALE_FLOOR * 3.0
+    np.testing.assert_array_equal(floor_scales(scale), [3.0, 4e-12, floor, floor])
+    # so flooring commutes with a change of units (exactly, for powers of two)
+    for c in (2.0**-50, 2.0**40):
+        np.testing.assert_array_equal(floor_scales(scale * c), floor_scales(scale) * c)
 
 
 def test_single_step_test_t_is_the_floored_studentized_vector():
@@ -42,7 +65,7 @@ def test_single_step_test_t_is_the_floored_studentized_vector():
     scale[::7] = 0.0
     c = maxstat.CriticalValue(value=2.0)
     out = maxstat.single_step_test(mu, scale, h, c)
-    want = np.abs(mu - h) / np.maximum(scale, maxstat.SCALE_FLOOR)
+    want = np.abs(mu - h) / np.maximum(scale, SCALE_FLOOR * scale.max())
     assert np.array_equal(out.t, want)
     assert out.statistic == want.max()
     assert np.array_equal(out.decisions, want >= 2.0)

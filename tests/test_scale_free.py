@@ -197,11 +197,13 @@ def test_bootstrap_refits_at_large_units_take_no_fallback():
 
 
 @pytest.mark.parametrize("make", [make_nerm, make_fhm])
-@pytest.mark.parametrize("c", [2.0**-12, 2.0**15, 1e4, 2.0**-20])
+@pytest.mark.parametrize("c", [2.0**-12, 2.0**15, 1e4, 2.0**-20, 2.0**-50, 1e-15])
 def test_bootstrap_intervals_scale_with_the_data(make, c):
     # BS, MC and BO on an interior fit: at the variance floor, which acts in standardized
     # units, only power-of-two units give exact multiples.  At c = 2^-20
-    # theta and g1 lie below 1e-10 and 1e-12 in the units of the data.
+    # theta and g1 lie below 1e-10 and 1e-12 in the units of the data; at
+    # c = 2^-50 and 1e-15 every scale lies far below 1e-12, where only a
+    # scale floor relative to the scales themselves leaves them alone.
     base = make(D=20, sigma2_u=2.0, seed=4)[0]
     assert not fit_of(base)["boundary"][0]
     for method in ("BS", "MC", "BO"):

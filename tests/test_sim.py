@@ -155,6 +155,27 @@ def test_spi_criteria_recompute_from_samples():
         assert result.criteria[m]["ecp"] == cov.mean()
         assert result.criteria[m]["ws"] == w.mean()
         assert result.criteria[m]["vs"] == w.var(axis=0, ddof=1).mean()
+        # vs's sample is each replicate's share of it, and carries its half-width
+        z = result.samples[m]["vs"]
+        assert z.shape == (config.n_sim,)
+        assert np.isclose(z.mean(), result.criteria[m]["vs"], rtol=1e-12, atol=0)
+        assert result.halfwidths[m]["vs"] == 1.96 * z.std(ddof=1) / np.sqrt(config.n_sim)
+
+
+def test_vs_halfwidth_is_its_spread_over_independent_runs():
+    # in a balanced design every cluster has the same width within a
+    # replicate, so a spread over clusters would read about zero
+    runs = [
+        run_spi_experiment(small_config(n_sim=30, master_seed=seed), methods=("BO",))
+        for seed in range(1000, 1020)
+    ]
+    vs = np.array([r.criteria["BO"]["vs"] for r in runs])
+    # root mean square: a width variance is heavy-tailed, so a typical run's
+    # sample sd reads low
+    hw = np.array([r.halfwidths["BO"]["vs"] for r in runs])
+    sd_reported = np.sqrt(np.mean(hw**2)) / 1.96
+    assert sd_reported > 0
+    assert 1 / 3 < vs.std(ddof=1) / sd_reported < 3
 
 
 def test_spi_method_validation():
@@ -303,6 +324,8 @@ def test_failed_replicates_are_left_out(monkeypatch, kind):
     keep = [i for i in range(config.n_sim) if i not in failing]
     for m in result.methods:
         for name, values in result.samples[m].items():
+            if name == "vs":  # each value is centred by the mean of the surviving widths
+                continue
             np.testing.assert_array_equal(values, full.samples[m][name][keep])
 
 
