@@ -8,14 +8,18 @@ order statistics of row maxima of |S*| = |delta / sqrt(g1)|, derived on
 read: each reader builds it in one buffer of its own.
 
 The bootstrap is one loop over chunks of CHUNK replicates: each chunk
-draws and refits its own rows, so only one chunk of responses is held at
-a time.  Replicate b uses the generator derived from (master_seed, b); a
-chunk seeds all its replicate streams in one vectorized pass
-(util.replicate_rngs), identical draw for draw to derive_rng(master_seed,
-b).  A replicate's refit depends only on its own response: refitted alone
-it agrees with the batch result to rounding (matrix products round
-differently for other batch sizes).  The chunks run one after another in
-the calling thread; worker threads were measured to slow the refits down.
+draws and refits its own rows, so only one chunk of draws is held at a
+time.  A unit-level chunk c draws from the one generator
+derive_rng(master_seed, c), always a whole chunk's worth of numbers, of
+which a short last chunk uses the first rows.  An area-level replicate b
+draws from derive_rng(master_seed, b), all of a chunk's streams seeded in
+one vectorized pass (util.replicate_rngs).  So results depend only on
+(master_seed, index): they are the same at any worker count and, with
+CHUNK fixed, under any split of B.  A replicate's refit depends only on
+its own draws: refitted alone it agrees with the batch result to rounding
+(matrix products round differently for other batch sizes).  The chunks
+run one after another in the calling thread; worker threads were measured
+to slow the refits down.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, ShapeMismatch
-from .estimation import FitResult, batch_eblup, response_scale
+from .estimation import DrawnStatistics, FitResult, batch_eblup, response_scale, within_factor
 from .maxstat import CriticalValue
-from .model import BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
-from .util import check_seed, order_statistic, quantile_index, replicate_rngs
+from .model import NERM, BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
+from .util import check_seed, derive_rng, order_statistic, quantile_index, replicate_rngs
 
 # replicates are refitted in fixed-size batches; a constant size keeps the
 # rows of every whole chunk bit-identical whatever b_reps is
@@ -70,37 +74,63 @@ def parametric_bootstrap(
 ) -> BootstrapDraws:
     """Draw and refit b_reps synthetic datasets.
 
-    Replicate b draws u* and then one error per unit of y at its error
-    variance (model.error_variances: the estimated sigma2_e for unit-level
-    data, the known psi_d for area-level data), both from its own stream.
-    The replicate truth mu*_d = k_d' beta_hat + m_d u*_d keeps the original
-    coefficient estimate, and every replicate is refitted with the same
-    REML pipeline as the original fit; each chunk writes only its own rows
-    of the outputs.  Replicates whose refit lands on the variance floor
-    are kept; their g1 values are floored.
+    Replicate b draws u* and errors at their error variances (model.
+    error_variances: the estimated sigma2_e for unit-level data, the known
+    psi_d for area-level data).  An area-level replicate refits y* = X
+    beta_hat + u* + e.  A unit-level replicate is refitted from the
+    statistics the refit reads (estimation.DrawnStatistics), drawn without
+    its n errors: Z'e ~ N(0, sigma2_e diag n_d), X_w'e = sigma_e L z with
+    L L' = X_w'X_w (estimation.within_factor) and z ~ N(0, I_r), and the
+    within part of e'e as sigma2_e (|z|^2 + chi2_{n-D-r}), the
+    between/within split of the one-way model.  A unit-level chunk draws
+    one (CHUNK, 2D + r) normal block, u*, Z'e and z side by side, and then
+    CHUNK chi2 values.  The replicate truth mu*_d = k_d' beta_hat + m_d
+    u*_d keeps the original coefficient estimate, and every replicate is
+    refitted with the same REML pipeline as the original fit; each chunk
+    writes only its own rows of the outputs.  Replicates whose refit lands
+    on the variance floor are kept; their g1 values are floored.
     """
     check_spec(data, spec)
     check_seed(master_seed)
     if b_reps < 1:
         raise ShapeMismatch("need at least one bootstrap replicate")
-    D, n = data.D, data.n_total
+    D = data.D
     beta_hat = fit.beta_hat
-    xb = data.X @ beta_hat
     mu_fixed = beta_hat @ spec.k.T
     sigma_u = np.sqrt(fit.theta.sigma2_u)
-    error_sd = np.sqrt(error_variances(data, fit.theta))
-    reps = np.repeat(np.arange(D), data.sizes)
+    unit_level = data.model_tag == NERM
+    if unit_level:
+        sigma2_e = fit.theta.sigma2_e
+        Lt = np.sqrt(sigma2_e) * within_factor(data).T  # X_w'e = z @ Lt
+        chi2_dof = data.n_total - D - Lt.shape[0]
+        # the standard deviations of u* and Z'e, the block's first 2D columns
+        sd = np.concatenate([np.full(D, sigma_u), np.sqrt(sigma2_e * data.sizes)])
+        normals = np.empty((CHUNK, 2 * D + Lt.shape[0]))
+    else:
+        xb = data.X @ beta_hat
+        error_sd = np.sqrt(error_variances(data, fit.theta))
     g1_floor = G1_FLOOR * response_scale(data.y) ** 2
     delta = np.empty((b_reps, D))
     g1_star = np.empty((b_reps, D))
 
     def run_chunk(start: int) -> tuple[int, int]:
         m = min(CHUNK, b_reps - start)
-        u_star = np.empty((m, D))
-        Y = np.empty((m, n))
-        for i, rng in enumerate(replicate_rngs(master_seed, range(start, start + m))):
-            u_star[i] = sigma_u * rng.standard_normal(D)
-            Y[i] = xb + u_star[i][reps] + error_sd * rng.standard_normal(n)
+        if unit_level:
+            rng = derive_rng(master_seed, start // CHUNK)
+            rng.standard_normal(out=normals)
+            draw = normals[:m]
+            draw[:, : 2 * D] *= sd
+            u_star, ze, z = draw[:, :D], draw[:, D : 2 * D], draw[:, 2 * D :]
+            # a chi2 with no degrees of freedom is 0; numpy refuses to draw it
+            chi2 = rng.chisquare(chi2_dof, CHUNK)[:m] if chi2_dof else 0.0
+            ee_within = sigma2_e * (np.einsum("mi,mi->m", z, z) + chi2)
+            Y = DrawnStatistics(beta_hat, u_star, ze, z @ Lt, ee_within)
+        else:
+            u_star = np.empty((m, D))
+            Y = np.empty((m, D))
+            for i, rng in enumerate(replicate_rngs(master_seed, range(start, start + m))):
+                u_star[i] = sigma_u * rng.standard_normal(D)
+                Y[i] = xb + u_star[i] + error_sd * rng.standard_normal(D)
         res = batch_eblup(data, spec, Y)
         delta[start : start + m] = res["mu"] - (mu_fixed + spec.m * u_star)
         g1_star[start : start + m] = np.maximum(res["g1"], g1_floor)

@@ -76,6 +76,24 @@ class FitResult:
     loglik_restricted: float
 
 
+@dataclass(frozen=True)
+class DrawnStatistics:
+    """Unit-level responses y_i = X beta + Z u_i + e_i, given by what the refit reads.
+
+    All in the units of y: u (m, D) holds the random effects, ze (m, D) =
+    Z'e the cluster sums of the errors, xwe (m, p + 1) = X_w'e with X_w the
+    within-cluster-centred design, and ee_within (m,) the within-cluster
+    part of e'e, |e|^2 - sum_d ze_d^2 / n_d.  A bootstrap chunk draws these
+    directly instead of its (m, n) responses.
+    """
+
+    beta: np.ndarray
+    u: np.ndarray
+    ze: np.ndarray
+    xwe: np.ndarray
+    ee_within: np.ndarray
+
+
 # ======================================================================
 # batched likelihood cores
 # ======================================================================
@@ -116,7 +134,7 @@ class _Core:
         self.starts = np.concatenate([[0], np.cumsum(self.count)[:-1]])
         t_sorted = t[self.order]
         # T_g = sum over the clusters d of class g of t_d t_d', (G, q * q)
-        self.tt = np.add.reduceat(_outer_rows(t_sorted), self.starts, axis=0)
+        self.tt = self._class_sums(_outer_rows(t_sorted), axis=0)
         # the columns of t, class by class, to broadcast against (m, D): a
         # product whose inner axis runs over clusters is about twice as
         # fast as one whose inner axis runs over the q coefficients
@@ -142,12 +160,21 @@ class _Core:
         """
         Y = Y - self.shift
         s = self._cluster_sums(Y) / self.scale
+        return {**self._unweighted(Y), "s": s, "S": self._class_stats(s)}
+
+    def _class_sums(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """Sums of a's entries along axis (clusters in class order) within each weight class."""
+        if self.starts.size == self.label.size:
+            return a  # one cluster per class: a one-element sum is that element
+        return np.add.reduceat(a, self.starts, axis=axis)
+
+    def _class_stats(self, s: np.ndarray) -> np.ndarray:
+        """S_g = sum over the clusters d of class g of s_d (s_d, t_d'), (m, G, 1 + q)."""
         s_sorted = s[:, self.order]
         prod = np.empty((1 + self.q,) + s.shape)
         np.multiply(s_sorted, s_sorted, out=prod[0])
         np.multiply(s_sorted, self.t_columns, out=prod[1:])
-        S = np.add.reduceat(prod, self.starts, axis=2).transpose(1, 2, 0)
-        return {**self._unweighted(Y), "s": s, "S": np.ascontiguousarray(S)}
+        return np.ascontiguousarray(self._class_sums(prod, axis=2).transpose(1, 2, 0))
 
 
 # the statistics the Newton profile reads, none with an axis over clusters
@@ -258,6 +285,33 @@ class _NermCore(_Core):
 
     def _cluster_sums(self, Y):
         return np.add.reduceat(Y, self.offsets, axis=1)
+
+    def drawn_stats(self, draws: DrawnStatistics) -> dict:
+        """The statistics of stats for rows given by their drawn pieces, without forming Y.
+
+        In the core's units a row is X delta + Z u + e, with delta = beta /
+        scale - beta_ols and every piece divided by scale.  Then s = T delta
+        + n u + Z'e, X'y = X'X delta + T'u + T'(Z'e / n) + X_w'e, and y'y =
+        2 delta'X'y - delta'X'X delta + sum_d (n_d u_d + (Z'e)_d)^2 / n_d +
+        the within part of e'e, T holding the rows t_d.
+        """
+        inv = 1.0 / self.scale  # a power of two, so scaling by it is exact
+        delta = draws.beta * inv - self.beta_ols
+        gd = self.gram @ delta
+        xty = draws.u @ self.t
+        xty += draws.ze @ (self.t / self.sizes[:, None])
+        xty += draws.xwe
+        xty *= inv
+        xty += gd
+        # v = n u + Z'e, the cluster sums of Z u + e; s = T delta + v
+        v = np.multiply(draws.u, self.sizes)
+        v += draws.ze
+        v *= inv
+        yty = np.einsum("md,md,d->m", v, v, 1.0 / self.sizes)
+        yty += 2.0 * (xty @ delta) - delta @ gd
+        yty += draws.ee_within * inv**2
+        v += self.t @ delta
+        return {"xty": xty, "yty": yty, "s": v, "S": self._class_stats(v)}
 
     def _unweighted(self, Y):
         return {
@@ -398,14 +452,15 @@ def response_scale(y: np.ndarray) -> float:
     return math.ldexp(1.0, exp if frac >= math.sqrt(0.5) else exp - 1)
 
 
-def _standardize(data: BlockLmmData, Y: np.ndarray):
+def _standardize(data: BlockLmmData, Y):
     """Core and sufficient statistics of Y / s, where s is data's response scale.
 
     s comes from the dataset's own response, never from the rows of Y, so
-    every batch of bootstrap replicates is solved in the same units.
+    every batch of bootstrap replicates is solved in the same units.  Y is
+    a response matrix or DrawnStatistics.
     """
     core = _core_for(data, response_scale(data.y))
-    return core, core.stats(Y)
+    return core, core.drawn_stats(Y) if isinstance(Y, DrawnStatistics) else core.stats(Y)
 
 
 # ======================================================================
@@ -482,8 +537,11 @@ def _batch_reml(core, st, spec: MixedParameterSpec | None = None) -> dict:
     return out
 
 
-def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y: np.ndarray) -> dict:
+def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y) -> dict:
     """Run the full REML + BLUP pipeline on every row of Y at once.
+
+    Y is an (m, n) response matrix or, for unit-level data, DrawnStatistics
+    standing for one.
 
     Returns arrays keyed by name: theta (m, k), beta (m, p+1), u (m, D),
     mu (m, D), g1 (m, D), loglik (m,), plus bookkeeping masks `fallback`
@@ -495,10 +553,11 @@ def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y: np.ndarray) -> 
     layout of Y.
     """
     check_spec(data, spec)
-    # matrix products round by layout, so every Y is fitted in C order
-    Y = np.ascontiguousarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != data.n_total:
-        raise ShapeMismatch(f"Y must be (m, {data.n_total}), got {Y.shape}")
+    if not isinstance(Y, DrawnStatistics):
+        # matrix products round by layout, so every Y is fitted in C order
+        Y = np.ascontiguousarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != data.n_total:
+            raise ShapeMismatch(f"Y must be (m, {data.n_total}), got {Y.shape}")
     return _batch_reml(*_standardize(data, Y), spec)
 
 
@@ -527,20 +586,27 @@ def restricted_loglik(data: BlockLmmData, theta: VarianceComponents) -> float:
     return float(fit["loglik"][0])
 
 
-def _within_dof(data: BlockLmmData) -> int:
-    """sigma2_e's degrees of freedom: n - D - rank of the centred slope columns.
+def within_factor(data: BlockLmmData) -> np.ndarray:
+    """L with L L' = X_w'X_w, shape (p + 1, r), X_w the within-cluster-centred design.
 
-    The rank is at most p, so it is computed only when it decides the sign.
+    r is the rank of X_w, from one SVD of the centred slope columns (the
+    intercept centres to zero, so L's first row is zero).  Singular values
+    up to a tolerance relative to the slopes count as zero: relative to X,
+    not to the centred columns, which may hold only rounding.
     """
-    within = data.n_total - data.D
-    if within > data.p:
-        return within - data.p
     slopes = data.X[:, 1:]
     means = np.add.reduceat(slopes, data.offsets, axis=0) / data.sizes[:, None]
     centred = slopes - np.repeat(means, data.sizes, axis=0)
-    # relative to X, not to the centred columns, which may hold only rounding
-    tol = np.linalg.norm(slopes) * max(slopes.shape) * np.finfo(float).eps
-    return within - int(np.linalg.matrix_rank(centred, tol=tol))
+    _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+    keep = sv > np.linalg.norm(slopes) * max(slopes.shape) * np.finfo(float).eps
+    L = np.zeros((data.p + 1, int(keep.sum())))
+    L[1:] = vt[keep].T * sv[keep]
+    return L
+
+
+def _within_dof(data: BlockLmmData) -> int:
+    """sigma2_e's degrees of freedom: n - D - rank of the centred slope columns."""
+    return data.n_total - data.D - within_factor(data).shape[1]
 
 
 def _fit_single(data: BlockLmmData, spec: MixedParameterSpec) -> dict:

@@ -24,12 +24,14 @@ def check_seed(master_seed: int) -> int:
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for a (replicate, purpose, ...) path.
+    """Independent generator for an (index, purpose, ...) path.
 
     Streams derived from the same master seed but different paths are
     statistically independent, and the derivation does not depend on how
-    work is chunked or scheduled.  This is what makes every bootstrap /
-    simulation result reproducible from (master_seed, index) alone.
+    work is scheduled.  Each unit-level bootstrap chunk, area-level
+    bootstrap replicate, MC draw chunk and simulation replicate draws from
+    the stream of its own index, which is what makes every result
+    reproducible from (master_seed, index) alone, at any worker count.
     """
     seq = np.random.SeedSequence(check_seed(master_seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(seq)

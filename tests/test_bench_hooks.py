@@ -27,7 +27,7 @@ from spimax.dataio import export_unit_csv
 from spimax.estimation import batch_eblup, eblup
 from spimax.mc import DRAW_CHUNK, build_joint_normal
 from spimax.model import cluster_mean_spec
-from spimax.util import derive_rng, replicate_rngs
+from spimax.util import derive_rng
 
 from conftest import make_fhm, make_nerm
 
@@ -117,7 +117,7 @@ def test_refits_expose_the_counted_masks_and_counts():
 def test_the_bootstrap_draw_stays_in_its_own_span(tmp_path, monkeypatch):
     # bootstrap.draw_s_per_rep is the self time of parametric_bootstrap, so a
     # call per replicate into another module would move the draw out of it;
-    # the replicate streams are seeded by util, which the tracer only counts
+    # the chunk streams are seeded by util, which the tracer only counts
     data = make_nerm(D=8, n_d=4, seed=2)[0]
     csv_path, spans_path = tmp_path / "unit.csv", tmp_path / "spans.json"
     csv_path.write_text(export_unit_csv(data))
@@ -136,20 +136,18 @@ def test_the_bootstrap_draw_stays_in_its_own_span(tmp_path, monkeypatch):
     assert children["estimation.batch_eblup"] == chunks
     assert max(children.values()) <= chunks, children
 
-    # the chunk streams are the per-replicate streams derive_rng(seed, b)
-    seen = []
+    # chunk c draws from the one stream derive_rng(seed, c)
+    paths = []
 
-    def checked_streams(master_seed, keys):
-        keys = list(keys)
-        for b, rng in zip(keys, replicate_rngs(master_seed, keys), strict=True):
-            assert rng.bit_generator.state == derive_rng(master_seed, b).bit_generator.state, b
-            seen.append(b)
-            yield rng
+    def recorded_rng(master_seed, *path):
+        paths.append((master_seed, *path))
+        return derive_rng(master_seed, *path)
 
-    monkeypatch.setattr(bootstrap, "replicate_rngs", checked_streams)
+    monkeypatch.setattr(bootstrap, "derive_rng", recorded_rng)
     spec = cluster_mean_spec(data)
-    parametric_bootstrap(data, spec, eblup(data, spec), b_reps, master_seed=2**40 + 3)
-    assert seen == list(range(b_reps))
+    master_seed = 2**40 + 3
+    parametric_bootstrap(data, spec, eblup(data, spec), b_reps, master_seed)
+    assert paths == [(master_seed, c) for c in range(chunks)]
 
 
 def test_mc_workers_open_no_span(tmp_path):

@@ -1,5 +1,7 @@
+import math
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from spimax import bootstrap as boot
 from spimax import estimation as est
 from spimax.errors import EmptySubset, SeedOverflow, ShapeMismatch
 from spimax.maxstat import step_down_test
-from spimax.model import cluster_mean_spec
+from spimax.model import NERM, BlockLmmData, VarianceComponents, cluster_mean_spec
 from spimax.util import MAX_SEED, order_statistic, quantile_index, replicate_rngs
 
 from conftest import make_fhm, make_nerm
@@ -58,8 +60,10 @@ def test_bootstrap_deterministic_and_prefix_stable(nerm_setup, fhm_setup):
         d = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=100)
         assert not np.array_equal(_s(a), _s(d))
 
-        # one stream per replicate: fewer replicates give a prefix of the rows,
-        # bit for bit over whole chunks, to rounding in a shorter last chunk
+        # one stream per chunk (unit-level) or per replicate (area-level), a
+        # chunk's stream always drawn in full: fewer replicates give a prefix
+        # of the rows, bit for bit over whole chunks, to rounding in a shorter
+        # last chunk
         head = boot.parametric_bootstrap(data, spec, fit, 256, master_seed=99)
         short = boot.parametric_bootstrap(data, spec, fit, 130, master_seed=99)
         heads, shorts = _arrays(head), _arrays(short)
@@ -361,3 +365,85 @@ def test_bootstrap_speed(nerm_setup):
     elapsed = time.perf_counter() - t0
     # the simulation harness runs hundreds of these
     assert elapsed < 2.0
+
+
+def _recorded_draws(monkeypatch, data, spec, fit, b_reps, seed):
+    """parametric_bootstrap's draws, each chunk's copied out, with a stand-in for the refit."""
+    drawn = []
+
+    def stand_in(data, spec, Y):
+        # the draws are views of a buffer that the next chunk overwrites
+        drawn.append({f.name: np.array(getattr(Y, f.name)) for f in fields(Y)})
+        m = Y.u.shape[0]
+        zeros = np.zeros(m, dtype=bool)
+        return {"mu": np.zeros((m, data.D)), "g1": np.ones((m, data.D)),
+                "fallback": zeros, "boundary": zeros}
+
+    monkeypatch.setattr(boot, "batch_eblup", stand_in)
+    boot.parametric_bootstrap(data, spec, fit, b_reps, master_seed=seed)
+    return {key: np.concatenate([d[key] for d in drawn]) for key in drawn[0] if key != "beta"}
+
+
+def _within_design(data):
+    means = np.add.reduceat(data.X, data.offsets, axis=0) / data.sizes[:, None]
+    return data.X - np.repeat(means, data.sizes, axis=0)
+
+
+def test_drawn_statistics_have_the_moments_of_explicit_errors(monkeypatch):
+    # with e ~ N(0, se I) explicit, Z'e ~ N(0, se diag n), X_w'e ~ N(0, se
+    # X_w'X_w) independent of it, and the within part of e'e less |P_w e|^2
+    # is se chi2_{n-D-r}: the drawn pieces must have the same moments
+    data = make_nerm(D=6, n_d=4, p=2, seed=9, unbalanced=True)[0]
+    spec = cluster_mean_spec(data)
+    fit = est.eblup(data, spec)
+    su, se = fit.theta.sigma2_u, fit.theta.sigma2_e
+    B = 6000
+    drawn = _recorded_draws(monkeypatch, data, spec, fit, B, seed=21)
+    Xw = _within_design(data)
+    gram_w = Xw.T @ Xw
+    r = np.linalg.matrix_rank(gram_w)
+    assert r == est.within_factor(data).shape[1] == data.p
+    assert np.all(drawn["xwe"][:, 0] == 0.0)  # the intercept centres to zero
+
+    # joint covariance of (u*, Z'e, X_w'e slopes) against the explicit one
+    pieces = np.hstack([drawn["u"], drawn["ze"], drawn["xwe"][:, 1:]])
+    cov = np.zeros((pieces.shape[1],) * 2)
+    D = data.D
+    cov[:D, :D] = su * np.eye(D)
+    cov[D : 2 * D, D : 2 * D] = se * np.diag(data.sizes)
+    cov[2 * D :, 2 * D :] = se * gram_w[1:, 1:]
+    var = np.diag(cov)
+    assert np.all(np.abs(pieces.mean(axis=0)) <= 4.5 * np.sqrt(var / B))
+    sample = pieces.T @ pieces / B
+    se_cov = np.sqrt((np.outer(var, var) + cov**2) / B)
+    assert np.all(np.abs(sample - cov) <= 4.5 * se_cov)
+
+    # what is left of e'e after the projection on X_w is se chi2_{n-D-r}
+    proj = np.einsum("mi,ij,mj->m", drawn["xwe"], np.linalg.pinv(gram_w), drawn["xwe"])
+    chi2 = (drawn["ee_within"] - proj) / se
+    dof = data.n_total - D - r
+    assert abs(chi2.mean() - dof) <= 4.5 * math.sqrt(2 * dof / B)
+    # the sample variance of chi2_k draws has variance 8 k (k + 6) / B
+    assert abs(chi2.var() - 2 * dof) <= 4.5 * math.sqrt(8 * dof * (dof + 6) / B)
+
+
+def test_bootstrap_draws_without_chi2_degrees_of_freedom(monkeypatch):
+    # singletons plus one pair whose one within dof goes to the slope: eblup
+    # refuses this layout, fit_gls_blup does not, and n - D - r = 0, where
+    # numpy refuses to draw a chi2
+    sizes = [1] * 20 + [2]
+    rng = np.random.default_rng(5)
+    n = sum(sizes)
+    X = np.column_stack([np.ones(n), rng.uniform(0, 1, n)])
+    y = X.sum(axis=1) + np.repeat(rng.normal(size=len(sizes)), sizes) + rng.normal(0, 0.7, n)
+    data = BlockLmmData(NERM, tuple(range(len(sizes))), sizes, y, X)
+    assert data.n_total - data.D - est.within_factor(data).shape[1] == 0
+    spec = cluster_mean_spec(data)
+    fit = est.fit_gls_blup(data, spec, VarianceComponents(sigma2_u=1.0, sigma2_e=0.5))
+    drawn = _recorded_draws(monkeypatch, data, spec, fit, 200, seed=3)
+    assert drawn["u"].shape == (200, data.D)
+    # no chi2: the within part of e'e is exactly |P_w e|^2 = se |z|^2
+    Xw = _within_design(data)
+    proj = np.einsum("mi,ij,mj->m", drawn["xwe"], np.linalg.pinv(Xw.T @ Xw), drawn["xwe"])
+    assert np.all(drawn["ee_within"] > 0.0)
+    assert_allclose(drawn["ee_within"], proj, rtol=1e-12)

@@ -607,3 +607,84 @@ def test_restricted_loglik_matches_the_dense_oracle_where_it_cancels_to_zero():
         assert abs(want) < 1e-11
         assert_allclose(est.restricted_loglik(data, theta), want,
                         rtol=0, atol=_loglik_atol(data, theta, 1e-10))
+
+
+# ----------------------------------------------------------------------
+# bootstrap rows given as drawn sufficient statistics
+# ----------------------------------------------------------------------
+
+def explicit_draws(data, beta, u, e):
+    """DrawnStatistics of the responses X beta + Z u + e, and those responses."""
+    ze = np.add.reduceat(e, data.offsets, axis=1)
+    means = np.add.reduceat(data.X, data.offsets, axis=0) / data.sizes[:, None]
+    Xw = data.X - np.repeat(means, data.sizes, axis=0)
+    ee_within = np.einsum("mi,mi->m", e, e) - (ze**2 / data.sizes).sum(axis=1)
+    Y = data.X @ beta + np.repeat(u, data.sizes, axis=1) + e
+    return est.DrawnStatistics(beta, u, ze, e @ Xw, ee_within), Y
+
+
+def _shifted(data, c):
+    return replace_response(data, data.y + c)
+
+
+def _constant_within_layout():
+    # slope 0 constant within clusters, so r = p - 1 (tests/test_layouts.py)
+    from test_layouts import _unit_layout
+
+    return _unit_layout([3, 4, 1, 2, 5, 1, 6, 2, 2, 3] * 3, 3, True, 11)
+
+
+DRAWN_LAYOUTS = {
+    "desk-like": lambda: make_nerm(D=300, n_d=5, p=2, seed=1801)[0],
+    "desk-like+1e6": lambda: _shifted(make_nerm(D=300, n_d=5, p=2, seed=1801)[0], 1e6),
+    "r<p": _constant_within_layout,
+    "n-D-r=0": lambda: _unit_data([1] * 20 + [2], seed=5),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(DRAWN_LAYOUTS))
+def test_drawn_statistics_equal_the_statistics_of_the_response(layout):
+    data = DRAWN_LAYOUTS[layout]()
+    if layout == "r<p":
+        assert est.within_factor(data).shape[1] == data.p - 1
+    spec = cluster_mean_spec(data)
+    theta = VarianceComponents(sigma2_u=1.0, sigma2_e=0.5)
+    beta = est.fit_gls_blup(data, spec, theta).beta_hat
+    rng = np.random.default_rng(7)
+    m = 9
+    u = rng.normal(0.0, 1.0, (m, data.D))
+    e = rng.normal(0.0, math.sqrt(0.5), (m, data.n_total))
+    draws, Y = explicit_draws(data, beta, u, e)
+    core, got = est._standardize(data, draws)
+    want = core.stats(Y)
+    # The reference forms Y at the magnitude of the data, which rounds to a
+    # few ulps of |Y|; so both sides agree to 1e-12 of the statistics of
+    # |Y|.  Off the shift those are the size of the statistics themselves.
+    ay = np.abs(Y) / core.scale
+    yc = Y / core.scale - data.X @ core.beta_ols
+    size_s = np.add.reduceat(ay, data.offsets, axis=1).max()
+    size = {
+        "s": size_s,
+        "xty": (ay @ np.abs(data.X)).max(),
+        "yty": (ay * np.abs(yc)).sum(axis=1).max(),
+        "S": data.D * (np.abs(want["s"]).max() + np.abs(core.t).max()) * size_s,
+    }
+    for key, tol in size.items():
+        assert got[key].shape == want[key].shape, key
+        assert_allclose(got[key], want[key], rtol=0, atol=1e-12 * tol, err_msg=key)
+
+
+def test_one_cluster_per_class_skips_the_class_sums_bit_for_bit():
+    # distinct error variances: every weight class holds one cluster
+    data = make_fhm(D=60, p=2, seed=12)[0]
+    core = est._core_for(data, 1.0)
+    assert core.starts.size == data.D
+    t_sorted = core.t[core.order]
+    tt = np.add.reduceat(est._outer_rows(t_sorted), core.starts, axis=0)
+    assert core.tt.tobytes() == tt.tobytes()
+    Y = data.y + np.random.default_rng(3).normal(0.0, 1.0, (17, data.D))
+    st = core.stats(Y)
+    s_sorted = st["s"][:, core.order]
+    prod = np.stack([s_sorted * s_sorted, *(s_sorted * core.t_columns)])
+    S = np.add.reduceat(prod, core.starts, axis=2).transpose(1, 2, 0)
+    assert st["S"].tobytes() == np.ascontiguousarray(S).tobytes()
