@@ -14,14 +14,21 @@ Lc Lc' = S^-1 the lower-triangular arrow
 
     F = [[Lc, 0], [-Lambda^-1 B Lc, Lambda^-1/2]]
 
-satisfies F F' = K^-1.  Building F costs O(D q^2), one draw costs O(D q),
-and no (q + D)-square array is ever formed.
+satisfies F F' = K^-1.  Building F costs O(D q^2), and no (q + D)-square
+array is ever formed.  A draw of the maximum over the D mixed parameters
+costs O(q) plus the entries of its cluster noise that can reach a
+censoring threshold, about one per draw when the components are nearly
+independent, and a completion pass draws the rest only when the quantile
+falls below that threshold (critical_value_mc).  A draw through a dense
+contrast of R rows costs O(R (D + q)).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +42,15 @@ from .model import (
     check_contrast,
     error_variances,
 )
-from .util import check_seed, derive_rng, floor_scales, order_statistic, quantile_index
+from .util import (
+    check_alpha,
+    check_seed,
+    derive_rng,
+    floor_scales,
+    normal_quantile,
+    order_statistic,
+    quantile_index,
+)
 
 # draws are generated in fixed-size chunks with per-chunk derived streams,
 # so the merged result is invariant to the worker count
@@ -43,6 +58,15 @@ DRAW_CHUNK = 8192
 # a chunk draws blocks of about this many normals (512 KiB), so a block and
 # its products stay in cache and memory does not grow with D
 BLOCK_NUMBERS = 2**16
+# the censoring threshold tau is set so that independent components with
+# every w at its smallest would all stay below it with probability
+# CENSOR_LEVEL; a chunk whose entries would pass its cut-off s with a
+# larger probability than DENSE_SHARE draws all of them
+CENSOR_LEVEL = 0.4
+DENSE_SHARE = 0.2
+# tail entries are sampled about this many at a time; each one carries
+# some eight numbers of working arrays, so this matches one block
+TAIL_ENTRIES = BLOCK_NUMBERS // 8
 
 ARROW_KINDS = ("symmetric", "lower", "gram")
 
@@ -173,6 +197,164 @@ def _row_norms(mq, mw):
     return np.sqrt(np.einsum("ri,ri->r", mq, mq) + u_part)
 
 
+def _studentized(mq, mw):
+    """(mq, mw) with each row divided by its floored model-implied scale."""
+    scales = floor_scales(_row_norms(mq, mw))
+    return mq / scales[:, None], mw / (scales if mw.ndim == 1 else scales[:, None])
+
+
+class _ColumnDraw:
+    """Rows t_r = mq_r' z_q + w_r z_{c(r)} read from one draw z = (z_q, z_u), z_u of length D.
+
+    mq and w are the studentized rows.  Row r reads column cols[r] of z_u
+    (row d reads column d if cols is None), and no two rows read the same
+    column: rows_of[d] is the row that reads column d, or -1.
+
+    A chunk draws the z_q of all its draws first.  With b = |z_q| @ bound_q
+    bounding every |mq_r' z_q| of a draw, an entry of z_u with
+    |z| <= s = (tau - max b) / w_max leaves each |t_r| it feeds at or below
+    tau.  So the chunk samples only its entries with |z| > s, each one in
+    that tail with probability p = erfc(s / sqrt 2), and records per draw
+    the largest |t_r| they feed: that is the draw's maximum wherever it
+    exceeds tau (to rounding, as completion sums t_r in another order).
+    Completion draws the other entries, |z| <= s, from a stream of its own,
+    which gives every draw its exact maximum.  A chunk with p > DENSE_SHARE,
+    or any chunk once tau <= 0, draws all of z_u.  Dense and completed
+    draws go in blocks of `block` draws, tail entries about TAIL_ENTRIES at
+    a time.
+
+    tau and the bounds come from the plain rows (plain_mq, plain_w), one
+    per column, joined with the rows read, so a selection of the plain rows
+    shares tau, s and so its draws with the plain draw.  tau does not depend
+    on alpha.  By Anderson's inequality, P(max_d |t_d| <= tau) is at most
+    P(|Z| <= tau / min |w|)^D = CENSOR_LEVEL for the plain rows.
+    """
+
+    def __init__(self, mq, w, plain_mq, plain_w, cols, block):
+        D = plain_w.shape[0]
+        self.mq, self.w, self.cols, self.block = mq, w, cols, block
+        self.rows_of = np.arange(D)
+        if cols is not None:
+            self.rows_of = np.full(D, -1)
+            self.rows_of[cols] = np.arange(cols.size)
+        self.bound_q = np.maximum(np.abs(plain_mq).max(axis=0), np.abs(mq).max(axis=0))
+        self.w_max = float(max(np.abs(plain_w).max(), np.abs(w).max()))
+        tail = -math.expm1(math.log(CENSOR_LEVEL) / D) / 2.0
+        self.tau = -float(np.abs(plain_w).min() * normal_quantile(tail))
+
+    def dense_max(self, zq, zu, out):
+        t = zu if self.cols is None else zu[:, self.cols]
+        t *= self.w
+        t += zq @ self.mq.T
+        np.abs(t, out=t)
+        t.max(axis=1, out=out)
+
+    def tail_max(self, zq, pos, z, out):
+        """Per draw, the largest |t_r| fed by the entries z at flat positions pos; 0 if none."""
+        i, r = np.divmod(pos, self.rows_of.size)
+        if self.cols is not None:
+            # keep the entries of columns that some row reads, as row numbers
+            r = self.rows_of.take(r)
+            read = np.flatnonzero(r >= 0)
+            i, r, z = i.take(read), r.take(read), z.take(read)
+        # summed column by column, so no (entries x q) array is gathered
+        t = self.w.take(r)
+        t *= z
+        for j in range(zq.shape[1]):
+            t += zq[:, j].take(i) * self.mq[:, j].take(r)
+        out[:] = 0.0
+        np.maximum.at(out, i, np.abs(t, out=t))
+
+    def chunk_max(self, rng, body_rng, out):
+        """Maxima of one chunk of draws into out; True if they are exact only above tau.
+
+        With a body stream every maximum is exact.
+        """
+        n, D = out.size, self.rows_of.size
+        zq = rng.standard_normal((n, self.mq.shape[1]))
+        # s is cut a relative 1e-9 below its bound, so rounding in t cannot
+        # lift an entry that was not sampled above tau
+        cut = self.tau * (1.0 - 1e-9) - (np.abs(zq) @ self.bound_q).max()
+        s = cut / self.w_max if self.tau > 0 else 0.0
+        p = math.erfc(s / math.sqrt(2.0))
+        if p > DENSE_SHARE:
+            for lo in range(0, n, self.block):
+                hi = min(lo + self.block, n)
+                self.dense_max(zq[lo:hi], rng.standard_normal((hi - lo, D)), out[lo:hi])
+            return False
+        step = max(1, int(TAIL_ENTRIES / (D * p)))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            pos = _tail_positions(rng, (hi - lo) * D, p)
+            z = _tail_normals(rng, s, pos.size)
+            if body_rng is None:
+                self.tail_max(zq[lo:hi], pos, z, out[lo:hi])
+                continue
+            for a in range(lo, hi, self.block):
+                b = min(a + self.block, hi)
+                zu = _body_normals(body_rng, s, (b - a, D))
+                first, last = np.searchsorted(pos, ((a - lo) * D, (b - lo) * D))
+                zu.ravel()[pos[first:last] - (a - lo) * D] = z[first:last]
+                self.dense_max(zq[a:b], zu, out[a:b])
+        return body_rng is None
+
+
+def _tail_positions(rng, n, p):
+    """Sorted positions in range(n), each one taken independently with probability p.
+
+    The gaps between taken positions are geometric; they are drawn in
+    batches large enough to pass n in one batch nearly always.
+    """
+    batch = int(n * p + 4.0 * math.sqrt(n * p)) + 16
+    pos = np.cumsum(rng.geometric(p, batch)) - 1
+    while pos[-1] < n:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, batch))])
+    return pos[: np.searchsorted(pos, n)]
+
+
+def _tail_normals(rng, s, n):
+    """n standard normals conditioned on |Z| > s > 0.
+
+    |Z| comes from Robert's (1995) translated-exponential proposal with the
+    optimal rate, accepted with probability exp(-(x - rate)^2 / 2); the sign
+    is drawn after.
+    """
+    rate = 0.5 * (s + math.sqrt(s * s + 4.0))
+    out = np.empty(n)
+    done = 0
+    while done < n:
+        x = s + rng.standard_exponential(n - done) / rate
+        x = x[rng.random(n - done) <= np.exp(-0.5 * (x - rate) ** 2)]
+        out[done : done + x.size] = x
+        done += x.size
+    out[rng.random(n) < 0.5] *= -1.0
+    return out
+
+
+def _body_normals(rng, s, shape):
+    """Standard normals of the given shape conditioned on |Z| <= s, by redrawing the rest."""
+    z = rng.standard_normal(shape)
+    flat = z.ravel()
+    redraw = np.flatnonzero((flat > s) | (flat < -s))
+    while redraw.size:
+        flat[redraw] = rng.standard_normal(redraw.size)
+        redraw = redraw[np.abs(flat[redraw]) > s]
+    return z
+
+
+def _dense_contrast_max(mq, mw, block, rng, body_rng, out):
+    """Maxima of one chunk of draws through a dense contrast (R x D block mw); all exact: False."""
+    q = mq.shape[1]
+    for lo in range(0, out.size, block):
+        hi = min(lo + block, out.size)
+        z = rng.standard_normal((hi - lo, q + mw.shape[1]))
+        t = z[:, q:] @ mw.T
+        t += z[:, :q] @ mq.T
+        np.abs(t, out=t)
+        t.max(axis=1, out=out[lo:hi])
+    return False
+
+
 def critical_value_mc(
     model: JointNormalModel,
     spec: MixedParameterSpec,
@@ -188,45 +370,65 @@ def critical_value_mc(
     matrix to calibrate linear combinations A mu.
 
     Chunk c of DRAW_CHUNK draws continues one stream from (master_seed, c)
-    in blocks of BLOCK_NUMBERS normals.  Chunks run on up to one thread per
-    usable CPU and write only their own maxima, so that count moves no bit.
+    in blocks of at most BLOCK_NUMBERS normals.  Without a contrast, or with
+    one whose every row has a single non-zero entry, each in a column of its
+    own (a selection of the mixed parameters), a chunk draws only the
+    entries of z_u that can reach the censoring threshold tau (see
+    _ColumnDraw); any other contrast draws every entry.  When the order
+    statistic lies at or below tau, every chunk that censored is drawn
+    again and completed from the stream (master_seed, c, 1), so the result
+    is exact in law either way.  tau does not depend on alpha, so all alphas
+    share the same draws.  Chunks run on up to one thread per usable CPU and
+    write only their own maxima, so that count moves no bit.
     """
+    check_alpha(alpha)
     check_seed(master_seed)
     if k_draws < 1:
         raise ShapeMismatch("need at least one draw")
-    mq, mw = _mapped_factor(model, spec, contrast)
-    scales = floor_scales(_row_norms(mq, mw))
-    # studentize the mapped factor once instead of every draw
-    mq = mq / scales[:, None]
-    mw = mw / (scales if mw.ndim == 1 else scales[:, None])
-    q, D = mq.shape[1], model.cov_factor.diag.shape[0]
+    mq, w = _mapped_factor(model, spec, None)
+    plain_mq, plain_w = _studentized(mq, w)
+    q, D = mq.shape[1], w.shape[0]
     block = max(1, BLOCK_NUMBERS // (q + D))
-    maxima = np.empty(k_draws)
-
-    def chunk_max(i: int) -> None:
-        rng = derive_rng(master_seed, i)
-        end = min((i + 1) * DRAW_CHUNK, k_draws)
-        for lo in range(i * DRAW_CHUNK, end, block):
-            hi = min(lo + block, end)
-            # white noise for (beta, u); F maps it to phi_hat - phi
-            z = rng.standard_normal((hi - lo, q + D))
-            zq, zu = z[:, :q], z[:, q:]
-            if mw.ndim == 1:
-                zu *= mw
-                t = zu
-            else:
-                t = zu @ mw.T
-            t += zq @ mq.T
-            np.abs(t, out=t)
-            t.max(axis=1, out=maxima[lo:hi])
-
-    n_chunks = (k_draws + DRAW_CHUNK - 1) // DRAW_CHUNK
-    workers = min(n_chunks, util.usable_cpus())
-    if workers == 1:
-        for i in range(n_chunks):
-            chunk_max(i)
+    draw = None
+    if contrast is None:
+        draw = _ColumnDraw(plain_mq, plain_w, plain_mq, plain_w, None, block)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(chunk_max, range(n_chunks)))
-    value = order_statistic(maxima, quantile_index(k_draws, alpha))
+        contrast = check_contrast(contrast, D)
+        hits = contrast != 0
+        cols = hits.argmax(axis=1)
+        if np.all(hits.sum(axis=1) == 1) and np.unique(cols).size == cols.size:
+            # a selection: row r reads column cols[r] of the plain draw
+            a = contrast[np.arange(cols.size), cols]
+            sel_mq, sel_w = _studentized(a[:, None] * mq[cols], a * w[cols])
+            draw = _ColumnDraw(sel_mq, sel_w, plain_mq, plain_w, cols, block)
+    if draw is None:
+        dense = _studentized(*_mapped_factor(model, spec, contrast))
+        chunk_fn = partial(_dense_contrast_max, *dense, block)
+        tau = -math.inf
+    else:
+        chunk_fn, tau = draw.chunk_max, draw.tau
+    maxima = np.empty(k_draws)
+    n_chunks = (k_draws + DRAW_CHUNK - 1) // DRAW_CHUNK
+    censored = np.zeros(n_chunks, dtype=bool)
+
+    def chunk_max(i: int, complete: bool) -> None:
+        rng = derive_rng(master_seed, i)
+        body_rng = derive_rng(master_seed, i, 1) if complete else None
+        censored[i] = chunk_fn(rng, body_rng, maxima[i * DRAW_CHUNK : (i + 1) * DRAW_CHUNK])
+
+    def run_chunks(chunks, complete: bool) -> None:
+        workers = min(len(chunks), util.usable_cpus())
+        if workers == 1:
+            for i in chunks:
+                chunk_max(i, complete)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(partial(chunk_max, complete=complete), chunks))
+
+    k = quantile_index(k_draws, alpha)
+    run_chunks(range(n_chunks), complete=False)
+    value = order_statistic(maxima, k)
+    if value <= tau and censored.any():
+        run_chunks(np.flatnonzero(censored), complete=True)
+        value = order_statistic(maxima, k)
     return CriticalValue(value=value)

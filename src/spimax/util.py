@@ -31,7 +31,9 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     work is scheduled.  Each unit-level bootstrap chunk, area-level
     bootstrap replicate, MC draw chunk and simulation replicate draws from
     the stream of its own index, which is what makes every result
-    reproducible from (master_seed, index) alone, at any worker count.
+    reproducible from (master_seed, index) alone, at any worker count.  An
+    MC chunk c that is completed draws the rest of its noise from
+    (master_seed, c, 1).
     """
     seq = np.random.SeedSequence(check_seed(master_seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(seq)

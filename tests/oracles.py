@@ -136,6 +136,13 @@ def max_abs_normal_quantile(D, alpha):
     return float(stats.norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / D))))
 
 
+def max_abs_normal_quantile_se(D, alpha, k_draws):
+    """Asymptotic standard error of the (1 - alpha) sample quantile of k_draws such maxima."""
+    c = max_abs_normal_quantile(D, alpha)
+    density = 2.0 * D * stats.norm.pdf(c) * (2.0 * stats.norm.cdf(c) - 1.0) ** (D - 1)
+    return math.sqrt(alpha * (1.0 - alpha) / k_draws) / density
+
+
 def tube_p1_closed_form(alpha, kappa0, nu, xi0=1.0):
     """Inverse of the leading p=1 tube term when the corrections vanish."""
     return math.sqrt(nu * ((kappa0 / (math.pi * alpha)) ** (2.0 / nu) - 1.0)) / xi0
