@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, ShapeMismatch
-from .estimation import DrawnStatistics, FitResult, batch_eblup, response_scale, within_factor
+from .estimation import DrawnStatistics, FitResult, batch_eblup, response_scale, within_dof
 from .maxstat import CriticalValue
 from .model import NERM, BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
 from .util import check_seed, derive_rng, order_statistic, quantile_index, replicate_rngs
@@ -88,7 +88,9 @@ def parametric_bootstrap(
     u*_d keeps the original coefficient estimate, and every replicate is
     refitted with the same REML pipeline as the original fit; each chunk
     writes only its own rows of the outputs.  Replicates whose refit lands
-    on the variance floor are kept; their g1 values are floored.
+    on the variance floor are kept; their g1 values are floored.  Unit-level
+    data with n - D - r <= 0 hold no information on sigma2_e and raise
+    DegenerateData (estimation.within_dof) before any draw.
     """
     check_spec(data, spec)
     check_seed(master_seed)
@@ -100,9 +102,9 @@ def parametric_bootstrap(
     sigma_u = np.sqrt(fit.theta.sigma2_u)
     unit_level = data.model_tag == NERM
     if unit_level:
+        L, chi2_dof = within_dof(data)
         sigma2_e = fit.theta.sigma2_e
-        Lt = np.sqrt(sigma2_e) * within_factor(data).T  # X_w'e = z @ Lt
-        chi2_dof = data.n_total - D - Lt.shape[0]
+        Lt = np.sqrt(sigma2_e) * L.T  # X_w'e = z @ Lt
         # the standard deviations of u* and Z'e, the block's first 2D columns
         sd = np.concatenate([np.full(D, sigma_u), np.sqrt(sigma2_e * data.sizes)])
         normals = np.empty((CHUNK, 2 * D + Lt.shape[0]))
@@ -121,8 +123,7 @@ def parametric_bootstrap(
             draw = normals[:m]
             draw[:, : 2 * D] *= sd
             u_star, ze, z = draw[:, :D], draw[:, D : 2 * D], draw[:, 2 * D :]
-            # a chi2 with no degrees of freedom is 0; numpy refuses to draw it
-            chi2 = rng.chisquare(chi2_dof, CHUNK)[:m] if chi2_dof else 0.0
+            chi2 = rng.chisquare(chi2_dof, CHUNK)[:m]
             ee_within = sigma2_e * (np.einsum("mi,mi->m", z, z) + chi2)
             Y = DrawnStatistics(beta_hat, u_star, ze, z @ Lt, ee_within)
         else:

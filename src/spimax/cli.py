@@ -7,8 +7,7 @@ JSON or CSV.  Design rules: every subcommand validates its inputs before
 computing, output files are written only after all computation
 succeeds, and any two identical invocations produce byte-identical
 outputs (no timestamps, no machine-dependent fields).  There is no
-worker-count option: MC runs its draw chunks on up to one thread per
-usable CPU, which never changes a result.
+worker-count option: the bootstrap and MC run in the calling thread.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (with a
 machine-readable JSON error description when --error-json is given).

@@ -604,9 +604,16 @@ def within_factor(data: BlockLmmData) -> np.ndarray:
     return L
 
 
-def _within_dof(data: BlockLmmData) -> int:
-    """sigma2_e's degrees of freedom: n - D - rank of the centred slope columns."""
-    return data.n_total - data.D - within_factor(data).shape[1]
+def within_dof(data: BlockLmmData) -> tuple[np.ndarray, int]:
+    """(within_factor(data), n - D - r), after checking that sigma2_e has n - D - r > 0 dof."""
+    L = within_factor(data)
+    dof = data.n_total - data.D - L.shape[1]
+    if dof <= 0:
+        raise DegenerateData(
+            "unit-level data has no information on sigma2_e: n - D - rank of the "
+            f"within-cluster-centred covariates is {dof}"
+        )
+    return L, dof
 
 
 def _fit_single(data: BlockLmmData, spec: MixedParameterSpec) -> dict:
@@ -616,11 +623,8 @@ def _fit_single(data: BlockLmmData, spec: MixedParameterSpec) -> dict:
         raise ShapeMismatch(
             f"need more than p + 2 = {data.p + 2} observations, have {data.n_total}"
         )
-    if data.model_tag == NERM and (dof := _within_dof(data)) <= 0:
-        raise DegenerateData(
-            "unit-level data has no information on sigma2_e: n - D - rank of the "
-            f"within-cluster-centred covariates is {dof}"
-        )
+    if data.model_tag == NERM:
+        within_dof(data)
     core, st = _standardize(data, data.y[None, :])
     s = core.scale
     _, rtr = core.start(st)

@@ -20,19 +20,17 @@ costs O(q) plus the entries of its cluster noise that can reach a
 censoring threshold, about one per draw when the components are nearly
 independent, and a completion pass draws the rest only when the quantile
 falls below that threshold (critical_value_mc).  A draw through a dense
-contrast of R rows costs O(R (D + q)).
+contrast of R rows costs O(R (D + q)).  Chunks of draws run one after
+another in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import util
 from .errors import CholeskyFailure, ShapeMismatch
 from .maxstat import CriticalValue
 from .model import (
@@ -52,8 +50,8 @@ from .util import (
     quantile_index,
 )
 
-# draws are generated in fixed-size chunks with per-chunk derived streams,
-# so the merged result is invariant to the worker count
+# draws are generated in fixed-size chunks, each from streams derived from
+# its own index, so a chunk's draws do not depend on the chunks before it
 DRAW_CHUNK = 8192
 # a chunk draws blocks of about this many normals (512 KiB), so a block and
 # its products stay in cache and memory does not grow with D
@@ -168,10 +166,14 @@ def build_joint_normal(data: BlockLmmData, theta: VarianceComponents) -> JointNo
 
 
 def _mapped_factor(model, spec, contrast):
-    """(Mq, Mw) with rows of [Mq, Mw] = rows of A L F, L the loading matrix.
+    """(Mq, Mw, cols) with rows of [Mq, Mw] = rows of A L F, L the loading matrix.
 
-    Without a contrast Mw is the vector w of a diagonal (the u-part of L F
-    is diag(m / sqrt(lambda))); with one it is the dense R x D block A diag(w).
+    This is the one place that classifies a contrast.  Without one, Mw is
+    the vector w of a diagonal (the u-part of L F is diag(m / sqrt(lambda)))
+    and cols is None.  A selection (every row has one non-zero entry a_r,
+    each in a column of its own) keeps that form: row r is a_r times row
+    cols[r].  Any other contrast gives the dense R x D block A diag(w) and
+    cols None.
     """
     F = model.cov_factor
     D, q = F.diag.shape[0], F.corner.shape[0]
@@ -180,16 +182,22 @@ def _mapped_factor(model, spec, contrast):
     mq = spec.k @ F.corner + spec.m[:, None] * F.border
     w = spec.m * F.diag
     if contrast is None:
-        return mq, w
+        return mq, w, None
     contrast = check_contrast(contrast, D)
-    return contrast @ mq, contrast * w
+    hits = contrast != 0
+    cols = hits.argmax(axis=1)
+    if np.all(hits.sum(axis=1) == 1) and np.unique(cols).size == cols.size:
+        a = contrast[np.arange(cols.size), cols]
+        return a[:, None] * mq[cols], a * w[cols], cols
+    return contrast @ mq, contrast * w, None
 
 
 def model_scales(
     model: JointNormalModel, spec: MixedParameterSpec, contrast: np.ndarray | None = None
 ) -> np.ndarray:
     """Model-implied standard deviations of (A) L (phi_hat - phi), one per row."""
-    return _row_norms(*_mapped_factor(model, spec, contrast))
+    mq, mw, _ = _mapped_factor(model, spec, contrast)
+    return _row_norms(mq, mw)
 
 
 def _row_norms(mq, mw):
@@ -204,11 +212,14 @@ def _studentized(mq, mw):
 
 
 class _ColumnDraw:
-    """Rows t_r = mq_r' z_q + w_r z_{c(r)} read from one draw z = (z_q, z_u), z_u of length D.
+    """Rows t_r = mq_r' z_q + w_r' z_u read from one draw z = (z_q, z_u), z_u of length D.
 
-    mq and w are the studentized rows.  Row r reads column cols[r] of z_u
-    (row d reads column d if cols is None), and no two rows read the same
-    column: rows_of[d] is the row that reads column d, or -1.
+    mq and w are the studentized rows.  A 1-D w reads one column per row:
+    row r reads column cols[r] of z_u with weight w_r (row d reads column d
+    if cols is None), and no two rows read the same column: rows_of[d] is
+    the row that reads column d, or -1.  A 2-D w (R x D, a dense contrast)
+    makes row r read all of z_u; its tau is 0, so its chunks draw all of
+    z_u and are never censored.
 
     A chunk draws the z_q of all its draws first.  With b = |z_q| @ bound_q
     bounding every |mq_r' z_q| of a draw, an entry of z_u with
@@ -240,11 +251,14 @@ class _ColumnDraw:
         self.bound_q = np.maximum(np.abs(plain_mq).max(axis=0), np.abs(mq).max(axis=0))
         self.w_max = float(max(np.abs(plain_w).max(), np.abs(w).max()))
         tail = -math.expm1(math.log(CENSOR_LEVEL) / D) / 2.0
-        self.tau = -float(np.abs(plain_w).min() * normal_quantile(tail))
+        self.tau = -float(np.abs(plain_w).min() * normal_quantile(tail)) if w.ndim == 1 else 0.0
 
     def dense_max(self, zq, zu, out):
-        t = zu if self.cols is None else zu[:, self.cols]
-        t *= self.w
+        if self.w.ndim == 2:
+            t = zu @ self.w.T
+        else:
+            t = zu if self.cols is None else zu[:, self.cols]
+            t *= self.w
         t += zq @ self.mq.T
         np.abs(t, out=t)
         t.max(axis=1, out=out)
@@ -342,19 +356,6 @@ def _body_normals(rng, s, shape):
     return z
 
 
-def _dense_contrast_max(mq, mw, block, rng, body_rng, out):
-    """Maxima of one chunk of draws through a dense contrast (R x D block mw); all exact: False."""
-    q = mq.shape[1]
-    for lo in range(0, out.size, block):
-        hi = min(lo + block, out.size)
-        z = rng.standard_normal((hi - lo, q + mw.shape[1]))
-        t = z[:, q:] @ mw.T
-        t += z[:, :q] @ mq.T
-        np.abs(t, out=t)
-        t.max(axis=1, out=out[lo:hi])
-    return False
-
-
 def critical_value_mc(
     model: JointNormalModel,
     spec: MixedParameterSpec,
@@ -371,64 +372,39 @@ def critical_value_mc(
 
     Chunk c of DRAW_CHUNK draws continues one stream from (master_seed, c)
     in blocks of at most BLOCK_NUMBERS normals.  Without a contrast, or with
-    one whose every row has a single non-zero entry, each in a column of its
-    own (a selection of the mixed parameters), a chunk draws only the
-    entries of z_u that can reach the censoring threshold tau (see
+    a selection of the mixed parameters (_mapped_factor), a chunk draws only
+    the entries of z_u that can reach the censoring threshold tau (see
     _ColumnDraw); any other contrast draws every entry.  When the order
     statistic lies at or below tau, every chunk that censored is drawn
     again and completed from the stream (master_seed, c, 1), so the result
     is exact in law either way.  tau does not depend on alpha, so all alphas
-    share the same draws.  Chunks run on up to one thread per usable CPU and
-    write only their own maxima, so that count moves no bit.
+    share the same draws.  The chunks run one after another in the calling
+    thread; no worker count enters the result.
     """
     check_alpha(alpha)
     check_seed(master_seed)
     if k_draws < 1:
         raise ShapeMismatch("need at least one draw")
-    mq, w = _mapped_factor(model, spec, None)
-    plain_mq, plain_w = _studentized(mq, w)
-    q, D = mq.shape[1], w.shape[0]
-    block = max(1, BLOCK_NUMBERS // (q + D))
-    draw = None
-    if contrast is None:
-        draw = _ColumnDraw(plain_mq, plain_w, plain_mq, plain_w, None, block)
-    else:
-        contrast = check_contrast(contrast, D)
-        hits = contrast != 0
-        cols = hits.argmax(axis=1)
-        if np.all(hits.sum(axis=1) == 1) and np.unique(cols).size == cols.size:
-            # a selection: row r reads column cols[r] of the plain draw
-            a = contrast[np.arange(cols.size), cols]
-            sel_mq, sel_w = _studentized(a[:, None] * mq[cols], a * w[cols])
-            draw = _ColumnDraw(sel_mq, sel_w, plain_mq, plain_w, cols, block)
-    if draw is None:
-        dense = _studentized(*_mapped_factor(model, spec, contrast))
-        chunk_fn = partial(_dense_contrast_max, *dense, block)
-        tau = -math.inf
-    else:
-        chunk_fn, tau = draw.chunk_max, draw.tau
+    plain_mq, plain_w, _ = _mapped_factor(model, spec, None)
+    mq, w, cols = _mapped_factor(model, spec, contrast)
+    block = max(1, BLOCK_NUMBERS // (plain_mq.shape[1] + plain_w.shape[0]))
+    draw = _ColumnDraw(*_studentized(mq, w), *_studentized(plain_mq, plain_w), cols, block)
     maxima = np.empty(k_draws)
     n_chunks = (k_draws + DRAW_CHUNK - 1) // DRAW_CHUNK
     censored = np.zeros(n_chunks, dtype=bool)
 
-    def chunk_max(i: int, complete: bool) -> None:
+    def run_chunk(i: int, complete: bool) -> None:
         rng = derive_rng(master_seed, i)
         body_rng = derive_rng(master_seed, i, 1) if complete else None
-        censored[i] = chunk_fn(rng, body_rng, maxima[i * DRAW_CHUNK : (i + 1) * DRAW_CHUNK])
+        out = maxima[i * DRAW_CHUNK : (i + 1) * DRAW_CHUNK]
+        censored[i] = draw.chunk_max(rng, body_rng, out)
 
-    def run_chunks(chunks, complete: bool) -> None:
-        workers = min(len(chunks), util.usable_cpus())
-        if workers == 1:
-            for i in chunks:
-                chunk_max(i, complete)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(partial(chunk_max, complete=complete), chunks))
-
+    for i in range(n_chunks):
+        run_chunk(i, complete=False)
     k = quantile_index(k_draws, alpha)
-    run_chunks(range(n_chunks), complete=False)
     value = order_statistic(maxima, k)
-    if value <= tau and censored.any():
-        run_chunks(np.flatnonzero(censored), complete=True)
+    if value <= draw.tau and censored.any():
+        for i in np.flatnonzero(censored):
+            run_chunk(i, complete=True)
         value = order_statistic(maxima, k)
     return CriticalValue(value=value)

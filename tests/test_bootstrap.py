@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from spimax import bootstrap as boot
 from spimax import estimation as est
-from spimax.errors import EmptySubset, SeedOverflow, ShapeMismatch
+from spimax.errors import DegenerateData, EmptySubset, SeedOverflow, ShapeMismatch
 from spimax.maxstat import step_down_test
 from spimax.model import NERM, BlockLmmData, VarianceComponents, cluster_mean_spec
 from spimax.util import MAX_SEED, order_statistic, quantile_index, replicate_rngs
@@ -427,23 +427,22 @@ def test_drawn_statistics_have_the_moments_of_explicit_errors(monkeypatch):
     assert abs(chi2.var() - 2 * dof) <= 4.5 * math.sqrt(8 * dof * (dof + 6) / B)
 
 
-def test_bootstrap_draws_without_chi2_degrees_of_freedom(monkeypatch):
-    # singletons plus one pair whose one within dof goes to the slope: eblup
-    # refuses this layout, fit_gls_blup does not, and n - D - r = 0, where
-    # numpy refuses to draw a chi2
-    sizes = [1] * 20 + [2]
-    rng = np.random.default_rng(5)
-    n = sum(sizes)
-    X = np.column_stack([np.ones(n), rng.uniform(0, 1, n)])
-    y = X.sum(axis=1) + np.repeat(rng.normal(size=len(sizes)), sizes) + rng.normal(0, 0.7, n)
-    data = BlockLmmData(NERM, tuple(range(len(sizes))), sizes, y, X)
-    assert data.n_total - data.D - est.within_factor(data).shape[1] == 0
-    spec = cluster_mean_spec(data)
-    fit = est.fit_gls_blup(data, spec, VarianceComponents(sigma2_u=1.0, sigma2_e=0.5))
-    drawn = _recorded_draws(monkeypatch, data, spec, fit, 200, seed=3)
-    assert drawn["u"].shape == (200, data.D)
-    # no chi2: the within part of e'e is exactly |P_w e|^2 = se |z|^2
-    Xw = _within_design(data)
-    proj = np.einsum("mi,ij,mj->m", drawn["xwe"], np.linalg.pinv(Xw.T @ Xw), drawn["xwe"])
-    assert np.all(drawn["ee_within"] > 0.0)
-    assert_allclose(drawn["ee_within"], proj, rtol=1e-12)
+def test_bootstrap_rejects_unit_data_without_sigma2_e_degrees_of_freedom(monkeypatch):
+    # n - D - r = 0: singletons, or singletons plus pairs whose within dof go
+    # to the slopes.  eblup refuses these layouts and fit_gls_blup does not;
+    # no refit of their draws can estimate sigma2_e, so nothing is drawn
+    def no_draws(*args):
+        raise RuntimeError("drew before checking the degrees of freedom")
+
+    monkeypatch.setattr(boot, "derive_rng", no_draws)
+    for sizes, p in (([1] * 20 + [2], 1), ([1] * 30, 0), ([1] * 30, 1), ([1] * 20 + [2, 2], 2)):
+        rng = np.random.default_rng(5)
+        n = sum(sizes)
+        X = np.column_stack([np.ones(n)] + [rng.uniform(0, 1, n) for _ in range(p)])
+        y = X.sum(axis=1) + np.repeat(rng.normal(size=len(sizes)), sizes) + rng.normal(0, 0.7, n)
+        data = BlockLmmData(NERM, tuple(range(len(sizes))), sizes, y, X)
+        assert data.n_total - data.D - est.within_factor(data).shape[1] == 0
+        spec = cluster_mean_spec(data)
+        fit = est.fit_gls_blup(data, spec, VarianceComponents(sigma2_u=1.0, sigma2_e=0.5))
+        with pytest.raises(DegenerateData, match="no information on sigma2_e"):
+            boot.parametric_bootstrap(data, spec, fit, 200, master_seed=3)

@@ -768,8 +768,9 @@ def test_importing_the_package_and_cli_does_not_load_scipy():
     _fresh_interpreter("import sys, spimax, spimax.cli\n" + NO_SCIPY)
 
 
-def test_the_cli_and_its_fit_spi_and_test_jobs_do_not_load_multiprocessing(tmp_path, unit_csv):
-    # only a simulate run with more than one usable CPU imports it
+def test_the_cli_and_its_fit_spi_and_test_jobs_load_no_worker_pools(tmp_path, unit_csv):
+    # neither multiprocessing nor concurrent: only a simulate run with more
+    # than one usable CPU imports them, and MC runs its chunks inline
     h_path = tmp_path / "h.csv"
     h_path.write_text("\n".join(["0.0"] * 8) + "\n")
     data = ["--model", "nerm", "--data", str(unit_csv)]
@@ -779,8 +780,8 @@ def test_the_cli_and_its_fit_spi_and_test_jobs_do_not_load_multiprocessing(tmp_p
         ["test", *data, "--h", str(h_path), "--method", "bs", "--B", "20", "--stepdown",
          "--out", str(tmp_path / "test.json")],
     ]
-    no_mp = ("assert not [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'], "
-             "sorted(sys.modules)\n")
+    no_mp = ("assert not [m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')], sorted(sys.modules)\n")
     _fresh_interpreter(
         "import sys\nimport spimax.cli\n" + no_mp
         + f"assert [spimax.cli.run_cli(job) for job in {jobs!r}] == [0, 0, 0]\n" + no_mp

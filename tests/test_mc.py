@@ -133,11 +133,14 @@ def independent_components_model(D):
 
 
 def test_mc_matches_independent_normal_quantile():
+    # each column read twice is not a selection: it takes the dense route,
+    # and its maximum is that of the D columns
     D, alpha = 30, 0.05
     model, spec = independent_components_model(D)
     assert np.array_equal(dense_loading(spec), np.hstack([np.zeros((D, 1)), np.eye(D)]))
-    cv = critical_value_mc(model, spec, k_draws=100_000, alpha=alpha, master_seed=42)
-    assert abs(cv.value - max_abs_normal_quantile(D, alpha)) < 0.02
+    for contrast in (None, np.vstack([np.eye(D), np.eye(D)])):
+        cv = critical_value_mc(model, spec, 100_000, alpha, master_seed=42, contrast=contrast)
+        assert abs(cv.value - max_abs_normal_quantile(D, alpha)) < 0.02
 
 
 def _with_cpus(monkeypatch, cpus):
@@ -434,6 +437,22 @@ def test_model_scales_equal_prediction_variance_split():
         scales = np.sqrt(np.einsum("di,ij,dj->d", L, model.covariance.dense(), L))
         expected = np.sqrt(g1(data, theta) * spec.m**2 + g2(data, theta, spec))
         np.testing.assert_allclose(scales, expected, rtol=1e-9)
+
+
+def test_model_scales_of_a_selection_hold_no_dense_block():
+    # an identity contrast is a selection: its scales are the plain ones,
+    # computed without the R x D float block A diag(w)
+    D = 1200
+    model, spec = independent_components_model(D)
+    eye = np.eye(D)
+    tracemalloc.start()
+    try:
+        scales = model_scales(model, spec, eye)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(scales, model_scales(model, spec))
+    assert peak < 0.4 * D * D * 8
 
 
 def test_mc_input_validation():
