@@ -9,11 +9,11 @@ read: each reader builds it in one buffer of its own.
 
 The bootstrap is one loop over chunks of CHUNK replicates: each chunk
 draws and refits its own rows, so only one chunk of draws is held at a
-time.  A unit-level chunk c draws from the one generator
-derive_rng(master_seed, c), always a whole chunk's worth of numbers, of
-which a short last chunk uses the first rows.  An area-level replicate b
-draws from derive_rng(master_seed, b), all of a chunk's streams seeded in
-one vectorized pass (util.replicate_rngs).  So results depend only on
+time.  Every chunk fills one block of standard normals: a unit-level
+chunk c from the one generator derive_rng(master_seed, c), always whole,
+of which a short last chunk uses the first rows; an area-level chunk row
+by row, replicate b's row from derive_rng(master_seed, b), all seeded in
+one vectorized pass (util.replicate_normals).  So results depend only on
 (master_seed, index): they are the same at any worker count and, with
 CHUNK fixed, under any split of B.  A replicate's refit depends only on
 its own draws: refitted alone it agrees with the batch result to rounding
@@ -32,7 +32,7 @@ from .errors import EmptySubset, ShapeMismatch
 from .estimation import DrawnStatistics, FitResult, batch_eblup, response_scale, within_dof
 from .maxstat import CriticalValue
 from .model import NERM, BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
-from .util import check_seed, derive_rng, order_statistic, quantile_index, replicate_rngs
+from .util import check_seed, derive_rng, order_statistic, quantile_index, replicate_normals
 
 # replicates are refitted in fixed-size batches; a constant size keeps the
 # rows of every whole chunk bit-identical whatever b_reps is
@@ -82,15 +82,17 @@ def parametric_bootstrap(
     its n errors: Z'e ~ N(0, sigma2_e diag n_d), X_w'e = sigma_e L z with
     L L' = X_w'X_w (estimation.within_factor) and z ~ N(0, I_r), and the
     within part of e'e as sigma2_e (|z|^2 + chi2_{n-D-r}), the
-    between/within split of the one-way model.  A unit-level chunk draws
-    one (CHUNK, 2D + r) normal block, u*, Z'e and z side by side, and then
-    CHUNK chi2 values.  The replicate truth mu*_d = k_d' beta_hat + m_d
-    u*_d keeps the original coefficient estimate, and every replicate is
-    refitted with the same REML pipeline as the original fit; each chunk
-    writes only its own rows of the outputs.  Replicates whose refit lands
-    on the variance floor are kept; their g1 values are floored.  Unit-level
-    data with n - D - r <= 0 hold no information on sigma2_e and raise
-    DegenerateData (estimation.within_dof) before any draw.
+    between/within split of the one-way model.  A chunk fills one normal
+    block and scales its first 2D columns, u* and the noise (Z'e, or e for
+    area-level data), by their standard deviations; a unit-level block has
+    r more columns for z, and its chunk then draws CHUNK chi2 values.  The
+    replicate truth mu*_d = k_d' beta_hat + m_d u*_d keeps the original
+    coefficient estimate, and every replicate is refitted with the same
+    REML pipeline as the original fit; each chunk writes only its own rows
+    of the outputs.  Replicates whose refit lands on the variance floor are
+    kept; their g1 values are floored.  Unit-level data with n - D - r <= 0
+    hold no information on sigma2_e and raise DegenerateData
+    (estimation.within_dof) before any draw.
     """
     check_spec(data, spec)
     check_seed(master_seed)
@@ -99,18 +101,21 @@ def parametric_bootstrap(
     D = data.D
     beta_hat = fit.beta_hat
     mu_fixed = beta_hat @ spec.k.T
-    sigma_u = np.sqrt(fit.theta.sigma2_u)
     unit_level = data.model_tag == NERM
+    # a chunk's block holds u*, the noise and (unit-level) the r values of z;
+    # sd holds the standard deviations of its first 2D columns
     if unit_level:
         L, chi2_dof = within_dof(data)
         sigma2_e = fit.theta.sigma2_e
         Lt = np.sqrt(sigma2_e) * L.T  # X_w'e = z @ Lt
-        # the standard deviations of u* and Z'e, the block's first 2D columns
-        sd = np.concatenate([np.full(D, sigma_u), np.sqrt(sigma2_e * data.sizes)])
-        normals = np.empty((CHUNK, 2 * D + Lt.shape[0]))
+        noise_sd = np.sqrt(sigma2_e * data.sizes)  # of Z'e
+        r = Lt.shape[0]
     else:
         xb = data.X @ beta_hat
-        error_sd = np.sqrt(error_variances(data, fit.theta))
+        noise_sd = np.sqrt(error_variances(data, fit.theta))  # of e
+        r = 0
+    sd = np.concatenate([np.full(D, np.sqrt(fit.theta.sigma2_u)), noise_sd])
+    normals = np.empty((CHUNK, 2 * D + r))
     g1_floor = G1_FLOOR * response_scale(data.y) ** 2
     delta = np.empty((b_reps, D))
     g1_star = np.empty((b_reps, D))
@@ -120,18 +125,18 @@ def parametric_bootstrap(
         if unit_level:
             rng = derive_rng(master_seed, start // CHUNK)
             rng.standard_normal(out=normals)
-            draw = normals[:m]
-            draw[:, : 2 * D] *= sd
-            u_star, ze, z = draw[:, :D], draw[:, D : 2 * D], draw[:, 2 * D :]
+        else:
+            replicate_normals(master_seed, range(start, start + m), normals[:m])
+        draw = normals[:m]
+        draw[:, : 2 * D] *= sd
+        u_star, noise = draw[:, :D], draw[:, D : 2 * D]
+        if unit_level:
+            z = draw[:, 2 * D :]
             chi2 = rng.chisquare(chi2_dof, CHUNK)[:m]
             ee_within = sigma2_e * (np.einsum("mi,mi->m", z, z) + chi2)
-            Y = DrawnStatistics(beta_hat, u_star, ze, z @ Lt, ee_within)
+            Y = DrawnStatistics(beta_hat, u_star, noise, z @ Lt, ee_within)
         else:
-            u_star = np.empty((m, D))
-            Y = np.empty((m, D))
-            for i, rng in enumerate(replicate_rngs(master_seed, range(start, start + m))):
-                u_star[i] = sigma_u * rng.standard_normal(D)
-                Y[i] = xb + u_star[i] + error_sd * rng.standard_normal(D)
+            Y = xb + u_star + noise
         res = batch_eblup(data, spec, Y)
         delta[start : start + m] = res["mu"] - (mu_fixed + spec.m * u_star)
         g1_star[start : start + m] = np.maximum(res["g1"], g1_floor)

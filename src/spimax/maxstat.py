@@ -146,5 +146,6 @@ def step_down_test(t_values: np.ndarray, quantile_provider, alpha: float) -> np.
         if not newly:
             break
         rejected.extend(newly)
-        active = [d for d in active if d not in set(newly)]
+        gone = set(newly)
+        active = [d for d in active if d not in gone]
     return np.array(sorted(rejected), dtype=int)

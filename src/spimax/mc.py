@@ -66,26 +66,20 @@ DENSE_SHARE = 0.2
 # some eight numbers of working arrays, so this matches one block
 TAIL_ENTRIES = BLOCK_NUMBERS // 8
 
-ARROW_KINDS = ("symmetric", "lower", "gram")
-
-
 @dataclass(frozen=True)
 class Arrow:
     """A (q + D)-square matrix kept as a q x q corner, a D x q border and a D diagonal.
 
-    kind "symmetric" is [[corner, border'], [border, diag]], "lower" is
-    [[corner, 0], [border, diag]], and "gram" is F F' for the "lower"
-    arrow F with the same parts.
+    A precision reads it as the symmetric [[corner, border'], [border,
+    diag]], a covariance factor as the lower-triangular [[corner, 0],
+    [border, diag]].
     """
 
     corner: np.ndarray
     border: np.ndarray
     diag: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ARROW_KINDS:
-            raise ShapeMismatch(f"arrow kind must be one of {ARROW_KINDS}, got {self.kind!r}")
         q, D = self.corner.shape[0], self.diag.shape[0]
         if self.corner.shape != (q, q) or self.border.shape != (D, q):
             raise ShapeMismatch(
@@ -96,19 +90,6 @@ class Arrow:
     @property
     def nbytes(self) -> int:
         return self.corner.nbytes + self.border.nbytes + self.diag.nbytes
-
-    def dense(self) -> np.ndarray:
-        """The full matrix; O((q + D)^2) memory, for checks only."""
-        q, D = self.corner.shape[0], self.diag.shape[0]
-        out = np.zeros((q + D, q + D))
-        out[:q, :q] = self.corner
-        out[q:, :q] = self.border
-        out[q:, q:] = np.diag(self.diag)
-        if self.kind == "symmetric":
-            out[:q, q:] = self.border.T
-        elif self.kind == "gram":
-            out = out @ out.T
-        return out
 
 
 def assemble_precision(data: BlockLmmData, theta: VarianceComponents) -> Arrow:
@@ -125,21 +106,24 @@ def assemble_precision(data: BlockLmmData, theta: VarianceComponents) -> Arrow:
         corner=data.X.T @ xr,
         border=np.add.reduceat(xr, data.offsets, axis=0),
         diag=np.add.reduceat(1.0 / r, data.offsets) + 1.0 / theta.sigma2_u,
-        kind="symmetric",
     )
 
 
 @dataclass(frozen=True)
 class JointNormalModel:
-    """Precision, covariance and a sampling factor for phi_hat - phi.
-
-    All three are arrows: precision is symmetric, cov_factor is lower
-    triangular and covariance is cov_factor @ cov_factor.T.
-    """
+    """The law N(0, K^-1) of phi_hat - phi: its precision K and the factor F F' = K^-1."""
 
     precision: Arrow
-    covariance: Arrow
     cov_factor: Arrow
+
+    @property
+    def covariance(self) -> Arrow:
+        """K^-1, held as its factor cov_factor.
+
+        Only the benchmark tracer reads it: bench/trace_child.py sums the
+        nbytes of precision, covariance and cov_factor.
+        """
+        return self.cov_factor
 
 
 def build_joint_normal(data: BlockLmmData, theta: VarianceComponents) -> JointNormalModel:
@@ -157,12 +141,7 @@ def build_joint_normal(data: BlockLmmData, theta: VarianceComponents) -> JointNo
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailure("implied covariance is not positive definite") from exc
     border = -(K.border @ lc) * inv_diag[:, None]
-    diag = np.sqrt(inv_diag)
-    return JointNormalModel(
-        precision=K,
-        covariance=Arrow(lc, border, diag, kind="gram"),
-        cov_factor=Arrow(lc, border, diag, kind="lower"),
-    )
+    return JointNormalModel(precision=K, cov_factor=Arrow(lc, border, np.sqrt(inv_diag)))
 
 
 def _mapped_factor(model, spec, contrast):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -29,7 +29,8 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     Streams derived from the same master seed but different paths are
     statistically independent, and the derivation does not depend on how
     work is scheduled.  Each unit-level bootstrap chunk, area-level
-    bootstrap replicate, MC draw chunk and simulation replicate draws from
+    bootstrap replicate (one row of its chunk's normal block, filled by
+    replicate_normals), MC draw chunk and simulation replicate draws from
     the stream of its own index, which is what makes every result
     reproducible from (master_seed, index) alone, at any worker count.  An
     MC chunk c that is completed draws the rest of its noise from
@@ -40,7 +41,7 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash constants (pool of four uint32 words, xorshift
-# 16) and PCG64's 128-bit LCG multiplier; replicate_rngs reproduces both
+# 16) and PCG64's 128-bit LCG multiplier; replicate_normals reproduces both
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -59,8 +60,8 @@ def _xorshift(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def replicate_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.Generator]:
-    """For each key b, the generator derive_rng(master_seed, b), draw for draw.
+def replicate_normals(master_seed: int, keys: Iterable[int], out: np.ndarray) -> None:
+    """Fill row i of out with standard normals from derive_rng(master_seed, keys[i]), draw for draw.
 
     All streams are seeded in one vectorized pass.  The run-entropy pool of
     master_seed is mixed once (SeedSequence(master_seed).pool: without a
@@ -68,12 +69,13 @@ def replicate_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.
     then hashed into it as uint32 arrays, the four uint64 state words are
     generated, and PCG64's seeding step (O'Neill 2014)
     state = ((inc + initstate) * M + inc) mod 2**128 runs on Python ints.
-    The iterator yields one generator, its state reset for every key, so
-    draw from it before advancing.  Keys are one word: 0 <= b < 2**32.
+    Keys are one word: 0 <= b < 2**32.
     """
     b = np.array(list(keys), dtype=np.int64)
     if b.size and (b.min() < 0 or b.max() > _MASK32):
         raise SeedOverflow(f"replicate keys must lie in [0, 2**32 - 1], got {b.min()}..{b.max()}")
+    if out.ndim != 2 or out.shape[0] != b.size:
+        raise ShapeMismatch(f"need one row of out per key: {b.size} keys, out shape {out.shape}")
     b = b.astype(np.uint32)
     pool = np.random.SeedSequence(check_seed(master_seed)).pool
     # mixing the pool took hash calls 0..15; the key word takes calls 16..19
@@ -87,21 +89,14 @@ def replicate_rngs(master_seed: int, keys: Iterable[int]) -> Iterator[np.random.
     hb = _hash_consts(_INIT_B, _MULT_B, 0, 9)
     half = [_xorshift((words[i % 4] ^ hb[i]) * hb[i + 1]).astype(np.uint64) for i in range(8)]
     w0, w1, w2, w3 = [(lo | hi << np.uint64(32)).tolist() for lo, hi in zip(half[::2], half[1::2])]
-    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(w2, w3)]
-    states = [
-        ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
-        for inc, hi, lo in zip(incs, w0, w1)
-    ]
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
-
-    def reseeded() -> Iterator[np.random.Generator]:
-        for state, inc in zip(states, incs):
-            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            yield rng
-
-    return reseeded()
+    for row, hi, lo, inc_hi, inc_lo in zip(out, w0, w1, w2, w3):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

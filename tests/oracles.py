@@ -177,6 +177,19 @@ def dense_joint_normal(data, theta):
     return K, cov, np.linalg.cholesky(cov)
 
 
+def dense_arrow(arrow, lower=False):
+    """The full matrix of an arrow: symmetric [[corner, border'], [border, diag]],
+    or lower triangular [[corner, 0], [border, diag]]; O((q + D)^2) memory."""
+    q, D = arrow.corner.shape[0], arrow.diag.shape[0]
+    out = np.zeros((q + D, q + D))
+    out[:q, :q] = arrow.corner
+    out[q:, :q] = arrow.border
+    out[q:, q:] = np.diag(arrow.diag)
+    if not lower:
+        out[:q, q:] = arrow.border.T
+    return out
+
+
 def dense_loading(spec):
     """Rows map phi = (beta, u) to the mixed parameters: [k_d, m_d e_d]."""
     return np.hstack([spec.k, np.diag(spec.m)])

@@ -5,13 +5,15 @@ The simulation criteria run at desk scale (I=500 replicates, B=500
 bootstrap draws) and take a couple of minutes in total on one core.
 """
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from spimax import util
+from spimax import mc, util
 from spimax.analytic import (
     TubeConstants,
     tube_alpha_bound,
@@ -99,6 +101,10 @@ def test_criterion_3_area_level_coverage_and_balanced_collapse():
         )
 
     ecp_bs = run_spi_experiment(fhm_config(60), methods=("BS",)).criteria["BS"]["ecp"] * 100
+    # BE's calibrated level is 1.0 at D=90 with B=500 in every dataset
+    # measured (D > alpha B: each column's maximum ranks B), so every
+    # threshold there is its cluster's largest |S*|.  The required 5-point
+    # drop therefore compares an unsaturated BE at D=15 with a saturated one
     be_15 = run_spi_experiment(fhm_config(15), methods=("BE",)).criteria["BE"]["ecp"] * 100
     be_90 = run_spi_experiment(fhm_config(90), methods=("BE",)).criteria["BE"]["ecp"] * 100
     ok = abs(ecp_bs - 95.7) <= 2.5 and be_90 <= be_15 - 5.0
@@ -235,13 +241,8 @@ def test_criterion_6_oracle_equivalences():
     # (e) calibrated thresholds against the independent-normal closed form
     D, alpha = 12, 0.05
     c_star = stats.norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / D)))
-    eye = {
-        kind: Arrow(corner=np.eye(1), border=np.zeros((D, 1)), diag=np.ones(D), kind=kind)
-        for kind in ("symmetric", "gram", "lower")
-    }
-    joint = JointNormalModel(
-        precision=eye["symmetric"], covariance=eye["gram"], cov_factor=eye["lower"]
-    )
+    eye = Arrow(corner=np.eye(1), border=np.zeros((D, 1)), diag=np.ones(D))
+    joint = JointNormalModel(precision=eye, cov_factor=eye)
     spec = MixedParameterSpec(k=np.zeros((D, 1)), m=np.ones(D))
     c_mc = critical_value_mc(joint, spec, 200_000, alpha, 99).value
     s = rng.standard_normal((20_000, D))
@@ -258,7 +259,7 @@ def test_criterion_6_oracle_equivalences():
     assert ok
 
 
-def test_criterion_7_property_suites(monkeypatch):
+def test_criterion_7_property_suites():
     checks = []
     data, _ = make_nerm(D=10, n_d=5, seed=71)
     spec = cluster_mean_spec(data)
@@ -292,12 +293,10 @@ def test_criterion_7_property_suites(monkeypatch):
     sd = set(int(i) for i in step_down_test(t, provider, 0.05))
     checks.append(("stepdown-superset", set(np.flatnonzero(single.decisions)) <= sd))
 
-    # the MC worker count (one per usable CPU) never changes a single bit
-    values = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(util, "usable_cpus", lambda cpus=cpus: cpus)
-        values.append(critical_value_mc(joint, spec, 30_000, 0.05, 7).value)
-    checks.append(("worker-count-invariance", values[0] == values[1]))
+    # MC runs its chunks in the calling thread: no CPU count, thread or
+    # process pool can enter its result
+    pools = re.compile(r"usable_cpus|cpu_count|Pool|Executor|concurrent|multiprocessing|threading")
+    checks.append(("mc-holds-no-worker-count", not pools.search(inspect.getsource(mc))))
 
     # translating the response by a fixed-effect direction moves only beta
     gamma = np.array([2.0, -1.0])

@@ -9,16 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from spimax import bootstrap as boot
 from spimax import estimation as est
 from spimax.errors import DegenerateData, EmptySubset, SeedOverflow, ShapeMismatch
 from spimax.maxstat import step_down_test
 from spimax.model import NERM, BlockLmmData, VarianceComponents, cluster_mean_spec
-from spimax.util import MAX_SEED, order_statistic, quantile_index, replicate_rngs
+from spimax.util import MAX_SEED, order_statistic, quantile_index, replicate_normals
 
 from conftest import make_fhm, make_nerm
-from oracles import max_abs_normal_quantile
+from oracles import max_abs_normal_quantile, max_abs_normal_quantile_se
 
 
 def _draws_from_matrix(S, g1=None):
@@ -132,20 +133,26 @@ KEY_MAX = 2**32 - 1
 @example(master_seed=2**32 - 1, keys=[0, KEY_MAX])
 @example(master_seed=2**32, keys=[0, KEY_MAX])
 @example(master_seed=MAX_SEED, keys=[0, KEY_MAX])
-def test_replicate_rngs_match_seed_sequence_draw_for_draw(master_seed, keys):
-    for b, rng in zip(keys, replicate_rngs(master_seed, keys), strict=True):
+def test_replicate_normals_fill_each_row_from_its_seed_sequence_stream(master_seed, keys):
+    out = np.empty((len(keys), 9))
+    replicate_normals(master_seed, keys, out)
+    for b, row in zip(keys, out, strict=True):
         want = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(b,)))
         )
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
-        assert np.array_equal(rng.integers(0, 2**63, size=3), want.integers(0, 2**63, size=3))
+        assert np.array_equal(row, want.standard_normal(9))
 
 
 @pytest.mark.parametrize("keys", [[2**32], [0, 5, 2**40 + 3], [-1]])
-def test_replicate_rngs_refuse_keys_outside_one_word(keys):
+def test_replicate_normals_refuse_keys_outside_one_word(keys):
     with pytest.raises(SeedOverflow, match="replicate keys"):
-        replicate_rngs(7, keys)
+        replicate_normals(7, keys, np.empty((len(keys), 3)))
+
+
+def test_replicate_normals_need_one_row_per_key():
+    for out in (np.empty((3, 2)), np.empty(2)):
+        with pytest.raises(ShapeMismatch, match="one row of out per key"):
+            replicate_normals(7, [0, 1], out)
 
 
 def test_critical_value_bs_matches_independent_normal_oracle():
@@ -229,6 +236,34 @@ def test_beran_balances_marginal_levels():
     fresh = rng.standard_normal((40000, 4)) * scales
     rates = (np.abs(fresh) > be.per_cluster).mean(axis=0)
     assert rates.max() - rates.min() < 0.012
+
+
+def test_beran_thresholds_within_monte_carlo_error_of_the_sidak_value():
+    # independent N(0, 1) columns with B far above D / alpha: each threshold
+    # is its column's empirical quantile at the calibrated level q, which
+    # itself estimates the Sidak level (1 - alpha)^(1/D).  Its standard
+    # error combines the column quantile's, sqrt(q (1 - q) / B) / f(c) with
+    # f the density of |Z|, and that of the max-statistic quantile
+    D, B, alpha = 10, 20_000, 0.05
+    draws = _draws_from_matrix(np.random.default_rng(31).standard_normal((B, D)))
+    be = boot.beran_critical_values(draws, alpha)
+    c = max_abs_normal_quantile(D, alpha)
+    q = (1.0 - alpha) ** (1.0 / D)
+    column_se = math.sqrt(q * (1.0 - q) / B) / (2.0 * stats.norm.pdf(c))
+    se = math.hypot(column_se, max_abs_normal_quantile_se(D, alpha, B))
+    assert abs(be.value - q) < 4.5 * math.sqrt(alpha * (1 - alpha) / B) / (D * q ** (D - 1))
+    assert np.all(np.abs(be.per_cluster - c) < 4.5 * se)
+
+
+@pytest.mark.parametrize("D, B", [(10, 100), (300, 2000)])
+def test_beran_saturates_once_the_clusters_outnumber_alpha_b(D, B):
+    # every column's maximum ranks B, so more than alpha B rows reach level 1:
+    # the level is exactly 1 and each threshold is its column's largest |S*|
+    S = np.random.default_rng(D).standard_normal((B, D))
+    be = boot.beran_critical_values(_draws_from_matrix(S), 0.05)
+    assert D > 0.05 * B
+    assert be.value == 1.0
+    assert np.array_equal(be.per_cluster, np.abs(S).max(axis=0))
 
 
 def test_stepdown_provider_monotone_and_guarded():

@@ -1,6 +1,5 @@
 """Tests for critical values simulated from the joint normal law."""
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -8,8 +7,8 @@ import pytest
 from scipy import stats
 
 from conftest import make_fhm, make_nerm
-from oracles import dense_loading, max_abs_normal_quantile, max_abs_normal_quantile_se
-from spimax import mc, util
+from oracles import dense_arrow, dense_loading, max_abs_normal_quantile, max_abs_normal_quantile_se
+from spimax import mc
 from spimax.errors import AlphaOutOfRange, ShapeMismatch
 from spimax.estimation import eblup, g1, g2
 from spimax.mc import (
@@ -55,7 +54,7 @@ def tiny_unit_data():
 
 def test_precision_tiny_frozen():
     theta = VarianceComponents(sigma2_u=1.0, sigma2_e=1.0)
-    K = assemble_precision(tiny_unit_data(), theta).dense()
+    K = dense_arrow(assemble_precision(tiny_unit_data(), theta))
     assert np.array_equal(K, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
@@ -63,14 +62,14 @@ def test_precision_matches_dense_nerm():
     data, truth = make_nerm(D=7, n_d=4, seed=3, unbalanced=True)
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"], sigma2_e=truth["sigma2_e"])
     K_dense, _, _ = dense_precision(data, theta)
-    np.testing.assert_allclose(assemble_precision(data, theta).dense(), K_dense, atol=1e-10)
+    np.testing.assert_allclose(dense_arrow(assemble_precision(data, theta)), K_dense, atol=1e-10)
 
 
 def test_precision_matches_dense_fhm():
     data, truth = make_fhm(D=9, seed=4)
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"])
     K_dense, _, _ = dense_precision(data, theta)
-    np.testing.assert_allclose(assemble_precision(data, theta).dense(), K_dense, atol=1e-10)
+    np.testing.assert_allclose(dense_arrow(assemble_precision(data, theta)), K_dense, atol=1e-10)
 
 
 def test_covariance_matches_empirical_deviations():
@@ -94,7 +93,8 @@ def test_covariance_matches_empirical_deviations():
         [np.broadcast_to(beta, (reps, data.p + 1)), u], axis=1
     )
     emp = np.cov(dev.T)
-    cov = model.covariance.dense()
+    F = dense_arrow(model.cov_factor, lower=True)
+    cov = F @ F.T
     se = np.sqrt(
         (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / reps
     )
@@ -106,28 +106,20 @@ def test_joint_normal_shapes_and_factor():
     theta = VarianceComponents(sigma2_u=truth["sigma2_u"])
     model = build_joint_normal(data, theta)
     dim = data.p + 1 + data.D
-    assert model.precision.dense().shape == (dim, dim)
-    np.testing.assert_allclose(
-        model.cov_factor.dense() @ model.cov_factor.dense().T,
-        model.covariance.dense(),
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        model.covariance.dense() @ model.precision.dense(), np.eye(dim), atol=1e-9
-    )
+    K = dense_arrow(model.precision)
+    F = dense_arrow(model.cov_factor, lower=True)
+    assert K.shape == F.shape == (dim, dim)
+    assert np.array_equal(F, np.tril(F)) and np.all(np.diag(F) > 0)
+    np.testing.assert_allclose(F @ F.T @ K, np.eye(dim), atol=1e-9)
 
 
-def identity_arrow(D, kind):
-    return Arrow(corner=np.eye(1), border=np.zeros((D, 1)), diag=np.ones(D), kind=kind)
+def identity_arrow(D):
+    return Arrow(corner=np.eye(1), border=np.zeros((D, 1)), diag=np.ones(D))
 
 
 def independent_components_model(D):
     """Synthetic joint law whose mapped components are iid standard normal."""
-    model = JointNormalModel(
-        precision=identity_arrow(D, "symmetric"),
-        covariance=identity_arrow(D, "gram"),
-        cov_factor=identity_arrow(D, "lower"),
-    )
+    model = JointNormalModel(precision=identity_arrow(D), cov_factor=identity_arrow(D))
     spec = MixedParameterSpec(k=np.zeros((D, 1)), m=np.ones(D))
     return model, spec
 
@@ -141,10 +133,6 @@ def test_mc_matches_independent_normal_quantile():
     for contrast in (None, np.vstack([np.eye(D), np.eye(D)])):
         cv = critical_value_mc(model, spec, 100_000, alpha, master_seed=42, contrast=contrast)
         assert abs(cv.value - max_abs_normal_quantile(D, alpha)) < 0.02
-
-
-def _with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
 
 
 def _recorded_paths(monkeypatch):
@@ -162,6 +150,19 @@ def _recorded_paths(monkeypatch):
 def _completed(paths):
     """Whether a chunk was completed: completion draws from (seed, chunk, 1)."""
     return any(len(path) == 2 for path in paths)
+
+
+def _recorded_maxima(monkeypatch):
+    """Every array of draw maxima critical_value_mc takes an order statistic of, copied."""
+    seen = []
+    order_statistic = mc.order_statistic
+
+    def recorded(values, k):
+        seen.append(values.copy())
+        return order_statistic(values, k)
+
+    monkeypatch.setattr(mc, "order_statistic", recorded)
+    return seen
 
 
 def _recorded_taus(monkeypatch):
@@ -239,14 +240,7 @@ def test_mc_censored_maxima_are_exact_above_tau(monkeypatch, case):
         contrast = None if case == "correlated" else np.zeros((4, 400))
         if contrast is not None:
             contrast[[0, 1, 2, 3], [17, 5, 399, 9]] = [1.0, -2.0, 0.5, 3.0]
-    seen = []
-    order_statistic = mc.order_statistic
-
-    def recorded(values, k):
-        seen.append(values.copy())
-        return order_statistic(values, k)
-
-    monkeypatch.setattr(mc, "order_statistic", recorded)
+    seen = _recorded_maxima(monkeypatch)
     taus = _recorded_taus(monkeypatch)
     k_draws = DRAW_CHUNK + 999
     critical_value_mc(model, spec, k_draws, 0.99, master_seed=21, contrast=contrast)
@@ -334,40 +328,37 @@ def test_mc_tail_draws_agree_with_dense_draws(monkeypatch):
     assert at_level > taus[0]
 
 
-def test_mc_deterministic_and_thread_invariant(monkeypatch):
-    # at alpha 0.8 the quantile lies below the censoring threshold, so the
-    # chunks are completed from their second streams
+def test_mc_chunk_c_draws_from_its_own_streams(monkeypatch):
+    # chunk c draws from (seed, c); a completed chunk draws (seed, c) again
+    # and the rest of its noise from (seed, c, 1).  At alpha 0.8 the quantile
+    # lies below the censoring threshold, so every chunk is completed.  Equal
+    # calls give equal values
     model, spec = independent_components_model(12)
     for alpha in (0.1, 0.8):
-        kwargs = dict(k_draws=20_000, alpha=alpha, master_seed=7)
+        kwargs = dict(k_draws=2 * DRAW_CHUNK + 17, alpha=alpha, master_seed=7)
+        paths = _recorded_paths(monkeypatch)
         base = critical_value_mc(model, spec, **kwargs).value
+        completed = [path for c in range(3) for path in ((c,), (c, 1))] if alpha == 0.8 else []
+        assert paths == [(0,), (1,), (2,)] + completed
         assert critical_value_mc(model, spec, **kwargs).value == base
-        for cpus in (1, 3):
-            _with_cpus(monkeypatch, cpus)
-            assert critical_value_mc(model, spec, **kwargs).value == base
         assert critical_value_mc(model, spec, **{**kwargs, "master_seed": 8}).value != base
 
 
-def test_mc_thread_and_chunk_invariant(monkeypatch):
-    # three chunks, the last partial: the worker count must not change a bit,
-    # also with more workers than cores switching as often as they can
+def test_mc_whole_chunks_do_not_depend_on_the_draw_count(monkeypatch):
+    # a chunk's maxima come from its own streams alone, so a call with a
+    # partial third chunk repeats the two whole chunks of a call without
+    # it, bit for bit, with and without a dense contrast
     data, _ = make_nerm(D=20, seed=12)
-    theta = eblup(data).theta
-    model = build_joint_normal(data, theta)
+    model = build_joint_normal(data, eblup(data).theta)
     spec = cluster_mean_spec(data)
     contrast = np.random.default_rng(4).normal(size=(6, data.D))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for extra in ({}, {"contrast": contrast}):
-            kwargs = dict(k_draws=2 * DRAW_CHUNK + 17, alpha=0.05, master_seed=31, **extra)
-            values = []
-            for cpus in (1, 3):
-                _with_cpus(monkeypatch, cpus)
-                values.append(critical_value_mc(model, spec, **kwargs).value)
-            assert values[0] == values[1]
-    finally:
-        sys.setswitchinterval(interval)
+    for extra in ({}, {"contrast": contrast}):
+        maxima = []
+        for k_draws in (2 * DRAW_CHUNK + 17, 2 * DRAW_CHUNK):
+            seen = _recorded_maxima(monkeypatch)
+            critical_value_mc(model, spec, k_draws, 0.05, master_seed=31, **extra)
+            maxima.append(seen[0])
+        assert np.array_equal(maxima[0][: 2 * DRAW_CHUNK], maxima[1])
 
 
 def test_mc_holds_one_block_of_draws(monkeypatch):
@@ -434,7 +425,8 @@ def test_model_scales_equal_prediction_variance_split():
         spec = cluster_mean_spec(data)
         model = build_joint_normal(data, theta)
         L = dense_loading(spec)
-        scales = np.sqrt(np.einsum("di,ij,dj->d", L, model.covariance.dense(), L))
+        F = dense_arrow(model.cov_factor, lower=True)
+        scales = np.sqrt(np.einsum("di,ij,dj->d", L, F @ F.T, L))
         expected = np.sqrt(g1(data, theta) * spec.m**2 + g2(data, theta, spec))
         np.testing.assert_allclose(scales, expected, rtol=1e-9)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_fhm, make_nerm, rescaled
+from spimax.analytic import TubeConstants
 from spimax.bootstrap import parametric_bootstrap
 from spimax.calibration import calibrate
 from spimax.errors import DegenerateData
@@ -116,13 +117,24 @@ def test_fit_is_invariant_to_a_shift_of_the_response(make, sds):
     assert_allclose(shifted.mu_hat - c, unit.mu_hat, rtol=0, atol=atol)
 
 
-def _desk_data(seed: int) -> BlockLmmData:
-    """The unit-level desk input of the benchmark (bench/inputs.py) for seed."""
+def _bench_inputs():
+    """bench/inputs.py, which writes the benchmark's inputs."""
     spec = importlib.util.spec_from_file_location(
         "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
     )
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _bench_tube_constants() -> TubeConstants:
+    """The benchmark's p = 1 tube constants for --method vt."""
+    return TubeConstants(**dict(_bench_inputs().TUBE_CONSTANTS))
+
+
+def _desk_data(seed: int) -> BlockLmmData:
+    """The unit-level desk input of the benchmark (bench/inputs.py) for seed."""
+    inputs = _bench_inputs()
     draw = inputs.draw_units(seed, inputs.DESK_D)
     X = np.column_stack([np.ones(draw.y.size), draw.covs])
     return BlockLmmData(NERM, tuple(range(inputs.DESK_D)), np.full(inputs.DESK_D, inputs.N_D),
@@ -199,30 +211,43 @@ def test_bootstrap_refits_at_large_units_take_no_fallback():
 @pytest.mark.parametrize("make", [make_nerm, make_fhm])
 @pytest.mark.parametrize("c", [2.0**-12, 2.0**15, 1e4, 2.0**-20, 2.0**-50, 1e-15])
 def test_bootstrap_intervals_scale_with_the_data(make, c):
-    # BS, MC and BO on an interior fit: at the variance floor, which acts in standardized
-    # units, only power-of-two units give exact multiples.  At c = 2^-20
-    # theta and g1 lie below 1e-10 and 1e-12 in the units of the data; at
-    # c = 2^-50 and 1e-15 every scale lies far below 1e-12, where only a
-    # scale floor relative to the scales themselves leaves them alone.
+    # BS, MC, BO, BE and (unit-level only) VT on an interior fit, and a dense
+    # contrast through BS, MC and BO: at the variance floor, which acts in
+    # standardized units, only power-of-two units give exact multiples.  At
+    # c = 2^-20 theta and g1 lie below 1e-10 and 1e-12 in the units of the
+    # data; at c = 2^-50 and 1e-15 every scale lies far below 1e-12, where
+    # only a scale floor relative to the scales themselves leaves them alone.
     base = make(D=20, sigma2_u=2.0, seed=4)[0]
     assert not fit_of(base)["boundary"][0]
-    for method in ("BS", "MC", "BO"):
+    adjacent = np.eye(base.D)[1:] - np.eye(base.D)[:-1]
+    cases = [(method, None) for method in ("BS", "MC", "BO", "BE")]
+    cases += [(method, adjacent) for method in ("BS", "MC", "BO")]
+    if base.model_tag == NERM:
+        cases.append(("VT", None))
+    tube = (1, _bench_tube_constants())
+    exact = c == 2.0 ** round(np.log2(c))
+    for method, A in cases:
         results = []
         for data in (base, rescaled(base, c)):
             spec = cluster_mean_spec(data)
             fit = eblup(data, spec)
-            cv, scales, _ = calibrate(method, data, spec, fit, alpha=0.1, seed=7, B=200, K=2000)
-            results.append((cv.value, build_spi(fit, cv, scales)))
-        (cv_unit, unit), (cv_scaled, scaled) = results
-        if c == 2.0 ** round(np.log2(c)):
-            assert cv_scaled == cv_unit, method
-            assert_array_equal(scaled.lower, c * unit.lower)
-            assert_array_equal(scaled.upper, c * unit.upper)
+            cv, scales, _ = calibrate(method, data, spec, fit, alpha=0.1, seed=7, B=200, K=2000,
+                                      A=A, tube=tube)
+            if A is None:
+                spi = build_spi(fit, cv, scales)
+                results.append((cv.thresholds(data.D), spi.lower, spi.upper))
+            else:
+                results.append((cv.thresholds(A.shape[0]), scales))
+        (cv_unit, *unit), (cv_scaled, *scaled) = results
+        if exact:
+            assert_array_equal(cv_scaled, cv_unit, err_msg=f"{method} {A is not None}")
+            for s_scaled, s_unit in zip(scaled, unit):
+                assert_array_equal(s_scaled, c * s_unit)
         else:
-            assert_allclose(cv_scaled, cv_unit, rtol=RTOL)
-            size = c * np.abs(unit.upper).max()
-            assert_allclose(scaled.lower, c * unit.lower, rtol=RTOL, atol=RTOL * size)
-            assert_allclose(scaled.upper, c * unit.upper, rtol=RTOL, atol=RTOL * size)
+            assert_allclose(cv_scaled, cv_unit, rtol=RTOL, err_msg=f"{method} {A is not None}")
+            for s_scaled, s_unit in zip(scaled, unit):
+                size = c * np.abs(s_unit).max()
+                assert_allclose(s_scaled, c * s_unit, rtol=RTOL, atol=RTOL * size)
 
 
 def _assert_dense_fit(data, fit):
