@@ -26,7 +26,7 @@ for s in range(k_strata):
     A[s, 2 * s + 1] = -1.0
 
 # the test `spimax test --contrasts` runs: bootstrap-calibrated, the
-# projected estimates studentized by the projected leading MSE term;
+# projected estimates studentized by the projected MSE g1 + g2;
 # the nulls default to zero differences, and K drives only the MC method
 fit = eblup(data, spec)
 test, rejected = max_test("BS", data, spec, fit, alpha=0.05, seed=9, B=2000, K=1, A=A)

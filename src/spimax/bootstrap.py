@@ -3,9 +3,10 @@
 Each replicate draws new random effects and errors at the fitted
 parameters, refits the whole estimation pipeline on the synthetic
 response, and records the deviation of the refitted mixed parameter from
-its replicate truth and its leading MSE term g1.  Critical values are
-order statistics of row maxima of |S*| = |delta / sqrt(g1)|, derived on
-read: each reader builds it in one buffer of its own.
+its replicate truth and its g1 + g2, the scale of FitResult.scale.
+Critical values are order statistics of row maxima of |S*| = |delta /
+sqrt(g1 + g2)|, derived on read: each reader builds it in one buffer of
+its own.
 
 The bootstrap is one loop over chunks of CHUNK replicates: each chunk
 draws and refits its own rows, so only one chunk of draws is held at a
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import EmptySubset, ShapeMismatch
 from .estimation import DrawnStatistics, FitResult, batch_eblup, response_scale, within_dof
-from .maxstat import CriticalValue
+from .maxstat import CriticalValue, contrast_scales
 from .model import NERM, BlockLmmData, MixedParameterSpec, check_contrast, check_spec, error_variances
 from .util import check_seed, derive_rng, order_statistic, quantile_index, replicate_normals
 
@@ -38,21 +39,21 @@ from .util import check_seed, derive_rng, order_statistic, quantile_index, repli
 # rows of every whole chunk bit-identical whatever b_reps is
 CHUNK = 128
 
-# replicate g1 values are floored at G1_FLOOR s^2, s the response scale of
-# the data (estimation.response_scale), so the floor acts in standardized units
-G1_FLOOR = 1e-12
+# replicate g1 + g2 values are floored at MSE_FLOOR s^2, s the response scale
+# of the data (estimation.response_scale), so the floor acts in standardized units
+MSE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """Bootstrap deviations and g1 values, reusable without refitting.
+    """Bootstrap deviations and g1 + g2 values, reusable without refitting.
 
-    delta[b, d] = mu_hat*_bd - mu*_bd and g1_star[b, d] = g1_d(theta*_b)
+    delta[b, d] = mu_hat*_bd - mu*_bd and mse_star[b, d] = (g1 + g2)_d(theta*_b)
     (floored) are the only B x D state; each reader derives |S*| from them.
     """
 
     delta: np.ndarray
-    g1_star: np.ndarray
+    mse_star: np.ndarray
     n_fallback: int = 0
     n_boundary: int = 0
 
@@ -90,7 +91,7 @@ def parametric_bootstrap(
     coefficient estimate, and every replicate is refitted with the same
     REML pipeline as the original fit; each chunk writes only its own rows
     of the outputs.  Replicates whose refit lands on the variance floor are
-    kept; their g1 values are floored.  Unit-level data with n - D - r <= 0
+    kept; their g1 + g2 values are floored.  Unit-level data with n - D - r <= 0
     hold no information on sigma2_e and raise DegenerateData
     (estimation.within_dof) before any draw.
     """
@@ -116,9 +117,9 @@ def parametric_bootstrap(
         r = 0
     sd = np.concatenate([np.full(D, np.sqrt(fit.theta.sigma2_u)), noise_sd])
     normals = np.empty((CHUNK, 2 * D + r))
-    g1_floor = G1_FLOOR * response_scale(data.y) ** 2
+    mse_floor = MSE_FLOOR * response_scale(data.y) ** 2
     delta = np.empty((b_reps, D))
-    g1_star = np.empty((b_reps, D))
+    mse_star = np.empty((b_reps, D))
 
     def run_chunk(start: int) -> tuple[int, int]:
         m = min(CHUNK, b_reps - start)
@@ -139,17 +140,18 @@ def parametric_bootstrap(
             Y = xb + u_star + noise
         res = batch_eblup(data, spec, Y)
         delta[start : start + m] = res["mu"] - (mu_fixed + spec.m * u_star)
-        g1_star[start : start + m] = np.maximum(res["g1"], g1_floor)
+        res["g1"] += res["g2"]
+        np.maximum(res["g1"], mse_floor, out=mse_star[start : start + m])
         return int(res["fallback"].sum()), int(res["boundary"].sum())
 
     counts = [run_chunk(start) for start in range(0, b_reps, CHUNK)]
     n_fallback, n_boundary = (sum(c) for c in zip(*counts))
-    return BootstrapDraws(delta, g1_star, n_fallback, n_boundary)
+    return BootstrapDraws(delta, mse_star, n_fallback, n_boundary)
 
 
 def _abs_s(draws: BootstrapDraws) -> np.ndarray:
-    """|S*| = |delta / sqrt(g1_star)| in one fresh buffer."""
-    buf = np.sqrt(draws.g1_star)
+    """|S*| = |delta / sqrt(mse_star)| in one fresh buffer."""
+    buf = np.sqrt(draws.mse_star)
     return np.abs(np.divide(draws.delta, buf, out=buf), out=buf)
 
 
@@ -169,7 +171,7 @@ def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
     """|studentized| replicate matrix for the contrasts A mu, shape (B, q)."""
     A = check_contrast(A, draws.D)
     numer = draws.delta @ A.T
-    scale = np.sqrt(draws.g1_star @ (A.T**2))
+    scale = contrast_scales(draws.mse_star, A)
     # an all-zero contrast row has a zero numerator; keep its statistic at 0
     scale[~(scale > 0.0)] = 1.0
     return np.divide(np.abs(numer, out=numer), scale, out=numer)
@@ -178,9 +180,9 @@ def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
 def critical_value_contrast(draws: BootstrapDraws, A: np.ndarray, alpha: float) -> CriticalValue:
     """Bootstrap threshold for the max statistic of the contrasts A mu.
 
-    Numerators are the projected replicate deviations A (mu_hat* - mu*);
-    each contrast is studentized by sqrt(sum_j A_dj^2 g1_j(theta*)).
-    With A = I this reduces exactly to critical_value_bs.
+    Numerators are the projected replicate deviations A (mu_hat* - mu*),
+    studentized by maxstat.contrast_scales of mse_star.  With A = I this
+    reduces exactly to critical_value_bs.
     """
     value = _row_max_quantile(_contrast_abs_s(draws, A), alpha)
     return CriticalValue(value=value)

@@ -1,18 +1,19 @@
 """One critical value per calibration method, with its studentizing scales.
 
-This module is the only place that maps a method name to the primitives
-that calibrate it:
+Every method studentizes cluster d by sqrt(g1_d + g2_d), FitResult.scale;
+this module is the only place that maps a method name to its primitives:
 
 * BS, BE: one parametric bootstrap (reused when draws are passed in),
   then the max-statistic order statistic or the balanced per-cluster
-  thresholds; scales are the leading MSE terms sqrt(g1).
-* MC: direct simulation from the fitted joint normal law, studentized by
-  its model-implied standard deviations.
-* BO: the normal quantile at alpha / (2 D) over the leading-term scales.
+  thresholds; a replicate is studentized by its own sqrt(g1* + g2*).
+* MC: direct simulation from the fitted joint normal law, whose
+  model_scales equal the fit's scales to rounding (VT's ridge band too).
+* BO: the normal quantile at alpha / (2 D).
 * VT: the volume-of-tube height over the ridge band scales.
 
 With a contrast matrix A (BS, MC and BO) the targets are the rows of
-A mu; the leading-term scales become sqrt(sum_j A_rj^2 g1_j).
+A mu; BS and BO take maxstat.contrast_scales of g1 + g2, MC the
+contrasts' own variances under its joint normal law.
 
 max_test runs the max-type test of mu = h (or A mu = h) on one calibrate
 call: single-step, or step-down over the shared bootstrap draws for BS.
@@ -33,7 +34,7 @@ from .bootstrap import (
 )
 from .errors import InvalidConstants, ShapeMismatch
 from .estimation import FitResult
-from .maxstat import ContrastTest, CriticalValue, single_step_test, step_down_test
+from .maxstat import ContrastTest, CriticalValue, contrast_scales, single_step_test, step_down_test
 from .mc import build_joint_normal, critical_value_mc, model_scales
 from .model import BlockLmmData, MixedParameterSpec, check_contrast
 from .util import check_alpha
@@ -73,7 +74,7 @@ def calibrate(
         if method not in CONTRAST_METHODS:
             raise ShapeMismatch(f"contrast calibration supports {CONTRAST_METHODS}, got {method!r}")
         A = check_contrast(A, data.D)
-        scales = np.sqrt(scales**2 @ (A.T**2))
+        scales = contrast_scales(scales**2, A)
 
     if method in ("BS", "BE"):
         if draws is None:

@@ -365,12 +365,14 @@ def _validate_flag_combinations(args) -> None:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise _UsageError(f"output directory does not exist: {parent}")
-    if getattr(args, "method", None) == "vt" and args.tube_constants is None:
+    method = getattr(args, "method", None)
+    if method == "vt" and args.tube_constants is None:
         raise _UsageError("--method vt requires --tube-constants")
+    # the flags only some presets or methods read, each with whether this one does
+    owner, reads = None, {}
     if args.command == "simulate":
-        # the flags only some presets read, each with whether this preset does
         nerm = PRESETS[args.preset]["model_tag"] == NERM
-        reads = {
+        owner, reads = f"--preset {args.preset}", {
             "--methods": args.preset != "fwer",
             "--deltas": args.preset == "power",
             "--shift": args.preset == "fwer",
@@ -378,10 +380,13 @@ def _validate_flag_combinations(args) -> None:
             "--n-d": nerm,
             "--sigma-e2": nerm,
         }
-        unread = [flag for flag, read in reads.items()
-                  if not read and getattr(args, flag[2:].replace("-", "_")) is not None]
-        if unread:
-            raise _UsageError(f"--preset {args.preset} does not read {', '.join(unread)}")
+    elif method is not None:
+        vt = method == "vt"
+        owner, reads = f"--method {method}", {"--p": vt, "--tube-constants": vt}
+    unread = [flag for flag, read in reads.items()
+              if not read and getattr(args, flag[2:].replace("-", "_")) is not None]
+    if unread:
+        raise _UsageError(f"{owner} does not read {', '.join(unread)}")
     if args.command == "test":
         if args.h is None and args.contrasts is None:
             raise _UsageError("test needs --h, --contrasts, or both")

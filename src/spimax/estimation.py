@@ -20,13 +20,13 @@ the rows still moving maximizes the profile (see _newton_profile); a row
 whose slope at the floor VAR_FLOOR is <= 0 sits exactly on the floor.
 One GLS evaluation (_gls) serves the solver and the fit: the Newton
 profile reads y'P y from it, and _evaluate reads the restricted loglik,
-beta and the BLUPs from the same forms at the fitted theta; g2 is built
-from the same class weights.  Fits run on the response divided by s, a
-power of two near its standard deviation, and are mapped back, so the
-tolerances and the floor act in standardized units and a fit does not
-depend on the units the response was recorded in.  They also run on the
-response minus the dataset's own OLS fit, with beta_ols added back, so a
-fit does not depend on where the response sits either.
+beta, the BLUPs and g2 from the same forms at the fitted theta.  Fits run
+on the response divided by s, a power of two near its standard
+deviation, and are mapped back, so the tolerances and the floor act in
+standardized units and a fit does not depend on the units the response
+was recorded in.  They also run on the response minus the dataset's own
+OLS fit, with beta_ols added back, so a fit does not depend on where the
+response sits either.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _LOG2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted coefficients, predicted effects, targets and their scales."""
+    """Fitted coefficients, predicted effects, targets and their scales sqrt(g1 + g2)."""
 
     beta_hat: np.ndarray
     u_hat: np.ndarray
@@ -98,9 +98,10 @@ class DrawnStatistics:
 # batched likelihood cores
 # ======================================================================
 
-def _outer_rows(t: np.ndarray) -> np.ndarray:
-    """t_d t_d' flattened to one row per cluster, (D, q * q)."""
-    return (t[:, :, None] * t[:, None, :]).reshape(t.shape[0], -1)
+def _outer_rows(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a_d b_d' (b = a if None) flattened to one row per cluster, (D, q * q)."""
+    b = a if b is None else b
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
 class _Core:
@@ -181,11 +182,6 @@ class _Core:
 _CLASS_STATS = ("xty", "yty", "S")
 
 
-def _weighted_outer(core, a: np.ndarray) -> np.ndarray:
-    """sum_g a_g T_g for every row of a, as one matrix product."""
-    return (a.reshape(-1, a.shape[-1]) @ core.tt).reshape(a.shape[:-1] + (core.q, core.q))
-
-
 def _gls(core, st, a: np.ndarray):
     """GLS fit at unit residual variance from the class weights a[:, 0] of V^-1.
 
@@ -201,7 +197,7 @@ def _gls(core, st, a: np.ndarray):
     products, one (k x G) @ (G x (1 + q)) product per row, and a row
     vector v[:, None, :] times a column vector w[:, :, None].
     """
-    A = _weighted_outer(core, a)
+    A = (a.reshape(-1, a.shape[-1]) @ core.tt).reshape(a.shape[:-1] + (core.q, core.q))
     aS = a @ st["S"]
     aS2, B = aS[..., 0], aS[..., 1:]
     try:
@@ -236,31 +232,53 @@ def _profile_forms(core, st, a: np.ndarray):
     return r, r1, r2, tr1, tr2
 
 
+def _g2(core, spec: MixedParameterSpec, inv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """b_d' M b_d per row (m, D), b_d = k_d - m_d w_d t_d, M = inv (m, q, q), w (m, D).
+
+    b_d = kp_d + (alpha_d - m_d w_d) t_d, kp_d the part of k_d orthogonal to t_d:
+    expanded in k_d instead, the form cancels to (|k_d| / |b_d|)^2 relative.
+    """
+    t, tt = core.t, np.einsum("di,di->d", core.t, core.t)
+    alpha = np.einsum("di,di->d", spec.k, t) / np.where(tt > 0.0, tt, 1.0)
+    kp, e = spec.k - alpha[:, None] * t, alpha - spec.m * w
+    M = inv.reshape(inv.shape[0], -1)
+    g2 = M @ _outer_rows(t).T
+    g2 *= e
+    g2 += M @ (2.0 * _outer_rows(kp, t)).T
+    g2 *= e
+    g2 += M @ _outer_rows(kp).T
+    return g2
+
+
 def _evaluate(core, st, theta, spec: MixedParameterSpec | None = None) -> dict:
-    """Restricted loglik at theta per row; beta, u, mu and g1 too given spec.
+    """Restricted loglik at theta per row; beta, u, mu, g1 and g2 too given spec.
 
     With V = sigma2_e V_1 the loglik is -1/2 [(n - q) log sigma2_e +
     log|V_1| + log|A| + r / sigma2_e + (n - q - 1) log 2 pi], A and r the
     _gls forms at unit residual variance (sigma2_e = 1 for the area-level
     model).  The (n - q - 1) log 2 pi constant is the convention
     tests/oracles.dense_restricted_loglik shares, not a degrees-of-freedom
-    count.  The BLUP is u_d = w_g(d) rho_d with rho_d = s_d - t_d' beta.
+    count.  The BLUP is u_d = w_g(d) rho_d with rho_d = s_d - t_d' beta, and
+    g2 = sigma2_e b_d' (X'V_1^-1 X)^-1 b_d (_g2).
     """
     x, se = core.parameter(theta)
     a0, logdet_v, w = core.weights(x)
-    A, _, _, _, beta, r = _gls(core, st, a0[:, None])
+    A, _, _, inv, beta, r = _gls(core, st, a0[:, None])
     sign, logdet_a = np.linalg.slogdet(core.xtx + A[:, 0])
     nq = core.n - core.q
     ll = -0.5 * (nq * np.log(se) + logdet_v + logdet_a + r / se + (nq - 1) * _LOG2PI)
     out = {"loglik": np.where(sign > 0, ll, -np.inf)}
     if spec is not None:
-        u = w[:, core.label] * (st["s"] - beta @ core.t.T)
+        w = w[:, core.label]
+        g2 = _g2(core, spec, np.reshape(se, (-1, 1, 1)) * inv, w)
+        u = w * (st["s"] - beta @ core.t.T)
         beta = beta + core.beta_ols
         out.update(
             beta=beta,
             u=u,
             mu=beta @ spec.k.T + spec.m[None, :] * u,
             g1=core.g1(theta)[:, core.label] * spec.m[None, :] ** 2,
+            g2=g2,
         )
     return out
 
@@ -516,7 +534,7 @@ def _newton_profile(core, st, x0):
 def _batch_reml(core, st, spec: MixedParameterSpec | None = None) -> dict:
     """REML per row of a standardized problem, with results in the units of Y.
 
-    Maps theta and g1 back by s^2, beta, u and mu by s, and the restricted
+    Maps theta, g1 and g2 back by s^2, beta, u and mu by s, and the restricted
     loglik by -(n - q) log s, s the core's scale.  `boundary` marks rows at the floor of the
     solver's parameter and `fallback` rows not converged within MAX_ITER.
     Predictions are included when spec is given.
@@ -533,7 +551,9 @@ def _batch_reml(core, st, spec: MixedParameterSpec | None = None) -> dict:
         "boundary": boundary,
     }
     if spec is not None:
-        out.update(beta=fit["beta"] * s, u=fit["u"] * s, mu=fit["mu"] * s, g1=fit["g1"] * s**2)
+        for key, power in (("beta", 1), ("u", 1), ("mu", 1), ("g1", 2), ("g2", 2)):
+            out[key] = fit[key]
+            out[key] *= s**power  # in place: _evaluate made these arrays
     return out
 
 
@@ -544,7 +564,7 @@ def batch_eblup(data: BlockLmmData, spec: MixedParameterSpec, Y) -> dict:
     standing for one.
 
     Returns arrays keyed by name: theta (m, k), beta (m, p+1), u (m, D),
-    mu (m, D), g1 (m, D), loglik (m,), plus bookkeeping masks `fallback`
+    mu (m, D), g1 and g2 (m, D), loglik (m,), plus bookkeeping masks `fallback`
     (not converged within MAX_ITER) and `boundary` (at the floor).  Row i
     depends only on Y[i]: the solver evaluates each row on its own path,
     so a row fitted alone and inside a batch agree to rounding (matrix
@@ -579,11 +599,17 @@ def _theta_components(data: BlockLmmData, row: np.ndarray) -> VarianceComponents
     return VarianceComponents(sigma2_u=row[0])
 
 
+def _evaluate_at(data: BlockLmmData, theta: VarianceComponents, spec=None) -> dict:
+    """_evaluate of the dataset's own response at known variance components."""
+    if spec is not None:
+        check_spec(data, spec)
+    core = _core_for(data)
+    return _evaluate(core, core.stats(data.y[None, :]), _theta_array(data, theta), spec)
+
+
 def restricted_loglik(data: BlockLmmData, theta: VarianceComponents) -> float:
     """Restricted log-likelihood at the supplied variance components."""
-    core = _core_for(data)
-    fit = _evaluate(core, core.stats(data.y[None, :]), _theta_array(data, theta))
-    return float(fit["loglik"][0])
+    return float(_evaluate_at(data, theta)["loglik"][0])
 
 
 def within_factor(data: BlockLmmData) -> np.ndarray:
@@ -647,7 +673,7 @@ def _row0_result(fit: dict, theta: VarianceComponents) -> FitResult:
         u_hat=fit["u"][0],
         mu_hat=fit["mu"][0],
         theta=theta,
-        scale=np.sqrt(np.maximum(fit["g1"][0], 0.0)),
+        scale=np.sqrt(np.maximum(fit["g1"][0] + fit["g2"][0], 0.0)),
         loglik_restricted=float(fit["loglik"][0]),
     )
 
@@ -656,10 +682,7 @@ def fit_gls_blup(
     data: BlockLmmData, spec: MixedParameterSpec, theta: VarianceComponents
 ) -> FitResult:
     """GLS fixed effects and BLUP random effects at known variance components."""
-    check_spec(data, spec)
-    core = _core_for(data)
-    fit = _evaluate(core, core.stats(data.y[None, :]), _theta_array(data, theta), spec)
-    return _row0_result(fit, theta)
+    return _row0_result(_evaluate_at(data, theta, spec), theta)
 
 
 def eblup(data: BlockLmmData, spec: MixedParameterSpec | None = None) -> FitResult:
@@ -690,19 +713,9 @@ def g2(
 ) -> np.ndarray:
     """Fixed-effect estimation contribution b_d' (X'V^-1X)^-1 b_d.
 
-    With V = sigma2_e V_1 and BLUP weights w_d, b_d = k_d - m_d w_d t_d and
-    the term is sigma2_e b_d' (X'X + sum_d a_d t_d t_d')^-1 b_d.
+    With BLUP weights w_d, b_d = k_d - m_d w_d t_d; row 0 of _evaluate.
     """
-    check_spec(data, spec)
-    core = _core_for(data)
-    x, se = core.parameter(_theta_array(data, theta))
-    a0, _, w = core.weights(x)
-    bvec = spec.k - (spec.m * w[0, core.label])[:, None] * core.t
-    try:
-        sol = np.linalg.solve(core.xtx + _weighted_outer(core, a0)[0], bvec.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("X'V^-1X is singular") from exc
-    return se * np.einsum("di,id->d", bvec, sol)
+    return _evaluate_at(data, theta, spec)["g2"][0]
 
 
 def cholesky_residuals(data: BlockLmmData, fit: FitResult) -> np.ndarray:

@@ -76,8 +76,8 @@ def build_spi(
 ) -> SimultaneousIntervals:
     """Simultaneous intervals mu_hat_d +/- c_d * scale_d.
 
-    scales defaults to the fit's prediction scales; pass an override when a
-    method calibrates against a different studentization.
+    scales defaults to the fit's prediction scales, sqrt(g1 + g2); MC and VT
+    pass the same scales reached by their own routes.
     """
     scales = floor_scales(fit.scale if scales is None else scales)
     D = fit.mu_hat.shape[0]
@@ -91,6 +91,11 @@ def build_spi(
         upper=fit.mu_hat + half,
         critical=critical,
     )
+
+
+def contrast_scales(variances: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Diagonal-form contrast scales sqrt(sum_j A_rj^2 v_j), per row of the variances v."""
+    return np.sqrt(variances @ (A.T**2))
 
 
 def covers_all(intervals: SimultaneousIntervals, truth: np.ndarray) -> bool:

@@ -304,7 +304,7 @@ def _score_fwer(n_alt, shift, alpha, fit, mu_true, calibrated, draws):
     """{method: {"fwer": any true null rejected, "alt_rate": share of alternatives rejected}}."""
     h = mu_true.copy()
     h[:n_alt] -= shift
-    # both methods studentize by BO's scales, the leading MSE terms
+    # both methods studentize by BO's scales, sqrt(g1 + g2), as the bootstrap does
     cv, scales = calibrated["BO"]
     test = single_step_test(fit.mu_hat, scales, h, cv)
     provider = stepdown_quantile_provider(draws, alpha)
@@ -327,9 +327,8 @@ def run_spi_experiment(
 ) -> ExperimentResult:
     """Coverage (ECP), mean width (WS) and width variance (VS) per method.
 
-    All methods center intervals at the same predictions.  BS, BE and BO
-    scale by the leading MSE term; the direct simulation calibrates and
-    scales with its model-implied standard deviations.
+    All methods center intervals at the same predictions and scale them by
+    the same sqrt(g1 + g2); they differ only in the critical value.
 
     vs is the mean over clusters of the width variance over the I
     surviving replicates.  Its sample is z_i = I / (I - 1) * mean_d

@@ -25,6 +25,7 @@ from spimax.bootstrap import (
     parametric_bootstrap,
     stepdown_quantile_provider,
 )
+from spimax.calibration import calibrate
 from spimax.estimation import eblup, fit_gls_blup, g1, restricted_loglik
 from spimax.maxstat import build_spi, single_step_test, step_down_test
 from spimax.mc import Arrow, JointNormalModel, build_joint_normal, critical_value_mc
@@ -38,6 +39,7 @@ from spimax.model import (
 )
 from spimax.simulate import (
     ScenarioConfig,
+    generate_scenario,
     run_fwer_experiment,
     run_power_experiment,
     run_spi_experiment,
@@ -116,6 +118,36 @@ def test_criterion_3_area_level_coverage_and_balanced_collapse():
         f"(required drop >= 5pp, got {be_15 - be_90:.1f}pp)",
     )
     assert ok
+
+
+def test_bootstrap_widths_stay_near_mc_on_the_c3_fhm_design():
+    # C3's FHM design at D=15, where a few refits per dataset land on the
+    # variance floor: studentized by sqrt(g1) alone such a replicate's |S*|
+    # reached about 1e4, and with it the critical value and the widths.
+    # Studentized by sqrt(g1 + g2) on both sides of the pivot, BS and BE
+    # stay close to MC on every dataset
+    config = ScenarioConfig(
+        model_tag=FHM, D=15, sigma2_u=1.0, fhm_sigma_pattern=(0.7, 0.6, 0.5, 0.4, 0.3),
+        n_boot=B_DESK, master_seed=SEED,
+    )
+    largest_cv = largest_ratio = 0.0
+    for i in range(40):
+        data, _, spec = generate_scenario(config, i)
+        fit = eblup(data, spec)
+        widths, draws = {}, None
+        for method in ("BS", "BE", "MC"):
+            cv, scales, draws = calibrate(
+                method, data, spec, fit, alpha=config.alpha,
+                seed=util.derive_seed(SEED, i, 2 if method == "MC" else 1),
+                B=config.n_boot, K=config.n_mc, draws=draws,
+            )
+            spi = build_spi(fit, cv, scales)
+            widths[method] = float(np.median(spi.upper - spi.lower))
+            if method != "MC":
+                largest_cv = max(largest_cv, float(cv.thresholds(data.D).max()))
+        largest_ratio = max(largest_ratio, widths["BS"] / widths["MC"], widths["BE"] / widths["MC"])
+    assert largest_cv <= 10.0
+    assert largest_ratio <= 3.0
 
 
 def test_criterion_4_family_wise_error():
@@ -247,7 +279,7 @@ def test_criterion_6_oracle_equivalences():
     c_mc = critical_value_mc(joint, spec, 200_000, alpha, 99).value
     s = rng.standard_normal((20_000, D))
     draws = BootstrapDraws(
-        delta=s.copy(), g1_star=np.ones((20_000, D)), n_fallback=0, n_boundary=0,
+        delta=s.copy(), mse_star=np.ones((20_000, D)), n_fallback=0, n_boundary=0,
     )
     c_bs = critical_value_bs(draws, alpha).value
     mc_err, bs_err = abs(c_mc - c_star), abs(c_bs - c_star)

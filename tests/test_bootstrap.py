@@ -25,16 +25,16 @@ from oracles import max_abs_normal_quantile, max_abs_normal_quantile_se
 def _draws_from_matrix(S, g1=None):
     S = np.asarray(S, dtype=float)
     g1 = np.ones_like(S) if g1 is None else g1
-    return boot.BootstrapDraws(delta=S * np.sqrt(g1), g1_star=g1)
+    return boot.BootstrapDraws(delta=S * np.sqrt(g1), mse_star=g1)
 
 
 def _s(draws):
-    """The studentized replicate matrix S* = delta / sqrt(g1*)."""
-    return draws.delta / np.sqrt(draws.g1_star)
+    """The studentized replicate matrix S* = delta / sqrt(mse*)."""
+    return draws.delta / np.sqrt(draws.mse_star)
 
 
 def _arrays(draws):
-    return {"s": _s(draws), "delta": draws.delta, "g1_star": draws.g1_star}
+    return {"s": _s(draws), "delta": draws.delta, "mse_star": draws.mse_star}
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_bootstrap_deterministic_and_prefix_stable(nerm_setup, fhm_setup):
         a = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
         b = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
         assert np.array_equal(_s(a), _s(b))
-        assert np.array_equal(a.g1_star, b.g1_star)
+        assert np.array_equal(a.mse_star, b.mse_star)
         d = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=100)
         assert not np.array_equal(_s(a), _s(d))
 
@@ -184,7 +184,7 @@ def test_contrast_identity_reduces_to_bs():
     rng = np.random.default_rng(41)
     g1 = rng.uniform(0.5, 2.0, size=(300, 6))
     delta = rng.standard_normal((300, 6)) * np.sqrt(g1)
-    draws = boot.BootstrapDraws(delta=delta, g1_star=g1)
+    draws = boot.BootstrapDraws(delta=delta, mse_star=g1)
     c_id = boot.critical_value_contrast(draws, np.eye(6), 0.1)
     c_bs = boot.critical_value_bs(draws, 0.1)
     assert c_id.value == c_bs.value
@@ -302,8 +302,8 @@ def test_stepdown_provider_contrast_rows():
 def _copied_abs_s(draws, A=None):
     """|S*| the copying way: studentize, then take a separate absolute value."""
     if A is None:
-        return np.abs(draws.delta / np.sqrt(draws.g1_star))
-    scale = np.sqrt(draws.g1_star @ (A.T**2))
+        return np.abs(draws.delta / np.sqrt(draws.mse_star))
+    scale = np.sqrt(draws.mse_star @ (A.T**2))
     return np.abs(draws.delta @ A.T) / np.where(scale > 0.0, scale, 1.0)
 
 
@@ -337,7 +337,7 @@ def _draws_and_contrasts(draw):
     delta = draw(hnp.arrays(float, (B, D), elements=_VALUES))
     g1 = draw(hnp.arrays(float, (B, D), elements=_G1))
     A = draw(hnp.arrays(float, (q, D), elements=st.sampled_from([-1.0, 0.0, 1.0])))
-    return boot.BootstrapDraws(delta=delta, g1_star=g1), A
+    return boot.BootstrapDraws(delta=delta, mse_star=g1), A
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,7 +371,7 @@ def test_readers_hold_at_most_one_draw_matrix_beyond_delta_and_g1():
     B, D = 2000, 300
     rng = np.random.default_rng(5)
     draws = boot.BootstrapDraws(
-        delta=rng.standard_normal((B, D)), g1_star=rng.uniform(0.5, 2.0, (B, D))
+        delta=rng.standard_normal((B, D)), mse_star=rng.uniform(0.5, 2.0, (B, D))
     )
     t = np.linspace(0.0, 6.0, D)  # about a third rejected, over several rounds
     bound = B * D * 8 + 16 * B * 8  # one B x D array plus a few length-B vectors
@@ -412,7 +412,7 @@ def _recorded_draws(monkeypatch, data, spec, fit, b_reps, seed):
         m = Y.u.shape[0]
         zeros = np.zeros(m, dtype=bool)
         return {"mu": np.zeros((m, data.D)), "g1": np.ones((m, data.D)),
-                "fallback": zeros, "boundary": zeros}
+                "g2": np.zeros((m, data.D)), "fallback": zeros, "boundary": zeros}
 
     monkeypatch.setattr(boot, "batch_eblup", stand_in)
     boot.parametric_bootstrap(data, spec, fit, b_reps, master_seed=seed)

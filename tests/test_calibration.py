@@ -55,7 +55,7 @@ def test_bootstrap_methods_match_primitives(model):
     cv, scales, got_draws = _run("BS", data, spec, fit)
     _assert_same((cv, scales, None), boot.critical_value_bs(draws, ALPHA), lead)
     np.testing.assert_array_equal(got_draws.delta, draws.delta)
-    np.testing.assert_array_equal(got_draws.g1_star, draws.g1_star)
+    np.testing.assert_array_equal(got_draws.mse_star, draws.mse_star)
     _assert_same(_run("BE", data, spec, fit), boot.beran_critical_values(draws, ALPHA), lead)
 
 

@@ -634,6 +634,10 @@ def test_exit_codes_and_error_json(tmp_path, capsys, unit_csv, tube_file):
     usage_errors = [
         ["spi", "--nope"],  # unknown option, then bad combinations
         ["spi", *nerm, "--method", "vt"],
+        # the tube flags with a method that does not read them: caught before
+        # the constants file is opened
+        ["spi", *nerm, "--method", "bs", "--p", "3", "--tube-constants", absent],
+        ["test", *nerm, "--method", "mc", "--h", absent, "--p", "1"],
         ["test", *nerm, "--method", "bs"],
         ["test", *nerm, "--method", "mc", "--h", "x.csv", "--stepdown"],
         ["test", *nerm, "--method", "be", "--contrasts", "A.csv"],
@@ -663,7 +667,9 @@ def test_exit_codes_and_error_json(tmp_path, capsys, unit_csv, tube_file):
     assert err.count("--out and --out-data name the same destination: ") == 3
     assert "usage error: --preset fwer does not read --methods, --deltas\n" in err
     assert "usage error: --preset table2-row does not read --n-d, --sigma-e2\n" in err
-    assert err.count(" does not read ") == 5
+    assert "usage error: --method bs does not read --p, --tube-constants\n" in err
+    assert "usage error: --method mc does not read --p\n" in err
+    assert err.count(" does not read ") == 7
     assert not (tmp_path / "t.out").exists()
 
     # computation: missing file, with machine-readable report

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spimax import estimation as est
+from spimax.analytic import ridge_interval_scales
 from spimax.errors import DegenerateData, ShapeMismatch
+from spimax.mc import build_joint_normal, model_scales
 from spimax.model import (
     VAR_FLOOR,
     BlockLmmData,
@@ -304,6 +306,56 @@ def test_g2_shrinks_with_more_clusters():
     g2_big = est.g2(big, theta, cluster_mean_spec(big)).mean()
     # order 1/D decay: quadrupling D should cut it to roughly a quarter
     assert g2_big < 0.35 * g2_small
+
+
+# NERM balanced and unbalanced at p = 0, 1, 2, FHM at p = 0, 1, 2, and two
+# fits on the variance floor
+_G2_CASES = {
+    **{f"nerm-p{p}": make_nerm(D=12, n_d=5, p=p, seed=40 + p)[0] for p in (0, 1, 2)},
+    **{f"nerm-unbalanced-p{p}": make_nerm(D=12, p=p, seed=43 + p, unbalanced=True)[0]
+       for p in (0, 1, 2)},
+    **{f"fhm-p{p}": make_fhm(D=15, p=p, seed=50 + p)[0] for p in (0, 1, 2)},
+    "nerm-boundary": rescaled(make_nerm(D=12, seed=29, unbalanced=True)[0], 0.1),
+    "fhm-boundary": rescaled(make_fhm(D=15, sigma2_u=0.05, seed=0)[0], 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(_G2_CASES))
+def test_batched_g2_is_the_closed_form_and_dense_g2(name):
+    # g2 rows of a 128-row batch, the dataset's own row fitted alone, and
+    # estimation.g2 at each row's theta all agree with both oracles
+    data = _G2_CASES[name]
+    spec = cluster_mean_spec(data)
+    rng = np.random.default_rng(7)
+    noise = rng.normal(0.0, data.y.std(), size=(127, data.n_total))
+    Y = np.vstack([data.y, data.y + noise])
+    batch = est.batch_eblup(data, spec, Y)
+    alone = est.batch_eblup(data, spec, data.y[None])
+    assert batch["boundary"][0] == name.endswith("boundary")
+    assert_allclose(alone["g2"][0], batch["g2"][0], rtol=1e-10, atol=0)
+    for i in (0, 1, 64, 127):
+        theta = est._theta_components(data, batch["theta"][i])
+        su, se = theta.sigma2_u, theta.sigma2_e
+        closed = closed_form_g2(data, spec, su, se)
+        assert_allclose(batch["g2"][i], closed, rtol=1e-10, atol=0)
+        assert_allclose(batch["g2"][i], dense_g1_g2(data, spec, su, se)[1], rtol=1e-10, atol=0)
+        assert_allclose(est.g2(data, theta, spec), closed, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("name", list(_G2_CASES))
+def test_fit_scale_is_the_mc_and_ridge_scale(name):
+    # every method studentizes by sqrt(g1 + g2): MC's joint normal law and
+    # VT's ridge band reach the fit's scale by their own routes
+    data = _G2_CASES[name]
+    spec = cluster_mean_spec(data)
+    fit = est.eblup(data, spec)
+    theta = fit.theta
+    assert_allclose(fit.scale**2, est.g1(data, theta) * spec.m**2 + est.g2(data, theta, spec),
+                    rtol=1e-14, atol=0)
+    assert_allclose(model_scales(build_joint_normal(data, theta), spec), fit.scale,
+                    rtol=1e-14, atol=0)
+    if data.model_tag == "NERM":
+        assert_allclose(ridge_interval_scales(data, theta, spec), fit.scale, rtol=1e-14, atol=0)
 
 
 # ----------------------------------------------------------------------

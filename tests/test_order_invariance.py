@@ -1,7 +1,7 @@
 """A fit does not depend on the order of the clusters or of their units.
 
 Reordering changes only the order of floating-point sums, so theta, beta
-and the (reordered) predictions agree to rounding.
+and the (reordered) predictions and scales agree to rounding.
 """
 
 import numpy as np
@@ -37,7 +37,9 @@ def _assert_same_fit(data, perm_seed):
         want = getattr(fit.theta, name)
         if want is not None:  # the area-level model has known error variances
             assert_allclose(getattr(other.theta, name), want, rtol=RTOL, atol=0)
-    for got, want in ((other.beta_hat, fit.beta_hat), (other.mu_hat, fit.mu_hat[order])):
+    pairs = ((other.beta_hat, fit.beta_hat), (other.mu_hat, fit.mu_hat[order]),
+             (other.scale, fit.scale[order]))
+    for got, want in pairs:
         assert_allclose(got, want, rtol=RTOL, atol=RTOL * np.abs(want).max())
 
 

@@ -88,7 +88,7 @@ def test_power_of_two_units_give_exact_multiples(data, k):
     c = 2.0**k
     unit = fit_of(data)
     scaled = fit_of(rescaled(data, c))
-    for key, power in (("theta", 2), ("g1", 2), ("beta", 1), ("u", 1), ("mu", 1)):
+    for key, power in (("theta", 2), ("g1", 2), ("g2", 2), ("beta", 1), ("u", 1), ("mu", 1)):
         assert_array_equal(scaled[key], c**power * unit[key])
     assert_array_equal(scaled["fallback"], unit["fallback"])
     assert_array_equal(scaled["boundary"], unit["boundary"])
@@ -179,7 +179,7 @@ def test_eblup_is_row_zero_of_batch_eblup(data):
     assert_array_equal(fit.beta_hat, row["beta"])
     assert_array_equal(fit.u_hat, row["u"])
     assert_array_equal(fit.mu_hat, row["mu"])
-    assert_array_equal(fit.scale, np.sqrt(row["g1"]))
+    assert_array_equal(fit.scale, np.sqrt(row["g1"] + row["g2"]))
     assert fit.loglik_restricted == row["loglik"]
     theta = row["theta"]
     if data.model_tag == NERM:
