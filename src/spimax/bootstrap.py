@@ -5,22 +5,22 @@ parameters, refits the whole estimation pipeline on the synthetic
 response, and records the deviation of the refitted mixed parameter from
 its replicate truth and its g1 + g2, the scale of FitResult.scale.
 Critical values are order statistics of row maxima of |S*| = |delta /
-sqrt(g1 + g2)|, derived on read: each reader builds it in one buffer of
-its own.
+sqrt(g1 + g2)| (or of contrast rows), studentized per chunk into one
+B x q matrix that the readers only read.
 
 The bootstrap is one loop over chunks of CHUNK replicates: each chunk
-draws and refits its own rows, so only one chunk of draws is held at a
-time.  Every chunk fills one block of standard normals: a unit-level
-chunk c from the one generator derive_rng(master_seed, c), always whole,
-of which a short last chunk uses the first rows; an area-level chunk row
-by row, replicate b's row from derive_rng(master_seed, b), all seeded in
-one vectorized pass (util.replicate_normals).  So results depend only on
-(master_seed, index): they are the same at any worker count and, with
-CHUNK fixed, under any split of B.  A replicate's refit depends only on
-its own draws: refitted alone it agrees with the batch result to rounding
-(matrix products round differently for other batch sizes).  The chunks
-run one after another in the calling thread; worker threads were measured
-to slow the refits down.
+draws, refits and studentizes its own rows, so only one chunk of draws is
+held at a time.  Every chunk fills one block of standard normals: a
+unit-level chunk c from the one generator derive_rng(master_seed, c),
+always whole, of which a short last chunk uses the first rows; an
+area-level chunk row by row, replicate b's row from
+derive_rng(master_seed, b), all seeded in one vectorized pass
+(util.replicate_normals).  So results depend only on (master_seed, index):
+they are the same at any worker count and, with CHUNK fixed, under any
+split of B.  A replicate's refit depends only on its own draws: refitted
+alone it agrees with the batch result to rounding (matrix products round
+differently for other batch sizes).  The chunks run one after another in
+the calling thread; worker threads were measured to slow the refits down.
 """
 
 from __future__ import annotations
@@ -46,24 +46,19 @@ MSE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """Bootstrap deviations and g1 + g2 values, reusable without refitting.
+    """Studentized bootstrap deviations, reusable without refitting.
 
-    delta[b, d] = mu_hat*_bd - mu*_bd and mse_star[b, d] = (g1 + g2)_d(theta*_b)
-    (floored) are the only B x D state; each reader derives |S*| from them.
+    abs_s[b, j] = |S*_bj|, the studentized |mu_hat*_bj - mu*_bj| (or its
+    contrast row j), studentized per chunk; it is the only B x q state.
     """
 
-    delta: np.ndarray
-    mse_star: np.ndarray
+    abs_s: np.ndarray
     n_fallback: int = 0
     n_boundary: int = 0
 
     @property
     def b_reps(self) -> int:
-        return self.delta.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.delta.shape[1]
+        return self.abs_s.shape[0]
 
 
 def parametric_bootstrap(
@@ -72,8 +67,9 @@ def parametric_bootstrap(
     fit: FitResult,
     b_reps: int,
     master_seed: int,
+    A: np.ndarray | None = None,
 ) -> BootstrapDraws:
-    """Draw and refit b_reps synthetic datasets.
+    """Draw, refit and studentize b_reps synthetic datasets.
 
     Replicate b draws u* and errors at their error variances (model.
     error_variances: the estimated sigma2_e for unit-level data, the known
@@ -89,13 +85,17 @@ def parametric_bootstrap(
     r more columns for z, and its chunk then draws CHUNK chi2 values.  The
     replicate truth mu*_d = k_d' beta_hat + m_d u*_d keeps the original
     coefficient estimate, and every replicate is refitted with the same
-    REML pipeline as the original fit; each chunk writes only its own rows
-    of the outputs.  Replicates whose refit lands on the variance floor are
-    kept; their g1 + g2 values are floored.  Unit-level data with n - D - r <= 0
-    hold no information on sigma2_e and raise DegenerateData
-    (estimation.within_dof) before any draw.
+    REML pipeline as the original fit.  Replicates whose refit lands on the
+    variance floor are kept; their g1 + g2 values are floored.  Each chunk
+    writes its own rows of abs_s, |delta| / sqrt(g1* + g2*), or for a
+    contrast matrix A |delta A'| over maxstat.contrast_scales of g1* + g2*,
+    a zero scale set to 1.  Unit-level data with n - D - r <= 0 hold no
+    information on sigma2_e and raise DegenerateData (estimation.within_dof)
+    before any draw.
     """
     check_spec(data, spec)
+    if A is not None:
+        A = check_contrast(A, data.D)
     check_seed(master_seed)
     if b_reps < 1:
         raise ShapeMismatch("need at least one bootstrap replicate")
@@ -118,8 +118,7 @@ def parametric_bootstrap(
     sd = np.concatenate([np.full(D, np.sqrt(fit.theta.sigma2_u)), noise_sd])
     normals = np.empty((CHUNK, 2 * D + r))
     mse_floor = MSE_FLOOR * response_scale(data.y) ** 2
-    delta = np.empty((b_reps, D))
-    mse_star = np.empty((b_reps, D))
+    abs_s = np.empty((b_reps, D if A is None else A.shape[0]))
 
     def run_chunk(start: int) -> tuple[int, int]:
         m = min(CHUNK, b_reps - start)
@@ -139,20 +138,27 @@ def parametric_bootstrap(
         else:
             Y = xb + u_star + noise
         res = batch_eblup(data, spec, Y)
-        delta[start : start + m] = res["mu"] - (mu_fixed + spec.m * u_star)
-        res["g1"] += res["g2"]
-        np.maximum(res["g1"], mse_floor, out=mse_star[start : start + m])
+        delta = np.subtract(res["mu"], mu_fixed + spec.m * u_star, out=res["mu"])
+        mse = np.maximum(np.add(res["g1"], res["g2"], out=res["g1"]), mse_floor, out=res["g1"])
+        out = abs_s[start : start + m]
+        if A is None:
+            np.abs(np.divide(delta, np.sqrt(mse, out=mse), out=out), out=out)
+        else:
+            numer = delta @ A.T
+            scale = contrast_scales(mse, A)
+            scale[~(scale > 0.0)] = 1.0
+            np.divide(np.abs(numer, out=numer), scale, out=out)
         return int(res["fallback"].sum()), int(res["boundary"].sum())
 
     counts = [run_chunk(start) for start in range(0, b_reps, CHUNK)]
     n_fallback, n_boundary = (sum(c) for c in zip(*counts))
-    return BootstrapDraws(delta, mse_star, n_fallback, n_boundary)
+    return BootstrapDraws(abs_s, n_fallback, n_boundary)
 
 
-def _abs_s(draws: BootstrapDraws) -> np.ndarray:
-    """|S*| = |delta / sqrt(mse_star)| in one fresh buffer."""
-    buf = np.sqrt(draws.mse_star)
-    return np.abs(np.divide(draws.delta, buf, out=buf), out=buf)
+def check_draws(draws: BootstrapDraws, q: int) -> None:
+    """Raise ShapeMismatch unless the draws hold q studentized columns."""
+    if draws.abs_s.shape[1] != q:
+        raise ShapeMismatch(f"the draws hold {draws.abs_s.shape[1]} studentized columns, need {q}")
 
 
 def _row_max_quantile(abs_s: np.ndarray, alpha: float, where=True) -> float:
@@ -164,28 +170,18 @@ def _row_max_quantile(abs_s: np.ndarray, alpha: float, where=True) -> float:
 
 def critical_value_bs(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     """(1-alpha) order statistic of the row maxima of |S*|."""
-    return CriticalValue(value=_row_max_quantile(_abs_s(draws), alpha))
-
-
-def _contrast_abs_s(draws: BootstrapDraws, A: np.ndarray) -> np.ndarray:
-    """|studentized| replicate matrix for the contrasts A mu, shape (B, q)."""
-    A = check_contrast(A, draws.D)
-    numer = draws.delta @ A.T
-    scale = contrast_scales(draws.mse_star, A)
-    # an all-zero contrast row has a zero numerator; keep its statistic at 0
-    scale[~(scale > 0.0)] = 1.0
-    return np.divide(np.abs(numer, out=numer), scale, out=numer)
+    return CriticalValue(value=_row_max_quantile(draws.abs_s, alpha))
 
 
 def critical_value_contrast(draws: BootstrapDraws, A: np.ndarray, alpha: float) -> CriticalValue:
     """Bootstrap threshold for the max statistic of the contrasts A mu.
 
-    Numerators are the projected replicate deviations A (mu_hat* - mu*),
-    studentized by maxstat.contrast_scales of mse_star.  With A = I this
-    reduces exactly to critical_value_bs.
+    The draws must come from parametric_bootstrap(..., A): their columns
+    are A's rows, A (mu_hat* - mu*) studentized by maxstat.contrast_scales
+    of g1* + g2*.  With A = I this reduces exactly to critical_value_bs.
     """
-    value = _row_max_quantile(_contrast_abs_s(draws, A), alpha)
-    return CriticalValue(value=value)
+    check_draws(draws, np.shape(A)[0] if np.ndim(A) == 2 else 0)
+    return CriticalValue(value=_row_max_quantile(draws.abs_s, alpha))
 
 
 def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
@@ -197,9 +193,9 @@ def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     one probability level.
     """
     B = draws.b_reps
-    cols = _abs_s(draws)
+    cols = draws.abs_s.copy()
     max_rank = np.zeros(B, dtype=np.intp)
-    for d in range(draws.D):  # column d turns into its sorted copy once it is ranked
+    for d in range(cols.shape[1]):  # column d turns into its sorted copy once it is ranked
         sorted_col = np.sort(cols[:, d])
         np.maximum(max_rank, np.searchsorted(sorted_col, cols[:, d], side="right"), out=max_rank)
         cols[:, d] = sorted_col
@@ -210,15 +206,15 @@ def beran_critical_values(draws: BootstrapDraws, alpha: float) -> CriticalValue:
     return CriticalValue(value=float(q), per_cluster=per_cluster)
 
 
-def stepdown_quantile_provider(draws: BootstrapDraws, alpha: float, A: np.ndarray | None = None):
+def stepdown_quantile_provider(draws: BootstrapDraws, alpha: float):
     """Subset-max quantiles over shared draws, for step-down selection.
 
     Because every subset quantile comes from the same draw matrix, the
-    threshold can only shrink when the subset shrinks.  Without A the
-    subsets index clusters; with a contrast matrix A they index its rows,
-    studentized the same way as critical_value_contrast.
+    threshold can only shrink when the subset shrinks.  The subsets index
+    the draws' columns: clusters, or the rows of the contrast matrix the
+    draws were studentized for.
     """
-    abs_s = _abs_s(draws) if A is None else _contrast_abs_s(draws, A)
+    abs_s = draws.abs_s
     m = abs_s.shape[1]
 
     def provider(subset) -> float:

@@ -27,6 +27,7 @@ from .analytic import TubeConstants, bonferroni_cv, ridge_interval_scales, tube_
 from .bootstrap import (
     BootstrapDraws,
     beran_critical_values,
+    check_draws,
     critical_value_bs,
     critical_value_contrast,
     parametric_bootstrap,
@@ -64,21 +65,24 @@ def calibrate(
     replicates) or the direct simulation (K draws); tube = (p, constants)
     is required for VT.  Draws passed in are reused instead of redrawn and
     returned as they came, so several bootstrap methods can share one set
-    of refits; methods that do not bootstrap return draws unchanged.
+    of refits; methods that do not bootstrap return draws unchanged.  Draws
+    whose column count is not D (or A's row count) raise ShapeMismatch.
     """
     check_alpha(alpha)
     if method not in METHODS:
         raise ShapeMismatch(f"unknown method {method!r}; choose from {METHODS}")
-    scales = fit.scale
+    scales, q = fit.scale, data.D
     if A is not None:
         if method not in CONTRAST_METHODS:
             raise ShapeMismatch(f"contrast calibration supports {CONTRAST_METHODS}, got {method!r}")
         A = check_contrast(A, data.D)
-        scales = contrast_scales(scales**2, A)
+        scales, q = contrast_scales(scales**2, A), A.shape[0]
+    if draws is not None:
+        check_draws(draws, q)
 
     if method in ("BS", "BE"):
         if draws is None:
-            draws = parametric_bootstrap(data, spec, fit, B, seed)
+            draws = parametric_bootstrap(data, spec, fit, B, seed, A)
         if method == "BE":
             cv = beran_critical_values(draws, alpha)
         elif A is None:
@@ -90,7 +94,7 @@ def calibrate(
         cv = critical_value_mc(joint, spec, K, alpha, seed, contrast=A)
         scales = model_scales(joint, spec, contrast=A)
     elif method == "BO":
-        cv = bonferroni_cv(data.D if A is None else A.shape[0], alpha)
+        cv = bonferroni_cv(q, alpha)
     else:
         if tube is None:
             raise InvalidConstants("method VT needs tube = (p, TubeConstants)")
@@ -138,6 +142,6 @@ def max_test(
     mu_hat = fit.mu_hat if A is None else A @ fit.mu_hat
     test = single_step_test(mu_hat, scales, h, cv)
     if stepdown:
-        provider = stepdown_quantile_provider(draws, alpha, A=A)
+        provider = stepdown_quantile_provider(draws, alpha)
         return test, step_down_test(test.t, provider, alpha)
     return test, np.flatnonzero(test.decisions)

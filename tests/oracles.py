@@ -131,6 +131,20 @@ def grid_reml(data, se_grid=None, su_grid=None, refine=2):
     return se_grid[20], su_grid[20]
 
 
+def studentized(delta, mse, A=None):
+    """|S*| from whole B x D matrices of bootstrap deviations and g1* + g2*.
+
+    |delta / sqrt(mse)|, or for a contrast matrix A, |delta A'| over the
+    diagonal-form scales sqrt(mse (A')^2) with zero scales set to 1.
+    """
+    if A is None:
+        return np.abs(delta / np.sqrt(mse))
+    numer = delta @ A.T
+    scale = np.sqrt(mse @ (A.T**2))
+    scale[~(scale > 0.0)] = 1.0
+    return np.abs(numer) / scale
+
+
 def max_abs_normal_quantile(D, alpha):
     """Exact c with P(max_d |N(0,1)| <= c) = 1 - alpha for independent components."""
     return float(stats.norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / D))))

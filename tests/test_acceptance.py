@@ -46,7 +46,7 @@ from spimax.simulate import (
 )
 
 from conftest import make_fhm, make_nerm
-from oracles import dense_ridge_weights
+from oracles import dense_ridge_weights, studentized
 
 pytestmark = pytest.mark.slow
 
@@ -279,7 +279,7 @@ def test_criterion_6_oracle_equivalences():
     c_mc = critical_value_mc(joint, spec, 200_000, alpha, 99).value
     s = rng.standard_normal((20_000, D))
     draws = BootstrapDraws(
-        delta=s.copy(), mse_star=np.ones((20_000, D)), n_fallback=0, n_boundary=0,
+        abs_s=studentized(s.copy(), np.ones((20_000, D))), n_fallback=0, n_boundary=0,
     )
     c_bs = critical_value_bs(draws, alpha).value
     mc_err, bs_err = abs(c_mc - c_star), abs(c_bs - c_star)

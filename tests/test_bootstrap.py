@@ -19,22 +19,47 @@ from spimax.model import NERM, BlockLmmData, VarianceComponents, cluster_mean_sp
 from spimax.util import MAX_SEED, order_statistic, quantile_index, replicate_normals
 
 from conftest import make_fhm, make_nerm
-from oracles import max_abs_normal_quantile, max_abs_normal_quantile_se
+from oracles import max_abs_normal_quantile, max_abs_normal_quantile_se, studentized
 
 
-def _draws_from_matrix(S, g1=None):
+def _draws_from_matrix(S, g1=None, A=None):
     S = np.asarray(S, dtype=float)
     g1 = np.ones_like(S) if g1 is None else g1
-    return boot.BootstrapDraws(delta=S * np.sqrt(g1), mse_star=g1)
+    return boot.BootstrapDraws(abs_s=studentized(S * np.sqrt(g1), g1, A))
 
 
-def _s(draws):
-    """The studentized replicate matrix S* = delta / sqrt(mse*)."""
-    return draws.delta / np.sqrt(draws.mse_star)
+def _bootstrap_parts(monkeypatch, data, spec, fit, b_reps, seed, A=None):
+    """parametric_bootstrap(..., A) and the whole-matrix parts its chunks studentized.
 
+    The refits are the real ones.  A chunk's u* is read from its drawn
+    statistics (unit-level) or from the normal rows it filled, scaled by
+    sigma_u (area-level); delta and the floored g1* + g2* are rebuilt from
+    them with the bootstrap's own arithmetic.  Returns the draws and
+    {"abs_s", "s", "delta", "mse_star"}, s the signed S* = delta / sqrt(mse*).
+    """
+    refit, fill = boot.batch_eblup, boot.replicate_normals
+    u_rows, results = [], []
 
-def _arrays(draws):
-    return {"s": _s(draws), "delta": draws.delta, "mse_star": draws.mse_star}
+    def recorded_fill(master_seed, keys, out):
+        fill(master_seed, keys, out)
+        u_rows.append(out[:, : data.D] * np.sqrt(fit.theta.sigma2_u))
+
+    def recorded_refit(data, spec, Y):
+        if isinstance(Y, est.DrawnStatistics):  # a view of a buffer the next chunk overwrites
+            u_rows.append(np.array(Y.u))
+        res = refit(data, spec, Y)
+        results.append({key: res[key].copy() for key in ("mu", "g1", "g2")})
+        return res
+
+    with monkeypatch.context() as patched:
+        patched.setattr(boot, "replicate_normals", recorded_fill)
+        patched.setattr(boot, "batch_eblup", recorded_refit)
+        draws = boot.parametric_bootstrap(data, spec, fit, b_reps, seed, A)
+    u = np.concatenate(u_rows)
+    mu, g1, g2 = (np.concatenate([r[key] for r in results]) for key in ("mu", "g1", "g2"))
+    delta = mu - (fit.beta_hat @ spec.k.T + spec.m * u)
+    mse = np.maximum(g1 + g2, boot.MSE_FLOOR * est.response_scale(data.y) ** 2)
+    return draws, {"abs_s": draws.abs_s, "s": delta / np.sqrt(mse), "delta": delta, "mse_star": mse}
 
 
 @pytest.fixture(scope="module")
@@ -52,23 +77,24 @@ def fhm_setup():
     return data, spec, est.eblup(data, spec)
 
 
-def test_bootstrap_deterministic_and_prefix_stable(nerm_setup, fhm_setup):
+def test_bootstrap_deterministic_and_prefix_stable(nerm_setup, fhm_setup, monkeypatch):
     for data, spec, fit in (nerm_setup, fhm_setup):
-        a = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
-        b = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=99)
-        assert np.array_equal(_s(a), _s(b))
-        assert np.array_equal(a.mse_star, b.mse_star)
-        d = boot.parametric_bootstrap(data, spec, fit, 300, master_seed=100)
-        assert not np.array_equal(_s(a), _s(d))
+        def parts(b_reps, seed):
+            return _bootstrap_parts(monkeypatch, data, spec, fit, b_reps, seed)[1]
+
+        a, b = parts(300, 99), parts(300, 99)
+        assert np.array_equal(a["s"], b["s"])
+        assert np.array_equal(a["mse_star"], b["mse_star"])
+        assert np.array_equal(a["abs_s"], b["abs_s"])
+        d = parts(300, 100)
+        assert not np.array_equal(a["s"], d["s"])
 
         # one stream per chunk (unit-level) or per replicate (area-level), a
         # chunk's stream always drawn in full: fewer replicates give a prefix
         # of the rows, bit for bit over whole chunks, to rounding in a shorter
         # last chunk
-        head = boot.parametric_bootstrap(data, spec, fit, 256, master_seed=99)
-        short = boot.parametric_bootstrap(data, spec, fit, 130, master_seed=99)
-        heads, shorts = _arrays(head), _arrays(short)
-        for field, full in _arrays(a).items():
+        heads, shorts = parts(256, 99), parts(130, 99)
+        for field, full in a.items():
             assert np.array_equal(heads[field], full[:256]), field
             assert np.array_equal(shorts[field][:128], full[:128]), field
             assert_allclose(shorts[field][128:], full[128:130], rtol=0,
@@ -89,11 +115,11 @@ def test_bootstrap_holds_one_chunk_of_responses():
     assert peak < 0.5 * b_reps * data.n_total * 8
 
 
-def test_bootstrap_replicates_reasonable(nerm_setup):
+def test_bootstrap_replicates_reasonable(nerm_setup, monkeypatch):
     data, spec, fit = nerm_setup
-    draws = boot.parametric_bootstrap(data, spec, fit, 400, master_seed=5)
-    S = _s(draws)
-    assert S.shape == (400, 12)
+    draws, parts = _bootstrap_parts(monkeypatch, data, spec, fit, 400, 5)
+    S = parts["s"]
+    assert S.shape == draws.abs_s.shape == (400, 12)
     assert np.all(np.isfinite(S))
     # studentized deviations should look roughly standard normal
     sd = S.std()
@@ -102,11 +128,11 @@ def test_bootstrap_replicates_reasonable(nerm_setup):
     assert draws.n_fallback <= 8
 
 
-def test_bootstrap_fhm_uses_known_error_variances(fhm_setup):
+def test_bootstrap_fhm_uses_known_error_variances(fhm_setup, monkeypatch):
     data, spec, fit = fhm_setup
-    draws = boot.parametric_bootstrap(data, spec, fit, 200, master_seed=8)
-    S = _s(draws)
-    assert S.shape == (200, 20)
+    draws, parts = _bootstrap_parts(monkeypatch, data, spec, fit, 200, 8)
+    S = parts["s"]
+    assert S.shape == draws.abs_s.shape == (200, 20)
     assert np.all(np.isfinite(S))
     assert 0.7 < S.std() < 1.5
 
@@ -184,18 +210,21 @@ def test_contrast_identity_reduces_to_bs():
     rng = np.random.default_rng(41)
     g1 = rng.uniform(0.5, 2.0, size=(300, 6))
     delta = rng.standard_normal((300, 6)) * np.sqrt(g1)
-    draws = boot.BootstrapDraws(delta=delta, mse_star=g1)
+    draws = boot.BootstrapDraws(abs_s=studentized(delta, g1, np.eye(6)))
     c_id = boot.critical_value_contrast(draws, np.eye(6), 0.1)
-    c_bs = boot.critical_value_bs(draws, 0.1)
+    c_bs = boot.critical_value_bs(boot.BootstrapDraws(abs_s=studentized(delta, g1)), 0.1)
     assert c_id.value == c_bs.value
 
 
 def test_contrast_shapes_checked():
+    # the draws' columns are the contrast rows they were studentized for
     draws = _draws_from_matrix(np.random.default_rng(1).normal(size=(50, 4)))
     with pytest.raises(ShapeMismatch):
         boot.critical_value_contrast(draws, np.ones((2, 5)), 0.05)
     with pytest.raises(ShapeMismatch):
         boot.critical_value_contrast(draws, np.ones((0, 4)), 0.05)
+    with pytest.raises(ShapeMismatch):
+        boot.critical_value_contrast(draws, np.ones(4), 0.05)
 
 
 def test_beran_single_cluster_equals_marginal_quantile():
@@ -282,29 +311,21 @@ def test_stepdown_provider_monotone_and_guarded():
 
 def test_stepdown_provider_contrast_rows():
     S = np.random.default_rng(31).standard_normal((600, 6))
-    draws = _draws_from_matrix(S)
     A = np.zeros((3, 6))
     A[0, 0], A[0, 1] = 1.0, -1.0
     A[1, 2], A[1, 3] = 1.0, -1.0
     A[2, 4], A[2, 5] = 1.0, -1.0
-    provider = boot.stepdown_quantile_provider(draws, 0.05, A=A)
+    draws = _draws_from_matrix(S, A=A)
+    provider = boot.stepdown_quantile_provider(draws, 0.05)
     # the full contrast set reproduces the single-step contrast threshold
     assert provider(range(3)) == boot.critical_value_contrast(draws, A, 0.05).value
     assert provider([0]) <= provider([0, 2]) <= provider(range(3))
     with pytest.raises(ShapeMismatch):
         provider([3])  # subsets index contrast rows, of which there are 3
     # identity contrasts collapse to the per-cluster provider
-    ident = boot.stepdown_quantile_provider(draws, 0.05, A=np.eye(6))
-    plain = boot.stepdown_quantile_provider(draws, 0.05)
+    ident = boot.stepdown_quantile_provider(_draws_from_matrix(S, A=np.eye(6)), 0.05)
+    plain = boot.stepdown_quantile_provider(_draws_from_matrix(S), 0.05)
     assert all(ident(s) == plain(s) for s in [range(6), (0, 2, 4), (5,)])
-
-
-def _copied_abs_s(draws, A=None):
-    """|S*| the copying way: studentize, then take a separate absolute value."""
-    if A is None:
-        return np.abs(draws.delta / np.sqrt(draws.mse_star))
-    scale = np.sqrt(draws.mse_star @ (A.T**2))
-    return np.abs(draws.delta @ A.T) / np.where(scale > 0.0, scale, 1.0)
 
 
 def _copied_subset_quantile(abs_s, alpha, subset):
@@ -312,9 +333,8 @@ def _copied_subset_quantile(abs_s, alpha, subset):
     return order_statistic(abs_s[:, cols].max(axis=1), quantile_index(abs_s.shape[0], alpha))
 
 
-def _copied_beran(draws, alpha):
+def _copied_beran(abs_s, alpha):
     """(q, per_cluster) from a full B x D matrix of per-column searchsorted ranks."""
-    abs_s = _copied_abs_s(draws)
     B, D = abs_s.shape
     sorted_cols = np.sort(abs_s, axis=0)
     ranks = np.empty_like(abs_s)
@@ -337,44 +357,44 @@ def _draws_and_contrasts(draw):
     delta = draw(hnp.arrays(float, (B, D), elements=_VALUES))
     g1 = draw(hnp.arrays(float, (B, D), elements=_G1))
     A = draw(hnp.arrays(float, (q, D), elements=st.sampled_from([-1.0, 0.0, 1.0])))
-    return boot.BootstrapDraws(delta=delta, mse_star=g1), A
+    return studentized(delta, g1), studentized(delta, g1, A), A
 
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=_draws_and_contrasts(), alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5]),
        data=st.data())
 def test_readers_equal_the_copying_forms_bit_for_bit(drawn, alpha, data):
-    draws, A = drawn
-    D, q = draws.D, A.shape[0]
-    abs_s, abs_c = _copied_abs_s(draws), _copied_abs_s(draws, A)
+    abs_s, abs_c, A = drawn
+    (D, q), draws, contrast_draws = A.T.shape, boot.BootstrapDraws(abs_s), boot.BootstrapDraws(abs_c)
 
     assert boot.critical_value_bs(draws, alpha).value == _copied_subset_quantile(
         abs_s, alpha, range(D))
-    assert boot.critical_value_contrast(draws, A, alpha).value == _copied_subset_quantile(
+    assert boot.critical_value_contrast(contrast_draws, A, alpha).value == _copied_subset_quantile(
         abs_c, alpha, range(q))
     be = boot.beran_critical_values(draws, alpha)
-    level, per_cluster = _copied_beran(draws, alpha)
+    level, per_cluster = _copied_beran(abs_s, alpha)
     assert be.value == level and np.array_equal(be.per_cluster, per_cluster)
 
     for m, provider, copied in (
         (D, boot.stepdown_quantile_provider(draws, alpha), abs_s),
-        (q, boot.stepdown_quantile_provider(draws, alpha, A=A), abs_c),
+        (q, boot.stepdown_quantile_provider(contrast_draws, alpha), abs_c),
     ):
         subset = st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)
         for idx in data.draw(st.lists(subset, min_size=1, max_size=4)):
             assert provider(idx) == _copied_subset_quantile(copied, alpha, idx)
 
 
-def test_readers_hold_at_most_one_draw_matrix_beyond_delta_and_g1():
-    # desk size: |S*| lives in one buffer, and the step-down reduces each
-    # subset of it in place instead of copying its columns
+def test_bs_and_stepdown_allocate_no_draw_matrix_and_be_one_copy():
+    # desk size: the readers read the draws' one |S*| matrix; the step-down
+    # reduces each subset of it in place instead of copying its columns, and
+    # BE sorts one copy
     B, D = 2000, 300
     rng = np.random.default_rng(5)
     draws = boot.BootstrapDraws(
-        delta=rng.standard_normal((B, D)), mse_star=rng.uniform(0.5, 2.0, (B, D))
+        abs_s=studentized(rng.standard_normal((B, D)), rng.uniform(0.5, 2.0, (B, D)))
     )
     t = np.linspace(0.0, 6.0, D)  # about a third rejected, over several rounds
-    bound = B * D * 8 + 16 * B * 8  # one B x D array plus a few length-B vectors
+    vectors = 16 * B * 8  # a few length-B vectors
 
     def peak_of(run):
         tracemalloc.start()
@@ -389,8 +409,43 @@ def test_readers_hold_at_most_one_draw_matrix_beyond_delta_and_g1():
         rejected = step_down_test(t, boot.stepdown_quantile_provider(draws, 0.05), 0.05)
         assert 0 < rejected.size < D
 
-    assert peak_of(bs_and_stepdown) <= bound
-    assert peak_of(lambda: boot.beran_critical_values(draws, 0.05)) <= bound
+    assert peak_of(bs_and_stepdown) <= vectors
+    assert peak_of(lambda: boot.beran_critical_values(draws, 0.05)) <= B * D * 8 + vectors
+
+
+@pytest.mark.parametrize("rows", [None, 50], ids=["clusters", "contrasts"])
+def test_bootstrap_state_grows_by_one_draw_matrix(rows):
+    # desk size: each chunk studentizes its own rows into the one B x q |S*|
+    # matrix, so a thousand more replicates add a thousand rows of it
+    data = make_nerm(D=300, n_d=5, p=2, seed=6)[0]
+    spec = cluster_mean_spec(data)
+    fit = est.eblup(data, spec)
+    A = None if rows is None else np.eye(data.D)[:rows] - np.eye(data.D, k=1)[:rows]
+    q = data.D if A is None else rows
+
+    def peak_of(b_reps):
+        tracemalloc.start()
+        try:
+            boot.parametric_bootstrap(data, spec, fit, b_reps, 4, A)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(2000) - peak_of(1000) <= 1.1 * 1000 * q * 8
+
+
+@pytest.mark.parametrize("family", ["nerm", "fhm"])
+def test_chunk_studentization_equals_the_whole_matrix_oracle_bit_for_bit(
+    monkeypatch, nerm_setup, fhm_setup, family
+):
+    data, spec, fit = nerm_setup if family == "nerm" else fhm_setup
+    dense = np.random.default_rng(8).standard_normal((7, data.D))
+    dense[3] = 0.0  # an all-zero row keeps its statistic at 0
+    for A in (None, np.eye(data.D), dense):
+        # two whole chunks and a short one
+        draws, parts = _bootstrap_parts(monkeypatch, data, spec, fit, 300, 13, A)
+        assert np.array_equal(draws.abs_s, studentized(parts["delta"], parts["mse_star"], A))
+    assert np.all(draws.abs_s[:, 3] == 0.0)
 
 
 def test_bootstrap_speed(nerm_setup):

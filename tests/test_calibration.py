@@ -6,7 +6,7 @@ import pytest
 from spimax import bootstrap as boot
 from spimax import calibration
 from spimax.analytic import TubeConstants, bonferroni_cv, ridge_interval_scales, tube_cv
-from spimax.calibration import calibrate, max_test
+from spimax.calibration import METHODS, calibrate, max_test
 from spimax.errors import AlphaOutOfRange, InvalidConstants, ShapeMismatch, SpimaxError
 from spimax.estimation import eblup
 from spimax.mc import build_joint_normal, critical_value_mc, model_scales
@@ -54,8 +54,7 @@ def test_bootstrap_methods_match_primitives(model):
     lead = fit.scale
     cv, scales, got_draws = _run("BS", data, spec, fit)
     _assert_same((cv, scales, None), boot.critical_value_bs(draws, ALPHA), lead)
-    np.testing.assert_array_equal(got_draws.delta, draws.delta)
-    np.testing.assert_array_equal(got_draws.mse_star, draws.mse_star)
+    np.testing.assert_array_equal(got_draws.abs_s, draws.abs_s)
     _assert_same(_run("BE", data, spec, fit), boot.beran_critical_values(draws, ALPHA), lead)
 
 
@@ -82,7 +81,7 @@ def test_contrast_methods_match_primitives(model):
     data, spec, fit = _setup(model)
     A = _contrast(data.D)
     lead = np.sqrt(fit.scale**2 @ (A.T**2))
-    draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
+    draws = boot.parametric_bootstrap(data, spec, fit, B, SEED, A)
     cv = boot.critical_value_contrast(draws, A, ALPHA)
     _assert_same(_run("BS", data, spec, fit, A=A), cv, lead)
     _assert_same(_run("BO", data, spec, fit, A=A), bonferroni_cv(A.shape[0], ALPHA), lead)
@@ -103,14 +102,40 @@ def test_passed_draws_are_reused_without_refitting(monkeypatch):
     for method in ("BS", "BE", "MC", "BO", "VT"):
         _, _, got = _run(method, data, spec, fit, draws=draws)
         assert got is draws
-    _, _, got = _run("BS", data, spec, fit, A=_contrast(data.D), draws=draws)
-    assert got is draws
+    A = _contrast(data.D)
+    contrast_draws = boot.parametric_bootstrap(data, spec, fit, B, SEED, A)
+    _, _, got = _run("BS", data, spec, fit, A=A, draws=contrast_draws)
+    assert got is contrast_draws
     # the seed only drives new draws, so it is ignored when draws are given
     _assert_same(
         _run("BS", data, spec, fit, seed=SEED + 1, draws=draws),
         boot.critical_value_bs(draws, ALPHA),
         fit.scale,
     )
+
+
+def test_draws_studentized_for_other_targets_are_refused_before_any_work(monkeypatch):
+    # the draws hold |S*| for the targets they were drawn for: D clusters, or
+    # the rows of one contrast matrix; other targets cannot reuse them
+    data, spec, fit = _setup("nerm")
+    draws = boot.parametric_bootstrap(data, spec, fit, B, SEED)
+    A = _contrast(data.D)
+    contrast_draws = boot.parametric_bootstrap(data, spec, fit, B, SEED, A)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on draws that do not fit the targets")
+
+    for name in ("parametric_bootstrap", "critical_value_bs", "critical_value_contrast",
+                 "beran_critical_values", "build_joint_normal", "bonferroni_cv", "tube_cv"):
+        monkeypatch.setattr(calibration, name, no_work)
+    for method in ("BS", "MC", "BO"):
+        with pytest.raises(ShapeMismatch, match="studentized columns"):
+            _run(method, data, spec, fit, A=A, draws=draws)
+        with pytest.raises(ShapeMismatch, match="studentized columns"):
+            _run(method, data, spec, fit, A=A[:-1], draws=contrast_draws)
+    for method in METHODS:
+        with pytest.raises(ShapeMismatch, match="studentized columns"):
+            _run(method, data, spec, fit, draws=contrast_draws)
 
 
 def test_non_bootstrap_methods_return_no_draws():
@@ -149,7 +174,7 @@ def test_invalid_requests_raise():
 _CALIBRATORS = {
     "critical_value_bs": lambda d, a: boot.critical_value_bs(d["draws"], a),
     "critical_value_contrast": lambda d, a: boot.critical_value_contrast(
-        d["draws"], _contrast(d["D"]), a
+        d["contrast_draws"], _contrast(d["D"]), a
     ),
     "beran_critical_values": lambda d, a: boot.beran_critical_values(d["draws"], a),
     "critical_value_mc": lambda d, a: critical_value_mc(d["joint"], d["spec"], 50, a, SEED),
@@ -165,6 +190,7 @@ def test_every_calibrator_rejects_alpha_outside_the_unit_interval(name):
         "D": data.D,
         "spec": spec,
         "draws": boot.parametric_bootstrap(data, spec, fit, 20, SEED),
+        "contrast_draws": boot.parametric_bootstrap(data, spec, fit, 20, SEED, _contrast(data.D)),
         "joint": build_joint_normal(data, fit.theta),
     }
     for alpha in (0.0, 1.5):

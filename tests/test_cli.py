@@ -388,7 +388,7 @@ def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contra
     kw = {"alpha": 0.05, "seed": 21, "B": 150, "K": 100_000, "A": A}
     test, rejected = max_test("BS", data, spec, fit, h, stepdown=True, **kw)
 
-    draws = parametric_bootstrap(data, spec, fit, 150, 21)
+    draws = parametric_bootstrap(data, spec, fit, 150, 21, A)
     scales = fit.scale
     if A is None:
         single_cv = critical_value_bs(draws, 0.05)
@@ -396,7 +396,7 @@ def test_stepdown_max_test_matches_primitives_and_cli(tmp_path, unit_csv, contra
         single_cv = critical_value_contrast(draws, A, 0.05)
         scales = np.sqrt(scales**2 @ (A.T**2))
     t = np.abs(mu_hat - h) / floor_scales(scales)
-    expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05, A=A), 0.05)
+    expected = step_down_test(t, stepdown_quantile_provider(draws, 0.05), 0.05)
     np.testing.assert_array_equal(rejected, expected)
     np.testing.assert_array_equal(test.t, t)
     assert (test.statistic, test.critical.value) == (t.max(), single_cv.value)
