@@ -48,13 +48,14 @@ MSE_FLOOR = 1e-12
 class BootstrapDraws:
     """Studentized bootstrap deviations, reusable without refitting.
 
-    abs_s[b, j] = |S*_bj|, the studentized |mu_hat*_bj - mu*_bj| (or its
-    contrast row j), studentized per chunk; it is the only B x q state.
+    abs_s[b, j] = |S*_bj| for cluster j, or for row j of the contrast matrix
+    A when A is not None, studentized per chunk; it is the only B x q state.
     """
 
     abs_s: np.ndarray
     n_fallback: int = 0
     n_boundary: int = 0
+    A: np.ndarray | None = None
 
     @property
     def b_reps(self) -> int:
@@ -152,13 +153,20 @@ def parametric_bootstrap(
 
     counts = [run_chunk(start) for start in range(0, b_reps, CHUNK)]
     n_fallback, n_boundary = (sum(c) for c in zip(*counts))
-    return BootstrapDraws(abs_s, n_fallback, n_boundary)
+    return BootstrapDraws(abs_s, n_fallback, n_boundary, A)
 
 
-def check_draws(draws: BootstrapDraws, q: int) -> None:
-    """Raise ShapeMismatch unless the draws hold q studentized columns."""
-    if draws.abs_s.shape[1] != q:
-        raise ShapeMismatch(f"the draws hold {draws.abs_s.shape[1]} studentized columns, need {q}")
+def check_draws(draws: BootstrapDraws, D: int, A: np.ndarray | None = None) -> None:
+    """Raise ShapeMismatch unless the draws were studentized for A (no A: the D clusters)."""
+    made, A, q = draws.A, A if A is None else check_contrast(A, D), draws.abs_s.shape[1]
+    if made is None or A is None:
+        same = made is A and q == D
+    else:
+        same = made is A or np.array_equal(made, A)
+    if not same:
+        held = f"{q} clusters" if made is None else "a {} x {} contrast".format(*made.shape)
+        asked = f"{D} clusters" if A is None else f"this {A.shape[0]} x {D} contrast"
+        raise ShapeMismatch(f"the draws were studentized for {held}, not for {asked}")
 
 
 def _row_max_quantile(abs_s: np.ndarray, alpha: float, where=True) -> float:
@@ -176,11 +184,11 @@ def critical_value_bs(draws: BootstrapDraws, alpha: float) -> CriticalValue:
 def critical_value_contrast(draws: BootstrapDraws, A: np.ndarray, alpha: float) -> CriticalValue:
     """Bootstrap threshold for the max statistic of the contrasts A mu.
 
-    The draws must come from parametric_bootstrap(..., A): their columns
-    are A's rows, A (mu_hat* - mu*) studentized by maxstat.contrast_scales
-    of g1* + g2*.  With A = I this reduces exactly to critical_value_bs.
+    The draws must come from parametric_bootstrap(..., A) for an equal A
+    (else ShapeMismatch): their columns are A's rows, studentized.  With
+    A = I this reduces exactly to critical_value_bs.
     """
-    check_draws(draws, np.shape(A)[0] if np.ndim(A) == 2 else 0)
+    check_draws(draws, draws.abs_s.shape[1] if draws.A is None else draws.A.shape[1], A)
     return CriticalValue(value=_row_max_quantile(draws.abs_s, alpha))
 
 

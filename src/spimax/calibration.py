@@ -66,7 +66,7 @@ def calibrate(
     is required for VT.  Draws passed in are reused instead of redrawn and
     returned as they came, so several bootstrap methods can share one set
     of refits; methods that do not bootstrap return draws unchanged.  Draws
-    whose column count is not D (or A's row count) raise ShapeMismatch.
+    made for other targets (the D clusters, or A) raise ShapeMismatch.
     """
     check_alpha(alpha)
     if method not in METHODS:
@@ -78,7 +78,7 @@ def calibrate(
         A = check_contrast(A, data.D)
         scales, q = contrast_scales(scales**2, A), A.shape[0]
     if draws is not None:
-        check_draws(draws, q)
+        check_draws(draws, data.D, A)
 
     if method in ("BS", "BE"):
         if draws is None:

@@ -25,7 +25,7 @@ from oracles import max_abs_normal_quantile, max_abs_normal_quantile_se, student
 def _draws_from_matrix(S, g1=None, A=None):
     S = np.asarray(S, dtype=float)
     g1 = np.ones_like(S) if g1 is None else g1
-    return boot.BootstrapDraws(abs_s=studentized(S * np.sqrt(g1), g1, A))
+    return boot.BootstrapDraws(abs_s=studentized(S * np.sqrt(g1), g1, A), A=A)
 
 
 def _bootstrap_parts(monkeypatch, data, spec, fit, b_reps, seed, A=None):
@@ -210,7 +210,7 @@ def test_contrast_identity_reduces_to_bs():
     rng = np.random.default_rng(41)
     g1 = rng.uniform(0.5, 2.0, size=(300, 6))
     delta = rng.standard_normal((300, 6)) * np.sqrt(g1)
-    draws = boot.BootstrapDraws(abs_s=studentized(delta, g1, np.eye(6)))
+    draws = boot.BootstrapDraws(abs_s=studentized(delta, g1, np.eye(6)), A=np.eye(6))
     c_id = boot.critical_value_contrast(draws, np.eye(6), 0.1)
     c_bs = boot.critical_value_bs(boot.BootstrapDraws(abs_s=studentized(delta, g1)), 0.1)
     assert c_id.value == c_bs.value
@@ -218,13 +218,22 @@ def test_contrast_identity_reduces_to_bs():
 
 def test_contrast_shapes_checked():
     # the draws' columns are the contrast rows they were studentized for
-    draws = _draws_from_matrix(np.random.default_rng(1).normal(size=(50, 4)))
-    with pytest.raises(ShapeMismatch):
-        boot.critical_value_contrast(draws, np.ones((2, 5)), 0.05)
-    with pytest.raises(ShapeMismatch):
-        boot.critical_value_contrast(draws, np.ones((0, 4)), 0.05)
-    with pytest.raises(ShapeMismatch):
-        boot.critical_value_contrast(draws, np.ones(4), 0.05)
+    S = np.random.default_rng(1).normal(size=(50, 4))
+    draws = _draws_from_matrix(S)
+    for A in (np.ones((2, 5)), np.ones((4, 5)), np.ones((0, 4)), np.ones(4)):
+        with pytest.raises(ShapeMismatch, match="A must have at least one row and 4 columns"):
+            boot.critical_value_contrast(draws, A, 0.05)
+    # A's row count is the draws' column count, but they were studentized for the clusters
+    centred = np.eye(4) - 0.25
+    with pytest.raises(ShapeMismatch, match="studentized for 4 clusters, not for this 4 x 4"):
+        boot.critical_value_contrast(draws, centred, 0.05)
+    # draws for one contrast serve an equal copy of it, not another of the same shape
+    contrast_draws = _draws_from_matrix(S, A=centred)
+    boot.critical_value_contrast(contrast_draws, centred.copy(), 0.05)
+    with pytest.raises(ShapeMismatch, match="studentized for a 4 x 4 contrast, not for this 4 x 4"):
+        boot.critical_value_contrast(contrast_draws, centred[::-1], 0.05)
+    with pytest.raises(ShapeMismatch, match="A must have at least one row and 4 columns"):
+        boot.critical_value_contrast(contrast_draws, np.ones((4, 5)), 0.05)
 
 
 def test_beran_single_cluster_equals_marginal_quantile():
@@ -365,7 +374,7 @@ def _draws_and_contrasts(draw):
        data=st.data())
 def test_readers_equal_the_copying_forms_bit_for_bit(drawn, alpha, data):
     abs_s, abs_c, A = drawn
-    (D, q), draws, contrast_draws = A.T.shape, boot.BootstrapDraws(abs_s), boot.BootstrapDraws(abs_c)
+    (D, q), draws, contrast_draws = A.T.shape, boot.BootstrapDraws(abs_s), boot.BootstrapDraws(abs_c, A=A)
 
     assert boot.critical_value_bs(draws, alpha).value == _copied_subset_quantile(
         abs_s, alpha, range(D))

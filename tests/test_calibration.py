@@ -128,14 +128,23 @@ def test_draws_studentized_for_other_targets_are_refused_before_any_work(monkeyp
     for name in ("parametric_bootstrap", "critical_value_bs", "critical_value_contrast",
                  "beran_critical_values", "build_joint_normal", "bonferroni_cv", "tube_cv"):
         monkeypatch.setattr(calibration, name, no_work)
+    # D x D contrasts other than the identity: A's row count equals the
+    # per-cluster draws' column count, and the second one that of draws for the first
+    centred = np.eye(data.D) - 1.0 / data.D
+    square_draws = boot.parametric_bootstrap(data, spec, fit, B, SEED, centred)
+    refused = [(A, draws), (A[:-1], contrast_draws), (A[::-1], contrast_draws),
+               (centred, draws), (centred[::-1], square_draws)]
     for method in ("BS", "MC", "BO"):
-        with pytest.raises(ShapeMismatch, match="studentized columns"):
-            _run(method, data, spec, fit, A=A, draws=draws)
-        with pytest.raises(ShapeMismatch, match="studentized columns"):
-            _run(method, data, spec, fit, A=A[:-1], draws=contrast_draws)
+        for A_asked, reused in refused:
+            with pytest.raises(ShapeMismatch, match="studentized for"):
+                _run(method, data, spec, fit, A=A_asked, draws=reused)
     for method in METHODS:
-        with pytest.raises(ShapeMismatch, match="studentized columns"):
-            _run(method, data, spec, fit, draws=contrast_draws)
+        for reused in (contrast_draws, square_draws):
+            with pytest.raises(ShapeMismatch, match="studentized for"):
+                _run(method, data, spec, fit, draws=reused)
+    for A_asked, reused in refused:
+        with pytest.raises(ShapeMismatch, match="studentized for"):
+            boot.critical_value_contrast(reused, A_asked, ALPHA)
 
 
 def test_non_bootstrap_methods_return_no_draws():
