@@ -7,10 +7,10 @@ corrections, the scale bounds xi0/eta0 and the error-dof nu) describe the
 regression manifold; they are inputs supplied by the caller, never
 estimated from data.
 
-The Bonferroni quantile comes from the standard library
-(util.normal_quantile).  The tube bound's Student-t and F tail
-probabilities are both a regularized incomplete beta function, evaluated
-here by one continued fraction (_beta_tail).
+The Bonferroni quantile is util.normal_quantile (Wichura's AS241).  The
+tube bound's Student-t and F tail probabilities are both a regularized
+incomplete beta function, evaluated here by one continued fraction
+(_beta_tail).
 """
 
 from __future__ import annotations

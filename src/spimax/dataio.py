@@ -1,16 +1,20 @@
 """File formats: data CSVs, headerless matrices and tube-constant files.
 
-Readers validate as they parse and raise ParseError/EmptyFile with the
-file line of the offending row; exporters write full-precision CSV text
-through csv.writer, so every dataset re-ingests to the same values and ids
-with commas or quotes survive.
+Readers stream a file through csv.reader, holding at most BLOCK_ROWS
+records as text, and parse numbers by float()'s rules.  They validate as
+they parse and raise ParseError/EmptyFile with the file line of the first
+offending row; a leading UTF-8 byte-order mark is skipped.  Exporters
+write full-precision CSV text through csv.writer, so every dataset
+re-ingests to the same values and ids with commas or quotes survive.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 
 import numpy as np
 
@@ -19,19 +23,29 @@ from .errors import EmptyFile, ParseError
 from .model import FHM, NERM, BlockLmmData, validate
 
 TUBE_KEYS = tuple(f.name for f in dataclasses.fields(TubeConstants))
+# records held as text at a time, their numeric cells cast by one call; a
+# block of wide records stops at BLOCK_CELLS cells, but holds one at least
+BLOCK_ROWS = 1024
+BLOCK_CELLS = 4 * BLOCK_ROWS
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """Non-blank CSV records, each with the file line it ends on."""
+def _records(path):
+    """Non-blank CSV records, each with the file line it ends on, as they are read."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+
+
+def _first_record(records, path) -> tuple[int, list[str]]:
+    first = next(records, None)
+    if first is None:
         raise EmptyFile(f"{path} has no content")
-    return rows
+    return first
 
 
 def _float_cell(text: str, row: int, col: str, path) -> float:
@@ -57,29 +71,69 @@ def _covariate_names(header: list[str], tail: int) -> list[str]:
     return [f"x{i + 1}" for i in range(p)]
 
 
-def _read_table(path, id_col: str, tail: list[str]):
-    """Parse a data CSV (header id_col,y,x1,...,xp,*tail) row by row.
+def _cast_block(lines: list[int], cells: list[list[str]], cols: list[str], path) -> np.ndarray:
+    """One block of numeric cells as floats.
 
-    Returns the distinct ids in first-appearance order, each row's index
-    into them, and the numeric cells as a matrix.  An area file may not
-    repeat an id.
+    np.array applies float() to each string, so the accepted syntax and the
+    values are float()'s.  Only a block it refuses is cast cell by cell,
+    which raises the ParseError of the first bad cell in file order.
     """
-    (_, header), *rows = _read_rows(path)
-    cols = ["y"] + _covariate_names(header, len(tail)) + tail
-    _check_header(header, [id_col] + cols, path)
-    if not rows:
-        raise EmptyFile(f"{path} has a header but no data rows")
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return np.array([[_float_cell(cell, r, col, path) for cell, col in zip(row, cols)]
+                         for r, row in zip(lines, cells)])
+
+
+def _read_cells(records, width: int, cols: list[str], path, unique: bool = False):
+    """Stream records of width fields: an id (when width > len(cols)), then the numeric cells.
+
+    Returns the distinct ids in first-appearance order, each record's index
+    into them, and the numeric cells as a matrix.  At most BLOCK_ROWS
+    records, and BLOCK_CELLS cells of them, are held as text; each full
+    block is cast at once.  A ragged record, or a repeated id when unique,
+    ends the read, but the records before it are cast first, so the first
+    fault in file order is raised.
+    """
+    keyed = width > len(cols)
+    block = max(1, min(BLOCK_ROWS, BLOCK_CELLS // len(cols)))
     codes: dict[str, int] = {}
-    row_codes, recs = [], []
-    for r, row in rows:
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
-        cid = row[0].strip()
-        if id_col == "area" and cid in codes:
-            raise ParseError(f"{path}: row {r}: duplicate area {cid!r}")
-        row_codes.append(codes.setdefault(cid, len(codes)))
-        recs.append([_float_cell(cell, r, col, path) for cell, col in zip(row[1:], cols)])
-    return tuple(codes), np.array(row_codes), np.array(recs)
+    row_codes, blocks, lines, cells = [], [], [], []
+    fault = None
+    for r, row in records:
+        if len(row) != width:
+            fault = ParseError(f"{path}: row {r} has {len(row)} fields, expected {width}")
+            break
+        if keyed:
+            cid = row[0].strip()
+            if unique and cid in codes:
+                fault = ParseError(f"{path}: row {r}: duplicate area {cid!r}")
+                break
+            row_codes.append(codes.setdefault(cid, len(codes)))
+        lines.append(r)
+        cells.append(row[1:] if keyed else row)
+        if len(cells) == block:
+            blocks.append(_cast_block(lines, cells, cols, path))
+            lines, cells = [], []
+    if cells:
+        blocks.append(_cast_block(lines, cells, cols, path))
+    if fault is not None:
+        raise fault
+    if not blocks:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    return tuple(codes), np.array(row_codes), np.concatenate(blocks)
+
+
+def _read_table(path, id_col: str, tail: list[str]):
+    """Parse a data CSV (header id_col,y,x1,...,xp,*tail) as it is read.
+
+    Returns what _read_cells returns; an area file may not repeat an id.
+    """
+    with contextlib.closing(_records(path)) as records:
+        _, header = _first_record(records, path)
+        cols = ["y"] + _covariate_names(header, len(tail)) + tail
+        _check_header(header, [id_col] + cols, path)
+        return _read_cells(records, len(header), cols, path, unique=id_col == "area")
 
 
 def _with_intercept(covs: np.ndarray) -> np.ndarray:
@@ -132,22 +186,19 @@ def export_area_csv(data: BlockLmmData) -> str:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Headerless numeric CSV as a 2-d array."""
-    rows = _read_rows(path)
-    width = len(rows[0][1])
-    out = []
-    for r, row in rows:
-        if len(row) != width:
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {width}")
-        out.append([_float_cell(cell, r, f"col{i + 1}", path) for i, cell in enumerate(row)])
-    return np.array(out)
+    with contextlib.closing(_records(path)) as records:
+        first = _first_record(records, path)
+        width = len(first[1])
+        cols = [f"col{i + 1}" for i in range(width)]
+        return _read_cells(itertools.chain([first], records), width, cols, path)[2]
 
 
 def read_tube_constants(path) -> TubeConstants:
     """Flat key=value file with exactly the nine geometric constants."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     values: dict[str, float] = {}
     for ln, line in enumerate(lines, start=1):

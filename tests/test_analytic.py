@@ -2,6 +2,7 @@
 
 import math
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -48,9 +49,10 @@ def test_bonferroni_frozen_value():
     assert abs(bonferroni_cv(1, 0.05).value - stats.norm.ppf(0.975)) < 1e-12
 
 
-# BO and the residual plot positions take the normal quantile from the
-# standard library (util.normal_quantile); it stays within a few ulp of
-# scipy.stats.norm.ppf, with an absolute term where the quantile nears 0.
+# BO and the residual plot positions take the normal quantile from
+# util.normal_quantile, the standard library's AS241 bit for bit; it stays
+# within a few ulp of scipy.stats.norm.ppf, with an absolute term where the
+# quantile nears 0.
 # VT takes its t and F tails from one incomplete-beta continued fraction,
 # checked against scipy.stats and against closed forms in the deep tail.
 special_settings = settings(max_examples=300, deadline=None)
@@ -72,6 +74,31 @@ def test_normal_quantile_is_within_a_few_ulp_of_norm_ppf(alpha, D, position):
     assert np.all(err <= 2e-15 * np.abs(want[finite]) + 1e-16), (q, got, want)
     if finite[0]:
         assert bonferroni_cv(D, alpha).value == -got[0]
+
+
+def test_normal_quantile_equals_the_standard_library_bit_for_bit():
+    # a grid over AS241's three branches (|p - 0.5| <= 0.425, r <= 5 and
+    # r > 5 with r = sqrt(-log(tail))), their edges, and both tails down to
+    # the smallest subnormal and up to 1 - 2**-53
+    edges = [0.075, 0.5, 0.925, math.exp(-25.0), -math.expm1(-25.0)]
+    p = np.concatenate([
+        np.linspace(1e-9, 1.0 - 1e-9, 20_001),
+        np.geomspace(5e-324, 0.5, 5_000),
+        1.0 - np.geomspace(2.0**-53, 0.5, 5_000),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    central = np.abs(p - 0.5) <= 0.425
+    assert central.sum() and (~central & (r <= 5.0)).sum() and (r > 5.0).sum()
+    assert (p < 0.5).sum() and (p > 0.5).sum()
+    inv_cdf = NormalDist().inv_cdf
+    want = np.array([inv_cdf(v) for v in p.tolist()])
+    np.testing.assert_array_equal(normal_quantile(p).view(np.int64), want.view(np.int64))
+    assert normal_quantile(0.0) == -math.inf
+    assert normal_quantile(p[:10].reshape(5, 2)).shape == (5, 2)
+    for outside in (-1e-300, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            normal_quantile([0.5, outside])
 
 
 def test_bonferroni_matches_norm_isf_at_small_tail_levels():

@@ -851,3 +851,20 @@ def test_bonferroni_and_residual_jobs_do_not_load_scipy(tmp_path, unit_csv):
         ["residuals", *data, "--out", str(tmp_path / "resid.csv")],
     ])
     assert json.loads((tmp_path / "spi.json").read_text())["method"] == "bo"
+
+
+def test_mc_bonferroni_and_residual_jobs_do_not_load_statistics(tmp_path, unit_csv):
+    # the normal quantiles (MC's censoring threshold, BO, the residual plot
+    # positions) come from util's own AS241, not from the statistics module
+    data = ["--model", "nerm", "--data", str(unit_csv)]
+    jobs = [
+        ["spi", *data, "--method", "mc", "--K", "2000", "--out", str(tmp_path / "mc.json")],
+        ["spi", *data, "--method", "bo", "--out", str(tmp_path / "bo.json")],
+        ["residuals", *data, "--out", str(tmp_path / "resid.csv")],
+    ]
+    _fresh_interpreter(
+        "import sys\n"
+        "from spimax.cli import run_cli\n"
+        f"assert [run_cli(job) for job in {jobs!r}] == [0, 0, 0]\n"
+        "assert 'statistics' not in sys.modules, sorted(sys.modules)\n"
+    )
