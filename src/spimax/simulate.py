@@ -8,14 +8,19 @@ over the surviving replicates (see ExperimentResult).  Every random
 ingredient is drawn from a seed derived from (master_seed, replicate,
 role), so results are bit-exact for a fixed configuration regardless of
 scheduling.  Replicates run on one forked worker process per usable CPU
-(the CPU-affinity set, so ``taskset -c 0`` runs them inline) and are
-gathered in replicate order: the output does not depend on the CPU
+(the CPU-affinity set, so ``taskset -c 0`` runs them inline): with k
+workers, worker w runs replicates w, w + k, w + 2k, ... and sends its
+pickled results through a pipe, and the calling process interleaves the
+shares back into replicate order.  The output does not depend on the CPU
 count, and no option sets it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -202,33 +207,96 @@ def _replicate(config, methods, score, i):
 
 
 def _map_replicates(task, n: int) -> list:
-    """[task(i) for i in range(n)], on one forked worker process per usable CPU.
+    """[task(i) for i in range(n)], on one forked worker per usable CPU.
 
-    Results come back in replicate order.  Without a second CPU, or where
-    the platform cannot fork, the replicates run inline: spawning a fresh
-    interpreter re-imports numpy and spimax in every worker, which costs
-    about as much as it saves.  They also run inline in a daemonic process
-    (a multiprocessing.Pool worker), which may not start children.  Every
-    worker has exited when this returns, also when a replicate raises.
+    With k = min(n, usable CPUs) workers, worker w runs the strided share
+    w, w + k, w + 2k, ... and sends the pickled list of its results, or
+    its exception with the formatted traceback text, through a pipe of its
+    own; it then leaves by os._exit, so it never returns into the caller's
+    frames.  The calling process only forks, reads the pipes in share order
+    and interleaves the shares, so results come back in replicate order.
+    An exception is re-raised with its type, chained to a RuntimeError
+    that holds the worker's traceback text; one that does not pickle
+    arrives as a RuntimeError that names it.  A worker that exits without
+    sending its results raises RuntimeError with its share and exit status.
+    Every worker has been reaped when this returns or raises: on an error
+    or an interrupt the workers still running are killed first.
+
+    The replicates run inline with one usable CPU, without os.fork, and in
+    a daemonic multiprocessing process (a Pool worker), whose termination
+    would orphan the workers.  That case is found without importing
+    multiprocessing: a process that has not loaded it is no such worker.
     """
     workers = min(n, util.usable_cpus())
-    if workers > 1:
-        import multiprocessing
-
-        if (
-            "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-        ):
-            workers = 1
-    if workers == 1:
+    mp = sys.modules.get("multiprocessing")
+    if workers < 2 or not hasattr(os, "fork") or (mp is not None and mp.current_process().daemon):
         return [task(i) for i in range(n)]
-    from concurrent.futures import ProcessPoolExecutor
+    import signal
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    running: dict[int, int] = {}  # worker pid -> read end of its pipe, until reaped
     try:
-        return list(pool.map(task, range(n), chunksize=max(1, n // (4 * workers))))
+        for w in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(write)
+                os.close(read)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    _send_share(write, task, range(w, n, workers))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            running[pid] = read
+        shares = [_receive_share(w, workers, pid, running) for w, pid in enumerate(list(running))]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for pid, read in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    results = [None] * n
+    for w, share in enumerate(shares):
+        results[w::workers] = share
+    return results
+
+
+def _send_share(fd: int, task, indices) -> None:
+    """Write (None, [task(i) for i in indices]), or (exception, traceback text), pickled to fd."""
+    try:
+        payload = pickle.dumps((None, [task(i) for i in indices]))
+    except BaseException as exc:  # the caller re-raises it
+        import traceback
+
+        text = traceback.format_exc()
+        try:
+            payload = pickle.dumps((exc, text))
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps((RuntimeError(f"{exc!r}, which does not pickle"), text))
+    with open(fd, "wb") as pipe:
+        pipe.write(payload)
+
+
+def _receive_share(w: int, k: int, pid: int, running: dict) -> list:
+    """The results of worker w of k, read to the end of its pipe; the worker is then reaped."""
+    with open(running[pid], "rb", closefd=False) as pipe:
+        payload = pipe.read()
+    os.close(running.pop(pid))
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(
+            f"the simulation worker of share {w} of {k} (replicates {w}, {w + k}, ...) "
+            f"exited with status {status} before sending its results"
+        )
+    error, value = pickle.loads(payload)
+    if error is not None:
+        raise error from RuntimeError(f"in simulation worker {w}:\n{value}")
+    return value
 
 
 def _run_replicates(config, methods, score, **extras) -> ExperimentResult:
@@ -240,12 +308,13 @@ def _run_replicates(config, methods, score, **extras) -> ExperimentResult:
     score(fit, mu_true, calibrated, draws) turns the calibrated {method:
     (critical value, studentizing scales)} into {method: {criterion: value}};
     a replicate where any step raises SpimaxError is recorded as failed
-    and left out.  Replicates run on one forked worker process per usable
-    CPU (_map_replicates); a replicate depends only on (config, i), so the
-    worker count moves no bit.  score must pickle: a module-level function
-    or a functools.partial of one.  The surviving replicates' values are
-    stacked and averaged as ExperimentResult describes; extras are added
-    to samples as they are.
+    and left out.  Replicates run in strided shares on one forked worker
+    process per usable CPU, or inline (_map_replicates); a replicate
+    depends only on (config, i), so the worker count moves no bit.  The
+    workers inherit score by the fork, so it need not pickle, but the
+    records it returns travel back pickled.  The surviving replicates'
+    values are stacked and averaged as ExperimentResult describes; extras
+    are added to samples as they are.
     """
     if len(set(methods)) != len(methods):
         raise ShapeMismatch("duplicate method names")

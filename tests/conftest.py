@@ -1,8 +1,10 @@
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from spimax.model import BlockLmmData
@@ -12,6 +14,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 # a failing example prints the @reproduce_failure blob that replays it exactly
 settings.register_profile("replayable", print_blob=True)
 settings.load_profile("replayable")
+
+
+def assert_no_child_process():
+    """The test process has no child process, running or exited but not reaped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = "one still running" if pid == 0 else f"{pid}, exited but not reaped"
+    raise AssertionError(f"the test process has a child process left: {left}")
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    # the simulation workers are plain forks, which multiprocessing does not see
+    yield
+    assert_no_child_process()
 
 
 def make_nerm(

@@ -775,8 +775,8 @@ def test_importing_the_package_and_cli_does_not_load_scipy():
 
 
 def test_the_cli_and_its_fit_spi_and_test_jobs_load_no_worker_pools(tmp_path, unit_csv):
-    # neither multiprocessing nor concurrent: only a simulate run with more
-    # than one usable CPU imports them, and MC runs its chunks inline
+    # neither multiprocessing nor concurrent: MC runs its chunks inline, and
+    # a simulate run with two usable CPUs forks its workers with os.fork
     h_path = tmp_path / "h.csv"
     h_path.write_text("\n".join(["0.0"] * 8) + "\n")
     data = ["--model", "nerm", "--data", str(unit_csv)]
@@ -785,12 +785,15 @@ def test_the_cli_and_its_fit_spi_and_test_jobs_load_no_worker_pools(tmp_path, un
         ["spi", *data, "--method", "mc", "--K", "20000", "--out", str(tmp_path / "spi.json")],
         ["test", *data, "--h", str(h_path), "--method", "bs", "--B", "20", "--stepdown",
          "--out", str(tmp_path / "test.json")],
+        ["simulate", "--preset", "table1-row", "--I", "4", "--B", "20", "--K", "50",
+         "--out", str(tmp_path / "sim.csv")],
     ]
     no_mp = ("assert not [m for m in sys.modules "
              "if m.split('.')[0] in ('multiprocessing', 'concurrent')], sorted(sys.modules)\n")
     _fresh_interpreter(
         "import sys\nimport spimax.cli\n" + no_mp
-        + f"assert [spimax.cli.run_cli(job) for job in {jobs!r}] == [0, 0, 0]\n" + no_mp
+        + "spimax.util.usable_cpus = lambda: 2\n"
+        + f"assert [spimax.cli.run_cli(job) for job in {jobs!r}] == [0, 0, 0, 0]\n" + no_mp
     )
 
 

@@ -1,6 +1,8 @@
 """Simulation harness: generation, criteria bookkeeping, reproducibility."""
 
+import dataclasses
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from spimax.simulate import (
     run_spi_experiment,
 )
 
+from conftest import assert_no_child_process
 from oracles import reference_scenario
 
 
@@ -349,46 +352,112 @@ def _assert_same_samples(a, b):
             np.testing.assert_array_equal(value, b[key])
 
 
+def _assert_same_result(a, b):
+    assert a.criteria == b.criteria
+    assert a.halfwidths == b.halfwidths
+    assert (a.n_failed, a.n_fallback, a.n_boundary) == (b.n_failed, b.n_fallback, b.n_boundary)
+    _assert_same_samples(a.samples, b.samples)
+
+
+def _refuse_fork():
+    raise AssertionError("a simulation worker was forked")
+
+
 @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
 def test_results_do_not_depend_on_the_worker_count(monkeypatch, kind):
-    # seven replicates over one, two and three workers, two of them failing
+    # seven replicates over one to four workers, two of them failing; four
+    # workers hold uneven shares of 2, 2, 2 and 1 replicates
     config = small_config(n_sim=7, n_boot=40, n_mc=200)
     _fail_fits_on(monkeypatch, config, (2, 5))
     results = []
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(util, "usable_cpus", lambda cpus=cpus: cpus)
         results.append(EXPERIMENTS[kind](config))
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
     base = results[0]
     assert base.samples["failed_replicates"] == (2, 5)
     for other in results[1:]:
-        assert other.criteria == base.criteria
-        assert other.halfwidths == base.halfwidths
-        assert (other.n_failed, other.n_fallback, other.n_boundary) == (
-            base.n_failed, base.n_fallback, base.n_boundary
-        )
-        _assert_same_samples(other.samples, base.samples)
+        _assert_same_result(other, base)
+    # a lone replicate runs inline whatever the CPU count
+    single = dataclasses.replace(config, n_sim=1)
+    monkeypatch.setattr(util, "usable_cpus", lambda: 1)
+    inline = EXPERIMENTS[kind](single)
+    monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    _assert_same_result(EXPERIMENTS[kind](single), inline)
 
 
 class _InjectedBug(Exception):
     """An error that is not a SpimaxError: a replicate raising it is a bug."""
 
 
-def test_a_worker_error_surfaces_with_its_type_and_leaves_no_process(monkeypatch):
-    config = small_config(n_sim=6, n_boot=40, n_mc=200)
-    bad = generate_scenario(config, 4)[0].y
+def _break_replicate(monkeypatch, config, replicate, action):
+    """Make the fit of the given replicate call action() first."""
+    bad = generate_scenario(config, replicate)[0].y
     real_eblup = simulate.eblup
 
     def eblup(data, spec=None):
         if np.array_equal(data.y, bad):
-            raise _InjectedBug("replicate 4")
+            action()
         return real_eblup(data, spec)
 
     monkeypatch.setattr(simulate, "eblup", eblup)
+
+
+def test_a_worker_error_surfaces_with_its_type_and_leaves_no_process(monkeypatch):
+    config = small_config(n_sim=6, n_boot=40, n_mc=200)
+
+    def action():
+        raise _InjectedBug("replicate 4")
+
+    _break_replicate(monkeypatch, config, 4, action)
     monkeypatch.setattr(util, "usable_cpus", lambda: 2)
-    with pytest.raises(_InjectedBug, match="replicate 4"):
+    with pytest.raises(_InjectedBug, match="replicate 4") as raised:
         run_spi_experiment(config, methods=("BO",))
-    assert multiprocessing.active_children() == []
+    assert "in action" in str(raised.value.__cause__)  # the worker's traceback text
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_that_dies_raises_and_leaves_no_process(monkeypatch, cpus):
+    # os._exit in a worker: the run raises instead of waiting for its results
+    config = small_config(n_sim=6, n_boot=40, n_mc=200)
+    _break_replicate(monkeypatch, config, 4, lambda: os._exit(3))
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+    share = 4 % cpus
+    with pytest.raises(RuntimeError, match=f"share {share} of {cpus} .* with status 3 before"):
+        run_spi_experiment(config, methods=("BO",))
+    assert_no_child_process()
+
+
+class _Unpicklable(Exception):
+    """An error that holds a lambda, so it cannot be sent from a worker as itself."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_error_that_does_not_pickle_still_surfaces(monkeypatch, cpus):
+    config = small_config(n_sim=6, n_boot=40, n_mc=200)
+
+    def action():
+        raise _Unpicklable("replicate 5")
+
+    _break_replicate(monkeypatch, config, 5, action)
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+    message = r"_Unpicklable\('replicate 5'\), which does not pickle"
+    with pytest.raises(RuntimeError, match=message) as raised:
+        run_spi_experiment(config, methods=("BO",))
+    traceback_text = str(raised.value.__cause__)
+    assert "in action" in traceback_text and "_Unpicklable: replicate 5" in traceback_text
+    assert_no_child_process()
+
+
+def _run_with_fork_refused(config, methods):
+    os.fork = _refuse_fork  # this process is the pool's worker, discarded after the test
+    return run_spi_experiment(config, methods)
 
 
 def test_a_run_inside_a_pool_worker_stays_inline(monkeypatch):
@@ -397,7 +466,7 @@ def test_a_run_inside_a_pool_worker_stays_inline(monkeypatch):
     monkeypatch.setattr(util, "usable_cpus", lambda: 2)
     direct = run_spi_experiment(config, methods=("BO",))
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        nested = pool.apply(run_spi_experiment, (config, ("BO",)))
+        nested = pool.apply(_run_with_fork_refused, (config, ("BO",)))
     assert nested.criteria == direct.criteria
     _assert_same_samples(nested.samples, direct.samples)
 
@@ -413,4 +482,4 @@ def test_a_refit_bug_propagates_out_of_the_experiment(monkeypatch, cpus):
     monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
     with pytest.raises(TypeError, match="refit bug"):
         run_spi_experiment(small_config(n_sim=2), methods=("BS",))
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
