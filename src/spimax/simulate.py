@@ -290,8 +290,8 @@ def _receive_share(w: int, k: int, pid: int, running: dict) -> list:
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
         raise RuntimeError(
-            f"the simulation worker of share {w} of {k} (replicates {w}, {w + k}, ...) "
-            f"exited with status {status} before sending its results"
+            f"the simulation worker of share {w} of {k} exited with status {status} "
+            "before sending its results"
         )
     error, value = pickle.loads(payload)
     if error is not None:
